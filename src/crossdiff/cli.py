@@ -24,8 +24,8 @@ from . import attractor as attractor_mod
 from . import diagnostics as diag_mod
 from .errors import InputError, ManifestError, ModelDefinitionError, NumericalStateError
 from .grid import Field, build_grid, load_snapshot, save_snapshot
-from .model import (Region, classic_skt, model_from_dict, model_to_dict,
-                    verify_structure)
+from .model import (ReactionSpec, Region, classic_skt, model_from_dict,
+                    model_to_dict, verify_structure)
 from .solver import SolverConfig, run
 
 OUTPUT_ROOT_ENV = "CROSSDIFF_OUT"
@@ -335,7 +335,7 @@ def diagnose(manifest, out, seed, threads, fmt):
     reports["interpolation"] = diag_mod.interpolation_check(
         traj.states, q=dc.q, eps=dc.eps)
     gating["interpolation"] = reports["interpolation"].passed
-    if model.reaction is not None and hasattr(model.reaction, "kappa"):
+    if isinstance(model.reaction, ReactionSpec):
         reports["ystar"] = attractor_mod.ystar_dominance(traj, model)
         gating["ystar"] = reports["ystar"].passed
         if dc.M1_targets:

@@ -190,6 +190,21 @@ def _mean_oscillation_sup(comp, kernel):
     return float((acc / counts).max())
 
 
+def _energy_y(field, spec, grad):
+    """y = int |A(u) Du|^2 by midpoint quadrature; grad is
+    cell_gradient(field)."""
+    A = eval_A(spec, field.points())
+    AD = np.einsum("xyij,jdxy->xyid", A, grad)
+    return float(field.grid.cell_area * (AD * AD).sum())
+
+
+def _bmo_sup(values, kernel):
+    """sup over window centers of the mean oscillation, max over
+    components, of values shifted by their (0, 0) cell."""
+    shifted = values - values[:, :1, :1]
+    return max(_mean_oscillation_sup(comp, kernel) for comp in shifted)
+
+
 def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None):
     """NormRecord of a field: midpoint quadrature, Euclidean pointwise
     magnitude across components, gradient norms via cell_gradient."""
@@ -214,11 +229,8 @@ def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None):
     grad = cell_gradient(u)
     du2 = (grad * grad).sum(axis=(0, 1))
     W12 = L2 + float(math.sqrt(area * du2.sum()))
-    pts = u.points()
-    A = eval_A(spec, pts)
-    AD = np.einsum("xyij,jdxy->xyid", A, grad)
-    energy_y = float(area * (AD * AD).sum())
-    lam = eval_lambda(spec, pts)
+    energy_y = _energy_y(u, spec, grad)
+    lam = eval_lambda(spec, u.points())
     lambda_moment = float(area * (lam ** float(s0)).sum())
     bmo = {}
     morrey = {}
@@ -227,8 +239,7 @@ def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None):
         if R > min(g.Lx, g.Ly):
             continue
         kernel = _ball_kernel(g, R)
-        shifted = vals - vals[:, :1, :1]
-        bmo[R] = max(_mean_oscillation_sup(shifted[c], kernel) for c in range(u.m))
+        bmo[R] = _bmo_sup(vals, kernel)
         morrey[R] = float(_window_sums(du2, kernel).max() * area)
     return NormRecord(t=float(t), mass=mass, L1=L1, L2=L2, Lp=Lp, W12=W12,
                       energy_y=energy_y, lambda_moment=lambda_moment,
@@ -270,7 +281,6 @@ def bmo_profile(u, radii, Lambda_hat=1.0, mu0=None):
     hmax = max(g.hx, g.hy)
     osc, products, small = {}, {}, {}
     skipped = []
-    shifted = u.values - u.values[:, :1, :1]
     for R in radii:
         R = float(R)
         if R < 2.0 * hmax * (1 - 1e-12):
@@ -278,9 +288,7 @@ def bmo_profile(u, radii, Lambda_hat=1.0, mu0=None):
         if R > min(g.Lx, g.Ly):
             skipped.append((R, "radius exceeds domain"))
             continue
-        kernel = _ball_kernel(g, R)
-        osc[R] = max(_mean_oscillation_sup(shifted[c], kernel)
-                     for c in range(u.m))
+        osc[R] = _bmo_sup(u.values, _ball_kernel(g, R))
         products[R] = float(Lambda_hat) ** 2 * osc[R] ** 2
         if mu0 is not None:
             small[R] = bool(products[R] <= mu0)
@@ -322,13 +330,7 @@ def energy_inequality_check(traj, spec):
         lam = eval_lambda(spec, fld.points())
         return float(area * (lam * w2).sum())
 
-    ys = []
-    for fld in states:
-        grad = cell_gradient(fld)
-        A = eval_A(spec, fld.points())
-        AD = np.einsum("xyij,jdxy->xyid", A, grad)
-        ys.append(float(area * (AD * AD).sum()))
-    ys = np.array(ys)
+    ys = np.array([_energy_y(fld, spec, cell_gradient(fld)) for fld in states])
 
     n = len(states) - 1
     lhs = np.empty(n)

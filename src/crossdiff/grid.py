@@ -1,19 +1,26 @@
 """Cell-centered finite volumes on a rectangle.
 
 States live at cell centers of a uniform Nx x Ny grid over
-[0, Lx] x [0, Ly].  Diffusion operators are assembled from face fluxes:
-the discrete divergence of a face-coefficient times a two-point normal
-difference.  Boundary conditions enter through ghost cells (mirror for
-no-flux, odd reflection for zero-Dirichlet), so the same flux kernel
-serves both the quasilinear operator Div(A(u) Du) and the fully
-nonlinear form Lap(P(u)).
+[0, Lx] x [0, Ly].  Every diffusion operator is one sparse face-flux
+matrix: each face carries a coefficient matrix times the two-point
+normal difference of its cells, and a cell's row is the divergence of
+its face fluxes.  Boundary conditions act through ghost cells (mirror
+for no-flux, odd reflection for zero-Dirichlet), which the matrix
+folds into its boundary rows.  flux_operator assembles Div(A Du) from
+face coefficients; its sparsity pattern, and the component Laplacian
+I_m (x) L_1 built from unit coefficients, are cached per (grid, m).
+The quasilinear operator Div(A(u) Du) and the fully nonlinear form
+Lap(P(u)) = (I_m (x) L_1) P(u) are both products with these matrices.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InputError, NumericalStateError
 from .model import eval_A, eval_P
@@ -26,6 +33,8 @@ __all__ = [
     "laplacian_of_P",
     "div_A_grad",
     "face_coefficients",
+    "flux_operator",
+    "component_laplacian",
     "stable_dt",
     "save_snapshot",
     "load_snapshot",
@@ -137,8 +146,7 @@ def _pad(values, bc):
     neumann: mirror (ghost = adjacent interior), so two-point normal
     differences vanish at the boundary.  dirichlet: odd reflection
     (ghost = -interior), so the face value (ghost+interior)/2 is an
-    exact zero.  Corner ghosts are never read by the flux kernel and
-    are left at 0.
+    exact zero.  Corner ghosts are never read and are left at 0.
     """
     m, Nx, Ny = values.shape
     out = np.zeros((m, Nx + 2, Ny + 2))
@@ -166,21 +174,81 @@ def cell_gradient(field):
     return np.stack([gx, gy], axis=1)
 
 
-def _flux_divergence(w, grid, coef_x=None, coef_y=None):
-    """Divergence of face fluxes for padded values w of shape (m, Nx+2, Ny+2).
+@functools.lru_cache(maxsize=16)
+def _face_pattern(grid, m):
+    """COO (rows, cols) of the flux operator for m components, built
+    once per (grid, m).
 
-    Fluxes are two-point differences across each face, optionally
-    multiplied by per-face coefficient matrices coef_x of shape
-    (Nx+1, Ny, m, m) and coef_y of shape (Nx, Ny+1, m, m).  Without
-    coefficients this is the 5-point Laplacian of the padded data.
+    Each interior face contributes a paired (+w, -w) four-entry block
+    coupling its two cells, so with no-flux boundaries every column of
+    the operator sums to zero, which is what makes backward-Euler steps
+    conservative.  Dirichlet boundary faces contribute -2w on the
+    diagonal block (odd-reflection ghosts).
     """
-    dx = (w[:, 1:, 1:-1] - w[:, :-1, 1:-1]) / grid.hx   # (m, Nx+1, Ny)
-    dy = (w[:, 1:-1, 1:] - w[:, 1:-1, :-1]) / grid.hy   # (m, Nx, Ny+1)
-    if coef_x is not None:
-        dx = np.einsum("xyij,jxy->ixy", coef_x, dx)
-        dy = np.einsum("xyij,jxy->ixy", coef_y, dy)
-    return (dx[:, 1:, :] - dx[:, :-1, :]) / grid.hx + \
-           (dy[:, :, 1:] - dy[:, :, :-1]) / grid.hy
+    Nx, Ny = grid.Nx, grid.Ny
+    N = Nx * Ny
+    a = np.arange(m)[:, None, None]
+    b = np.arange(m)[None, :, None]
+    rows, cols = [], []
+
+    def add(rc, cc):
+        rows.append(np.broadcast_to(a * N + rc, (m, m, rc.size)).ravel())
+        cols.append(np.broadcast_to(b * N + cc, (m, m, cc.size)).ravel())
+
+    fi, j = np.meshgrid(np.arange(1, Nx), np.arange(Ny), indexing="ij")
+    xL = ((fi - 1) * Ny + j).ravel()
+    xR = (fi * Ny + j).ravel()
+    for rc, cc in ((xL, xR), (xL, xL), (xR, xR), (xR, xL)):
+        add(rc, cc)
+    i, fj = np.meshgrid(np.arange(Nx), np.arange(1, Ny), indexing="ij")
+    yB = (i * Ny + fj - 1).ravel()
+    yT = (i * Ny + fj).ravel()
+    for rc, cc in ((yB, yT), (yB, yB), (yT, yT), (yT, yB)):
+        add(rc, cc)
+    if grid.bc == "dirichlet":
+        jj = np.arange(Ny)
+        ii = np.arange(Nx)
+        for cells in (jj, (Nx - 1) * Ny + jj, ii * Ny, ii * Ny + Ny - 1):
+            add(cells, cells)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _face_block(w, m):
+    """(F..., m, m) face data -> (m, m, F) raveled to match the pattern."""
+    return np.moveaxis(w.reshape(-1, m, m), 0, -1).ravel()
+
+
+def flux_operator(grid, Ax, Ay):
+    """Sparse Div(A Du) on component-major vectors (values.ravel()
+    order) from face coefficients with the shapes face_coefficients
+    returns."""
+    m = Ax.shape[-1]
+    rows, cols = _face_pattern(grid, m)
+    wx = _face_block(Ax[1:-1] / grid.hx ** 2, m)
+    wy = _face_block(np.ascontiguousarray(Ay[:, 1:-1]) / grid.hy ** 2, m)
+    data = [wx, -wx, -wx, wx, wy, -wy, -wy, wy]
+    if grid.bc == "dirichlet":
+        for w, h2 in ((Ax[0], grid.hx ** 2), (Ax[-1], grid.hx ** 2),
+                      (Ay[:, 0], grid.hy ** 2), (Ay[:, -1], grid.hy ** 2)):
+            data.append(-2.0 * _face_block(np.ascontiguousarray(w), m) / h2)
+    n = m * grid.Nx * grid.Ny
+    return sp.coo_matrix((np.concatenate(data), (rows, cols)), shape=(n, n)).tocsr()
+
+
+@functools.lru_cache(maxsize=16)
+def component_laplacian(grid, m):
+    """I_m (x) L_1: the 5-point Laplacian acting on each of m components.
+
+    Built once per (grid, m) and shared by every caller, threads
+    included, so its arrays are read-only."""
+    L1 = flux_operator(grid, np.ones((grid.Nx + 1, grid.Ny, 1, 1)),
+                       np.ones((grid.Nx, grid.Ny + 1, 1, 1)))
+    L = sp.kron(sp.identity(m, format="csr"), L1, format="csr")
+    for arr in (L.data, L.indices, L.indptr):
+        arr.flags.writeable = False
+    return L
 
 
 def _require_finite(field):
@@ -189,15 +257,13 @@ def _require_finite(field):
 
 
 def laplacian_of_P(spec, field):
-    """Discrete Lap(P(u)): apply P pointwise, then the 5-point flux
-    divergence with the ghost rule applied to P(u) itself.  Since
-    P(0) = 0, zero-Dirichlet data for u gives zero-Dirichlet data for
-    P(u), and mirror ghosts commute with pointwise maps.  Returns
-    (m, Nx, Ny)."""
+    """Discrete Lap(P(u)) = (I_m (x) L_1) P(u): P is applied pointwise
+    and the ghost rule to P(u) itself.  Since P(0) = 0, zero-Dirichlet
+    data for u gives zero-Dirichlet data for P(u), and mirror ghosts
+    commute with pointwise maps.  Returns (m, Nx, Ny)."""
     _require_finite(field)
-    g = field.grid
     w = np.moveaxis(eval_P(spec, field.points()), -1, 0)
-    return _flux_divergence(_pad(w, g.bc), g)
+    return (component_laplacian(field.grid, field.m) @ w.ravel()).reshape(w.shape)
 
 
 def face_coefficients(spec, field):
@@ -221,10 +287,8 @@ def div_A_grad(spec, field):
     Identical to laplacian_of_P when P is the identity map.  Returns
     (m, Nx, Ny)."""
     _require_finite(field)
-    g = field.grid
-    p = _pad(field.values, g.bc)
-    coef_x, coef_y = face_coefficients(spec, field)
-    return _flux_divergence(p, g, coef_x, coef_y)
+    L = flux_operator(field.grid, *face_coefficients(spec, field))
+    return (L @ field.values.ravel()).reshape(field.values.shape)
 
 
 def stable_dt(spec, field, cfl=0.9):
@@ -266,8 +330,14 @@ def save_snapshot(path, field, fmt="csv"):
 
 
 def load_snapshot(path, bc="neumann", fmt=None):
-    """Read a snapshot written by save_snapshot; fmt inferred from the
-    payload when not given."""
+    """Read a snapshot written by save_snapshot.  Without fmt the format
+    comes from a .csv or .bin extension; the payload cannot tell them
+    apart (a csv payload can have the byte count of a bin one)."""
+    if fmt is None:
+        fmt = os.path.splitext(path)[1].lower().lstrip(".")
+    if fmt not in ("csv", "bin"):
+        raise InputError(f"unknown snapshot format {fmt!r} for {path}: pass "
+                         "fmt='csv' or 'bin', or use a .csv or .bin extension")
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii")
         payload = fh.read()
@@ -277,8 +347,6 @@ def load_snapshot(path, bc="neumann", fmt=None):
     m, Nx, Ny = (int(p) for p in parts[:3])
     Lx, Ly = (float(p) for p in parts[3:])
     count = m * Nx * Ny
-    if fmt is None:
-        fmt = "bin" if len(payload) == 8 * count else "csv"
     if fmt == "bin":
         if len(payload) != 8 * count:
             raise InputError("snapshot payload has the wrong byte count")

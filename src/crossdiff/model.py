@@ -306,8 +306,20 @@ def _flatten_gradient(g, m):
     return g.reshape(g.shape[:-2] + (2 * m,))
 
 
+class _Reaction:
+    """f(u, Du) = B(u) Du + zero_order(u); subclasses supply m, the
+    optional MatrixPolynomial B of shape (m, 2m) and zero_order."""
+
+    def __call__(self, u, g):
+        out = self.zero_order(u)
+        if self.B is not None:
+            gf = _flatten_gradient(g, self.m)
+            out = out + np.einsum("...ij,...j->...i", self.B(np.asarray(u, float)), gf)
+        return out
+
+
 @dataclass(frozen=True)
-class ReactionSpec:
+class ReactionSpec(_Reaction):
     """Competitive reaction f(u, Du) = B(u) Du + K u - G(u) u with the
     coercivity declaration <G(w)u, u> >= c0 |w|^kappa |u|^2."""
 
@@ -338,16 +350,9 @@ class ReactionSpec:
             out = out - np.einsum("...ij,...j->...i", self.G(u), u)
         return out
 
-    def __call__(self, u, g):
-        out = self.zero_order(u)
-        if self.B is not None:
-            gf = _flatten_gradient(g, self.m)
-            out = out + np.einsum("...ij,...j->...i", self.B(np.asarray(u, float)), gf)
-        return out
-
 
 @dataclass(frozen=True)
-class GeneralReaction:
+class GeneralReaction(_Reaction):
     """General reaction f(u, Du) = B(u) Du + f0(u)."""
 
     m: int
@@ -359,13 +364,6 @@ class GeneralReaction:
         if self.f0 is None:
             return np.zeros(u.shape)
         return self.f0(u)
-
-    def __call__(self, u, g):
-        out = self.zero_order(u)
-        if self.B is not None:
-            gf = _flatten_gradient(g, self.m)
-            out = out + np.einsum("...ij,...j->...i", self.B(np.asarray(u, float)), gf)
-        return out
 
 
 @dataclass(frozen=True)
@@ -386,24 +384,21 @@ class ModelSpec:
     def __post_init__(self):
         m = self.P.m
         r = self.reaction
-        if isinstance(r, ReactionSpec):
+        if r is not None:
+            if not isinstance(r, _Reaction):
+                raise ModelDefinitionError("unsupported reaction object")
             if r.m != m:
                 raise ModelDefinitionError("reaction dimension does not match P")
             if r.B is not None and (r.B.m != m or r.B.shape != (m, 2 * m)):
                 raise ModelDefinitionError(f"B must map to a {m}x{2 * m} matrix")
+        if isinstance(r, ReactionSpec):
             if r.G is not None and (r.G.m != m or r.G.shape != (m, m)):
                 raise ModelDefinitionError(f"G must map to a {m}x{m} matrix")
             if self.lam.k > 0 and r.kappa > self.lam.k + 1e-12:
                 raise ModelDefinitionError("kappa must not exceed the lambda exponent k")
         elif isinstance(r, GeneralReaction):
-            if r.m != m:
-                raise ModelDefinitionError("reaction dimension does not match P")
-            if r.B is not None and (r.B.m != m or r.B.shape != (m, 2 * m)):
-                raise ModelDefinitionError(f"B must map to a {m}x{2 * m} matrix")
             if r.f0 is not None and r.f0.m != m:
                 raise ModelDefinitionError("zero-order map dimension does not match P")
-        elif r is not None:
-            raise ModelDefinitionError("unsupported reaction object")
         if self.C_f is not None and not (self.C_f > 0):
             raise ModelDefinitionError("declared C_f must be positive")
 
@@ -776,20 +771,18 @@ def with_sigma(spec, sigma):
     P = spec.P.scaled(sigma, power_offset=-1)
     lam = LambdaSpec(spec.lam.lambda0, spec.lam.lambda1 * sigma ** spec.lam.k, spec.lam.k)
     r = spec.reaction
+    reaction = None
+    B = None if r is None or r.B is None else r.B.scaled(sigma, prefactor=sigma)
     if isinstance(r, ReactionSpec):
         reaction = ReactionSpec(
-            K=sigma * r.K,
-            B=None if r.B is None else r.B.scaled(sigma, prefactor=sigma),
+            K=sigma * r.K, B=B,
             G=None if r.G is None else r.G.scaled(sigma, prefactor=sigma),
             kappa=r.kappa,
             c0=max(r.c0 * sigma ** (1.0 + r.kappa), np.finfo(float).tiny))
     elif isinstance(r, GeneralReaction):
         reaction = GeneralReaction(
-            m=r.m,
-            B=None if r.B is None else r.B.scaled(sigma, prefactor=sigma),
+            m=r.m, B=B,
             f0=None if r.f0 is None else r.f0.scaled(sigma, power_offset=0))
-    else:
-        reaction = None
     return ModelSpec(P=P, lam=lam, reaction=reaction, C_f=spec.C_f,
                      name=f"{spec.name}@sigma={sigma:g}" if spec.name else "")
 
@@ -798,18 +791,16 @@ def model_to_dict(spec):
     d = {"m": spec.m, "P": spec.P.to_dict(), "lambda": spec.lam.to_dict(),
          "C_f": spec.C_f, "name": spec.name}
     r = spec.reaction
+    d["reaction"] = None
+    B = None if r is None or r.B is None else r.B.to_dict()
     if isinstance(r, ReactionSpec):
         d["reaction"] = {
-            "K": r.K.tolist(),
-            "B": None if r.B is None else r.B.to_dict(),
+            "K": r.K.tolist(), "B": B,
             "G": None if r.G is None else r.G.to_dict(),
             "kappa": r.kappa, "c0": r.c0}
     elif isinstance(r, GeneralReaction):
         d["reaction"] = {"general": {
-            "B": None if r.B is None else r.B.to_dict(),
-            "f": None if r.f0 is None else r.f0.to_dict()}}
-    else:
-        d["reaction"] = None
+            "B": B, "f": None if r.f0 is None else r.f0.to_dict()}}
     return d
 
 

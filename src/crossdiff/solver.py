@@ -1,16 +1,22 @@
 """Time stepping for u_t = Lap(P(u)) + f(u, Du).
 
-Three schemes share one face-flux spatial discretization:
+All three schemes use the one face-flux operator of grid.py:
 
 * explicit  -- forward Euler on the full right-hand side, with the step
   clipped to the parabolic stability bound of the current state;
-* imex      -- backward Euler on the divergence-form operator with face
-  coefficients A frozen at the current state, reaction explicit;
+  diffusion is laplacian_of_P, i.e. (I_m (x) L_1) P(u);
+* imex      -- backward Euler on the divergence-form operator
+  flux_operator(face_coefficients(u)), with A frozen at the current
+  state, reaction explicit;
 * newton    -- backward Euler on the fully nonlinear Lap(P(u)), solved
-  by a damped-free Newton iteration, reaction explicit.
+  by an undamped Newton iteration on component_laplacian, whose
+  Jacobian is (I_m (x) L_1) A(v) with A(v) acting cellwise; reaction
+  explicit.
 
-run() drives adaptive steps (halve on failure, grow 1.2x on success up
-to dt_max), lands exactly on requested snapshot times and t_end, and
+The operator's sparsity pattern and I_m (x) L_1 are built once per
+(grid, m) in grid.py, so repeated step() calls share them.  run()
+drives adaptive steps (halve on failure, grow 1.2x on success up to
+dt_max), lands exactly on requested snapshot times and t_end, and
 records norms along the way.
 """
 
@@ -23,7 +29,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .errors import InputError, NewtonConvergenceError, NumericalStateError
-from .grid import Field, cell_gradient, face_coefficients, laplacian_of_P, stable_dt
+from .grid import (Field, cell_gradient, component_laplacian, face_coefficients,
+                   flux_operator, laplacian_of_P, stable_dt)
 from .model import eval_A, eval_P, eval_reaction
 
 __all__ = ["SolverConfig", "Trajectory", "step", "run"]
@@ -89,98 +96,6 @@ class Trajectory:
         return self.terminated_reason == "reached"
 
 
-class _FaceAssembly:
-    """Precomputed COO index structure for the divergence-form operator.
-
-    Each interior face contributes a paired (+w, -w) four-entry block
-    coupling its two cells; with no-flux boundaries every column of the
-    assembled operator therefore sums to zero exactly, which is what
-    makes backward-Euler steps conservative.  Dirichlet boundary faces
-    contribute -2w on the diagonal block (odd-reflection ghosts).
-    """
-
-    def __init__(self, grid, m):
-        self.grid = grid
-        self.m = m
-        Nx, Ny = grid.Nx, grid.Ny
-        N = Nx * Ny
-        self.size = m * N
-        a = np.arange(m)[:, None, None]
-        b = np.arange(m)[None, :, None]
-        rows, cols = [], []
-
-        def add(rc, cc):
-            rows.append(np.broadcast_to(a * N + rc, (m, m, rc.size)).ravel())
-            cols.append(np.broadcast_to(b * N + cc, (m, m, cc.size)).ravel())
-
-        fi, j = np.meshgrid(np.arange(1, Nx), np.arange(Ny), indexing="ij")
-        xL = ((fi - 1) * Ny + j).ravel()
-        xR = (fi * Ny + j).ravel()
-        for rc, cc in ((xL, xR), (xL, xL), (xR, xR), (xR, xL)):
-            add(rc, cc)
-        i, fj = np.meshgrid(np.arange(Nx), np.arange(1, Ny), indexing="ij")
-        yB = (i * Ny + fj - 1).ravel()
-        yT = (i * Ny + fj).ravel()
-        for rc, cc in ((yB, yT), (yB, yB), (yT, yT), (yT, yB)):
-            add(rc, cc)
-        if grid.bc == "dirichlet":
-            jj = np.arange(Ny)
-            ii = np.arange(Nx)
-            for cells in (jj, (Nx - 1) * Ny + jj, ii * Ny, ii * Ny + Ny - 1):
-                add(cells, cells)
-        self.rows = np.concatenate(rows)
-        self.cols = np.concatenate(cols)
-
-    def _face_block(self, w):
-        """(F..., m, m) face data -> (m, m, F) raveled to match add()."""
-        return np.moveaxis(w.reshape(-1, self.m, self.m), 0, -1).ravel()
-
-    def assemble(self, Ax, Ay):
-        """Operator matrix from face coefficient arrays (see
-        grid.face_coefficients for shapes)."""
-        g = self.grid
-        wx = self._face_block(Ax[1:-1] / g.hx ** 2)
-        wy = self._face_block(np.ascontiguousarray(Ay[:, 1:-1]) / g.hy ** 2)
-        data = [wx, -wx, -wx, wx, wy, -wy, -wy, wy]
-        if g.bc == "dirichlet":
-            for w, h2 in ((Ax[0], g.hx ** 2), (Ax[-1], g.hx ** 2),
-                          (Ay[:, 0], g.hy ** 2), (Ay[:, -1], g.hy ** 2)):
-                data.append(-2.0 * self._face_block(np.ascontiguousarray(w)) / h2)
-        data = np.concatenate(data)
-        return sp.coo_matrix((data, (self.rows, self.cols)),
-                             shape=(self.size, self.size)).tocsr()
-
-
-class _Workspace:
-    """Per-(grid, m) cache of assembly structure and constant matrices."""
-
-    def __init__(self, grid, m):
-        self.assembly = _FaceAssembly(grid, m)
-        N = grid.Nx * grid.Ny
-        self.N = N
-        self.m = m
-        self.eye = sp.identity(m * N, format="csr")
-        ones_x = np.ones((grid.Nx + 1, grid.Ny, 1, 1))
-        ones_y = np.ones((grid.Nx, grid.Ny + 1, 1, 1))
-        scalar = _FaceAssembly(grid, 1)
-        self.L_scalar = scalar.assemble(ones_x, ones_y)
-        self.L_components = sp.kron(sp.identity(m, format="csr"),
-                                    self.L_scalar, format="csr")
-        n = np.arange(N)
-        c = np.arange(m)[:, None, None]
-        cp = np.arange(m)[None, :, None]
-        self.jac_rows = np.broadcast_to(c * N + n, (m, m, N)).ravel()
-        self.jac_cols = np.broadcast_to(cp * N + n, (m, m, N)).ravel()
-
-    def pointwise_jacobian(self, spec, pts):
-        """Block matrix of A(u) acting cellwise on component-major vectors."""
-        A = eval_A(spec, pts).reshape(self.N, self.m, self.m)
-        data = np.moveaxis(A, 0, -1).ravel()
-        size = self.m * self.N
-        return sp.coo_matrix((data, (self.jac_rows, self.jac_cols)),
-                             shape=(size, size)).tocsr()
-
-
 def _flat(values):
     return values.reshape(-1)
 
@@ -207,15 +122,14 @@ def _reaction_dt_cap(spec, field, cfl):
     return 0.5 * cfl / rho if rho > 0 else np.inf
 
 
-def _step_explicit(spec, field, dt, config, ws):
+def _step_explicit(spec, field, dt, config):
     rhs = laplacian_of_P(spec, field) + _reaction_term(spec, field)
     return Field(field.grid, field.values + dt * rhs), 0
 
 
-def _step_imex(spec, field, dt, config, ws):
-    Ax, Ay = face_coefficients(spec, field)
-    L = ws.assembly.assemble(Ax, Ay)
-    M = ws.eye - dt * L
+def _step_imex(spec, field, dt, config):
+    L = flux_operator(field.grid, *face_coefficients(spec, field))
+    M = sp.identity(L.shape[0], format="csr") - dt * L
     rhs = _flat(field.values + dt * _reaction_term(spec, field))
     x = spsolve(M, rhs)
     if not np.all(np.isfinite(x)):
@@ -227,8 +141,20 @@ def _step_imex(spec, field, dt, config, ws):
     return Field(field.grid, x.reshape(field.values.shape)), 0
 
 
-def _step_newton(spec, field, dt, config, ws):
+def _cellwise(A):
+    """(N, m, m) cell matrices A as one sparse matrix acting cellwise on
+    component-major vectors: row c*N + n holds A[n, c, :] at columns
+    d*N + n."""
+    N, m, _ = A.shape
+    cols = np.broadcast_to(np.arange(m) * N + np.arange(N)[:, None], (m, N, m))
+    return sp.csr_matrix((np.moveaxis(A, 0, 1).ravel(), cols.ravel(),
+                          np.arange(0, m * m * N + 1, m)), shape=(m * N, m * N))
+
+
+def _step_newton(spec, field, dt, config):
     g = field.grid
+    L = component_laplacian(g, field.m)
+    eye = sp.identity(L.shape[0], format="csr")
     shape = field.values.shape
     uflat = _flat(field.values)
     rhs = uflat + dt * _flat(_reaction_term(spec, field))
@@ -238,14 +164,14 @@ def _step_newton(spec, field, dt, config, ws):
     for _ in range(config.max_newton):
         vf = Field(g, v.reshape(shape))
         Pv = _flat(np.moveaxis(eval_P(spec, vf.points()), -1, 0))
-        R = v - dt * (ws.L_components @ Pv) - rhs
+        R = v - dt * (L @ Pv) - rhs
         rn = np.linalg.norm(R)
         if not np.isfinite(rn):
             raise NewtonConvergenceError("non-finite Newton residual")
         if rn <= tol:
             return Field(g, v.reshape(shape)), solves
-        D = ws.pointwise_jacobian(spec, vf.points())
-        J = ws.eye - dt * (ws.L_components @ D)
+        D = _cellwise(eval_A(spec, vf.points()).reshape(-1, field.m, field.m))
+        J = eye - dt * (L @ D)
         dv = spsolve(J, R)
         if not np.all(np.isfinite(dv)):
             raise NewtonConvergenceError("singular Newton system")
@@ -258,7 +184,7 @@ def _step_newton(spec, field, dt, config, ws):
 _STEPPERS = {"explicit": _step_explicit, "imex": _step_imex, "newton": _step_newton}
 
 
-def step(spec, field, dt, scheme="imex", config=None, workspace=None):
+def step(spec, field, dt, scheme="imex", config=None):
     """Advance one step of size dt; returns (new_field, newton_solves).
 
     The explicit scheme applies forward Euler as given (stability is the
@@ -271,9 +197,7 @@ def step(spec, field, dt, scheme="imex", config=None, workspace=None):
         raise InputError(f"scheme must be one of {_SCHEMES}")
     if config is None:
         config = SolverConfig(scheme=scheme, dt0=dt, t_end=dt)
-    if workspace is None:
-        workspace = _Workspace(field.grid, field.m)
-    return _STEPPERS[scheme](spec, field, dt, config, workspace)
+    return _STEPPERS[scheme](spec, field, dt, config)
 
 
 def _default_recorder(spec):
@@ -295,7 +219,6 @@ def run(spec, field0, config, recorder=None):
     """
     if recorder is None:
         recorder = _default_recorder(spec)
-    ws = _Workspace(field0.grid, field0.m)
     stepper = _STEPPERS[config.scheme]
 
     u = field0.copy()
@@ -344,7 +267,7 @@ def run(spec, field0, config, recorder=None):
                 landed = targets[tptr]
 
         try:
-            new, nsolve = stepper(spec, u, dt_try, config, ws)
+            new, nsolve = stepper(spec, u, dt_try, config)
             ok = bool(np.all(np.isfinite(new.values)))
         except NewtonConvergenceError:
             ok = False

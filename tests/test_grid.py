@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from crossdiff import (Field, InputError, LambdaSpec, ModelSpec,
                        NumericalStateError, PolynomialMap, build_grid,
                        cell_gradient, div_A_grad, laplacian_of_P,
                        load_snapshot, save_snapshot, stable_dt)
+from crossdiff.grid import component_laplacian, flux_operator
 
 from conftest import eigenmode_field, smooth_field
 
@@ -156,6 +159,53 @@ class TestDiffusionOperators:
             div_A_grad(heat1, f)
 
 
+class TestFluxOperator:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_neumann_columns_sum_to_zero(self, m):
+        # conservation: each face adds +w and -w to the same column, so
+        # no-flux operators lose no mass whatever the face coefficients
+        g = build_grid(1.3, 0.7, 9, 13, "neumann")
+        rng = np.random.default_rng(m)
+        Ax = rng.uniform(-1.0, 2.0, size=(g.Nx + 1, g.Ny, m, m))
+        Ay = rng.uniform(-1.0, 2.0, size=(g.Nx, g.Ny + 1, m, m))
+        L = flux_operator(g, Ax, Ay)
+        assert L.shape == (m * g.Nx * g.Ny,) * 2
+        col_sums = np.abs(np.asarray(L.sum(axis=0))).max()
+        assert col_sums <= 1e-14 * np.abs(L.data).max()
+
+    def test_component_laplacian_is_shared_and_read_only(self):
+        g = build_grid(1.0, 1.0, 5, 4)
+        L = component_laplacian(g, 2)
+        assert component_laplacian(build_grid(1.0, 1.0, 5, 4), 2) is L
+        with pytest.raises(ValueError):
+            L.data[0] = 1.0
+
+    def test_threads_sharing_the_cache_agree_with_serial(self, skt):
+        g = build_grid(1.0, 1.0, 12, 10)
+        f = Field(g, np.random.default_rng(4).uniform(0.2, 2.0, (2, 12, 10)))
+        component_laplacian.cache_clear()
+        results = [None] * 8
+
+        def work(k):
+            results[k] = (laplacian_of_P(skt, f), div_A_grad(skt, f))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        want = (laplacian_of_P(skt, f), div_A_grad(skt, f))
+        for got in results:
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
 class TestCellGradient:
     def test_constant_gradient_is_zero(self, grid16n):
         f = Field.constant(grid16n, [4.0, -2.0])
@@ -243,6 +293,25 @@ class TestSnapshots:
             path = tmp_path / f"s.{fmt}"
             save_snapshot(path, f, fmt=fmt)
             assert np.array_equal(load_snapshot(path).values, f.values)
+
+    def test_csv_with_binary_byte_count_loads_as_csv(self, tmp_path):
+        # "0.12345\n" is 8 bytes, so this 2x2 csv payload has exactly the
+        # byte count of a bin payload; the extension decides, not the size
+        g = build_grid(1.0, 1.0, 2, 2)
+        f = Field.constant(g, [0.12345])
+        path = tmp_path / "s.csv"
+        save_snapshot(path, f, fmt="csv")
+        payload = path.read_bytes().split(b"\n", 1)[1]
+        assert len(payload) == 8 * 4
+        assert np.array_equal(load_snapshot(path).values, f.values)
+
+    def test_unknown_extension_needs_fmt(self, tmp_path):
+        f = Field.constant(build_grid(1.0, 1.0, 2, 2), [0.12345])
+        path = tmp_path / "s.dat"
+        save_snapshot(path, f, fmt="csv")
+        with pytest.raises(InputError, match="fmt"):
+            load_snapshot(path)
+        assert np.array_equal(load_snapshot(path, fmt="csv").values, f.values)
 
     def test_header_contents(self, tmp_path, grid16n):
         f = Field.constant(grid16n, [1.0])
