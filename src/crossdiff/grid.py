@@ -339,20 +339,27 @@ def load_snapshot(path, bc="neumann", fmt=None):
         raise InputError(f"unknown snapshot format {fmt!r} for {path}: pass "
                          "fmt='csv' or 'bin', or use a .csv or .bin extension")
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii")
+        header = fh.readline()
         payload = fh.read()
-    parts = header.split()
-    if len(parts) != 5:
-        raise InputError("snapshot header must be `m Nx Ny Lx Ly`")
-    m, Nx, Ny = (int(p) for p in parts[:3])
-    Lx, Ly = (float(p) for p in parts[3:])
+    try:
+        parts = header.decode("ascii").split()
+        # unpacking also rejects a header without exactly five fields
+        m, Nx, Ny = (int(p) for p in parts[:3])
+        Lx, Ly = (float(p) for p in parts[3:])
+    except ValueError:
+        raise InputError(f"snapshot header of {path} must be `m Nx Ny Lx Ly`"
+                         ) from None
     count = m * Nx * Ny
     if fmt == "bin":
         if len(payload) != 8 * count:
             raise InputError("snapshot payload has the wrong byte count")
         flat = np.frombuffer(payload, dtype="<f8").astype(float)
     else:
-        flat = np.array([float(x) for x in payload.decode("ascii").split()])
+        try:
+            flat = np.array([float(x) for x in payload.decode("ascii").split()])
+        except ValueError:
+            raise InputError(f"snapshot payload of {path} is not ASCII numbers "
+                             "(is it a bin snapshot?)") from None
         if flat.size != count:
             raise InputError("snapshot payload has the wrong value count")
     grid = Grid2D(Lx, Ly, Nx, Ny, bc)

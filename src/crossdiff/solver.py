@@ -18,6 +18,16 @@ The operator's sparsity pattern and I_m (x) L_1 are built once per
 drives adaptive steps (halve on failure, grow 1.2x on success up to
 dt_max), lands exactly on requested snapshot times and t_end, and
 records norms along the way.
+
+Every linear solve goes through spsolve(), which gives the bits of
+scipy's spsolve for a CSR matrix.  Within one run() it keeps the LU of
+the last matrix it factored and reuses it while the matrix's indptr,
+indices and data are bit for bit the ones factored; any other matrix
+drops that LU and is factored afresh.  The matrix alone decides, so a
+Newton Jacobian of a linear P, or an IMEX operator of a constant A, is
+factored once per step size, while a state-dependent operator is
+factored on every step at the extra cost of one O(nnz) comparison.
+step() on its own factors on every call.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+import scipy.sparse.linalg as spla
 
 from .errors import InputError, NewtonConvergenceError, NumericalStateError
 from .grid import (Field, cell_gradient, component_laplacian, face_coefficients,
@@ -79,7 +89,8 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Output of run(): recorded norms, optional states, step history."""
+    """Output of run(): recorded norms, optional states, step history,
+    and counts of rejected steps, LU factorizations and linear solves."""
 
     times: np.ndarray
     records: list
@@ -90,10 +101,69 @@ class Trajectory:
     dt_history: np.ndarray = dc_field(default_factory=lambda: np.zeros(0))
     newton_history: np.ndarray = dc_field(default_factory=lambda: np.zeros(0, dtype=int))
     first_negative_t: float | None = None
+    factorizations: int = 0
+    linear_solves: int = 0
+    rejected_steps: int = 0
 
     @property
     def reached_end(self):
         return self.terminated_reason == "reached"
+
+
+def _bits(a):
+    return a.view(np.uint8)
+
+
+class _LastFactor:
+    """The LU of the last matrix spsolve factored in one run, with the
+    factorization and solve counts of that run."""
+
+    def __init__(self):
+        self.key = None
+        self.lu = None
+        self.factorizations = 0
+        self.solves = 0
+
+    def lu_of(self, M):
+        key = (M.indptr, M.indices, M.data)
+        if self.key is not None and all(
+                np.array_equal(_bits(a), b) for a, b in zip(key, self.key)):
+            return self.lu
+        # drop the old LU before factoring, so two are never held at once
+        self.key = self.lu = None
+        self.factorizations += 1
+        lu = _factor(M)
+        if lu is not None:
+            self.key = tuple(_bits(a).copy() for a in key)
+            self.lu = lu
+        return lu
+
+
+def _factor(M):
+    """SuperLU of the CSR matrix M, whose arrays are read as the CSC of
+    its transpose (as scipy's spsolve does); None if exactly singular."""
+    try:
+        return spla.splu(sp.csc_array((M.data, M.indices, M.indptr),
+                                      shape=M.shape))
+    except RuntimeError as e:
+        if "singular" not in str(e):
+            raise
+        return None
+
+
+def spsolve(M, rhs, factors=None):
+    """Solve M x = rhs for a square CSR matrix M, bit for bit as scipy's
+    spsolve does; all NaN if M is exactly singular.  With a _LastFactor
+    the LU of an unchanged M is reused (see the module docstring)."""
+    M.sum_duplicates()
+    if factors is None:
+        lu = _factor(M)
+    else:
+        factors.solves += 1
+        lu = factors.lu_of(M)
+    if lu is None:
+        return np.full(np.shape(rhs), np.nan)
+    return lu.solve(rhs, trans="T")
 
 
 def _flat(values):
@@ -122,16 +192,16 @@ def _reaction_dt_cap(spec, field, cfl):
     return 0.5 * cfl / rho if rho > 0 else np.inf
 
 
-def _step_explicit(spec, field, dt, config):
+def _step_explicit(spec, field, dt, config, factors=None):
     rhs = laplacian_of_P(spec, field) + _reaction_term(spec, field)
     return Field(field.grid, field.values + dt * rhs), 0
 
 
-def _step_imex(spec, field, dt, config):
+def _step_imex(spec, field, dt, config, factors=None):
     L = flux_operator(field.grid, *face_coefficients(spec, field))
     M = sp.identity(L.shape[0], format="csr") - dt * L
     rhs = _flat(field.values + dt * _reaction_term(spec, field))
-    x = spsolve(M, rhs)
+    x = spsolve(M, rhs, factors)
     if not np.all(np.isfinite(x)):
         return Field(field.grid, x.reshape(field.values.shape)), 0
     res = np.linalg.norm(M @ x - rhs)
@@ -151,7 +221,7 @@ def _cellwise(A):
                           np.arange(0, m * m * N + 1, m)), shape=(m * N, m * N))
 
 
-def _step_newton(spec, field, dt, config):
+def _step_newton(spec, field, dt, config, factors=None):
     g = field.grid
     L = component_laplacian(g, field.m)
     eye = sp.identity(L.shape[0], format="csr")
@@ -172,7 +242,7 @@ def _step_newton(spec, field, dt, config):
             return Field(g, v.reshape(shape)), solves
         D = _cellwise(eval_A(spec, vf.points()).reshape(-1, field.m, field.m))
         J = eye - dt * (L @ D)
-        dv = spsolve(J, R)
+        dv = spsolve(J, R, factors)
         if not np.all(np.isfinite(dv)):
             raise NewtonConvergenceError("singular Newton system")
         v = v - dv
@@ -209,17 +279,20 @@ def _default_recorder(spec):
 def run(spec, field0, config, recorder=None):
     """Integrate from field0 to config.t_end; returns a Trajectory.
 
-    Steps that fail (Newton breakdown, non-finite values) are retried
-    with half the step until dt_min; persistent failure or a sup-norm
-    beyond config.blowup_threshold terminates the run early with reason
-    'nonfinite' or 'blowup', and a stability cap falling below dt_min
-    terminates with 'stiff'.  Records are taken at t=0, every
+    Steps that fail (a NumericalStateError such as Newton breakdown or
+    a linear residual over linear_tol, or non-finite values) are
+    rejected, counted and retried with half the step until dt_min;
+    persistent failure or a sup-norm beyond config.blowup_threshold
+    terminates the run early with reason 'nonfinite' or 'blowup', and a
+    stability cap falling below dt_min terminates with 'stiff'.  Records are taken at t=0, every
     record_every accepted steps, and at the final time; snapshots are
-    stored exactly at the requested times.
+    stored exactly at the requested times.  The trajectory counts the
+    rejected steps and the factorizations and linear solves that ran.
     """
     if recorder is None:
         recorder = _default_recorder(spec)
     stepper = _STEPPERS[config.scheme]
+    factors = _LastFactor()
 
     u = field0.copy()
     t = 0.0
@@ -241,6 +314,7 @@ def run(spec, field0, config, recorder=None):
         first_negative = 0.0
     reason = "reached"
     accepted = 0
+    rejected = 0
     tptr = 0
 
     while t < config.t_end - 1e-14 * config.t_end:
@@ -267,12 +341,13 @@ def run(spec, field0, config, recorder=None):
                 landed = targets[tptr]
 
         try:
-            new, nsolve = stepper(spec, u, dt_try, config)
+            new, nsolve = stepper(spec, u, dt_try, config, factors=factors)
             ok = bool(np.all(np.isfinite(new.values)))
-        except NewtonConvergenceError:
+        except NumericalStateError:
             ok = False
             new = None
         if not ok:
+            rejected += 1
             if dt_try <= config.dt_min * (1 + 1e-12):
                 reason = "nonfinite"
                 break
@@ -317,4 +392,6 @@ def run(spec, field0, config, recorder=None):
         terminated_reason=reason, states=states, snapshots=snapshots,
         dt_history=np.array(dt_hist),
         newton_history=np.array(newton_hist, dtype=int),
-        first_negative_t=first_negative)
+        first_negative_t=first_negative,
+        factorizations=factors.factorizations,
+        linear_solves=factors.solves, rejected_steps=rejected)

@@ -327,6 +327,20 @@ class TestSnapshots:
         with pytest.raises(InputError):
             load_snapshot(path, fmt="csv")
 
+    def test_binary_payload_under_csv_name_rejected(self, tmp_path, grid16n):
+        f = Field.constant(grid16n, [-1.5])
+        path = tmp_path / "s.csv"
+        save_snapshot(path, f, fmt="bin")
+        assert max(path.read_bytes().split(b"\n", 1)[1]) >= 0x80
+        with pytest.raises(InputError, match="ASCII"):
+            load_snapshot(path)
+
+    def test_non_integer_header_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("1 2 x 1 1\n1.0\n2.0\n")
+        with pytest.raises(InputError, match="header"):
+            load_snapshot(path)
+
     def test_unknown_format_rejected(self, tmp_path, grid16n):
         with pytest.raises(InputError):
             save_snapshot(tmp_path / "x", Field.constant(grid16n, [1.0]),

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import crossdiff.solver as solver_mod
 from crossdiff import (Field, GeneralReaction, InputError, LambdaSpec,
-                       ModelSpec, PolynomialMap, SolverConfig, build_grid,
-                       run, step)
+                       ModelSpec, NewtonConvergenceError, NumericalStateError,
+                       PolynomialMap, SolverConfig, build_grid, eval_A, run,
+                       step)
+from crossdiff.grid import (component_laplacian, face_coefficients,
+                            flux_operator)
 
 from conftest import eigenmode_field, smooth_field
 from test_grid import dirichlet_mode_eigenvalue
@@ -224,3 +230,125 @@ class TestRunControl:
         traj = run(skt, f0, cfg)
         assert traj.terminated_reason == "nonfinite"
         assert not traj.reached_end
+
+
+def bits(x):
+    return x.view(np.uint64)
+
+
+def implicit_matrix(kind, spec, f, dt=1e-3):
+    """The IMEX matrix I - dt L(A(u)) or the Newton Jacobian
+    I - dt (I_m (x) L_1) A(u) at the state f."""
+    if kind == "imex":
+        L = flux_operator(f.grid, *face_coefficients(spec, f))
+    else:
+        D = solver_mod._cellwise(eval_A(spec, f.points()).reshape(-1, f.m, f.m))
+        L = component_laplacian(f.grid, f.m) @ D
+    return sp.identity(L.shape[0], format="csr") - dt * L
+
+
+class TestSpsolve:
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("kind", ["imex", "newton"])
+    def test_matches_scipy_bitwise(self, skt, bc, kind):
+        f = smooth_field(build_grid(1.0, 1.0, 12, 10, bc), m=2, amp=3.0)
+        M = implicit_matrix(kind, skt, f)
+        rhs = np.random.default_rng(1).normal(size=M.shape[0])
+        want = spla.spsolve(M.copy(), rhs)
+        assert np.array_equal(bits(solver_mod.spsolve(M.copy(), rhs)), bits(want))
+        cache = solver_mod._LastFactor()
+        got = solver_mod.spsolve(M, rhs, cache)
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_reused_factor_gives_fresh_bits(self, skt, grid16n):
+        M = implicit_matrix("imex", skt, smooth_field(grid16n, m=2, amp=3.0))
+        rng = np.random.default_rng(2)
+        cache = solver_mod._LastFactor()
+        solver_mod.spsolve(M, rng.normal(size=M.shape[0]), cache)
+        rhs = rng.normal(size=M.shape[0])
+        again = solver_mod.spsolve(M.copy(), rhs, cache)
+        assert (cache.factorizations, cache.solves) == (1, 2)
+        assert np.array_equal(bits(again), bits(solver_mod.spsolve(M, rhs)))
+
+    @pytest.mark.parametrize("entry", [0, 700, -1])
+    def test_one_ulp_change_refactors(self, skt, grid16n, entry):
+        M = implicit_matrix("newton", skt, smooth_field(grid16n, m=2, amp=3.0))
+        rhs = np.ones(M.shape[0])
+        cache = solver_mod._LastFactor()
+        solver_mod.spsolve(M, rhs, cache)
+        M2 = M.copy()
+        M2.data[entry] = np.nextafter(M2.data[entry], np.inf)
+        x = solver_mod.spsolve(M2, rhs, cache)
+        assert cache.factorizations == 2
+        assert np.array_equal(bits(x), bits(spla.spsolve(M2, rhs)))
+        solver_mod.spsolve(M2.copy(), rhs, cache)
+        assert cache.factorizations == 2
+
+    def test_singular_gives_nan_and_is_not_cached(self):
+        M = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        cache = solver_mod._LastFactor()
+        for n in (1, 2):
+            x = solver_mod.spsolve(M, np.ones(2), cache)
+            assert x.shape == (2,) and np.all(np.isnan(x))
+            assert cache.lu is None and cache.key is None
+            assert cache.factorizations == n
+        assert np.all(np.isnan(solver_mod.spsolve(M, np.ones(2))))
+
+    def test_singular_newton_system_raises(self, heat1, grid16n, monkeypatch):
+        # dt * L = I with A = I makes the Jacobian I - dt L A exactly zero
+        dt = 0.5
+        monkeypatch.setattr(
+            solver_mod, "component_laplacian",
+            lambda g, m: sp.identity(m * g.Nx * g.Ny, format="csr") / dt)
+        f = smooth_field(grid16n, amp=0.5)
+        cfg = SolverConfig(scheme="newton", dt0=dt, t_end=dt)
+        with pytest.raises(NewtonConvergenceError, match="singular"):
+            solver_mod._step_newton(heat1, f, dt, cfg)
+
+
+class TestRunCounts:
+    @pytest.mark.parametrize("scheme", ["newton", "imex"])
+    def test_linear_operator_factored_once_per_dt(self, heat1, grid16d, scheme):
+        # t_end is not a multiple of dt, so the last step lands with a
+        # second step size and needs a second factorization
+        traj = run(heat1, eigenmode_field(grid16d),
+                   fixed_dt_config(scheme, 1e-3, 0.0125))
+        assert traj.reached_end and traj.rejected_steps == 0
+        changes = np.count_nonzero(np.diff(traj.dt_history))
+        assert changes == 1
+        assert traj.factorizations == 1 + changes
+        if scheme == "newton":
+            assert traj.linear_solves == traj.newton_history.sum()
+        else:
+            assert traj.linear_solves == len(traj.dt_history)
+
+    def test_state_dependent_imex_factors_every_step(self, skt, grid16n):
+        traj = run(skt, smooth_field(grid16n, m=2, amp=0.3),
+                   fixed_dt_config("imex", 1e-3, 0.01))
+        assert traj.reached_end and traj.rejected_steps == 0
+        assert traj.factorizations == traj.linear_solves == len(traj.dt_history)
+
+    def test_explicit_runs_no_linear_algebra(self, heat1, grid16n):
+        traj = run(heat1, smooth_field(grid16n, amp=0.1),
+                   SolverConfig(scheme="explicit", dt0=1e-4, t_end=1e-3))
+        assert traj.reached_end
+        assert traj.factorizations == traj.linear_solves == 0
+
+    def test_numerical_state_error_rejects_and_halves(self, heat1, grid16n,
+                                                      monkeypatch):
+        real = solver_mod._STEPPERS["imex"]
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(args[2])
+            if len(calls) == 1:
+                raise NumericalStateError("linear solve residual too large")
+            return real(*args, **kwargs)
+
+        monkeypatch.setitem(solver_mod._STEPPERS, "imex", fails_once)
+        cfg = SolverConfig(scheme="imex", dt0=1e-3, dt_max=1e-3, t_end=5e-3)
+        traj = run(heat1, smooth_field(grid16n, amp=0.1), cfg)
+        assert traj.reached_end
+        assert traj.rejected_steps == 1
+        assert calls[:2] == [1e-3, 5e-4]
+        assert traj.dt_history[0] == 5e-4
