@@ -8,6 +8,7 @@ or assertion failure, 2 input error, 3 runtime termination.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import hashlib
@@ -37,6 +38,23 @@ EXIT_INPUT = 2
 EXIT_RUNTIME = 3
 
 
+@contextlib.contextmanager
+def _manifest_values(where):
+    """Report a malformed value read from the manifest as a ManifestError.
+
+    Wrap only statements that read or convert manifest values: an error
+    of the same types raised by the numerics is a fault of the program,
+    not of its input.  The package's own input errors pass through."""
+    try:
+        yield
+    except (InputError, ModelDefinitionError):
+        raise
+    except KeyError as e:
+        raise ManifestError(f"{where} is missing {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ManifestError(f"bad value in {where}: {e}") from e
+
+
 class _Resolved:
     """A manifest after CLI overrides, with its hash and output dir."""
 
@@ -46,14 +64,16 @@ class _Resolved:
         self.out_dir = out_dir
         canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
         self.sha256 = hashlib.sha256(canon.encode()).hexdigest()
+        with _manifest_values("seed"):
+            self.seed = int(data.get("seed", 0))
 
-    @property
-    def seed(self):
-        return int(self.data.get("seed", 0))
-
-    def section(self, name, default=None):
-        v = self.data.get(name, default)
-        return copy.deepcopy(v) if v is not None else ({} if default is None else default)
+    def section(self, name):
+        v = self.data.get(name)
+        if v is None:
+            return {}
+        if not isinstance(v, dict):
+            raise ManifestError(f"manifest section \"{name}\" must be a JSON object")
+        return copy.deepcopy(v)
 
 
 def _load_manifest(path, out, seed, fmt):
@@ -72,13 +92,16 @@ def _load_manifest(path, out, seed, fmt):
     if seed is not None:
         data["seed"] = int(seed)
     outputs = data.setdefault("outputs", {})
+    if not isinstance(outputs, dict):
+        raise ManifestError("manifest section \"outputs\" must be a JSON object")
     if fmt is not None:
         outputs["format"] = fmt
     if out is not None:
         out_dir = Path(out)
     else:
         root = Path(os.environ.get(OUTPUT_ROOT_ENV, "."))
-        out_dir = root / outputs.get("dir", "out")
+        with _manifest_values("outputs"):
+            out_dir = root / outputs.get("dir", "out")
     outputs["dir"] = str(out_dir)
     return _Resolved(data, path.parent, out_dir)
 
@@ -86,31 +109,33 @@ def _load_manifest(path, out, seed, fmt):
 def _resolve_model(res):
     d = res.data
     if "model_file" in d:
-        p = Path(d["model_file"])
+        with _manifest_values("model_file"):
+            p = Path(d["model_file"])
         if not p.is_absolute():
             p = res.base_dir / p
         try:
             md = json.loads(p.read_text())
         except OSError as e:
             raise ManifestError(f"cannot read model file: {e}") from e
+        except json.JSONDecodeError as e:
+            raise ManifestError(f"model file is not valid JSON: {e}") from e
     elif "model" in d:
         md = d["model"]
     else:
         raise ManifestError("manifest needs \"model\" or \"model_file\"")
-    if "classic_skt" in md:
-        return classic_skt(**md["classic_skt"])
-    return model_from_dict(md)
+    with _manifest_values("model"):
+        if "classic_skt" in md:
+            return classic_skt(**md["classic_skt"])
+        return model_from_dict(md)
 
 
 def _resolve_grid(res):
     g = res.section("grid")
     if not g:
         raise ManifestError("manifest needs a \"grid\" section")
-    try:
+    with _manifest_values("grid"):
         return build_grid(g.get("Lx", 1.0), g.get("Ly", 1.0),
                           g["Nx"], g["Ny"], g.get("bc", "neumann"))
-    except KeyError as e:
-        raise ManifestError(f"grid section missing {e}") from e
 
 
 def _resolve_solver(res, **overrides):
@@ -118,12 +143,10 @@ def _resolve_solver(res, **overrides):
     if not s:
         raise ManifestError("manifest needs a \"solver\" section")
     snaps = res.section("outputs").get("snapshot_times", ())
-    s.setdefault("snapshot_times", tuple(snaps))
-    s.update(overrides)
-    try:
+    with _manifest_values("solver"):
+        s.setdefault("snapshot_times", tuple(snaps))
+        s.update(overrides)
         return SolverConfig(**s)
-    except TypeError as e:
-        raise ManifestError(f"bad solver section: {e}") from e
 
 
 def _resolve_initial(res, model, grid):
@@ -131,7 +154,8 @@ def _resolve_initial(res, model, grid):
     if not ini:
         raise ManifestError("manifest needs an \"initial\" section")
     if "file" in ini:
-        p = Path(ini["file"])
+        with _manifest_values("initial"):
+            p = Path(ini["file"])
         if not p.is_absolute():
             p = res.base_dir / p
         f = load_snapshot(p, bc=grid.bc)
@@ -139,14 +163,16 @@ def _resolve_initial(res, model, grid):
             raise ManifestError("initial snapshot does not match grid/model")
         return Field(grid, f.values)
     if "constant" in ini:
-        c = np.asarray(ini["constant"], dtype=float)
+        with _manifest_values("initial"):
+            c = np.asarray(ini["constant"], dtype=float)
         if c.size != model.m:
             raise ManifestError("initial constant has wrong component count")
         return Field.constant(grid, c)
     family = ini.get("family")
     if family is None:
         raise ManifestError("initial section needs family, constant, or file")
-    amp = float(ini.get("amplitude", 1.0))
+    with _manifest_values("initial"):
+        amp = float(ini.get("amplitude", 1.0))
     return attractor_mod.initial_field(family, grid, model.m, amp, res.seed)
 
 
@@ -207,7 +233,9 @@ def _write_snapshots(res, traj):
 
 
 def _diag_config(res):
-    return diag_mod.DiagnosticsConfig.from_dict(res.section("diagnostics"))
+    d = res.section("diagnostics")
+    with _manifest_values("diagnostics"):
+        return diag_mod.DiagnosticsConfig.from_dict(d)
 
 
 def _recorder(res, model):
@@ -216,8 +244,9 @@ def _recorder(res, model):
                                        p_list=dc.p_list, R_list=dc.radii)
 
 
-_INPUT_ERRORS = (ManifestError, ModelDefinitionError, InputError,
-                 FileNotFoundError, OSError, ValueError, KeyError)
+# The package's own input errors and failed file access; a bare
+# ValueError or KeyError from the numerics is a fault, not an input error.
+_INPUT_ERRORS = (ModelDefinitionError, InputError, OSError)
 
 
 def _guard(fn):
@@ -268,12 +297,14 @@ def verify(manifest, out, seed, threads, fmt):
     region = v.get("region")
     if region is None:
         raise ManifestError("verify section needs a \"region\"")
-    region = Region.from_dict(region)
-    report = verify_structure(
-        model, region, n=int(v.get("n", 10000)), seed=res.seed,
-        delta_k=float(v.get("delta_k", 0.99)),
-        tol_ell=float(v.get("tol_ell", 1e-9)),
-        ls=tuple(v.get("ls", (0.0, 1.0, 2.0))))
+    with _manifest_values("verify"):
+        region = Region.from_dict(region)
+        n = int(v.get("n", 10000))
+        delta_k = float(v.get("delta_k", 0.99))
+        tol_ell = float(v.get("tol_ell", 1e-9))
+        ls = tuple(float(l) for l in v.get("ls", (0.0, 1.0, 2.0)))
+    report = verify_structure(model, region, n=n, seed=res.seed,
+                              delta_k=delta_k, tol_ell=tol_ell, ls=ls)
     _echo_manifest(res)
     _write_json(res.out_dir / "verify.json", report.to_dict(), res)
     for name in ("ellipticity", "growth", "f", "sg", "sg_prime"):
@@ -382,16 +413,17 @@ def attractor_cmd(manifest, out, seed, threads, fmt):
     if not e:
         raise ManifestError("manifest needs an \"ensemble\" section")
     region = e.get("region")
-    espec = attractor_mod.EnsembleSpec(
-        model=model, grid=grid, config=config,
-        family=e.get("family", "positive_fourier"),
-        count=int(e.get("count", 10)),
-        amp_range=tuple(e.get("amp_range", (0.1, 100.0))),
-        seed=res.seed,
-        T_observe=e.get("T_observe"),
-        M1_targets=tuple(e.get("M1_targets", ())),
-        tol=float(e.get("tol", 0.05)),
-        verify_region=None if region is None else Region.from_dict(region))
+    with _manifest_values("ensemble"):
+        espec = attractor_mod.EnsembleSpec(
+            model=model, grid=grid, config=config,
+            family=e.get("family", "positive_fourier"),
+            count=int(e.get("count", 10)),
+            amp_range=tuple(e.get("amp_range", (0.1, 100.0))),
+            seed=res.seed,
+            T_observe=e.get("T_observe"),
+            M1_targets=tuple(float(M1) for M1 in e.get("M1_targets", ())),
+            tol=float(e.get("tol", 0.05)),
+            verify_region=None if region is None else Region.from_dict(region))
     report = attractor_mod.ensemble_absorbing_ball(
         espec, skip_verify=bool(e.get("skip_verify", False)), threads=threads)
     _echo_manifest(res)
@@ -424,16 +456,24 @@ def sweep(manifest, out, seed, threads, fmt):
     sw = res.section("sweep")
     if not sw or "path" not in sw or "values" not in sw:
         raise ManifestError("sweep section needs \"path\" and \"values\"")
+    if not isinstance(sw["path"], str) or not isinstance(sw["values"], list):
+        raise ManifestError("sweep path must be a string and values a list")
     dotted = sw["path"].split(".")
-    values = list(sw["values"])
+    values = sw["values"]
     if not values:
         raise ManifestError("sweep needs at least one value")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in values):
+        raise ManifestError("sweep values must be a list of numbers")
+    numbers = [float(v) for v in values]
 
     def make_run(i, value):
         data = copy.deepcopy(res.data)
         node = data
         for k in dotted[:-1]:
             node = node.setdefault(k, {})
+            if not isinstance(node, dict):
+                raise ManifestError(f"sweep path {sw['path']!r} runs through a non-object")
         node[dotted[-1]] = value
         data.pop("sweep", None)
         sub = _Resolved(data, res.base_dir, res.out_dir / f"run_{i:03d}")
@@ -457,12 +497,12 @@ def sweep(manifest, out, seed, threads, fmt):
 
     headers = ["index", "value", "reached", "t_final", "final_L2"]
     rows = []
-    for i, (v, traj) in enumerate(zip(values, trajs)):
-        rows.append([i, float(v), 1.0 if traj.reached_end else 0.0,
+    for i, (v, traj) in enumerate(zip(numbers, trajs)):
+        rows.append([i, v, 1.0 if traj.reached_end else 0.0,
                      float(traj.times[-1]), traj.records[-1].L2])
     _write_csv(res.out_dir / "sweep.csv", headers, rows, res)
     _write_json(res.out_dir / "sweep_summary.json", {
-        "path": sw["path"], "values": [float(v) for v in values],
+        "path": sw["path"], "values": numbers,
         "all_reached": all(t.reached_end for t in trajs)}, res)
     ok = all(t.reached_end for t in trajs)
     click.echo(f"sweep over {sw['path']}: {'all reached' if ok else 'failures'}")

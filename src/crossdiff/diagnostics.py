@@ -144,11 +144,12 @@ class DiagnosticsConfig:
     def from_dict(cls, d):
         return cls(
             s0=float(d.get("s0", 1.0)), q=float(d.get("q", 2.0)),
-            p_list=None if d.get("p_list") is None else tuple(d["p_list"]),
-            radii=tuple(d.get("radii", ())),
+            p_list=(None if d.get("p_list") is None
+                    else tuple(float(p) for p in d["p_list"])),
+            radii=tuple(float(R) for R in d.get("radii", ())),
             mu0=None if d.get("mu0") is None else float(d["mu0"]),
             eps=float(d.get("eps", 0.1)),
-            M1_targets=tuple(d.get("M1_targets", ())))
+            M1_targets=tuple(float(M1) for M1 in d.get("M1_targets", ())))
 
 
 def _ball_kernel(grid, R):

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError, NumericalStateError
-from .model import eval_A, eval_P
+from .model import _opnorms, eval_A, eval_P
 
 __all__ = [
     "Grid2D",
@@ -296,10 +296,15 @@ def stable_dt(spec, field, cfl=0.9):
 
     The operator norm is maximized over cell values of the current
     state; 8 = 2 * 4 covers the two space directions of the 5-point
-    stencil with a matrix diffusion coefficient."""
+    stencil with a matrix diffusion coefficient.  The norm comes from
+    model._opnorms: closed form for m = 2, LAPACK's SVD otherwise.
+    A non-finite state raises NumericalStateError, as does a state
+    whose A(u) overflows."""
+    _require_finite(field)
     g = field.grid
-    A = eval_A(spec, field.points())
-    s = float(np.linalg.svd(A, compute_uv=False)[..., 0].max())
+    s = float(_opnorms(eval_A(spec, field.points())).max())
+    if not np.isfinite(s):
+        raise NumericalStateError("diffusion matrix norm is not finite")
     if s <= 0:
         raise InputError("state has vanishing diffusion; no stable step exists")
     h = min(g.hx, g.hy)

@@ -548,8 +548,32 @@ class StructuralReport:
 
 
 def _opnorms(A):
-    """Largest singular value per matrix in a (..., m, m) batch."""
+    """Largest singular value per matrix in a (..., m, m) batch.
+
+    m = 2 is the closed form
+    sigma_max = (|(a+d, b-c)| + |(a-d, b+c)|) / 2 of [[a, b], [c, d]],
+    a sum of two nonnegative hypotenuses, so it has no cancellation and
+    matches LAPACK to a few ulps.  Every other m calls LAPACK's SVD.
+    """
+    if A.shape[-1] == 2:
+        a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+        return 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
     return np.linalg.svd(A, compute_uv=False)[..., 0]
+
+
+def _sym_mineigs(A):
+    """Smallest eigenvalue of the symmetric part per matrix in a
+    (..., m, m) batch.
+
+    m = 2 is closed form: for sym A = [[a, s], [s, d]] it is
+    (a+d)/2 - |((a-d)/2, s)|, exact to about eps * max|sym A| as
+    eigvalsh is.  Every other m calls LAPACK's eigvalsh.
+    """
+    if A.shape[-1] == 2:
+        a, d = A[..., 0, 0], A[..., 1, 1]
+        s = 0.5 * (A[..., 0, 1] + A[..., 1, 0])
+        return 0.5 * (a + d) - np.hypot(0.5 * (a - d), s)
+    return np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2)))[..., 0]
 
 
 def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
@@ -570,8 +594,7 @@ def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
         raise InputError("sample count must be >= 1")
     U = region.sample(n, seed)
     A = eval_A(spec, U)
-    sym = 0.5 * (A + np.swapaxes(A, -1, -2))
-    mineig = np.linalg.eigvalsh(sym)[..., 0]
+    mineig = _sym_mineigs(A)
     opn = _opnorms(A)
     lam = eval_lambda(spec, U)
     gradn = spec.lam.grad_norm(U)

@@ -179,10 +179,19 @@ def _reaction_term(spec, field):
 
 
 def _reaction_dt_cap(spec, field, cfl):
-    """Step bound keeping the explicit reaction stable: the pointwise
-    rate |f(u)|/|u| underestimates the reaction Jacobian of the
-    homogeneous competitive terms by at most a factor 2, so capping
-    rate*dt at cfl/2 keeps lambda_eff*dt below cfl <= 1."""
+    """Step bound for the explicit reaction: rate*dt <= cfl/2, where
+    rate is the largest pointwise |f(u, Du)|/|u| of the state.
+
+    The factor 2 rests on Euler's identity: a term g homogeneous of
+    degree p has Dg(u) u = p g(u), so |g(u)|/|u| is 1/p of the
+    Jacobian's action along u, and p = 1 + kappa <= 2 for the
+    competitive term G(u) u of a ReactionSpec with kappa <= 1.  The
+    argument therefore covers homogeneous competitive zero-order terms
+    only, and only along the ray through u; where K u and G(u) u nearly
+    cancel the rate underestimates the Jacobian by more.  For a
+    GeneralReaction, and for a gradient term B(u) Du of either reaction
+    type, the cap is a heuristic: no advective bound (about h/|B|) is
+    derived."""
     f = _reaction_term(spec, field)
     num = np.sqrt((f * f).sum(axis=0))
     den = np.sqrt((field.values * field.values).sum(axis=0))

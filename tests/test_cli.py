@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from crossdiff import (LambdaSpec, ModelSpec, PolynomialMap, load_snapshot,
                        model_to_dict)
+import crossdiff.cli as cli_mod
 from crossdiff.cli import main
 
 
@@ -343,6 +344,92 @@ class TestSweepCommand:
         path = write_manifest(data)
         r = invoke("sweep", "--manifest", path, "--out", tmp_path / "x")
         assert r.exit_code == 2
+
+
+def _set(data, dotted, value):
+    node = data
+    keys = dotted.split(".")
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = value
+    return data
+
+
+class TestInputErrors:
+    """Exit code 2 is for malformed input only."""
+
+    VERIFY = {"seed": 0, "model": HEAT_MODEL,
+              "verify": {"region": {"lo": [-2.0], "hi": [2.0]}, "n": 200}}
+
+    @pytest.mark.parametrize("dotted,value", [
+        ("seed", "abc"),
+        ("verify.n", "many"),
+        ("verify.ls", ["x"]),
+        ("verify.region", {"lo": [-2.0]}),
+        ("verify", [1]),
+        ("model", {"classic_skt": {"a1": 1.0, "a9": 2.0}}),
+        ("model", {"classic_skt": {"a1": "x", "a2": 1.0, "a11": 0.0,
+                                   "a12": 0.0, "a21": 0.0, "a22": 0.0}}),
+        ("model", {"m": "two", "P": [], "lambda": {"lambda0": 1.0}}),
+    ])
+    def test_bad_verify_value_is_input_error(self, write_manifest, tmp_path,
+                                             dotted, value):
+        path = write_manifest(_set(json.loads(json.dumps(self.VERIFY)),
+                                   dotted, value))
+        r = invoke("verify", "--manifest", path, "--out", tmp_path / "x")
+        assert r.exit_code == 2, r.output
+        assert "input error" in r.output
+
+    @pytest.mark.parametrize("dotted,value", [
+        ("grid.Nx", "sixteen"),
+        ("initial", {"constant": ["a"]}),
+        ("initial", {"family": "eigenmode", "amplitude": "big"}),
+        ("solver.snapshot_times", ["soon"]),
+        ("diagnostics", {"q": "two"}),
+        ("diagnostics", {"radii": ["x"]}),
+        ("diagnostics", {"p_list": ["x"]}),
+        ("diagnostics", {"p_list": "ab"}),
+        ("diagnostics", {"M1_targets": ["x"]}),
+        ("sweep", {"path": "initial.amplitude", "values": ["2.0"]}),
+        ("sweep", {"path": "initial.amplitude", "values": [True]}),
+        ("sweep", {"path": "solver.scheme", "values": ["imex", "newton"]}),
+        ("sweep", {"path": "solver.dt0.x", "values": [1e-3]}),
+    ])
+    def test_bad_simulate_value_is_input_error(self, write_manifest, tmp_path,
+                                               dotted, value):
+        data = _set(heat_sim_manifest(), dotted, value)
+        command = "sweep" if "sweep" in data else "simulate"
+        r = invoke(command, "--manifest", write_manifest(data),
+                   "--out", tmp_path / "x")
+        assert r.exit_code == 2, r.output
+        assert "input error" in r.output
+
+    @pytest.mark.parametrize("value", [
+        {"M1_targets": ["x"]},
+        {"amp_range": ["a", 1.0]},
+        {"count": "two"},
+    ])
+    def test_bad_ensemble_value_is_input_error(self, write_manifest, tmp_path,
+                                               value):
+        data = heat_sim_manifest()
+        data["ensemble"] = {"count": 1, "amp_range": [0.1, 1.0], **value}
+        r = invoke("attractor", "--manifest", write_manifest(data),
+                   "--out", tmp_path / "x")
+        assert r.exit_code == 2, r.output
+        assert "input error" in r.output
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyError])
+    def test_numerical_fault_is_not_input_error(self, write_manifest, tmp_path,
+                                                monkeypatch, exc):
+        def fails(*args, **kwargs):
+            raise exc("fault inside the numerics")
+
+        monkeypatch.setattr(cli_mod, "verify_structure", fails)
+        path = write_manifest(self.VERIFY)
+        r = invoke("verify", "--manifest", path, "--out", tmp_path / "x")
+        assert r.exit_code != 2
+        assert "input error" not in r.output
+        assert isinstance(r.exception, exc)
 
 
 class TestEntryPoint:

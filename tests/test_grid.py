@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import crossdiff.solver as solver_mod
 from crossdiff import (Field, InputError, LambdaSpec, ModelSpec,
-                       NumericalStateError, PolynomialMap, build_grid,
-                       cell_gradient, div_A_grad, laplacian_of_P,
-                       load_snapshot, save_snapshot, stable_dt)
+                       NumericalStateError, PolynomialMap, SolverConfig,
+                       build_grid, cell_gradient, classic_skt, div_A_grad,
+                       eval_A, initial_field, laplacian_of_P, load_snapshot,
+                       run, save_snapshot, stable_dt)
 from crossdiff.grid import component_laplacian, flux_operator
 
 from conftest import eigenmode_field, smooth_field
@@ -271,6 +273,45 @@ class TestStableDt:
         f = Field.constant(g, [1.0, 2.0])
         assert stable_dt(spec, f, cfl) == pytest.approx(
             cfl * stable_dt(spec, f, 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_state_raises(self, skt, grid16n, bad):
+        vals = np.ones((2, 16, 16))
+        vals[1, 5, 7] = bad
+        with pytest.raises(NumericalStateError):
+            stable_dt(skt, Field(grid16n, vals))
+
+    def test_overflowing_diffusion_raises(self, skt, grid16n):
+        # a finite state whose A(u) = 1 + 2u + v/2 ... overflows
+        f = Field.constant(grid16n, [1e308, 1e308])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalStateError):
+            stable_dt(skt, f)
+
+    def test_explicit_run_matches_svd_step_cap(self, monkeypatch):
+        def svd_stable_dt(spec, field, cfl=0.9):
+            A = eval_A(spec, field.points())
+            s = float(np.linalg.svd(A, compute_uv=False)[..., 0].max())
+            h = min(field.grid.hx, field.grid.hy)
+            return float(cfl) * h * h / (8.0 * s)
+
+        spec = classic_skt(1.0, 1.0, 1.0, 0.5, 0.5, 1.0,
+                           lv=(1.0, 1.0, 1.0, 0.5, 0.5, 1.0))
+        g = build_grid(1.0, 1.0, 16, 16, "neumann")
+        f0 = initial_field("positive_fourier", g, 2, 1.0, 3)
+        config = SolverConfig(scheme="explicit", dt0=1e-3, dt_min=1e-7,
+                              dt_max=1e-3, t_end=0.02)
+        got = run(spec, f0, config)
+        monkeypatch.setattr(solver_mod, "stable_dt", svd_stable_dt)
+        want = run(spec, f0, config)
+        assert got.reached_end and want.reached_end
+        assert len(got.dt_history) == len(want.dt_history)
+        # the step caps set every step but the last; the last lands on
+        # t_end, so it carries the roundoff of the summed times, an
+        # absolute error however short that final step is
+        assert np.allclose(got.dt_history[:-1], want.dt_history[:-1],
+                           rtol=1e-13, atol=0.0)
+        assert abs(got.dt_history[-1] - want.dt_history[-1]) <= 1e-13 * config.t_end
 
 
 class TestSnapshots:

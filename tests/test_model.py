@@ -11,6 +11,7 @@ from crossdiff import (InputError, LambdaSpec, MatrixPolynomial,
                        eval_A, eval_lambda, eval_P, eval_reaction, load_model,
                        model_from_dict, model_to_dict, reaction_zero_order,
                        save_model, verify_structure, with_sigma)
+from crossdiff.model import _opnorms, _sym_mineigs
 
 
 def diag_model(*diag):
@@ -324,6 +325,51 @@ class TestVerifyStructure:
             Az2 = (np.einsum("nij,j->ni", A, z) ** 2).sum(axis=-1)
             assert np.all(Az2 >= lam ** 2 * (z @ z) * (1 - 1e-9))
             assert np.all(Az2 <= rep.C_star_hat ** 2 * lam ** 2 * (z @ z) * (1 + 1e-9))
+
+
+def spectral_batches(m, n=2000):
+    """Named (n, m, m) batches for the closed-form spectral kernels."""
+    rng = np.random.default_rng(m)
+    rand = rng.standard_normal((n, m, m))
+    x, y = rng.standard_normal((2, n, m))
+    return {
+        "random": rand,
+        "rank1": x[:, :, None] * y[:, None, :],
+        "zero": np.zeros((n, m, m)),
+        "diagonal": rand * np.eye(m),
+        "skew": rand - np.swapaxes(rand, -1, -2),
+        "negative": -np.abs(rand),
+        "tiny": 1e-100 * rand,
+        "huge": 1e100 * rand,
+    }
+
+
+# Every batch kind for the closed form (m = 2); one random batch for the
+# sizes that go to LAPACK, to check the dispatch and the output shape.
+SPECTRAL_CASES = ([(2, kind) for kind in spectral_batches(2)]
+                  + [(1, "random"), (3, "random")])
+
+
+class TestSpectralKernels:
+    """_opnorms and _sym_mineigs against LAPACK, whatever the batch."""
+
+    @pytest.mark.parametrize("m,kind", SPECTRAL_CASES)
+    def test_opnorms_match_svd_to_8_ulps(self, m, kind):
+        A = spectral_batches(m)[kind]
+        want = np.linalg.svd(A, compute_uv=False)[..., 0]
+        got = _opnorms(A)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 8 * np.spacing(want))
+
+    @pytest.mark.parametrize("m,kind", SPECTRAL_CASES)
+    def test_sym_mineigs_match_eigvalsh(self, m, kind):
+        A = spectral_batches(m)[kind]
+        sym = 0.5 * (A + np.swapaxes(A, -1, -2))
+        want = np.linalg.eigvalsh(sym)[..., 0]
+        got = _sym_mineigs(A)
+        scale = np.abs(sym).max(axis=(-2, -1))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
 
 
 class TestComputeLambdaL:
