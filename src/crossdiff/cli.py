@@ -341,6 +341,11 @@ def simulate(manifest, out, seed, threads, fmt):
         "t_final": float(traj.times[-1]),
         "steps": int(len(traj.dt_history)),
         "first_negative_t": traj.first_negative_t,
+        "rejected_steps": traj.rejected_steps,
+        "factorizations": traj.factorizations,
+        "linear_solves": traj.linear_solves,
+        "krylov_iterations": traj.krylov_iterations,
+        "worst_linear_residual": traj.worst_linear_residual,
     }, res)
     click.echo(f"terminated: {traj.terminated_reason} at t={traj.times[-1]:g}")
     return EXIT_OK if traj.reached_end else EXIT_RUNTIME

@@ -19,14 +19,37 @@ drives adaptive steps (halve on failure, grow 1.2x on success up to
 dt_max), lands exactly on requested snapshot times and t_end, and
 records norms along the way.
 
-Every linear solve goes through spsolve(), which gives the bits of
-scipy's spsolve for a CSR matrix.  Within one run() it keeps the LU of
-the last matrix it factored and reuses it while the matrix's indptr,
-indices and data are bit for bit the ones factored; any other matrix
-drops that LU and is factored afresh.  The matrix alone decides, so a
-Newton Jacobian of a linear P, or an IMEX operator of a constant A, is
-factored once per step size, while a state-dependent operator is
-factored on every step at the extra cost of one O(nnz) comparison.
+Every linear solve goes through spsolve(), which factors with the
+MMD_AT_PLUS_A column ordering and then gives the bits of scipy's
+spsolve(M, b, permc_spec="MMD_AT_PLUS_A") for a CSR matrix.  run()
+hands it one factor policy per run, which keeps the LU of the last
+matrix it factored (never two at once):
+
+* Newton (_LastFactor): the LU is reused while the matrix's indptr,
+  indices and data are bit for bit the ones factored, and any other
+  matrix is factored afresh, so every solve is an exact direct solve.
+  A Jacobian is itself reused while A(v) and dt are bit for bit those
+  it was built from, so a linear P factors and assembles once per
+  step size.
+* IMEX (_LaggedFactor): a matrix bit for bit the one factored is
+  solved with the held LU, as under Newton, so an operator of a
+  constant A is factored once per step size.  I - dt L(A(u)) of a
+  state-dependent A changes a little from step to step, so the held
+  LU of an earlier step serves as a preconditioner while dt is
+  unchanged (Knoll & Keyes, J. Comput. Phys. 193 (2004) 357).  The
+  solution of the held LU is taken if its true residual |rhs - M x|
+  is on target; otherwise GMRES with that LU as preconditioner (Saad,
+  Iterative Methods for Sparse Linear Systems, 2nd ed., ch. 9) runs
+  for at most _KRYLOV_MAXITER iterations and its result is taken
+  under the same true-residual test.  The target is 1e-3 * linear_tol
+  * |rhs|, or the relative residual of the last direct solve times
+  |rhs| where that is larger, so a linear_tol below roundoff does not
+  rule out every lagged solve.  A missed target or a new dt drops the
+  LU and factors M, which is then solved directly.  Under Neumann
+  conditions every IMEX operator has unit column sums, so the held
+  LU's inverse keeps the sum of a vector and the Krylov corrections
+  conserve mass to roundoff.
+
 step() on its own factors on every call.
 """
 
@@ -39,8 +62,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InputError, NewtonConvergenceError, NumericalStateError
-from .grid import (Field, cell_gradient, component_laplacian, face_coefficients,
-                   flux_operator, laplacian_of_P, stable_dt)
+from .grid import (Field, _require_finite, cell_gradient, component_laplacian,
+                   face_coefficients, flux_operator, laplacian_of_P, stable_dt)
 from .model import eval_A, eval_P, eval_reaction
 
 __all__ = ["SolverConfig", "Trajectory", "step", "run"]
@@ -90,7 +113,10 @@ class SolverConfig:
 @dataclass
 class Trajectory:
     """Output of run(): recorded norms, optional states, step history,
-    and counts of rejected steps, LU factorizations and linear solves."""
+    and counts of rejected steps, LU factorizations, linear solves and
+    GMRES iterations.  worst_linear_residual is the largest IMEX
+    residual |M x - rhs| / (linear_tol (1 + |rhs|)) over the steps that
+    passed that gate (None when no IMEX step did)."""
 
     times: np.ndarray
     records: list
@@ -104,66 +130,143 @@ class Trajectory:
     factorizations: int = 0
     linear_solves: int = 0
     rejected_steps: int = 0
+    krylov_iterations: int = 0
+    worst_linear_residual: float | None = None
 
     @property
     def reached_end(self):
         return self.terminated_reason == "reached"
 
 
+# GMRES on a lagged LU runs at most this many iterations per solve.
+_KRYLOV_MAXITER = 10
+# A lagged solve is taken when |rhs - M x| <= _KRYLOV_RTOL * linear_tol
+# * |rhs|, a thousandth of the gate of _step_imex, so lagged steps stay
+# close to the accuracy of a direct solve.
+_KRYLOV_RTOL = 1e-3
+
+
 def _bits(a):
     return a.view(np.uint8)
 
 
+def _arrays(M):
+    return M.indptr, M.indices, M.data
+
+
 class _LastFactor:
-    """The LU of the last matrix spsolve factored in one run, with the
-    factorization and solve counts of that run."""
+    """The LU of the last matrix spsolve factored in one run and the
+    last Newton Jacobian, with the counts of that run: factorizations,
+    linear solves, GMRES iterations, and the worst IMEX residual
+    relative to its gate."""
 
     def __init__(self):
         self.key = None
         self.lu = None
         self.factorizations = 0
         self.solves = 0
+        self.krylov_iterations = 0
+        self.worst_residual = None
+        self.jacobian = None
 
-    def lu_of(self, M):
-        key = (M.indptr, M.indices, M.data)
-        if self.key is not None and all(
-                np.array_equal(_bits(a), b) for a, b in zip(key, self.key)):
-            return self.lu
+    def holds(self, M):
+        """Whether M is bit for bit the matrix of the held LU."""
+        return self.key is not None and all(
+            np.array_equal(_bits(a), b) for a, b in zip(_arrays(M), self.key))
+
+    def refactor(self, M):
         # drop the old LU before factoring, so two are never held at once
         self.key = self.lu = None
         self.factorizations += 1
-        lu = _factor(M)
-        if lu is not None:
-            self.key = tuple(_bits(a).copy() for a in key)
-            self.lu = lu
-        return lu
+        self.lu = _factor(M)
+        if self.lu is not None:
+            self.key = tuple(_bits(a).copy() for a in _arrays(M))
+        return self.lu
+
+    def solve(self, M, rhs, dt=None):
+        return _lu_solve(self.lu if self.holds(M) else self.refactor(M), rhs)
+
+
+class _LaggedFactor(_LastFactor):
+    """IMEX factor policy: the held LU of an earlier step preconditions
+    GMRES while dt is unchanged (see the module docstring)."""
+
+    def __init__(self, linear_tol):
+        super().__init__()
+        self.rtol = _KRYLOV_RTOL * linear_tol
+        self.dt = None
+        self.floor = 0.0  # relative residual of the last direct solve
+
+    def solve(self, M, rhs, dt=None):
+        if self.holds(M):
+            return self.lu.solve(rhs, trans="T")
+        if self.lu is not None and dt == self.dt:
+            x = self._krylov(M, rhs)
+            if x is not None:
+                return x
+        self.dt = dt
+        x = _lu_solve(self.refactor(M), rhs)
+        norm = np.linalg.norm(rhs)
+        self.floor = np.linalg.norm(rhs - M @ x) / norm if norm > 0 else 0.0
+        return x
+
+    def _krylov(self, M, rhs):
+        """x with |rhs - M x| on target, or None."""
+        lu = self.lu
+        target = max(self.rtol, self.floor) * np.linalg.norm(rhs)
+        x = lu.solve(rhs, trans="T")
+        if np.linalg.norm(rhs - M @ x) <= target:
+            return x
+        precond = spla.LinearOperator(
+            M.shape, matvec=lambda v: lu.solve(v, trans="T"), dtype=M.dtype)
+        residuals = []  # one per GMRES iteration
+        x, info = spla.gmres(M, rhs, x0=x, rtol=0.0, atol=target,
+                             restart=_KRYLOV_MAXITER, maxiter=1, M=precond,
+                             callback=residuals.append, callback_type="pr_norm")
+        self.krylov_iterations += len(residuals)
+        if info == 0 and np.linalg.norm(rhs - M @ x) <= target:
+            return x
+        return None
 
 
 def _factor(M):
     """SuperLU of the CSR matrix M, whose arrays are read as the CSC of
-    its transpose (as scipy's spsolve does); None if exactly singular."""
+    its transpose (as scipy's spsolve does), with the fill-reducing
+    MMD_AT_PLUS_A column ordering; None if exactly singular."""
     try:
         return spla.splu(sp.csc_array((M.data, M.indices, M.indptr),
-                                      shape=M.shape))
+                                      shape=M.shape),
+                         permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as e:
         if "singular" not in str(e):
             raise
         return None
 
 
-def spsolve(M, rhs, factors=None):
-    """Solve M x = rhs for a square CSR matrix M, bit for bit as scipy's
-    spsolve does; all NaN if M is exactly singular.  With a _LastFactor
-    the LU of an unchanged M is reused (see the module docstring)."""
-    M.sum_duplicates()
-    if factors is None:
-        lu = _factor(M)
-    else:
-        factors.solves += 1
-        lu = factors.lu_of(M)
+def _lu_solve(lu, rhs):
     if lu is None:
         return np.full(np.shape(rhs), np.nan)
     return lu.solve(rhs, trans="T")
+
+
+def spsolve(M, rhs, factors=None, dt=None):
+    """Solve M x = rhs for a square CSR matrix M.
+
+    Without factors, or with a _LastFactor, the result is an exact
+    direct solve, bit for bit that of scipy's
+    spsolve(M, rhs, permc_spec="MMD_AT_PLUS_A"); a _LastFactor reuses
+    the LU of an unchanged M.  With a _LaggedFactor, dt is the step
+    size M was built for; an unchanged M is solved directly with the
+    held LU, and any other M may be solved by GMRES on an earlier LU to
+    a true residual |rhs - M x| at most 1e-3 * linear_tol * |rhs|, or
+    at most that of the last direct solve relative to its |rhs| (see
+    the module docstring).  All NaN if M is exactly singular.
+    """
+    M.sum_duplicates()
+    if factors is None:
+        return _lu_solve(_factor(M), rhs)
+    factors.solves += 1
+    return factors.solve(M, rhs, dt)
 
 
 def _flat(values):
@@ -210,13 +313,17 @@ def _step_imex(spec, field, dt, config, factors=None):
     L = flux_operator(field.grid, *face_coefficients(spec, field))
     M = sp.identity(L.shape[0], format="csr") - dt * L
     rhs = _flat(field.values + dt * _reaction_term(spec, field))
-    x = spsolve(M, rhs, factors)
+    x = spsolve(M, rhs, factors, dt=dt)
     if not np.all(np.isfinite(x)):
         return Field(field.grid, x.reshape(field.values.shape)), 0
     res = np.linalg.norm(M @ x - rhs)
-    if res > config.linear_tol * (1.0 + np.linalg.norm(rhs)):
+    gate = config.linear_tol * (1.0 + np.linalg.norm(rhs))
+    if res > gate:
         raise NumericalStateError(
             f"linear solve residual {res:.3e} exceeds tolerance")
+    if factors is not None:
+        factors.worst_residual = max(factors.worst_residual or 0.0,
+                                     float(res / gate))
     return Field(field.grid, x.reshape(field.values.shape)), 0
 
 
@@ -230,10 +337,22 @@ def _cellwise(A):
                           np.arange(0, m * m * N + 1, m)), shape=(m * N, m * N))
 
 
+def _jacobian(L, A, dt, factors):
+    """I - dt L A for cellwise A; with factors, the last Jacobian is
+    reused while A and dt are bit for bit the ones it was built from."""
+    if factors is not None and factors.jacobian is not None:
+        A_bits, dt_old, J = factors.jacobian
+        if dt == dt_old and np.array_equal(_bits(A), A_bits):
+            return J
+    J = sp.identity(L.shape[0], format="csr") - dt * (L @ _cellwise(A))
+    if factors is not None:
+        factors.jacobian = (_bits(A).copy(), dt, J)
+    return J
+
+
 def _step_newton(spec, field, dt, config, factors=None):
     g = field.grid
     L = component_laplacian(g, field.m)
-    eye = sp.identity(L.shape[0], format="csr")
     shape = field.values.shape
     uflat = _flat(field.values)
     rhs = uflat + dt * _flat(_reaction_term(spec, field))
@@ -249,8 +368,8 @@ def _step_newton(spec, field, dt, config, factors=None):
             raise NewtonConvergenceError("non-finite Newton residual")
         if rn <= tol:
             return Field(g, v.reshape(shape)), solves
-        D = _cellwise(eval_A(spec, vf.points()).reshape(-1, field.m, field.m))
-        J = eye - dt * (L @ D)
+        A = eval_A(spec, vf.points()).reshape(-1, field.m, field.m)
+        J = _jacobian(L, A, dt, factors)
         dv = spsolve(J, R, factors)
         if not np.all(np.isfinite(dv)):
             raise NewtonConvergenceError("singular Newton system")
@@ -293,15 +412,22 @@ def run(spec, field0, config, recorder=None):
     rejected, counted and retried with half the step until dt_min;
     persistent failure or a sup-norm beyond config.blowup_threshold
     terminates the run early with reason 'nonfinite' or 'blowup', and a
-    stability cap falling below dt_min terminates with 'stiff'.  Records are taken at t=0, every
+    stability cap falling below dt_min terminates with 'stiff'.  A
+    field0 with non-finite values raises NumericalStateError before
+    any step, whatever the scheme.  Records are taken at t=0, every
     record_every accepted steps, and at the final time; snapshots are
     stored exactly at the requested times.  The trajectory counts the
-    rejected steps and the factorizations and linear solves that ran.
+    rejected steps and the factorizations, linear solves and GMRES
+    iterations that ran.
     """
+    _require_finite(field0)
     if recorder is None:
         recorder = _default_recorder(spec)
     stepper = _STEPPERS[config.scheme]
-    factors = _LastFactor()
+    if config.scheme == "imex":
+        factors = _LaggedFactor(config.linear_tol)
+    else:
+        factors = _LastFactor()
 
     u = field0.copy()
     t = 0.0
@@ -403,4 +529,6 @@ def run(spec, field0, config, recorder=None):
         newton_history=np.array(newton_hist, dtype=int),
         first_negative_t=first_negative,
         factorizations=factors.factorizations,
-        linear_solves=factors.solves, rejected_steps=rejected)
+        linear_solves=factors.solves, rejected_steps=rejected,
+        krylov_iterations=factors.krylov_iterations,
+        worst_linear_residual=factors.worst_residual)

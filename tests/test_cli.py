@@ -202,6 +202,31 @@ class TestSimulateCommand:
         assert fld.values.shape == (1, 16, 16)
         assert np.all(np.isfinite(fld.values))
 
+    def test_summary_reports_solver_counts(self, write_manifest, tmp_path):
+        data = heat_sim_manifest()
+        data["model"] = {"classic_skt": {"a1": 1.0, "a2": 1.0, "a11": 1.0,
+                                         "a12": 0.5, "a21": 0.5, "a22": 1.0}}
+        data["grid"]["bc"] = "neumann"
+        data["solver"]["t_end"] = 0.02
+        data["initial"] = {"family": "positive_fourier", "amplitude": 1.0}
+        path = write_manifest(data)
+        out = tmp_path / "s5"
+        assert invoke("simulate", "--manifest", path, "--out", out).exit_code == 0
+        summary = load_json(out / "summary.json")
+        assert summary["steps"] == summary["linear_solves"] == 20
+        assert summary["rejected_steps"] == 0
+        assert 1 <= summary["factorizations"] < summary["linear_solves"]
+        assert summary["krylov_iterations"] >= 0
+        assert 0.0 < summary["worst_linear_residual"] <= 1.0
+
+    def test_nonfinite_start_is_runtime_failure(self, write_manifest, tmp_path):
+        data = heat_sim_manifest()
+        data["initial"] = {"constant": [float("nan")]}
+        path = write_manifest(data)
+        r = invoke("simulate", "--manifest", path, "--out", tmp_path / "s6")
+        assert r.exit_code == 3
+        assert "non-finite" in r.output
+
     def test_stiff_run_is_runtime_failure(self, write_manifest, tmp_path):
         data = heat_sim_manifest()
         data["solver"] = {"scheme": "explicit", "dt0": 0.05, "dt_min": 0.05,

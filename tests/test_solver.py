@@ -254,7 +254,7 @@ class TestSpsolve:
         f = smooth_field(build_grid(1.0, 1.0, 12, 10, bc), m=2, amp=3.0)
         M = implicit_matrix(kind, skt, f)
         rhs = np.random.default_rng(1).normal(size=M.shape[0])
-        want = spla.spsolve(M.copy(), rhs)
+        want = spla.spsolve(M.copy(), rhs, permc_spec="MMD_AT_PLUS_A")
         assert np.array_equal(bits(solver_mod.spsolve(M.copy(), rhs)), bits(want))
         cache = solver_mod._LastFactor()
         got = solver_mod.spsolve(M, rhs, cache)
@@ -280,7 +280,8 @@ class TestSpsolve:
         M2.data[entry] = np.nextafter(M2.data[entry], np.inf)
         x = solver_mod.spsolve(M2, rhs, cache)
         assert cache.factorizations == 2
-        assert np.array_equal(bits(x), bits(spla.spsolve(M2, rhs)))
+        assert np.array_equal(bits(x), bits(spla.spsolve(
+            M2, rhs, permc_spec="MMD_AT_PLUS_A")))
         solver_mod.spsolve(M2.copy(), rhs, cache)
         assert cache.factorizations == 2
 
@@ -322,11 +323,111 @@ class TestRunCounts:
         else:
             assert traj.linear_solves == len(traj.dt_history)
 
-    def test_state_dependent_imex_factors_every_step(self, skt, grid16n):
-        traj = run(skt, smooth_field(grid16n, m=2, amp=0.3),
-                   fixed_dt_config("imex", 1e-3, 0.01))
+    def test_state_dependent_imex_lags_the_lu(self, skt, grid16n, monkeypatch):
+        # the operator changes every step; between factorizations a solve
+        # comes from the held LU or GMRES on it, with a true residual of
+        # at most 1e-3 * linear_tol * |rhs|, and mass stays conserved
+        real = solver_mod.spsolve
+        solves = []
+
+        def recording(M, rhs, factors=None, dt=None):
+            before = factors.factorizations
+            x = real(M, rhs, factors, dt=dt)
+            rel = np.linalg.norm(rhs - M @ x) / np.linalg.norm(rhs)
+            solves.append((factors.factorizations > before, rel))
+            return x
+
+        monkeypatch.setattr(solver_mod, "spsolve", recording)
+        cfg = fixed_dt_config("imex", 1e-3, 0.05, record_every=10)
+        traj = run(skt, smooth_field(grid16n, m=2, amp=0.3), cfg)
         assert traj.reached_end and traj.rejected_steps == 0
-        assert traj.factorizations == traj.linear_solves == len(traj.dt_history)
+        assert traj.linear_solves == len(traj.dt_history) == len(solves)
+        assert 1 <= traj.factorizations < traj.linear_solves
+        assert traj.krylov_iterations > 0
+        lagged = [rel for refactored, rel in solves if not refactored]
+        assert len(lagged) == traj.linear_solves - traj.factorizations
+        assert max(lagged) <= solver_mod._KRYLOV_RTOL * cfg.linear_tol
+        assert 0.0 < traj.worst_linear_residual <= 1.0
+        m0 = np.array(traj.records[0].mass)
+        for rec in traj.records[1:]:
+            assert np.abs(np.array(rec.mass) - m0).max() <= 1e-12 * np.abs(m0).min()
+
+    def test_unchanged_imex_operator_ignores_a_tiny_linear_tol(self, heat1,
+                                                               grid16d):
+        # a linear_tol no solve can reach in floating point: the held LU
+        # of a constant A is still reused without a residual target
+        traj = run(heat1, eigenmode_field(grid16d),
+                   fixed_dt_config("imex", 1e-3, 0.0125, linear_tol=1e-14))
+        assert traj.reached_end and traj.rejected_steps == 0
+        changes = np.count_nonzero(np.diff(traj.dt_history))
+        assert traj.factorizations == 1 + changes
+        assert traj.krylov_iterations == 0
+
+    def test_lagged_target_floors_at_the_direct_residual(self, skt, grid16n):
+        # 1e-3 * linear_tol lies below roundoff, so without the floor set
+        # by the last direct solve every step would refactor
+        traj = run(skt, smooth_field(grid16n, m=2, amp=0.3),
+                   fixed_dt_config("imex", 1e-3, 0.02, linear_tol=1e-14))
+        assert traj.reached_end and traj.rejected_steps == 0
+        assert traj.factorizations < traj.linear_solves
+
+    @pytest.mark.parametrize("trigger", ["new_dt", "gmres_fails"])
+    def test_lagged_lu_refactors_to_the_direct_step(self, skt, grid16n,
+                                                    trigger, monkeypatch):
+        dt = 1e-3
+        cfg = fixed_dt_config("imex", dt, dt)
+        f1 = smooth_field(grid16n, m=2, amp=3.0)
+        f2 = Field(grid16n, 1.01 * f1.values)
+        factors = solver_mod._LaggedFactor(cfg.linear_tol)
+        solver_mod._step_imex(skt, f1, dt, cfg, factors=factors)
+        gmres_calls = []
+        if trigger == "new_dt":
+            dt = 2e-3
+        else:
+            def fails(A, b, x0=None, **kw):
+                gmres_calls.append(b)
+                return x0, 1
+
+            monkeypatch.setattr(solver_mod.spla, "gmres", fails)
+        got, _ = solver_mod._step_imex(skt, f2, dt, cfg, factors=factors)
+        want, _ = step(skt, f2, dt, scheme="imex")
+        assert factors.factorizations == 2
+        assert np.array_equal(bits(got.values), bits(want.values))
+        assert len(gmres_calls) == (trigger == "gmres_fails")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("scheme", ["explicit", "imex", "newton"])
+    def test_nonfinite_start_raises_before_any_step(self, skt, grid16n, scheme,
+                                                   bad, monkeypatch):
+        calls = []
+        monkeypatch.setitem(solver_mod._STEPPERS, scheme,
+                            lambda *a, **kw: calls.append(a))
+        f0 = smooth_field(grid16n, m=2, amp=0.3)
+        f0.values[1, 3, 4] = bad
+        with pytest.raises(NumericalStateError, match="non-finite"):
+            run(skt, f0, SolverConfig(scheme=scheme, dt0=1e-3, t_end=1e-2))
+        assert calls == []
+
+    def test_newton_reuses_an_unchanged_jacobian(self, heat1, grid16d,
+                                                 monkeypatch):
+        # a linear P gives the same A(v) at every iterate: one Jacobian per
+        # step size, and the same bits as rebuilding it every time
+        cfg = fixed_dt_config("newton", 1e-3, 0.0125)
+        f0 = eigenmode_field(grid16d)
+        real_cellwise, real_jacobian = solver_mod._cellwise, solver_mod._jacobian
+        built = []
+        monkeypatch.setattr(solver_mod, "_cellwise",
+                            lambda A: built.append(1) or real_cellwise(A))
+        traj = run(heat1, f0, cfg)
+        reused = len(built)
+        assert reused == 1 + np.count_nonzero(np.diff(traj.dt_history))
+        monkeypatch.setattr(solver_mod, "_jacobian",
+                            lambda L, A, dt, factors: real_jacobian(L, A, dt, None))
+        fresh = run(heat1, f0, cfg)
+        assert len(built) - reused == fresh.linear_solves > reused
+        assert np.array_equal(bits(traj.final.values), bits(fresh.final.values))
+        assert (traj.factorizations, traj.linear_solves) == (
+            fresh.factorizations, fresh.linear_solves)
 
     def test_explicit_runs_no_linear_algebra(self, heat1, grid16n):
         traj = run(heat1, smooth_field(grid16n, amp=0.1),
