@@ -16,9 +16,9 @@ import numpy as np
 
 from .diagnostics import InequalityReport, decay_bound_check
 from .errors import InputError
-from .grid import Field
-from .model import ReactionSpec, Region, verify_structure
-from .solver import run
+from .grid import Field, Grid2D
+from .model import ModelSpec, ReactionSpec, Region, verify_structure
+from .solver import SolverConfig, run
 
 __all__ = [
     "EnsembleSpec",

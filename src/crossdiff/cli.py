@@ -3,7 +3,8 @@
 Subcommands: verify, simulate, diagnose, attractor, sweep.  Every
 artifact embeds the sha256 of the resolved manifest (after CLI
 overrides) and the effective seed.  Exit codes: 0 success, 1 hypothesis
-or assertion failure, 2 input error, 3 runtime termination.
+or assertion failure, 2 input error, 3 runtime termination, 4 internal
+error (an unexpected exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
+EXIT_INTERNAL = 4
 
 
 @contextlib.contextmanager
@@ -187,14 +190,6 @@ def _write_json(path, payload, res):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _echo_manifest(res):
-    res.out_dir.mkdir(parents=True, exist_ok=True)
-    payload = dict(res.data)
-    payload["_meta"] = _meta(res)
-    (res.out_dir / "manifest.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _fmt(v):
     return f"{float(v):.17g}"
 
@@ -262,6 +257,10 @@ def _guard(fn):
         except _INPUT_ERRORS as e:
             click.echo(f"input error: {e}", err=True)
             sys.exit(EXIT_INPUT)
+        except Exception:
+            # a fault of the program, not a failed hypothesis (exit 1)
+            traceback.print_exc()
+            sys.exit(EXIT_INTERNAL)
         sys.exit(code)
 
     return wrapper
@@ -305,7 +304,7 @@ def verify(manifest, out, seed, threads, fmt):
         ls = tuple(float(l) for l in v.get("ls", (0.0, 1.0, 2.0)))
     report = verify_structure(model, region, n=n, seed=res.seed,
                               delta_k=delta_k, tol_ell=tol_ell, ls=ls)
-    _echo_manifest(res)
+    _write_json(res.out_dir / "manifest.json", res.data, res)
     _write_json(res.out_dir / "verify.json", report.to_dict(), res)
     for name in ("ellipticity", "growth", "f", "sg", "sg_prime"):
         click.echo(f"{name}: {'pass' if getattr(report, name + '_pass') else 'FAIL'}")
@@ -333,7 +332,7 @@ def simulate(manifest, out, seed, threads, fmt):
     """Integrate the manifest's model and write the trajectory."""
     res = _load_manifest(manifest, out, seed, fmt)
     model, traj = _simulate_once(res)
-    _echo_manifest(res)
+    _write_json(res.out_dir / "manifest.json", res.data, res)
     _write_trajectory(res, traj)
     _write_snapshots(res, traj)
     _write_json(res.out_dir / "summary.json", {
@@ -358,7 +357,7 @@ def diagnose(manifest, out, seed, threads, fmt):
     """Re-run densely and fit the trajectory inequalities."""
     res = _load_manifest(manifest, out, seed, fmt)
     model, traj = _simulate_once(res, store_states=True, record_every=1)
-    _echo_manifest(res)
+    _write_json(res.out_dir / "manifest.json", res.data, res)
     _write_trajectory(res, traj)
     if not traj.reached_end:
         raise NumericalStateError(f"run terminated: {traj.terminated_reason}")
@@ -431,7 +430,7 @@ def attractor_cmd(manifest, out, seed, threads, fmt):
             verify_region=None if region is None else Region.from_dict(region))
     report = attractor_mod.ensemble_absorbing_ball(
         espec, skip_verify=bool(e.get("skip_verify", False)), threads=threads)
-    _echo_manifest(res)
+    _write_json(res.out_dir / "manifest.json", res.data, res)
     _write_json(res.out_dir / "absorbing_ball.json", report.to_dict(), res)
     headers = ["member", "amplitude", "reached", "tail_sup_L2",
                "tail_sup_W12", "tail_sup_lambda_moment", "y_star", "dominance"]
@@ -489,7 +488,7 @@ def sweep(manifest, out, seed, threads, fmt):
 
     def do(sub):
         model, traj = _simulate_once(sub)
-        _echo_manifest(sub)
+        _write_json(sub.out_dir / "manifest.json", sub.data, sub)
         _write_trajectory(sub, traj)
         _write_snapshots(sub, traj)
         return traj

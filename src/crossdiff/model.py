@@ -278,16 +278,10 @@ class LambdaSpec:
         u = np.asarray(u, dtype=float)
         r = np.linalg.norm(u, axis=-1)
         c = self.lambda1 * self.k
-        if c == 0.0:
+        if c == 0.0:  # not c * r**(k-1): 0 * inf is NaN at r = 0
             return np.zeros(r.shape)
-        e = self.k - 1.0
-        if e == 0.0:
-            return np.full(r.shape, c)
-        if e > 0:
-            return c * r ** e
-        with np.errstate(divide="ignore"):
-            out = c * r ** e
-        return out
+        with np.errstate(divide="ignore"):  # r = 0 with k < 1 gives inf
+            return c * r ** (self.k - 1.0)
 
     def to_dict(self):
         return {"lambda0": self.lambda0, "lambda1": self.lambda1, "k": self.k}

@@ -22,35 +22,32 @@ records norms along the way.
 Every linear solve goes through spsolve(), which factors with the
 MMD_AT_PLUS_A column ordering and then gives the bits of scipy's
 spsolve(M, b, permc_spec="MMD_AT_PLUS_A") for a CSR matrix.  run()
-hands it one factor policy per run, which keeps the LU of the last
-matrix it factored (never two at once):
+hands the stepper one factor policy per run, and step() a fresh one.
+The policy holds the last implicit operator it built and the LU of the
+last operator it factored (never two LUs at once), and one rule decides
+reuse: the operator is rebuilt unless dt and its coefficients (the face
+coefficients (Ax, Ay) under IMEX, the cellwise A(v) under Newton) are
+bit for bit those it was built from, and an LU is reused only for the
+very operator object it was factored from.  An operator of a constant A
+(a linear P) is thus assembled and factored once per step size.
 
-* Newton (_LastFactor): the LU is reused while the matrix's indptr,
-  indices and data are bit for bit the ones factored, and any other
-  matrix is factored afresh, so every solve is an exact direct solve.
-  A Jacobian is itself reused while A(v) and dt are bit for bit those
-  it was built from, so a linear P factors and assembles once per
-  step size.
-* IMEX (_LaggedFactor): a matrix bit for bit the one factored is
-  solved with the held LU, as under Newton, so an operator of a
-  constant A is factored once per step size.  I - dt L(A(u)) of a
-  state-dependent A changes a little from step to step, so the held
-  LU of an earlier step serves as a preconditioner while dt is
-  unchanged (Knoll & Keyes, J. Comput. Phys. 193 (2004) 357).  The
-  solution of the held LU is taken if its true residual |rhs - M x|
-  is on target; otherwise GMRES with that LU as preconditioner (Saad,
-  Iterative Methods for Sparse Linear Systems, 2nd ed., ch. 9) runs
-  for at most _KRYLOV_MAXITER iterations and its result is taken
-  under the same true-residual test.  The target is 1e-3 * linear_tol
-  * |rhs|, or the relative residual of the last direct solve times
-  |rhs| where that is larger, so a linear_tol below roundoff does not
-  rule out every lagged solve.  A missed target or a new dt drops the
-  LU and factors M, which is then solved directly.  Under Neumann
-  conditions every IMEX operator has unit column sums, so the held
-  LU's inverse keeps the sum of a vector and the Krylov corrections
-  conserve mass to roundoff.
-
-step() on its own factors on every call.
+* Newton (_LastFactor): any other operator is factored afresh, so
+  every solve is an exact direct solve.
+* IMEX (_LaggedFactor): I - dt L(A(u)) of a state-dependent A changes
+  a little from step to step, so the held LU of an earlier step serves
+  as a preconditioner while dt is unchanged (Knoll & Keyes, J. Comput.
+  Phys. 193 (2004) 357).  The solution of the held LU is taken if its
+  true residual |rhs - M x| is on target; otherwise GMRES with that LU
+  as preconditioner (Saad, Iterative Methods for Sparse Linear
+  Systems, 2nd ed., ch. 9) runs for at most _KRYLOV_MAXITER iterations
+  and its result is taken under the same true-residual test.  The
+  target is 1e-3 * linear_tol * |rhs|, or the relative residual of the
+  last direct solve times |rhs| where that is larger, so a linear_tol
+  below roundoff does not rule out every lagged solve.  A missed target
+  or a new dt drops the LU and factors M, which is then solved
+  directly.  Under Neumann conditions every IMEX operator has unit
+  column sums, so the held LU's inverse keeps the sum of a vector and
+  the Krylov corrections conserve mass to roundoff.
 """
 
 from __future__ import annotations
@@ -150,61 +147,69 @@ def _bits(a):
     return a.view(np.uint8)
 
 
-def _arrays(M):
-    return M.indptr, M.indices, M.data
-
-
 class _LastFactor:
-    """The LU of the last matrix spsolve factored in one run and the
-    last Newton Jacobian, with the counts of that run: factorizations,
+    """Factor policy of one run: the last operator it built, with the dt
+    and coefficient arrays it was built from, and the LU of the last
+    operator it factored, with the counts of that run: factorizations,
     linear solves, GMRES iterations, and the worst IMEX residual
-    relative to its gate."""
+    relative to its gate.  The coefficient arrays and operators are held,
+    not copied, so callers must not change them in place."""
 
     def __init__(self):
-        self.key = None
+        self.dt = None
+        self.coefs = ()
+        self.built = None
+        self.factored = None
         self.lu = None
         self.factorizations = 0
         self.solves = 0
         self.krylov_iterations = 0
         self.worst_residual = None
-        self.jacobian = None
 
-    def holds(self, M):
-        """Whether M is bit for bit the matrix of the held LU."""
-        return self.key is not None and all(
-            np.array_equal(_bits(a), b) for a, b in zip(_arrays(M), self.key))
+    def operator(self, dt, coefs, build):
+        """The held operator while dt and every array in coefs are bit
+        for bit the ones it was built from; otherwise build() and hold
+        that."""
+        if not (self.built is not None and dt == self.dt and all(
+                np.array_equal(_bits(a), _bits(b))
+                for a, b in zip(coefs, self.coefs))):
+            self.built = build()
+            self.dt, self.coefs = dt, coefs
+        return self.built
 
     def refactor(self, M):
         # drop the old LU before factoring, so two are never held at once
-        self.key = self.lu = None
+        self.factored = self.lu = None
         self.factorizations += 1
         self.lu = _factor(M)
         if self.lu is not None:
-            self.key = tuple(_bits(a).copy() for a in _arrays(M))
+            self.factored = M
         return self.lu
 
-    def solve(self, M, rhs, dt=None):
-        return _lu_solve(self.lu if self.holds(M) else self.refactor(M), rhs)
+    def solve(self, M, rhs):
+        return _lu_solve(self.lu if M is self.factored else self.refactor(M),
+                         rhs)
 
 
 class _LaggedFactor(_LastFactor):
     """IMEX factor policy: the held LU of an earlier step preconditions
-    GMRES while dt is unchanged (see the module docstring)."""
+    GMRES while dt is unchanged (see the module docstring).  M must be
+    the operator this policy built last, whose dt is self.dt."""
 
     def __init__(self, linear_tol):
         super().__init__()
         self.rtol = _KRYLOV_RTOL * linear_tol
-        self.dt = None
+        self.lu_dt = None  # dt of the operator the held LU was factored from
         self.floor = 0.0  # relative residual of the last direct solve
 
-    def solve(self, M, rhs, dt=None):
-        if self.holds(M):
+    def solve(self, M, rhs):
+        if M is self.factored:
             return self.lu.solve(rhs, trans="T")
-        if self.lu is not None and dt == self.dt:
+        if self.lu is not None and self.dt == self.lu_dt:
             x = self._krylov(M, rhs)
             if x is not None:
                 return x
-        self.dt = dt
+        self.lu_dt = self.dt
         x = _lu_solve(self.refactor(M), rhs)
         norm = np.linalg.norm(rhs)
         self.floor = np.linalg.norm(rhs - M @ x) / norm if norm > 0 else 0.0
@@ -249,24 +254,23 @@ def _lu_solve(lu, rhs):
     return lu.solve(rhs, trans="T")
 
 
-def spsolve(M, rhs, factors=None, dt=None):
-    """Solve M x = rhs for a square CSR matrix M.
+def spsolve(M, rhs, factors):
+    """Solve M x = rhs for a square CSR matrix M with the factor policy
+    factors.
 
-    Without factors, or with a _LastFactor, the result is an exact
-    direct solve, bit for bit that of scipy's
-    spsolve(M, rhs, permc_spec="MMD_AT_PLUS_A"); a _LastFactor reuses
-    the LU of an unchanged M.  With a _LaggedFactor, dt is the step
-    size M was built for; an unchanged M is solved directly with the
-    held LU, and any other M may be solved by GMRES on an earlier LU to
-    a true residual |rhs - M x| at most 1e-3 * linear_tol * |rhs|, or
-    at most that of the last direct solve relative to its |rhs| (see
-    the module docstring).  All NaN if M is exactly singular.
+    With a _LastFactor the result is an exact direct solve, bit for bit
+    that of scipy's spsolve(M, rhs, permc_spec="MMD_AT_PLUS_A"); the LU
+    is reused when M is the very operator it was factored from.  With a
+    _LaggedFactor, M is the operator the policy built last; it is solved
+    directly with the held LU if that LU was factored from M, and
+    otherwise may be solved by GMRES on an earlier LU to a true residual
+    |rhs - M x| at most 1e-3 * linear_tol * |rhs|, or at most that of
+    the last direct solve relative to its |rhs| (see the module
+    docstring).  All NaN if M is exactly singular.
     """
     M.sum_duplicates()
-    if factors is None:
-        return _lu_solve(_factor(M), rhs)
     factors.solves += 1
-    return factors.solve(M, rhs, dt)
+    return factors.solve(M, rhs)
 
 
 def _flat(values):
@@ -304,16 +308,22 @@ def _reaction_dt_cap(spec, field, cfl):
     return 0.5 * cfl / rho if rho > 0 else np.inf
 
 
-def _step_explicit(spec, field, dt, config, factors=None):
+def _step_explicit(spec, field, dt, config, factors):
     rhs = laplacian_of_P(spec, field) + _reaction_term(spec, field)
     return Field(field.grid, field.values + dt * rhs), 0
 
 
-def _step_imex(spec, field, dt, config, factors=None):
-    L = flux_operator(field.grid, *face_coefficients(spec, field))
-    M = sp.identity(L.shape[0], format="csr") - dt * L
+def _backward_euler(L, dt):
+    """The implicit operator I - dt L."""
+    return sp.identity(L.shape[0], format="csr") - dt * L
+
+
+def _step_imex(spec, field, dt, config, factors):
+    coefs = face_coefficients(spec, field)
+    M = factors.operator(
+        dt, coefs, lambda: _backward_euler(flux_operator(field.grid, *coefs), dt))
     rhs = _flat(field.values + dt * _reaction_term(spec, field))
-    x = spsolve(M, rhs, factors, dt=dt)
+    x = spsolve(M, rhs, factors)
     if not np.all(np.isfinite(x)):
         return Field(field.grid, x.reshape(field.values.shape)), 0
     res = np.linalg.norm(M @ x - rhs)
@@ -321,9 +331,8 @@ def _step_imex(spec, field, dt, config, factors=None):
     if res > gate:
         raise NumericalStateError(
             f"linear solve residual {res:.3e} exceeds tolerance")
-    if factors is not None:
-        factors.worst_residual = max(factors.worst_residual or 0.0,
-                                     float(res / gate))
+    factors.worst_residual = max(factors.worst_residual or 0.0,
+                                 float(res / gate))
     return Field(field.grid, x.reshape(field.values.shape)), 0
 
 
@@ -337,20 +346,7 @@ def _cellwise(A):
                           np.arange(0, m * m * N + 1, m)), shape=(m * N, m * N))
 
 
-def _jacobian(L, A, dt, factors):
-    """I - dt L A for cellwise A; with factors, the last Jacobian is
-    reused while A and dt are bit for bit the ones it was built from."""
-    if factors is not None and factors.jacobian is not None:
-        A_bits, dt_old, J = factors.jacobian
-        if dt == dt_old and np.array_equal(_bits(A), A_bits):
-            return J
-    J = sp.identity(L.shape[0], format="csr") - dt * (L @ _cellwise(A))
-    if factors is not None:
-        factors.jacobian = (_bits(A).copy(), dt, J)
-    return J
-
-
-def _step_newton(spec, field, dt, config, factors=None):
+def _step_newton(spec, field, dt, config, factors):
     g = field.grid
     L = component_laplacian(g, field.m)
     shape = field.values.shape
@@ -369,7 +365,8 @@ def _step_newton(spec, field, dt, config, factors=None):
         if rn <= tol:
             return Field(g, v.reshape(shape)), solves
         A = eval_A(spec, vf.points()).reshape(-1, field.m, field.m)
-        J = _jacobian(L, A, dt, factors)
+        J = factors.operator(dt, (A,),
+                             lambda: _backward_euler(L @ _cellwise(A), dt))
         dv = spsolve(J, R, factors)
         if not np.all(np.isfinite(dv)):
             raise NewtonConvergenceError("singular Newton system")
@@ -395,7 +392,7 @@ def step(spec, field, dt, scheme="imex", config=None):
         raise InputError(f"scheme must be one of {_SCHEMES}")
     if config is None:
         config = SolverConfig(scheme=scheme, dt0=dt, t_end=dt)
-    return _STEPPERS[scheme](spec, field, dt, config)
+    return _STEPPERS[scheme](spec, field, dt, config, _LastFactor())
 
 
 def _default_recorder(spec):

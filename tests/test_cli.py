@@ -452,9 +452,10 @@ class TestInputErrors:
         monkeypatch.setattr(cli_mod, "verify_structure", fails)
         path = write_manifest(self.VERIFY)
         r = invoke("verify", "--manifest", path, "--out", tmp_path / "x")
-        assert r.exit_code != 2
+        assert r.exit_code == cli_mod.EXIT_INTERNAL == 4
         assert "input error" not in r.output
-        assert isinstance(r.exception, exc)
+        assert f"{exc.__name__}: " in r.stderr
+        assert "Traceback" in r.stderr
 
 
 class TestEntryPoint:

@@ -131,6 +131,13 @@ class TestEvalLambda:
         fd = (lam(u + h * d) - lam(u - h * d)) / (2 * h)
         assert lam.grad_norm(u) == pytest.approx(abs(fd), rel=1e-6)
 
+    @pytest.mark.parametrize("k, want", [(0.5, np.inf), (1.0, 2.0), (3.5, 0.0)])
+    def test_grad_norm_at_the_origin(self, k, want):
+        # lambda1 * k * r^(k-1) at r = 0 with lambda1 = 2: inf for k < 1,
+        # lambda1 * k = 2 for k = 1, 0 for k > 1
+        got = LambdaSpec(1.0, 2.0, k).grad_norm(np.zeros((3, 2)))
+        assert np.array_equal(got, np.full(3, want))
+
     def test_invalid_parameters(self):
         with pytest.raises(ModelDefinitionError):
             LambdaSpec(0.0)

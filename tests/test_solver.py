@@ -247,6 +247,24 @@ def implicit_matrix(kind, spec, f, dt=1e-3):
     return sp.identity(L.shape[0], format="csr") - dt * L
 
 
+def newton_operator(factors, A, dt=1e-3, built=None):
+    """The Newton Jacobian I - dt (I_m (x) L_1) A on the 16x16 Neumann
+    grid through the factor policy, keyed on the cellwise A; each build
+    is appended to built."""
+    L = component_laplacian(build_grid(1.0, 1.0, 16, 16, "neumann"), A.shape[-1])
+
+    def build():
+        if built is not None:
+            built.append(A)
+        return solver_mod._backward_euler(L @ solver_mod._cellwise(A), dt)
+
+    return factors.operator(dt, (A,), build)
+
+
+def cell_A(spec, f):
+    return eval_A(spec, f.points()).reshape(-1, f.m, f.m)
+
+
 class TestSpsolve:
     @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
     @pytest.mark.parametrize("kind", ["imex", "newton"])
@@ -255,35 +273,63 @@ class TestSpsolve:
         M = implicit_matrix(kind, skt, f)
         rhs = np.random.default_rng(1).normal(size=M.shape[0])
         want = spla.spsolve(M.copy(), rhs, permc_spec="MMD_AT_PLUS_A")
-        assert np.array_equal(bits(solver_mod.spsolve(M.copy(), rhs)), bits(want))
-        cache = solver_mod._LastFactor()
-        got = solver_mod.spsolve(M, rhs, cache)
+        got = solver_mod.spsolve(M, rhs, solver_mod._LastFactor())
         assert np.array_equal(bits(got), bits(want))
 
     def test_reused_factor_gives_fresh_bits(self, skt, grid16n):
-        M = implicit_matrix("imex", skt, smooth_field(grid16n, m=2, amp=3.0))
-        rng = np.random.default_rng(2)
+        # the same face coefficients give back the held operator, and the
+        # LU factored from it solves a new right-hand side exactly
+        f = smooth_field(grid16n, m=2, amp=3.0)
+        coefs = face_coefficients(skt, f)
+        built = []
         cache = solver_mod._LastFactor()
+
+        def operator(coefs):
+            return cache.operator(1e-3, coefs, lambda: built.append(1)
+                                  or implicit_matrix("imex", skt, f))
+
+        M = operator(coefs)
+        rng = np.random.default_rng(2)
         solver_mod.spsolve(M, rng.normal(size=M.shape[0]), cache)
         rhs = rng.normal(size=M.shape[0])
-        again = solver_mod.spsolve(M.copy(), rhs, cache)
-        assert (cache.factorizations, cache.solves) == (1, 2)
-        assert np.array_equal(bits(again), bits(solver_mod.spsolve(M, rhs)))
+        assert operator(tuple(a.copy() for a in coefs)) is M
+        again = solver_mod.spsolve(M, rhs, cache)
+        assert (len(built), cache.factorizations, cache.solves) == (1, 1, 2)
+        fresh = solver_mod.spsolve(M.copy(), rhs, solver_mod._LastFactor())
+        assert np.array_equal(bits(again), bits(fresh))
 
     @pytest.mark.parametrize("entry", [0, 700, -1])
     def test_one_ulp_change_refactors(self, skt, grid16n, entry):
-        M = implicit_matrix("newton", skt, smooth_field(grid16n, m=2, amp=3.0))
-        rhs = np.ones(M.shape[0])
+        # one coefficient entry one ulp up rebuilds the operator and
+        # refactors it; its bits then match scipy's direct solve
+        f = smooth_field(grid16n, m=2, amp=3.0)
         cache = solver_mod._LastFactor()
+        built = []
+        A = cell_A(skt, f)
+        M = newton_operator(cache, A, built=built)
+        rhs = np.ones(M.shape[0])
         solver_mod.spsolve(M, rhs, cache)
-        M2 = M.copy()
-        M2.data[entry] = np.nextafter(M2.data[entry], np.inf)
+        A2 = A.copy()
+        A2.flat[entry] = np.nextafter(A2.flat[entry], np.inf)
+        M2 = newton_operator(cache, A2, built=built)
+        assert M2 is not M
         x = solver_mod.spsolve(M2, rhs, cache)
-        assert cache.factorizations == 2
+        assert len(built) == cache.factorizations == 2
         assert np.array_equal(bits(x), bits(spla.spsolve(
             M2, rhs, permc_spec="MMD_AT_PLUS_A")))
-        solver_mod.spsolve(M2.copy(), rhs, cache)
-        assert cache.factorizations == 2
+        M3 = newton_operator(cache, A2.copy(), built=built)
+        assert M3 is M2
+        solver_mod.spsolve(M3, rhs, cache)
+        assert len(built) == cache.factorizations == 2
+
+    def test_one_ulp_dt_change_rebuilds(self, skt, grid16n):
+        f = smooth_field(grid16n, m=2, amp=3.0)
+        cache = solver_mod._LastFactor()
+        built = []
+        A = cell_A(skt, f)
+        M = newton_operator(cache, A, built=built)
+        M2 = newton_operator(cache, A, dt=np.nextafter(1e-3, 1.0), built=built)
+        assert M2 is not M and len(built) == 2
 
     def test_singular_gives_nan_and_is_not_cached(self):
         M = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
@@ -291,9 +337,8 @@ class TestSpsolve:
         for n in (1, 2):
             x = solver_mod.spsolve(M, np.ones(2), cache)
             assert x.shape == (2,) and np.all(np.isnan(x))
-            assert cache.lu is None and cache.key is None
+            assert cache.lu is None and cache.factored is None
             assert cache.factorizations == n
-        assert np.all(np.isnan(solver_mod.spsolve(M, np.ones(2))))
 
     def test_singular_newton_system_raises(self, heat1, grid16n, monkeypatch):
         # dt * L = I with A = I makes the Jacobian I - dt L A exactly zero
@@ -302,9 +347,8 @@ class TestSpsolve:
             solver_mod, "component_laplacian",
             lambda g, m: sp.identity(m * g.Nx * g.Ny, format="csr") / dt)
         f = smooth_field(grid16n, amp=0.5)
-        cfg = SolverConfig(scheme="newton", dt0=dt, t_end=dt)
         with pytest.raises(NewtonConvergenceError, match="singular"):
-            solver_mod._step_newton(heat1, f, dt, cfg)
+            step(heat1, f, dt, scheme="newton")
 
 
 class TestRunCounts:
@@ -330,9 +374,9 @@ class TestRunCounts:
         real = solver_mod.spsolve
         solves = []
 
-        def recording(M, rhs, factors=None, dt=None):
+        def recording(M, rhs, factors):
             before = factors.factorizations
-            x = real(M, rhs, factors, dt=dt)
+            x = real(M, rhs, factors)
             rel = np.linalg.norm(rhs - M @ x) / np.linalg.norm(rhs)
             solves.append((factors.factorizations > before, rel))
             return x
@@ -410,24 +454,25 @@ class TestRunCounts:
 
     def test_newton_reuses_an_unchanged_jacobian(self, heat1, grid16d,
                                                  monkeypatch):
-        # a linear P gives the same A(v) at every iterate: one Jacobian per
-        # step size, and the same bits as rebuilding it every time
+        # a linear P gives the same A(v) at every iterate: one Jacobian and
+        # one LU per step size, and the same bits as rebuilding and
+        # refactoring it at every iteration
         cfg = fixed_dt_config("newton", 1e-3, 0.0125)
         f0 = eigenmode_field(grid16d)
-        real_cellwise, real_jacobian = solver_mod._cellwise, solver_mod._jacobian
+        real_cellwise = solver_mod._cellwise
         built = []
         monkeypatch.setattr(solver_mod, "_cellwise",
                             lambda A: built.append(1) or real_cellwise(A))
         traj = run(heat1, f0, cfg)
         reused = len(built)
-        assert reused == 1 + np.count_nonzero(np.diff(traj.dt_history))
-        monkeypatch.setattr(solver_mod, "_jacobian",
-                            lambda L, A, dt, factors: real_jacobian(L, A, dt, None))
+        assert reused == traj.factorizations == 1 + np.count_nonzero(
+            np.diff(traj.dt_history))
+        monkeypatch.setattr(solver_mod._LastFactor, "operator",
+                            lambda self, dt, coefs, build: build())
         fresh = run(heat1, f0, cfg)
-        assert len(built) - reused == fresh.linear_solves > reused
+        assert (len(built) - reused == fresh.factorizations
+                == fresh.linear_solves == traj.linear_solves > reused)
         assert np.array_equal(bits(traj.final.values), bits(fresh.final.values))
-        assert (traj.factorizations, traj.linear_solves) == (
-            fresh.factorizations, fresh.linear_solves)
 
     def test_explicit_runs_no_linear_algebra(self, heat1, grid16n):
         traj = run(heat1, smooth_field(grid16n, amp=0.1),
