@@ -79,7 +79,7 @@ class _Resolved:
         return copy.deepcopy(v)
 
 
-def _load_manifest(path, out, seed, fmt):
+def _load_manifest(path, out, seed, fmt=None):
     path = Path(path)
     try:
         data = json.loads(path.read_text())
@@ -222,9 +222,7 @@ def _write_snapshots(res, traj):
     fname = f"final.{fmt}"
     save_snapshot(res.out_dir / fname, traj.final, fmt=fmt)
     files["final"] = fname
-    if files:
-        _write_json(res.out_dir / "snapshots.json",
-                    {"format": fmt, "files": files}, res)
+    _write_json(res.out_dir / "snapshots.json", {"format": fmt, "files": files}, res)
 
 
 def _diag_config(res):
@@ -266,11 +264,13 @@ def _guard(fn):
     return wrapper
 
 
+_format_option = click.option("--format", "fmt", type=click.Choice(["csv", "bin"]),
+                              default=None, help="Snapshot format override.")
+_threads_option = click.option("--threads", type=int, default=1, show_default=True,
+                               help="Worker threads for members or swept values.")
+
+
 def _common(fn):
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "bin"]),
-                      default=None, help="Snapshot format override.")(fn)
-    fn = click.option("--threads", type=int, default=1, show_default=True,
-                      help="Worker threads for fan-out commands.")(fn)
     fn = click.option("--seed", type=int, default=None,
                       help="Override the manifest seed.")(fn)
     fn = click.option("--out", type=click.Path(), default=None,
@@ -288,9 +288,9 @@ def main():
 @main.command()
 @_common
 @_guard
-def verify(manifest, out, seed, threads, fmt):
+def verify(manifest, out, seed):
     """Certify the structural hypotheses of the manifest's model."""
-    res = _load_manifest(manifest, out, seed, fmt)
+    res = _load_manifest(manifest, out, seed)
     model = _resolve_model(res)
     v = res.section("verify")
     region = v.get("region")
@@ -327,8 +327,9 @@ def _simulate_once(res, store_states=False, record_every=None):
 
 @main.command()
 @_common
+@_format_option
 @_guard
-def simulate(manifest, out, seed, threads, fmt):
+def simulate(manifest, out, seed, fmt):
     """Integrate the manifest's model and write the trajectory."""
     res = _load_manifest(manifest, out, seed, fmt)
     model, traj = _simulate_once(res)
@@ -353,9 +354,9 @@ def simulate(manifest, out, seed, threads, fmt):
 @main.command()
 @_common
 @_guard
-def diagnose(manifest, out, seed, threads, fmt):
+def diagnose(manifest, out, seed):
     """Re-run densely and fit the trajectory inequalities."""
-    res = _load_manifest(manifest, out, seed, fmt)
+    res = _load_manifest(manifest, out, seed)
     model, traj = _simulate_once(res, store_states=True, record_every=1)
     _write_json(res.out_dir / "manifest.json", res.data, res)
     _write_trajectory(res, traj)
@@ -406,10 +407,11 @@ def diagnose(manifest, out, seed, threads, fmt):
 
 @main.command("attractor")
 @_common
+@_threads_option
 @_guard
-def attractor_cmd(manifest, out, seed, threads, fmt):
+def attractor_cmd(manifest, out, seed, threads):
     """Run an ensemble and report absorbing-ball statistics."""
-    res = _load_manifest(manifest, out, seed, fmt)
+    res = _load_manifest(manifest, out, seed)
     model = _resolve_model(res)
     grid = _resolve_grid(res)
     config = _resolve_solver(res)
@@ -453,8 +455,10 @@ def attractor_cmd(manifest, out, seed, threads, fmt):
 
 @main.command()
 @_common
+@_format_option
+@_threads_option
 @_guard
-def sweep(manifest, out, seed, threads, fmt):
+def sweep(manifest, out, seed, fmt, threads):
     """Run simulate once per value of a swept manifest key."""
     res = _load_manifest(manifest, out, seed, fmt)
     sw = res.section("sweep")

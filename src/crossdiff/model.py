@@ -8,6 +8,12 @@ declared box, the structural hypotheses the solver and diagnostics rely
 on: ellipticity of A against lambda, boundedness of ||A||/lambda, growth
 of lambda_u, growth of the zero-order reaction, and the spectral
 test-function constants lambda_l.
+
+MatrixPolynomial.__call__ is the one monomial evaluator: every
+PolynomialMap (P, and f0 of a GeneralReaction) holds itself and its
+Jacobian as MatrixPolynomials of shape (m, 1) and (m, m), so P, A(u),
+f0, the reaction matrices B and G and the radial comparison maps all
+sum coef * |u|^radial * prod_i u_i^{e_i} through it, term by term.
 """
 
 from __future__ import annotations
@@ -62,92 +68,53 @@ class PolynomialMap:
     """Polynomial map R^m -> R^m with no constant terms, so P(0) = 0.
 
     terms[i] lists the monomials of output component i as (coef, exps)
-    pairs; exps is a length-m tuple of nonnegative integer powers.
-    Evaluation and differentiation are exact and vectorized over leading
-    axes of the input.
+    pairs; exps is a length-m tuple of nonnegative integer powers.  P
+    and its Jacobian A = P_u are built once as MatrixPolynomials of
+    shape (m, 1) and (m, m), so evaluation is exact term by term and
+    vectorized over leading axes of the input.
     """
 
     def __init__(self, m, terms, max_degree=None):
         self.m = int(m)
         if self.m < 1:
             raise ModelDefinitionError("component count must be >= 1")
+        terms = [list(comp) for comp in terms]
         if len(terms) != self.m:
             raise ModelDefinitionError(
                 f"expected {self.m} component term lists, got {len(terms)}")
-        self._coefs = []
-        self._exps = []
-        for i, comp in enumerate(terms):
-            comp = list(comp)
-            coefs = np.array([float(c) for c, _ in comp], dtype=float)
-            if comp:
-                exps = np.array([[int(e) for e in ex] for _, ex in comp], dtype=np.int64)
-                if exps.shape != (len(comp), self.m):
-                    raise ModelDefinitionError(
-                        f"component {i}: exponent vectors must have length {self.m}")
-            else:
-                exps = np.zeros((0, self.m), dtype=np.int64)
-            if np.any(exps < 0):
-                raise ModelDefinitionError(f"component {i}: negative exponent")
-            constant = (exps.sum(axis=1) == 0) & (coefs != 0.0)
-            if constant.any():
+        # MatrixPolynomial checks every coefficient and exponent vector
+        self._P = MatrixPolynomial(self.m, (self.m, 1), [
+            (i, 0, c, 0.0, ex) for i, comp in enumerate(terms) for c, ex in comp])
+        self._terms = [[(float(c), tuple(int(e) for e in ex)) for c, ex in comp]
+                       for comp in terms]
+        for i, comp in enumerate(self._terms):
+            if any(c != 0.0 and not any(ex) for c, ex in comp):
                 raise ModelDefinitionError(
                     f"component {i} has a constant term; the map must vanish at 0")
-            if max_degree is not None and exps.size and exps.sum(axis=1).max() > max_degree:
+            if max_degree is not None and any(sum(ex) > max_degree for _, ex in comp):
                 raise ModelDefinitionError(
                     f"component {i} exceeds declared max degree {max_degree}")
-            self._coefs.append(coefs)
-            self._exps.append(exps)
-        degs = [int(e.sum(axis=1).max()) if e.size else 0 for e in self._exps]
-        self.max_degree = max(degs) if degs else 0
-        # precomputed term data for the analytic Jacobian
-        self._jac = []
-        for i in range(self.m):
-            row = []
-            for j in range(self.m):
-                ej = self._exps[i][:, j]
-                mask = ej > 0
-                dc = self._coefs[i][mask] * ej[mask]
-                de = self._exps[i][mask].copy()
-                de[:, j] -= 1
-                row.append((dc, de))
-            self._jac.append(row)
-
-    @staticmethod
-    def _eval_terms(coefs, exps, u):
-        if coefs.size == 0:
-            return np.zeros(u.shape[:-1])
-        pw = u[..., None, :] ** exps          # (..., T, m)
-        return pw.prod(axis=-1) @ coefs
+        self.max_degree = max((sum(ex) for comp in self._terms for _, ex in comp),
+                              default=0)
+        self._A = MatrixPolynomial(self.m, (self.m, self.m), [
+            (i, j, c * ex[j], 0.0, ex[:j] + (ex[j] - 1,) + ex[j + 1:])
+            for i, comp in enumerate(self._terms) for c, ex in comp
+            for j in range(self.m) if ex[j]])
 
     def __call__(self, u):
-        u = _as_points(u, self.m)
-        out = np.empty(u.shape)
-        for i in range(self.m):
-            out[..., i] = self._eval_terms(self._coefs[i], self._exps[i], u)
-        return out
+        return self._P(u)[..., 0]
 
     def jacobian(self, u):
-        u = _as_points(u, self.m)
-        out = np.empty(u.shape + (self.m,))
-        for i in range(self.m):
-            for j in range(self.m):
-                dc, de = self._jac[i][j]
-                out[..., i, j] = self._eval_terms(dc, de, u)
-        return out
+        return self._A(u)
 
     def scaled(self, s, power_offset=0):
         """Return the map whose term coefficients are multiplied by
         s**(degree + power_offset); with power_offset=-1 this is
         u -> P(s*u)/s, whose Jacobian is A(s*u)."""
         s = float(s)
-        terms = []
-        for i in range(self.m):
-            comp = []
-            for c, ex in zip(self._coefs[i], self._exps[i]):
-                d = int(ex.sum()) + power_offset
-                comp.append((c * s ** d, tuple(int(e) for e in ex)))
-            terms.append(comp)
-        return PolynomialMap(self.m, terms)
+        return PolynomialMap(self.m, [
+            [(c * s ** (sum(ex) + power_offset), ex) for c, ex in comp]
+            for comp in self._terms])
 
     @classmethod
     def identity(cls, m):
@@ -159,9 +126,7 @@ class PolynomialMap:
         return cls(m, terms)
 
     def to_dict(self):
-        return [[[float(c)] + [int(e) for e in ex]
-                 for c, ex in zip(self._coefs[i], self._exps[i])]
-                for i in range(self.m)]
+        return [[[c, *ex] for c, ex in comp] for comp in self._terms]
 
     @classmethod
     def from_dict(cls, m, data):
@@ -169,7 +134,7 @@ class PolynomialMap:
         return cls(m, terms)
 
     def __repr__(self):
-        nt = sum(len(c) for c in self._coefs)
+        nt = sum(len(comp) for comp in self._terms)
         return f"PolynomialMap(m={self.m}, terms={nt}, degree={self.max_degree})"
 
 
@@ -178,7 +143,10 @@ class MatrixPolynomial:
     coef * |u|^radial * prod_i u_i^{e_i}.
 
     The radial factor admits non-polynomial comparison data such as
-    G(u) = |u| * Id.  terms is an iterable of (i, j, coef, radial, exps).
+    G(u) = |u| * Id.  terms is an iterable of (i, j, coef, radial, exps);
+    coef and radial must be finite, radial nonnegative, and exps m
+    nonnegative integers (whole-number floats such as 2.0 count).
+    Terms with a zero coefficient are dropped.
     """
 
     def __init__(self, m, shape, terms):
@@ -186,16 +154,23 @@ class MatrixPolynomial:
         self.shape = (int(shape[0]), int(shape[1]))
         self._terms = []
         for i, j, c, s, ex in terms:
-            i, j = int(i), int(j)
+            i, j, c, s, ex = int(i), int(j), float(c), float(s), tuple(ex)
+            where = f"entry ({i}, {j})"
             if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1]):
-                raise ModelDefinitionError("matrix term index out of range")
-            if float(s) < 0:
-                raise ModelDefinitionError("radial power must be nonnegative")
-            ex = tuple(int(e) for e in ex)
-            if len(ex) != self.m or any(e < 0 for e in ex):
-                raise ModelDefinitionError("bad exponent vector in matrix term")
-            if float(c) != 0.0:
-                self._terms.append((i, j, float(c), float(s), ex))
+                raise ModelDefinitionError(f"{where}: matrix index out of range")
+            if not math.isfinite(c):
+                raise ModelDefinitionError(f"{where}: coefficient {c} is not finite")
+            if not (math.isfinite(s) and s >= 0):
+                raise ModelDefinitionError(
+                    f"{where}: radial power {s} must be finite and nonnegative")
+            if len(ex) != self.m:
+                raise ModelDefinitionError(
+                    f"{where}: exponent vector must have length {self.m}")
+            if not all(float(e).is_integer() and float(e) >= 0 for e in ex):
+                raise ModelDefinitionError(
+                    f"{where}: exponents {ex} must be nonnegative integers")
+            if c != 0.0:
+                self._terms.append((i, j, c, s, tuple(int(e) for e in ex)))
 
     def __call__(self, u):
         u = _as_points(u, self.m)
@@ -257,10 +232,10 @@ class LambdaSpec:
     k: float = 0.0
 
     def __post_init__(self):
-        if not (self.lambda0 > 0):
-            raise ModelDefinitionError("lambda0 must be positive")
-        if self.lambda1 < 0 or self.k < 0:
-            raise ModelDefinitionError("lambda1 and k must be nonnegative")
+        if not (0 < self.lambda0 < math.inf):
+            raise ModelDefinitionError("lambda0 must be positive and finite")
+        if not (0 <= self.lambda1 < math.inf and 0 <= self.k < math.inf):
+            raise ModelDefinitionError("lambda1 and k must be nonnegative and finite")
 
     @property
     def lambda_S(self):
@@ -327,11 +302,13 @@ class ReactionSpec(_Reaction):
         K = np.asarray(self.K, dtype=float)
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ModelDefinitionError("K must be a square matrix")
+        if not np.all(np.isfinite(K)):
+            raise ModelDefinitionError("K must have finite entries")
         object.__setattr__(self, "K", K)
-        if not (self.kappa > 0):
-            raise ModelDefinitionError("kappa must be positive")
-        if not (self.c0 > 0):
-            raise ModelDefinitionError("c0 must be positive")
+        if not (0 < self.kappa < math.inf):
+            raise ModelDefinitionError("kappa must be positive and finite")
+        if not (0 < self.c0 < math.inf):
+            raise ModelDefinitionError("c0 must be positive and finite")
 
     @property
     def m(self):
@@ -393,8 +370,8 @@ class ModelSpec:
         elif isinstance(r, GeneralReaction):
             if r.f0 is not None and r.f0.m != m:
                 raise ModelDefinitionError("zero-order map dimension does not match P")
-        if self.C_f is not None and not (self.C_f > 0):
-            raise ModelDefinitionError("declared C_f must be positive")
+        if self.C_f is not None and not (0 < self.C_f < math.inf):
+            raise ModelDefinitionError("declared C_f must be positive and finite")
 
     @property
     def m(self):

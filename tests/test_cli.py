@@ -443,6 +443,33 @@ class TestInputErrors:
         assert r.exit_code == 2, r.output
         assert "input error" in r.output
 
+    def test_nonfinite_model_coefficient_is_input_error(self, write_manifest,
+                                                        tmp_path):
+        data = heat_sim_manifest()
+        data["model"] = {"m": 1, "P": [[[1.0, 1], [float("inf"), 3]]],
+                         "lambda": {"lambda0": 1.0}}
+        path = write_manifest(data)
+        assert "Infinity" in path.read_text()
+        r = invoke("simulate", "--manifest", path, "--out", tmp_path / "x")
+        assert r.exit_code == 2, r.output
+        assert "input error" in r.output and "not finite" in r.output
+
+    @pytest.mark.parametrize("command, option", [
+        ("verify", ["--format", "bin"]),
+        ("diagnose", ["--format", "bin"]),
+        ("attractor", ["--format", "bin"]),
+        ("simulate", ["--threads", "2"]),
+        ("verify", ["--threads", "2"]),
+        ("diagnose", ["--threads", "2"]),
+    ])
+    def test_option_the_command_does_not_read_is_usage_error(
+            self, write_manifest, tmp_path, command, option):
+        path = write_manifest(self.VERIFY)
+        r = invoke(command, "--manifest", path, "--out", tmp_path / "x", *option)
+        assert r.exit_code == 2
+        assert "No such option" in r.output and option[0] in r.output
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("exc", [ValueError, KeyError])
     def test_numerical_fault_is_not_input_error(self, write_manifest, tmp_path,
                                                 monkeypatch, exc):

@@ -1,5 +1,7 @@
 import json
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,6 +110,74 @@ class TestEvalA:
             assert err <= 1e-6 * (1.0 + np.abs(A).max())
 
 
+def exact_monomial(c, radial, ex, u):
+    """c * |u|^radial * prod u_i^e_i in rational arithmetic; an odd
+    radial power takes |u| from a 60-digit decimal square root."""
+    v = Fraction(c)
+    for ui, e in zip(u, ex):
+        v *= Fraction(ui) ** e
+    if radial:
+        r2 = sum(Fraction(x) ** 2 for x in u)
+        v *= r2 ** (radial // 2)
+        if radial % 2:
+            with localcontext() as ctx:
+                ctx.prec = 60
+                v *= Fraction((Decimal(r2.numerator) / Decimal(r2.denominator)).sqrt())
+    return v
+
+
+def assert_matches_oracle(got, monomials):
+    """|got - exact sum| <= 8 eps * (sum of |term|) over the monomials,
+    each given as (c, radial, exps, u).  The seeded maps below reach
+    at most 3.5 ulps."""
+    terms = [exact_monomial(*t) for t in monomials]
+    scale = sum(abs(t) for t in terms)
+    assert abs(Fraction(float(got)) - sum(terms)) <= 8 * Fraction(np.finfo(float).eps) * scale
+
+
+def random_terms(rng, m):
+    """One to four terms with exponents 0..5; no constant term."""
+    comp = []
+    for _ in range(int(rng.integers(1, 5))):
+        ex = tuple(int(e) for e in rng.integers(0, 6, m))
+        comp.append((float(rng.normal()), ex if any(ex) else (1,) + ex[1:]))
+    return comp
+
+
+class TestExactOracle:
+    """Values and Jacobians against exact rational arithmetic per point."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_polynomial_map(self, m, seed):
+        rng = np.random.default_rng([m, seed])
+        terms = [random_terms(rng, m) for _ in range(m)]
+        P = PolynomialMap(m, terms)
+        U = rng.uniform(-2.0, 2.0, size=(8, m))
+        values, jacobians = P(U), P.jacobian(U)
+        for u, value, jac in zip(U, values, jacobians):
+            for i, comp in enumerate(terms):
+                assert_matches_oracle(value[i], [(c, 0, ex, u) for c, ex in comp])
+                for j in range(m):
+                    assert_matches_oracle(jac[i, j], [
+                        (c * ex[j], 0, ex[:j] + (ex[j] - 1,) + ex[j + 1:], u)
+                        for c, ex in comp if ex[j]])
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matrix_polynomial_with_radial_terms(self, m, seed):
+        rng = np.random.default_rng([m, seed, 1])
+        terms = [(int(rng.integers(0, m)), int(rng.integers(0, m)),
+                  float(rng.normal()), int(rng.integers(0, 4)),
+                  tuple(int(e) for e in rng.integers(0, 6, m))) for _ in range(6)]
+        U = rng.uniform(-2.0, 2.0, size=(8, m))
+        for u, M in zip(U, MatrixPolynomial(m, (m, m), terms)(U)):
+            for a, b in np.ndindex(m, m):
+                assert_matches_oracle(M[a, b], [(c, s, ex, u)
+                                                for i, j, c, s, ex in terms
+                                                if (i, j) == (a, b)])
+
+
 class TestEvalLambda:
     def test_constant_envelope(self, heat2):
         assert eval_lambda(heat2, [9.0, -4.0]) == 1.0
@@ -200,6 +270,63 @@ class TestConstructionErrors:
     def test_max_degree_enforced(self):
         with pytest.raises(ModelDefinitionError):
             PolynomialMap(1, [[(1.0, (3,))]], max_degree=2)
+
+    @pytest.mark.parametrize("coef", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_coefficient_rejected(self, coef):
+        with pytest.raises(ModelDefinitionError, match="not finite"):
+            PolynomialMap(1, [[(coef, (3,)), (1.0, (1,))]])
+        with pytest.raises(ModelDefinitionError, match="not finite"):
+            MatrixPolynomial(2, (2, 2), [(0, 1, coef, 0.0, (1, 0))])
+
+    @pytest.mark.parametrize("power", [math.inf, math.nan])
+    def test_nonfinite_radial_power_rejected(self, power):
+        with pytest.raises(ModelDefinitionError, match="radial power"):
+            MatrixPolynomial.radial_identity(2, power=power)
+
+    @pytest.mark.parametrize("ex", [(2.7,), (math.inf,), (math.nan,)])
+    def test_non_integer_exponent_rejected(self, ex):
+        with pytest.raises(ModelDefinitionError, match="integers"):
+            PolynomialMap(1, [[(2.0, ex)]])
+        with pytest.raises(ModelDefinitionError, match="integers"):
+            MatrixPolynomial(1, (1, 1), [(0, 0, 1.0, 0.0, ex)])
+
+    def test_whole_number_float_exponent_accepted(self):
+        P = PolynomialMap(1, [[(2.0, (2.0,))]])
+        assert P.to_dict() == [[[2.0, 2]]]
+        assert P([3.0])[0] == 18.0
+
+    @pytest.mark.parametrize("entry", [math.inf, math.nan])
+    def test_nonfinite_k_entry_rejected(self, entry):
+        with pytest.raises(ModelDefinitionError, match="finite"):
+            ReactionSpec(K=[[1.0, entry], [0.0, 1.0]], B=None, G=None,
+                         kappa=1.0, c0=1.0)
+
+    @pytest.mark.parametrize("lambda1, k", [(math.inf, 1.0), (math.nan, 1.0),
+                                            (1.0, math.inf), (1.0, math.nan)])
+    def test_nonfinite_envelope_rejected(self, lambda1, k):
+        with pytest.raises(ModelDefinitionError, match="finite"):
+            LambdaSpec(1.0, lambda1, k)
+
+    @pytest.mark.parametrize("kappa, c0, C_f", [(math.inf, 1.0, None),
+                                                (1.0, math.inf, None),
+                                                (1.0, 1.0, math.inf)])
+    def test_infinite_reaction_constant_rejected(self, kappa, c0, C_f):
+        with pytest.raises(ModelDefinitionError, match="finite"):
+            ModelSpec(P=PolynomialMap.identity(1), lam=LambdaSpec(1.0), C_f=C_f,
+                      reaction=ReactionSpec(K=np.eye(1), B=None, G=None,
+                                            kappa=kappa, c0=c0))
+
+    @pytest.mark.parametrize("section, rows", [
+        ("B", [[0, 1, math.inf, 0.0, 1]]),
+        ("G", [[0, 0, math.nan, 0.0, 1]]),
+        ("f", [[[math.inf, 1]]]),
+    ])
+    def test_nonfinite_reaction_term_rejected(self, section, rows):
+        reaction = ({"general": {section: rows}} if section == "f" else
+                    {"K": [[1.0]], section: rows, "kappa": 1.0, "c0": 1.0})
+        with pytest.raises(ModelDefinitionError, match="not finite"):
+            model_from_dict({"m": 1, "P": [[[1.0, 1]]],
+                             "lambda": {"lambda0": 1.0}, "reaction": reaction})
 
     def test_nonsquare_k_rejected(self):
         with pytest.raises(ModelDefinitionError):
@@ -475,6 +602,14 @@ class TestSerialization:
         data = json.loads(path.read_text())
         assert set(data) >= {"m", "P", "lambda", "reaction", "C_f"}
         self.check_equivalent(skt_lv, load_model(path), 2)
+
+    def test_terms_kept_as_constructed(self):
+        terms = [[(1.0, (1, 0)), (0.0, (2, 0)), (0.5, (1, 1))], [(2.0, (0, 1))]]
+        P = PolynomialMap(2, terms)
+        assert P.to_dict() == [[[1.0, 1, 0], [0.0, 2, 0], [0.5, 1, 1]],
+                               [[2.0, 0, 1]]]
+        assert repr(P) == "PolynomialMap(m=2, terms=4, degree=2)"
+        assert P.scaled(2.0).to_dict()[0][1] == [0.0, 2, 0]
 
     def test_malformed_rejected(self):
         with pytest.raises(ModelDefinitionError):
