@@ -45,7 +45,8 @@ _BCS = ("neumann", "dirichlet")
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Uniform cell-centered grid on [0, Lx] x [0, Ly]."""
+    """Uniform cell-centered grid on [0, Lx] x [0, Ly].  The cell counts
+    must be whole numbers (2.0 counts, 2.5 and True do not)."""
 
     Lx: float
     Ly: float
@@ -54,8 +55,14 @@ class Grid2D:
     bc: str = "neumann"
 
     def __post_init__(self):
-        if not (self.Lx > 0 and self.Ly > 0):
-            raise InputError("domain side lengths must be positive")
+        if not (0 < self.Lx < np.inf and 0 < self.Ly < np.inf):
+            raise InputError("domain side lengths must be finite and positive")
+        if any(isinstance(n, bool) or not float(n).is_integer()
+               for n in (self.Nx, self.Ny)):
+            raise InputError(f"cell counts must be whole numbers, got "
+                             f"{self.Nx!r} x {self.Ny!r}")
+        object.__setattr__(self, "Nx", int(self.Nx))
+        object.__setattr__(self, "Ny", int(self.Ny))
         if self.Nx < 2 or self.Ny < 2:
             raise InputError("need at least 2 cells per direction")
         if self.bc not in _BCS:
@@ -96,7 +103,7 @@ class Grid2D:
 
 def build_grid(Lx, Ly, Nx, Ny, bc="neumann"):
     """Construct a Grid2D; bc is 'neumann' (no-flux) or 'dirichlet'."""
-    return Grid2D(float(Lx), float(Ly), int(Nx), int(Ny), str(bc))
+    return Grid2D(float(Lx), float(Ly), Nx, Ny, str(bc))
 
 
 @dataclass
@@ -108,9 +115,9 @@ class Field:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 3 or v.shape[1:] != self.grid.shape:
-            raise InputError(
-                f"values must have shape (m, {self.grid.Nx}, {self.grid.Ny})")
+        if v.ndim != 3 or v.shape[1:] != self.grid.shape or v.shape[0] < 1:
+            raise InputError(f"values must have shape (m, {self.grid.Nx}, "
+                             f"{self.grid.Ny}) with m >= 1")
         self.values = v
 
     @property

@@ -144,9 +144,10 @@ class MatrixPolynomial:
 
     The radial factor admits non-polynomial comparison data such as
     G(u) = |u| * Id.  terms is an iterable of (i, j, coef, radial, exps);
-    coef and radial must be finite, radial nonnegative, and exps m
-    nonnegative integers (whole-number floats such as 2.0 count).
-    Terms with a zero coefficient are dropped.
+    i and j must be integer indices into shape, coef and radial finite,
+    radial nonnegative, and exps m nonnegative integers (whole-number
+    floats such as 2.0 count, bools do not).  Terms with a zero
+    coefficient are dropped.
     """
 
     def __init__(self, m, shape, terms):
@@ -154,8 +155,10 @@ class MatrixPolynomial:
         self.shape = (int(shape[0]), int(shape[1]))
         self._terms = []
         for i, j, c, s, ex in terms:
-            i, j, c, s, ex = int(i), int(j), float(c), float(s), tuple(ex)
             where = f"entry ({i}, {j})"
+            if any(isinstance(k, bool) or not float(k).is_integer() for k in (i, j)):
+                raise ModelDefinitionError(f"{where}: matrix indices must be integers")
+            i, j, c, s, ex = int(i), int(j), float(c), float(s), tuple(ex)
             if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1]):
                 raise ModelDefinitionError(f"{where}: matrix index out of range")
             if not math.isfinite(c):
@@ -166,7 +169,8 @@ class MatrixPolynomial:
             if len(ex) != self.m:
                 raise ModelDefinitionError(
                     f"{where}: exponent vector must have length {self.m}")
-            if not all(float(e).is_integer() and float(e) >= 0 for e in ex):
+            if not all(not isinstance(e, bool) and float(e).is_integer()
+                       and float(e) >= 0 for e in ex):
                 raise ModelDefinitionError(
                     f"{where}: exponents {ex} must be nonnegative integers")
             if c != 0.0:
@@ -560,14 +564,15 @@ def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
         region = Region(*region)
     if region.m != spec.m:
         raise InputError("region dimension does not match the model")
-    n = int(n)
-    if n < 1:
-        raise InputError("sample count must be >= 1")
-    U = region.sample(n, seed)
-    A = eval_A(spec, U)
+    # lambda_l first, so the directions of the draw are freed before the
+    # checks below allocate their own arrays of the sample's size
+    sample = _certification_draw(spec, region, n, seed)
+    lam_l = {float(l): compute_lambda_l(spec, l, delta=delta_k, _sample=sample)
+             for l in ls}
+    U, lam, A = sample[:3]
+    del sample
     mineig = _sym_mineigs(A)
     opn = _opnorms(A)
-    lam = eval_lambda(spec, U)
     gradn = spec.lam.grad_norm(U)
 
     ratio = mineig / lam
@@ -600,11 +605,6 @@ def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
     k = spec.lam.k
     sg_prime_pass = bool(k <= 2.0 or (k - 2.0) / k <= delta_k / C_star)
 
-    lam_l = {}
-    for l in ls:
-        lam_l[float(l)] = compute_lambda_l(spec, l, n=n, seed=seed,
-                                           region=region, delta=delta_k)
-
     return StructuralReport(
         lambda_ratio_min=ratio_min, lambda_ratio_max=ratio_max,
         C_star_hat=C_star, Lambda_hat=Lambda_hat,
@@ -613,10 +613,29 @@ def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
         ellipticity_pass=ellipticity_pass, growth_pass=growth_pass,
         f_pass=f_pass, sg_pass=sg_pass, sg_prime_pass=sg_prime_pass,
         delta_k=float(delta_k), tol_ell=float(tol_ell),
-        sample_count=n, region=region, seed=int(seed))
+        sample_count=len(U), region=region, seed=int(seed))
 
 
-def compute_lambda_l(spec, l, n=100000, seed=0, region=None, delta=0.99):
+def _certification_draw(spec, region, n, seed):
+    """The certification sample of (region, n, seed): the states
+    U = region.sample(n, seed), lambda(U), A(U), and per state one unit
+    direction d in R^m (stream 0xD1) and one unit m x 2 matrix q
+    (stream 0xD2)."""
+    U = region.sample(n, seed)
+    n, m = U.shape
+    d = np.random.default_rng([int(seed), 0xD1]).standard_normal((n, m))
+    dn = np.linalg.norm(d, axis=-1, keepdims=True)
+    dn[dn == 0] = 1.0
+    d /= dn
+    q = np.random.default_rng([int(seed), 0xD2]).standard_normal((n, m, 2))
+    qn = np.linalg.norm(q, axis=(-2, -1), keepdims=True)
+    qn[qn == 0] = 1.0
+    q /= qn
+    return U, eval_lambda(spec, U), eval_A(spec, U), d, q
+
+
+def compute_lambda_l(spec, l, n=100000, seed=0, region=None, delta=0.99,
+                     _sample=None):
     """Brute-force the spectral test-function constant lambda_l.
 
     Samples states u over the region and matrix directions q, and
@@ -628,35 +647,24 @@ def compute_lambda_l(spec, l, n=100000, seed=0, region=None, delta=0.99):
     rank-one q) and one full random matrix, each drawn from its own
     seeded stream, so enlarging n only adds (u, q) pairs and the
     returned infimum is nonincreasing in n.  A positive return value
-    is an empirical certificate.
+    is an empirical certificate.  _sample, when given, is the
+    _certification_draw to use in place of drawing (region, n, seed).
     """
     l = float(l)
     if l < 0:
         raise InputError("l must be nonnegative")
-    n = int(n)
-    if n < 1:
-        raise InputError("sample count must be >= 1")
-    if region is None:
-        region = Region.symmetric(10.0, spec.m)
-    elif not isinstance(region, Region):
-        region = Region(*region)
-    m = spec.m
-    U = region.sample(n, seed)
-    d = np.random.default_rng([int(seed), 0xD1]).standard_normal((n, m))
-    dn = np.linalg.norm(d, axis=-1, keepdims=True)
-    dn[dn == 0] = 1.0
-    d /= dn
-    q = np.random.default_rng([int(seed), 0xD2]).standard_normal((n, m, 2))
-    qn = np.linalg.norm(q, axis=(-2, -1), keepdims=True)
-    qn[qn == 0] = 1.0
-    q /= qn
-    lam = eval_lambda(spec, U)
+    if _sample is None:
+        if region is None:
+            region = Region.symmetric(10.0, spec.m)
+        elif not isinstance(region, Region):
+            region = Region(*region)
+        _sample = _certification_draw(spec, region, n, seed)
+    U, lam, A, d, q = _sample
     if l > 0:
         keep = np.linalg.norm(U, axis=-1) > 0
         if not keep.any():
             raise InputError("all samples at the origin; quotient undefined for l > 0")
-        U, lam, d, q = U[keep], lam[keep], d[keep], q[keep]
-    A = eval_A(spec, U)
+        U, lam, A, d, q = U[keep], lam[keep], A[keep], d[keep], q[keep]
     AT = np.swapaxes(A, -1, -2)
     if l > 0:
         # gate check: l/(l+2) <= delta / C_*, reported but not enforced
@@ -800,7 +808,11 @@ def model_to_dict(spec):
 
 def model_from_dict(d):
     try:
-        m = int(d["m"])
+        m = d["m"]
+        if isinstance(m, bool) or not float(m).is_integer():
+            raise ModelDefinitionError(
+                f"component count {m!r} must be a whole number")
+        m = int(m)
         P = PolynomialMap.from_dict(m, d["P"])
         lam = LambdaSpec.from_dict(d["lambda"])
     except (KeyError, TypeError, IndexError) as e:

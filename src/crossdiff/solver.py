@@ -17,7 +17,10 @@ The operator's sparsity pattern and I_m (x) L_1 are built once per
 (grid, m) in grid.py, so repeated step() calls share them.  run()
 drives adaptive steps (halve on failure, grow 1.2x on success up to
 dt_max), lands exactly on requested snapshot times and t_end, and
-records norms along the way.
+records norms along the way.  It evaluates the reaction term f(u, Du)
+once per accepted state (and once for the initial state) and hands
+that one array to the reaction step cap and to the stepper, also when
+a rejected step is retried; the final state's f is never needed.
 
 Every linear solve goes through spsolve(), which factors with the
 MMD_AT_PLUS_A column ordering and then gives the bits of scipy's
@@ -285,9 +288,11 @@ def _reaction_term(spec, field):
     return np.moveaxis(f, -1, 0)
 
 
-def _reaction_dt_cap(spec, field, cfl):
+def _reaction_dt_cap(f, values, cfl):
     """Step bound for the explicit reaction: rate*dt <= cfl/2, where
-    rate is the largest pointwise |f(u, Du)|/|u| of the state.
+    rate is the largest pointwise |f(u, Du)|/|u| of the state values,
+    and f is the reaction term of those values that the stepper also
+    uses (run() evaluates it once per accepted state).
 
     The factor 2 rests on Euler's identity: a term g homogeneous of
     degree p has Dg(u) u = p g(u), so |g(u)|/|u| is 1/p of the
@@ -299,17 +304,16 @@ def _reaction_dt_cap(spec, field, cfl):
     GeneralReaction, and for a gradient term B(u) Du of either reaction
     type, the cap is a heuristic: no advective bound (about h/|B|) is
     derived."""
-    f = _reaction_term(spec, field)
     num = np.sqrt((f * f).sum(axis=0))
-    den = np.sqrt((field.values * field.values).sum(axis=0))
+    den = np.sqrt((values * values).sum(axis=0))
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = np.where(den > 0, num / den, 0.0)
     rho = float(rate.max())
     return 0.5 * cfl / rho if rho > 0 else np.inf
 
 
-def _step_explicit(spec, field, dt, config, factors):
-    rhs = laplacian_of_P(spec, field) + _reaction_term(spec, field)
+def _step_explicit(spec, field, dt, f, config, factors):
+    rhs = laplacian_of_P(spec, field) + f
     return Field(field.grid, field.values + dt * rhs), 0
 
 
@@ -318,11 +322,11 @@ def _backward_euler(L, dt):
     return sp.identity(L.shape[0], format="csr") - dt * L
 
 
-def _step_imex(spec, field, dt, config, factors):
+def _step_imex(spec, field, dt, f, config, factors):
     coefs = face_coefficients(spec, field)
     M = factors.operator(
         dt, coefs, lambda: _backward_euler(flux_operator(field.grid, *coefs), dt))
-    rhs = _flat(field.values + dt * _reaction_term(spec, field))
+    rhs = _flat(field.values + dt * f)
     x = spsolve(M, rhs, factors)
     if not np.all(np.isfinite(x)):
         return Field(field.grid, x.reshape(field.values.shape)), 0
@@ -346,12 +350,12 @@ def _cellwise(A):
                           np.arange(0, m * m * N + 1, m)), shape=(m * N, m * N))
 
 
-def _step_newton(spec, field, dt, config, factors):
+def _step_newton(spec, field, dt, f, config, factors):
     g = field.grid
     L = component_laplacian(g, field.m)
     shape = field.values.shape
     uflat = _flat(field.values)
-    rhs = uflat + dt * _flat(_reaction_term(spec, field))
+    rhs = uflat + dt * _flat(f)
     tol = config.newton_abs_tol + config.newton_rel_tol * np.linalg.norm(uflat)
     v = uflat.copy()
     solves = 0
@@ -392,7 +396,8 @@ def step(spec, field, dt, scheme="imex", config=None):
         raise InputError(f"scheme must be one of {_SCHEMES}")
     if config is None:
         config = SolverConfig(scheme=scheme, dt0=dt, t_end=dt)
-    return _STEPPERS[scheme](spec, field, dt, config, _LastFactor())
+    return _STEPPERS[scheme](spec, field, dt, _reaction_term(spec, field),
+                             config, _LastFactor())
 
 
 def _default_recorder(spec):
@@ -445,6 +450,7 @@ def run(spec, field0, config, recorder=None):
     if (u.values < 0).any():
         first_negative = 0.0
     reason = "reached"
+    f = None  # reaction term of u, evaluated once per accepted state
     accepted = 0
     rejected = 0
     tptr = 0
@@ -459,8 +465,10 @@ def run(spec, field0, config, recorder=None):
         dt_try = dt
         if config.scheme == "explicit":
             dt_try = min(dt_try, stable_dt(spec, u, config.cfl_safety))
+        if f is None:
+            f = _reaction_term(spec, u)
         if spec.reaction is not None:
-            dt_try = min(dt_try, _reaction_dt_cap(spec, u, config.cfl_safety))
+            dt_try = min(dt_try, _reaction_dt_cap(f, u.values, config.cfl_safety))
         if dt_try < config.dt_min * (1 - 1e-12):
             # the state demands a step below the configured floor
             reason = "stiff"
@@ -473,7 +481,7 @@ def run(spec, field0, config, recorder=None):
                 landed = targets[tptr]
 
         try:
-            new, nsolve = stepper(spec, u, dt_try, config, factors=factors)
+            new, nsolve = stepper(spec, u, dt_try, f, config, factors=factors)
             ok = bool(np.all(np.isfinite(new.values)))
         except NumericalStateError:
             ok = False
@@ -487,7 +495,7 @@ def run(spec, field0, config, recorder=None):
             continue
 
         t_new = landed if landed is not None else t + dt_try
-        u = new
+        u, f = new, None
         t = t_new
         accepted += 1
         dt_hist.append(dt_try)

@@ -396,6 +396,13 @@ class TestInputErrors:
         ("model", {"classic_skt": {"a1": "x", "a2": 1.0, "a11": 0.0,
                                    "a12": 0.0, "a21": 0.0, "a22": 0.0}}),
         ("model", {"m": "two", "P": [], "lambda": {"lambda0": 1.0}}),
+        # a truncated component count or matrix index would load as a
+        # different model
+        ("model", {"m": 1.5, "P": [[[1.0, 1]]], "lambda": {"lambda0": 1.0}}),
+        ("model", {"m": True, "P": [[[1.0, 1]]], "lambda": {"lambda0": 1.0}}),
+        ("model", dict(HEAT_MODEL, reaction={
+            "K": [[1.0]], "B": [[0, 0.5, 1.0, 0.0, 1]], "kappa": 1.0,
+            "c0": 1.0})),
     ])
     def test_bad_verify_value_is_input_error(self, write_manifest, tmp_path,
                                              dotted, value):
@@ -419,6 +426,8 @@ class TestInputErrors:
         ("sweep", {"path": "initial.amplitude", "values": [True]}),
         ("sweep", {"path": "solver.scheme", "values": ["imex", "newton"]}),
         ("sweep", {"path": "solver.dt0.x", "values": [1e-3]}),
+        ("grid.Nx", 32.5),
+        ("grid.Nx", True),
     ])
     def test_bad_simulate_value_is_input_error(self, write_manifest, tmp_path,
                                                dotted, value):

@@ -39,10 +39,23 @@ class TestBuildGrid:
         (0.0, 1.0, 8, 8, "neumann"),
         (1.0, -2.0, 8, 8, "neumann"),
         (1.0, 1.0, 8, 8, "periodic"),
+        # a truncated cell count would run on a different grid
+        (1.0, 1.0, 32.5, 8, "neumann"),
+        (1.0, 1.0, 8, 2.7, "neumann"),
+        (1.0, 1.0, True, 8, "neumann"),
+        (1.0, 1.0, 8, math.inf, "neumann"),
+        (1.0, 1.0, math.nan, 8, "neumann"),
+        (math.inf, 1.0, 8, 8, "neumann"),
+        (1.0, math.nan, 8, 8, "neumann"),
     ])
     def test_invalid_inputs(self, args):
         with pytest.raises(InputError):
             build_grid(*args)
+
+    def test_whole_number_float_cell_count_accepted(self):
+        g = build_grid(1.0, 1.0, 32.0, 3)
+        assert g == build_grid(1.0, 1.0, 32, 3)
+        assert type(g.Nx) is int and g.shape == (32, 3)
 
     def test_cell_centers(self):
         g = build_grid(1.0, 1.0, 4, 4)
@@ -62,6 +75,8 @@ class TestField:
             Field(grid16n, np.zeros((16, 16)))
         with pytest.raises(InputError):
             Field(grid16n, np.zeros((1, 8, 16)))
+        with pytest.raises(InputError, match="m >= 1"):
+            Field(grid16n, np.zeros((0, 16, 16)))
 
     def test_constant_and_points(self, grid16n):
         f = Field.constant(grid16n, [2.0, -1.0])
@@ -174,6 +189,23 @@ class TestFluxOperator:
         assert L.shape == (m * g.Nx * g.Ny,) * 2
         col_sums = np.abs(np.asarray(L.sum(axis=0))).max()
         assert col_sums <= 1e-14 * np.abs(L.data).max()
+
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @given(Nx=st.integers(2, 7), Ny=st.integers(2, 7),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_symmetric_coefficients_give_a_symmetric_operator(self, m, bc,
+                                                              Nx, Ny, seed):
+        # a face couples its two cells by A/h^2 both ways, and a
+        # Dirichlet face adds -2A/h^2 to its cell's diagonal block
+        g = build_grid(1.3, 0.7, Nx, Ny, bc)
+        rng = np.random.default_rng(seed)
+        Ax = rng.uniform(-1.0, 2.0, size=(Nx + 1, Ny, m, m))
+        Ay = rng.uniform(-1.0, 2.0, size=(Nx, Ny + 1, m, m))
+        Ax = Ax + np.swapaxes(Ax, -1, -2)
+        Ay = Ay + np.swapaxes(Ay, -1, -2)
+        L = flux_operator(g, Ax, Ay)
+        assert abs(L - L.T).max() <= 1e-14 * np.abs(L.data).max()
 
     def test_component_laplacian_is_shared_and_read_only(self):
         g = build_grid(1.0, 1.0, 5, 4)
@@ -380,6 +412,20 @@ class TestSnapshots:
         path = tmp_path / "s.csv"
         path.write_text("1 2 x 1 1\n1.0\n2.0\n")
         with pytest.raises(InputError, match="header"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_zero_component_header_rejected(self, tmp_path, fmt):
+        path = tmp_path / f"s.{fmt}"
+        path.write_text("0 2 2 1 1\n")
+        with pytest.raises(InputError, match="m >= 1"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("sides", ["inf 1", "1 inf", "nan 1"])
+    def test_non_finite_side_header_rejected(self, tmp_path, sides):
+        path = tmp_path / "s.csv"
+        path.write_text(f"1 2 2 {sides}\n1.0\n2.0\n3.0\n4.0\n")
+        with pytest.raises(InputError, match="finite"):
             load_snapshot(path)
 
     def test_unknown_format_rejected(self, tmp_path, grid16n):

@@ -13,6 +13,7 @@ from crossdiff import (InputError, LambdaSpec, MatrixPolynomial,
                        eval_A, eval_lambda, eval_P, eval_reaction, load_model,
                        model_from_dict, model_to_dict, reaction_zero_order,
                        save_model, verify_structure, with_sigma)
+import crossdiff.model as model_mod
 from crossdiff.model import _opnorms, _sym_mineigs
 
 
@@ -283,12 +284,32 @@ class TestConstructionErrors:
         with pytest.raises(ModelDefinitionError, match="radial power"):
             MatrixPolynomial.radial_identity(2, power=power)
 
-    @pytest.mark.parametrize("ex", [(2.7,), (math.inf,), (math.nan,)])
+    @pytest.mark.parametrize("ex", [(2.7,), (math.inf,), (math.nan,), (True,)])
     def test_non_integer_exponent_rejected(self, ex):
         with pytest.raises(ModelDefinitionError, match="integers"):
             PolynomialMap(1, [[(2.0, ex)]])
         with pytest.raises(ModelDefinitionError, match="integers"):
             MatrixPolynomial(1, (1, 1), [(0, 0, 1.0, 0.0, ex)])
+
+    @pytest.mark.parametrize("i, j", [(0.5, 1), (0, 1.7), (True, 0), (0, False)])
+    def test_non_integer_matrix_index_rejected(self, i, j):
+        with pytest.raises(ModelDefinitionError, match="indices"):
+            MatrixPolynomial(2, (2, 2), [(i, j, 1.0, 0, (1, 0))])
+
+    def test_whole_number_float_index_accepted(self):
+        M = MatrixPolynomial(2, (2, 2), [(1.0, 0.0, 3.0, 0.0, (1, 0))])
+        assert M.to_dict() == [[1, 0, 3.0, 0.0, 1, 0]]
+
+    @pytest.mark.parametrize("m", [2.5, True, math.inf])
+    def test_non_whole_component_count_rejected(self, m):
+        with pytest.raises(ModelDefinitionError, match="whole number"):
+            model_from_dict({"m": m, "P": [[[1.0, 1, 0]], [[1.0, 0, 1]]],
+                             "lambda": {"lambda0": 1.0}})
+
+    def test_whole_number_float_component_count_accepted(self):
+        spec = model_from_dict({"m": 2.0, "P": [[[1.0, 1, 0]], [[1.0, 0, 1]]],
+                                "lambda": {"lambda0": 1.0}})
+        assert spec.m == 2 and model_to_dict(spec)["m"] == 2
 
     def test_whole_number_float_exponent_accepted(self):
         P = PolynomialMap(1, [[(2.0, (2.0,))]])
@@ -441,6 +462,40 @@ class TestVerifyStructure:
         a = verify_structure(skt, Region.positive(50.0, 2), n=500, seed=3)
         b = verify_structure(skt, Region.positive(50.0, 2), n=500, seed=3)
         assert a.to_dict() == b.to_dict()
+
+    def test_sample_drawn_and_evaluated_once(self, skt, monkeypatch):
+        counts = {"sample": 0, "eval_A": 0, "compute_lambda_l": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Region, "sample", counted("sample", Region.sample))
+        for name in ("eval_A", "compute_lambda_l"):
+            monkeypatch.setattr(model_mod, name,
+                                counted(name, getattr(model_mod, name)))
+        verify_structure(skt, Region.positive(50.0, 2), n=500, seed=3,
+                         ls=(0, 1, 2))
+        assert counts == {"sample": 1, "eval_A": 1, "compute_lambda_l": 3}
+
+    @pytest.mark.parametrize("region", [Region.positive(100.0, 2),
+                                        Region.symmetric(3.0, 2)])
+    def test_lambda_l_are_the_standalone_values(self, skt, region):
+        rep = verify_structure(skt, region, n=3000, seed=7, delta_k=0.9,
+                               ls=(0, 1, 2))
+        for l in (0.0, 1.0, 2.0):
+            want = compute_lambda_l(skt, l, 3000, 7, region, 0.9)
+            assert np.float64(rep.lambda_l[l]).view(np.uint64) == \
+                np.float64(want).view(np.uint64)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_sample_rejected(self, skt, n):
+        with pytest.raises(InputError, match="sample count"):
+            verify_structure(skt, Region.positive(1.0, 2), n=n)
+        with pytest.raises(InputError, match="sample count"):
+            compute_lambda_l(skt, 1.0, n=n)
 
     def test_certificate_soundness(self, skt):
         # every sample obeys <A z, z> >= ratio_min * lambda |z|^2 and the

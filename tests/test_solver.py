@@ -423,7 +423,8 @@ class TestRunCounts:
         f1 = smooth_field(grid16n, m=2, amp=3.0)
         f2 = Field(grid16n, 1.01 * f1.values)
         factors = solver_mod._LaggedFactor(cfg.linear_tol)
-        solver_mod._step_imex(skt, f1, dt, cfg, factors=factors)
+        solver_mod._step_imex(skt, f1, dt, solver_mod._reaction_term(skt, f1),
+                              cfg, factors=factors)
         gmres_calls = []
         if trigger == "new_dt":
             dt = 2e-3
@@ -433,7 +434,9 @@ class TestRunCounts:
                 return x0, 1
 
             monkeypatch.setattr(solver_mod.spla, "gmres", fails)
-        got, _ = solver_mod._step_imex(skt, f2, dt, cfg, factors=factors)
+        got, _ = solver_mod._step_imex(skt, f2, dt,
+                                       solver_mod._reaction_term(skt, f2),
+                                       cfg, factors=factors)
         want, _ = step(skt, f2, dt, scheme="imex")
         assert factors.factorizations == 2
         assert np.array_equal(bits(got.values), bits(want.values))
@@ -479,6 +482,50 @@ class TestRunCounts:
                    SolverConfig(scheme="explicit", dt0=1e-4, t_end=1e-3))
         assert traj.reached_end
         assert traj.factorizations == traj.linear_solves == 0
+
+    @pytest.mark.parametrize("scheme", ["explicit", "imex", "newton"])
+    def test_reaction_evaluated_once_per_accepted_state(self, skt_lv, grid16n,
+                                                        scheme, monkeypatch):
+        # once for the initial state and once for each accepted state
+        # but the last, whose reaction term no step needs
+        real = solver_mod.eval_reaction
+        calls = []
+        monkeypatch.setattr(solver_mod, "eval_reaction",
+                            lambda *a: calls.append(1) or real(*a))
+        traj = run(skt_lv, smooth_field(grid16n, m=2, amp=0.3),
+                   SolverConfig(scheme=scheme, dt0=1e-3, t_end=5e-3))
+        assert traj.reached_end and len(traj.dt_history) > 2
+        assert len(calls) == len(traj.dt_history)
+
+    def test_retried_step_reuses_the_reaction_term(self, skt_lv, grid16n,
+                                                   monkeypatch):
+        real_eval = solver_mod.eval_reaction
+        real_cap = solver_mod._reaction_dt_cap
+        real_step = solver_mod._STEPPERS["imex"]
+        evaluated, capped, stepped = [], [], []
+
+        def cap(f, values, cfl):
+            capped.append(f)
+            return real_cap(f, values, cfl)
+
+        def fails_once(spec, field, dt, f, *args, **kwargs):
+            stepped.append(f)
+            if len(stepped) == 1:
+                raise NumericalStateError("linear solve residual too large")
+            return real_step(spec, field, dt, f, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "eval_reaction",
+                            lambda *a: evaluated.append(1) or real_eval(*a))
+        monkeypatch.setattr(solver_mod, "_reaction_dt_cap", cap)
+        monkeypatch.setitem(solver_mod._STEPPERS, "imex", fails_once)
+        traj = run(skt_lv, smooth_field(grid16n, m=2, amp=0.3),
+                   SolverConfig(scheme="imex", dt0=1e-3, t_end=5e-3))
+        assert traj.reached_end and traj.rejected_steps == 1
+        assert len(evaluated) == len(traj.dt_history)
+        # the cap and every attempt from a state share one array
+        assert len(capped) == len(stepped) == len(traj.dt_history) + 1
+        assert all(c is s for c, s in zip(capped, stepped))
+        assert stepped[1] is stepped[0] and stepped[2] is not stepped[1]
 
     def test_numerical_state_error_rejects_and_halves(self, heat1, grid16n,
                                                       monkeypatch):
