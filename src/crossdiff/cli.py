@@ -25,7 +25,8 @@ import numpy as np
 
 from . import attractor as attractor_mod
 from . import diagnostics as diag_mod
-from .errors import InputError, ManifestError, ModelDefinitionError, NumericalStateError
+from .errors import (InputError, ManifestError, ModelDefinitionError,
+                     NumericalStateError, whole_number)
 from .grid import Field, build_grid, load_snapshot, save_snapshot
 from .model import (ReactionSpec, Region, classic_skt, model_from_dict,
                     model_to_dict, verify_structure)
@@ -68,7 +69,7 @@ class _Resolved:
         canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
         self.sha256 = hashlib.sha256(canon.encode()).hexdigest()
         with _manifest_values("seed"):
-            self.seed = int(data.get("seed", 0))
+            self.seed = whole_number(data.get("seed", 0), "seed")
 
     def section(self, name):
         v = self.data.get(name)
@@ -298,7 +299,7 @@ def verify(manifest, out, seed):
         raise ManifestError("verify section needs a \"region\"")
     with _manifest_values("verify"):
         region = Region.from_dict(region)
-        n = int(v.get("n", 10000))
+        n = whole_number(v.get("n", 10000), "verify.n")
         delta_k = float(v.get("delta_k", 0.99))
         tol_ell = float(v.get("tol_ell", 1e-9))
         ls = tuple(float(l) for l in v.get("ls", (0.0, 1.0, 2.0)))
@@ -423,7 +424,7 @@ def attractor_cmd(manifest, out, seed, threads):
         espec = attractor_mod.EnsembleSpec(
             model=model, grid=grid, config=config,
             family=e.get("family", "positive_fourier"),
-            count=int(e.get("count", 10)),
+            count=whole_number(e.get("count", 10), "ensemble.count"),
             amp_range=tuple(e.get("amp_range", (0.1, 100.0))),
             seed=res.seed,
             T_observe=e.get("T_observe"),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputError, NumericalStateError
+from .errors import InputError, NumericalStateError, whole_number
 from .model import _opnorms, eval_A, eval_P
 
 __all__ = [
@@ -57,12 +57,8 @@ class Grid2D:
     def __post_init__(self):
         if not (0 < self.Lx < np.inf and 0 < self.Ly < np.inf):
             raise InputError("domain side lengths must be finite and positive")
-        if any(isinstance(n, bool) or not float(n).is_integer()
-               for n in (self.Nx, self.Ny)):
-            raise InputError(f"cell counts must be whole numbers, got "
-                             f"{self.Nx!r} x {self.Ny!r}")
-        object.__setattr__(self, "Nx", int(self.Nx))
-        object.__setattr__(self, "Ny", int(self.Ny))
+        object.__setattr__(self, "Nx", whole_number(self.Nx, "cell count Nx"))
+        object.__setattr__(self, "Ny", whole_number(self.Ny, "cell count Ny"))
         if self.Nx < 2 or self.Ny < 2:
             raise InputError("need at least 2 cells per direction")
         if self.bc not in _BCS:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.stats import qmc
 
-from .errors import InputError, ModelDefinitionError
+from .errors import InputError, ModelDefinitionError, whole_number
 
 logger = logging.getLogger(__name__)
 
@@ -445,7 +445,7 @@ class Region:
         Halton stream (even indices) with uniform random points (odd
         indices).  For a fixed seed the first n rows of a larger draw
         equal a draw of size n, so enlarging a sample only appends."""
-        n = int(n)
+        n = whole_number(n, "sample count")
         if n < 1:
             raise InputError("sample count must be >= 1")
         m = self.m

@@ -81,6 +81,16 @@ class TestVerifyCommand:
         assert echo["_meta"] == meta
         assert echo["model"] == HEAT_MODEL
 
+    def test_whole_number_floats_are_accepted(self, write_manifest, tmp_path):
+        data = self._manifest(seed=3.0)
+        data["verify"]["n"] = 200.0
+        out = tmp_path / "v3"
+        r = invoke("verify", "--manifest", write_manifest(data), "--out", out)
+        assert r.exit_code == 0, r.output
+        rep = load_json(out / "verify.json")
+        assert rep["_meta"]["seed"] == 3
+        assert rep["sample_count"] == 200
+
     def test_quintic_fails_spectral_gap_margin(self, write_manifest, tmp_path):
         # A = 1 + 5u^4 against lambda = 1 + |u|^4 leaves (k-2)/k = 1/2,
         # which the sampled C* cannot absorb
@@ -403,6 +413,11 @@ class TestInputErrors:
         ("model", dict(HEAT_MODEL, reaction={
             "K": [[1.0]], "B": [[0, 0.5, 1.0, 0.0, 1]], "kappa": 1.0,
             "c0": 1.0})),
+        # a truncated seed or sample count would run another certification
+        ("seed", 2.9),
+        ("seed", True),
+        ("verify.n", 200.7),
+        ("verify.n", True),
     ])
     def test_bad_verify_value_is_input_error(self, write_manifest, tmp_path,
                                              dotted, value):
@@ -442,6 +457,8 @@ class TestInputErrors:
         {"M1_targets": ["x"]},
         {"amp_range": ["a", 1.0]},
         {"count": "two"},
+        {"count": 2.5},
+        {"count": True},
     ])
     def test_bad_ensemble_value_is_input_error(self, write_manifest, tmp_path,
                                                value):

@@ -392,6 +392,15 @@ class TestRegion:
         with pytest.raises(InputError):
             Region((0.0, 0.0), (1.0, 0.0))
 
+    @pytest.mark.parametrize("n", [2.5, True, float("nan"), 0])
+    def test_sample_count_must_be_a_positive_whole_number(self, n):
+        with pytest.raises(InputError):
+            Region.symmetric(1.0, 2).sample(n, 0)
+
+    def test_whole_number_float_sample_count(self):
+        reg = Region.symmetric(1.0, 2)
+        assert np.array_equal(reg.sample(8.0, 3), reg.sample(8, 3))
+
     def test_round_trip(self):
         reg = Region.positive(5.0, 3)
         assert Region.from_dict(reg.to_dict()) == reg
