@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .diagnostics import InequalityReport, decay_bound_check
-from .errors import InputError
+from .errors import InputError, whole_number
 from .grid import Field, Grid2D
 from .model import ModelSpec, ReactionSpec, Region, verify_structure
 from .solver import SolverConfig, run
@@ -54,6 +54,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise InputError(f"family must be one of {_FAMILIES}")
+        object.__setattr__(self, "count", whole_number(self.count, "count"))
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
         if self.count < 1:
             raise InputError("ensemble needs at least one member")
         lo, hi = (float(a) for a in self.amp_range)
@@ -153,7 +155,7 @@ def initial_field(family, grid, m, amplitude, seed):
     amplitude = float(amplitude)
     if amplitude <= 0:
         raise InputError("amplitude must be positive")
-    rng = np.random.default_rng([int(seed), 0xA5])
+    rng = np.random.default_rng([whole_number(seed, "seed"), 0xA5])
     if family == "constant":
         return Field.constant(grid, np.full(m, amplitude))
     if family == "eigenmode":

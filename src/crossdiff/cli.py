@@ -30,7 +30,7 @@ from .errors import (InputError, ManifestError, ModelDefinitionError,
 from .grid import Field, build_grid, load_snapshot, save_snapshot
 from .model import (ReactionSpec, Region, classic_skt, model_from_dict,
                     model_to_dict, verify_structure)
-from .solver import SolverConfig, run
+from .solver import SolverConfig, _NormsRecorder, run
 
 OUTPUT_ROOT_ENV = "CROSSDIFF_OUT"
 SCHEMA = "crossdiff/1"
@@ -232,10 +232,9 @@ def _diag_config(res):
         return diag_mod.DiagnosticsConfig.from_dict(d)
 
 
-def _recorder(res, model):
+def _recorder(res):
     dc = _diag_config(res)
-    return lambda f, t: diag_mod.norms(f, model, t=t, s0=dc.s0,
-                                       p_list=dc.p_list, R_list=dc.radii)
+    return _NormsRecorder(s0=dc.s0, p_list=dc.p_list, R_list=dc.radii)
 
 
 # The package's own input errors and failed file access; a bare
@@ -322,7 +321,7 @@ def _simulate_once(res, store_states=False, record_every=None):
         overrides["record_every"] = record_every
     config = _resolve_solver(res, **overrides)
     f0 = _resolve_initial(res, model, grid)
-    traj = run(model, f0, config, recorder=_recorder(res, model))
+    traj = run(model, f0, config, recorder=_recorder(res))
     return model, traj
 
 
@@ -382,7 +381,8 @@ def diagnose(manifest, out, seed):
                 reports["decay"] = diag_mod.decay_bound_check(
                     traj.times, y, p, M1_targets=dc.M1_targets)
     if dc.radii:
-        bmo = diag_mod.bmo_profile(traj.final, dc.radii, mu0=dc.mu0)
+        bmo = diag_mod.bmo_profile(traj.final, dc.radii, mu0=dc.mu0,
+                                   recorded=traj.records[-1].bmo)
         payload = {"radii": list(bmo.radii),
                    "oscillation": {f"{k:g}": v for k, v in bmo.oscillation.items()},
                    "products": {f"{k:g}": v for k, v in bmo.products.items()},

@@ -337,11 +337,21 @@ def _bound_ordered_sup(comp, means, win):
     return best
 
 
-def _energy_y(field, spec, grad):
+def _energy_y(field, spec, grad, A=None):
     """y = int |A(u) Du|^2 by midpoint quadrature; grad is
-    cell_gradient(field)."""
-    A = eval_A(spec, field.points())
-    AD = np.einsum("xyij,jdxy->xyid", A, grad)
+    cell_gradient(field), and A, when given, eval_A(spec,
+    field.points()).
+
+    (A Du)_{id} = sum_j A_ij (Du)_jd is summed over j in index order on
+    the (x, y, i, d) layout, which gives the bits of
+    einsum("xyij,jdxy->xyid") and its reduction (AD * AD).sum() at a
+    third of its time (32x32, m = 2)."""
+    if A is None:
+        A = eval_A(spec, field.points())
+    G = np.moveaxis(grad, (0, 1), (2, 3))
+    AD = A[..., 0, None] * G[:, :, None, 0, :]
+    for j in range(1, A.shape[-1]):
+        AD += A[..., j, None] * G[:, :, None, j, :]
     return float(field.grid.cell_area * (AD * AD).sum())
 
 
@@ -352,9 +362,16 @@ def _bmo_sup(values, win):
     return max(_mean_oscillation_sup(comp, win) for comp in shifted)
 
 
-def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None):
+def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None, *, grad=None,
+          A=None):
     """NormRecord of a field: midpoint quadrature, Euclidean pointwise
-    magnitude across components, gradient norms via cell_gradient."""
+    magnitude across components, gradient norms via cell_gradient.
+
+    grad and A, when given, must be cell_gradient(u) and eval_A(spec,
+    u.points()), arrays a caller already holds (solver.run() computes
+    them once per recorded state and reuses them for the next step);
+    otherwise they are computed here.  The record is the same either
+    way."""
     g = u.grid
     area = g.cell_area
     vals = u.values
@@ -373,10 +390,11 @@ def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None):
         if p == 2.0:
             continue        # the dedicated L2 entry already carries it
         Lp[p] = float((area * (r ** p).sum()) ** (1.0 / p))
-    grad = cell_gradient(u)
+    if grad is None:
+        grad = cell_gradient(u)
     du2 = (grad * grad).sum(axis=(0, 1))
     W12 = L2 + float(math.sqrt(area * du2.sum()))
-    energy_y = _energy_y(u, spec, grad)
+    energy_y = _energy_y(u, spec, grad, A)
     lam = eval_lambda(spec, u.points())
     lambda_moment = float(area * (lam ** float(s0)).sum())
     bmo = {}
@@ -412,7 +430,7 @@ def record_row(rec):
     return row
 
 
-def bmo_profile(u, radii, Lambda_hat=1.0, mu0=None):
+def bmo_profile(u, radii, Lambda_hat=1.0, mu0=None, recorded=None):
     """Sliding-window mean-oscillation profile of a field.
 
     For each radius, windows are the discrete Euclidean balls around
@@ -420,8 +438,11 @@ def bmo_profile(u, radii, Lambda_hat=1.0, mu0=None):
     over centers of the L1 mean oscillation (max over components) and
     the products Lambda_hat^2 * oscillation^2 compared against mu0 when
     one is supplied.  Radii exceeding the domain are skipped with a
-    note; radii below two cells are rejected.
+    note; radii below two cells are rejected.  recorded, when given, is
+    the bmo dict of a NormRecord of u; the radii it holds take their
+    oscillation from it instead of computing it again.
     """
+    recorded = recorded or {}
     g = u.grid
     if not radii:
         raise InputError("need at least one radius")
@@ -435,7 +456,8 @@ def bmo_profile(u, radii, Lambda_hat=1.0, mu0=None):
         if R > min(g.Lx, g.Ly):
             skipped.append((R, "radius exceeds domain"))
             continue
-        osc[R] = _bmo_sup(u.values, _window(g, R))
+        osc[R] = (recorded[R] if R in recorded
+                  else _bmo_sup(u.values, _window(g, R)))
         products[R] = float(Lambda_hat) ** 2 * osc[R] ** 2
         if mu0 is not None:
             small[R] = bool(products[R] <= mu0)
@@ -464,6 +486,8 @@ def energy_inequality_check(traj, spec):
     where y = int |A(u)Du|^2, and the smallest (C1, C2) >= 0 with
     dy/dt <= C1*y + C2, minimizing mean(y)*C1 + C2 so both fits touch
     the data.  States must be stored at every record (store_states).
+    y is read from the records when they are NormRecords, one per
+    stored state, and computed from the states otherwise.
     """
     if traj.states is None:
         raise InputError("trajectory was run without store_states")
@@ -477,7 +501,13 @@ def energy_inequality_check(traj, spec):
         lam = eval_lambda(spec, fld.points())
         return float(area * (lam * w2).sum())
 
-    ys = np.array([_energy_y(fld, spec, cell_gradient(fld)) for fld in states])
+    records = traj.records
+    if len(records) == len(states) and all(
+            isinstance(rec, NormRecord) for rec in records):
+        ys = np.array([rec.energy_y for rec in records])
+    else:
+        ys = np.array([_energy_y(fld, spec, cell_gradient(fld))
+                       for fld in states])
 
     n = len(states) - 1
     lhs = np.empty(n)

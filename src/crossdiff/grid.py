@@ -294,18 +294,23 @@ def div_A_grad(spec, field):
     return (L @ field.values.ravel()).reshape(field.values.shape)
 
 
-def stable_dt(spec, field, cfl=0.9):
+def stable_dt(spec, field, cfl=0.9, *, A=None):
     """Explicit-step bound cfl * min(hx, hy)^2 / (8 * max ||A(u)||).
 
     The operator norm is maximized over cell values of the current
     state; 8 = 2 * 4 covers the two space directions of the 5-point
     stencil with a matrix diffusion coefficient.  The norm comes from
     model._opnorms: closed form for m = 2, LAPACK's SVD otherwise.
+    A, when given, must be eval_A(spec, field.points()), the cell-centre
+    A(u) a caller already holds (solver.run() passes the one it computed
+    to record the state); otherwise it is evaluated here.
     A non-finite state raises NumericalStateError, as does a state
     whose A(u) overflows."""
     _require_finite(field)
     g = field.grid
-    s = float(_opnorms(eval_A(spec, field.points())).max())
+    if A is None:
+        A = eval_A(spec, field.points())
+    s = float(_opnorms(A).max())
     if not np.isfinite(s):
         raise NumericalStateError("diffusion matrix norm is not finite")
     if s <= 0:

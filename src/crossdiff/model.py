@@ -446,15 +446,16 @@ class Region:
         indices).  For a fixed seed the first n rows of a larger draw
         equal a draw of size n, so enlarging a sample only appends."""
         n = whole_number(n, "sample count")
+        seed = whole_number(seed, "seed")
         if n < 1:
             raise InputError("sample count must be >= 1")
         m = self.m
         n_q = (n + 1) // 2
-        halton = qmc.Halton(d=m, scramble=True, seed=np.random.default_rng([int(seed), 0x48]))
+        halton = qmc.Halton(d=m, scramble=True, seed=np.random.default_rng([seed, 0x48]))
         pts = np.empty((n, m))
         pts[0::2] = halton.random(n_q)
         if n - n_q:
-            rng = np.random.default_rng([int(seed), 0x55])
+            rng = np.random.default_rng([seed, 0x55])
             pts[1::2] = rng.random((n - n_q, m))
         lo = np.array(self.lo)
         hi = np.array(self.hi)
@@ -621,13 +622,14 @@ def _certification_draw(spec, region, n, seed):
     U = region.sample(n, seed), lambda(U), A(U), and per state one unit
     direction d in R^m (stream 0xD1) and one unit m x 2 matrix q
     (stream 0xD2)."""
+    seed = whole_number(seed, "seed")
     U = region.sample(n, seed)
     n, m = U.shape
-    d = np.random.default_rng([int(seed), 0xD1]).standard_normal((n, m))
+    d = np.random.default_rng([seed, 0xD1]).standard_normal((n, m))
     dn = np.linalg.norm(d, axis=-1, keepdims=True)
     dn[dn == 0] = 1.0
     d /= dn
-    q = np.random.default_rng([int(seed), 0xD2]).standard_normal((n, m, 2))
+    q = np.random.default_rng([seed, 0xD2]).standard_normal((n, m, 2))
     qn = np.linalg.norm(q, axis=(-2, -1), keepdims=True)
     qn[qn == 0] = 1.0
     q /= qn

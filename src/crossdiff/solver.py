@@ -22,6 +22,14 @@ once per accepted state (and once for the initial state) and hands
 that one array to the reaction step cap and to the stepper, also when
 a rejected step is retried; the final state's f is never needed.
 
+When run() records a state with its own norms recorder (the default,
+and the CLI's), it computes that state's cell-centre gradient Du
+(cell_gradient) and diffusion matrices A(u) (eval_A) once.  It hands
+both to diagnostics.norms, A(u) to the explicit step cap stable_dt, and
+Du to the reaction term, also when a rejected step is retried from that
+state.  A state that is not recorded (record_every > 1), or one recorded
+by any other recorder, has them computed where they are needed.
+
 Every linear solve goes through spsolve(), which factors with the
 MMD_AT_PLUS_A column ordering and then gives the bits of scipy's
 spsolve(M, b, permc_spec="MMD_AT_PLUS_A") for a CSR matrix.  run()
@@ -280,10 +288,14 @@ def _flat(values):
     return values.reshape(-1)
 
 
-def _reaction_term(spec, field):
+def _reaction_term(spec, field, grad=None):
+    """f(u, Du) of the field, shape (m, Nx, Ny); grad, when given, is
+    cell_gradient(field)."""
     if spec.reaction is None:
         return np.zeros(field.values.shape)
-    g = np.moveaxis(cell_gradient(field), (0, 1), (-2, -1))
+    if grad is None:
+        grad = cell_gradient(field)
+    g = np.moveaxis(grad, (0, 1), (-2, -1))
     f = eval_reaction(spec, field.points(), g)
     return np.moveaxis(f, -1, 0)
 
@@ -400,10 +412,14 @@ def step(spec, field, dt, scheme="imex", config=None):
                              config, _LastFactor())
 
 
-def _default_recorder(spec):
-    from .diagnostics import norms
+class _NormsRecorder:
+    """run()'s own recorder: diagnostics.norms of each recorded state
+    under run()'s spec, with these keyword options (s0, p_list, R_list).
+    run() computes the state's Du and A(u) once and hands them to norms
+    and to the next step (see the module docstring)."""
 
-    return lambda f, t: norms(f, spec, t=t)
+    def __init__(self, **options):
+        self.options = options
 
 
 def run(spec, field0, config, recorder=None):
@@ -420,11 +436,14 @@ def run(spec, field0, config, recorder=None):
     record_every accepted steps, and at the final time; snapshots are
     stored exactly at the requested times.  The trajectory counts the
     rejected steps and the factorizations, linear solves and GMRES
-    iterations that ran.
+    iterations that ran.  The default recorder is diagnostics.norms
+    with its default options.
     """
     _require_finite(field0)
+    from . import diagnostics
+
     if recorder is None:
-        recorder = _default_recorder(spec)
+        recorder = _NormsRecorder()
     stepper = _STEPPERS[config.scheme]
     if config.scheme == "imex":
         factors = _LaggedFactor(config.linear_tol)
@@ -437,9 +456,29 @@ def run(spec, field0, config, recorder=None):
     targets = [ts for ts in config.snapshot_times if 0.0 < ts < config.t_end]
     targets.append(config.t_end)
 
-    times = [0.0]
-    records = [recorder(u, 0.0)]
-    states = [u.copy()] if config.store_states else None
+    times = []
+    records = []
+    states = [] if config.store_states else None
+
+    def record(state, t):
+        """Record state at t; returns its (Du, A(u)) when run()'s own
+        recorder took it, else (None, None)."""
+        grad = A = None
+        if isinstance(recorder, _NormsRecorder):
+            grad = cell_gradient(state)
+            A = eval_A(spec, state.points())
+            rec = diagnostics.norms(state, spec, t=t, grad=grad, A=A,
+                                    **recorder.options)
+        else:
+            rec = recorder(state, t)
+        times.append(t)
+        records.append(rec)
+        if states is not None:
+            states.append(state.copy())
+        return grad, A
+
+    # Du and A(u) of u, held while u is the state that record() took
+    grad_u, A_u = record(u, 0.0)
     snapshots = {}
     for ts in config.snapshot_times:
         if ts <= 0.0:
@@ -464,9 +503,9 @@ def run(spec, field0, config, recorder=None):
         dt_base = dt
         dt_try = dt
         if config.scheme == "explicit":
-            dt_try = min(dt_try, stable_dt(spec, u, config.cfl_safety))
+            dt_try = min(dt_try, stable_dt(spec, u, config.cfl_safety, A=A_u))
         if f is None:
-            f = _reaction_term(spec, u)
+            f = _reaction_term(spec, u, grad_u)
         if spec.reaction is not None:
             dt_try = min(dt_try, _reaction_dt_cap(f, u.values, config.cfl_safety))
         if dt_try < config.dt_min * (1 - 1e-12):
@@ -496,6 +535,7 @@ def run(spec, field0, config, recorder=None):
 
         t_new = landed if landed is not None else t + dt_try
         u, f = new, None
+        grad_u = A_u = None
         t = t_new
         accepted += 1
         dt_hist.append(dt_try)
@@ -512,20 +552,14 @@ def run(spec, field0, config, recorder=None):
             snapshots[landed] = u.copy()
         at_end = t >= config.t_end * (1 - 1e-14)
         if accepted % config.record_every == 0 or at_end:
-            times.append(t)
-            records.append(recorder(u, t))
-            if states is not None:
-                states.append(u.copy())
+            grad_u, A_u = record(u, t)
         if landed is not None:
             tptr += 1
         # a step clipped to land on a target must not shrink the pace
         dt = min(max(dt_try, min(dt_base, config.dt_max)) * 1.2, config.dt_max)
 
     if times[-1] != t:
-        times.append(t)
-        records.append(recorder(u, t))
-        if states is not None:
-            states.append(u.copy())
+        record(u, t)
 
     return Trajectory(
         times=np.array(times), records=records, final=u,

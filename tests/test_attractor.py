@@ -46,6 +46,14 @@ class TestInitialField:
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
+    def test_seed_must_be_a_whole_number(self, grid8n):
+        # int() would truncate 2.9 to the draw of seed 2
+        with pytest.raises(InputError, match="whole number"):
+            initial_field("fourier", grid8n, 1, 1.0, seed=2.9)
+        a = initial_field("fourier", grid8n, 1, 1.0, seed=2.0)
+        b = initial_field("fourier", grid8n, 1, 1.0, seed=2)
+        assert np.array_equal(a.values, b.values)
+
     def test_validation(self, grid8n):
         with pytest.raises(InputError):
             initial_field("plateau", grid8n, 1, 1.0, seed=0)
@@ -77,10 +85,17 @@ class TestEnsembleSpec:
         dict(amp_range=(5.0, 1.0)),
         dict(T_observe=1.0),               # not below t_end
         dict(T_observe=-0.5),
+        dict(count=2.5),                   # np.geomspace would raise TypeError
+        dict(seed=2.5),
     ])
     def test_validation(self, decay_model, grid8n, kw):
         with pytest.raises(InputError):
             self._spec(decay_model, grid8n, **kw)
+
+    def test_whole_number_float_count_and_seed(self, decay_model, grid8n):
+        es = self._spec(decay_model, grid8n, count=3.0, seed=4.0)
+        assert (es.count, es.seed) == (3, 4)
+        assert type(es.count) is int and type(es.seed) is int
 
 
 def logistic_closed_form(t, y0):

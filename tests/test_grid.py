@@ -321,7 +321,8 @@ class TestStableDt:
             stable_dt(skt, f)
 
     def test_explicit_run_matches_svd_step_cap(self, monkeypatch):
-        def svd_stable_dt(spec, field, cfl=0.9):
+        def svd_stable_dt(spec, field, cfl=0.9, A=None):
+            # run() may pass the A(u) it holds; the fake computes its own
             A = eval_A(spec, field.points())
             s = float(np.linalg.svd(A, compute_uv=False)[..., 0].max())
             h = min(field.grid.hx, field.grid.hy)

@@ -401,6 +401,16 @@ class TestRegion:
         reg = Region.symmetric(1.0, 2)
         assert np.array_equal(reg.sample(8.0, 3), reg.sample(8, 3))
 
+    @pytest.mark.parametrize("seed", [2.9, True, float("nan")])
+    def test_seed_must_be_a_whole_number(self, seed):
+        # int() would truncate 2.9 and draw the points of seed 2
+        with pytest.raises(InputError, match="whole number"):
+            Region.symmetric(1.0, 2).sample(10, seed)
+
+    def test_whole_number_float_seed(self):
+        reg = Region.symmetric(1.0, 2)
+        assert np.array_equal(reg.sample(10, 2.0), reg.sample(10, 2))
+
     def test_round_trip(self):
         reg = Region.positive(5.0, 3)
         assert Region.from_dict(reg.to_dict()) == reg
@@ -568,6 +578,24 @@ class TestSpectralKernels:
         scale = np.abs(sym).max(axis=(-2, -1))
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+
+
+class TestCertificationSeed:
+    # the direction streams 0xD1 and 0xD2 read the seed as well as the
+    # region sample
+    def test_fractional_seed_rejected(self, skt):
+        with pytest.raises(InputError, match="whole number"):
+            verify_structure(skt, Region.positive(10.0, 2), n=50, seed=2.9)
+        with pytest.raises(InputError, match="whole number"):
+            compute_lambda_l(skt, 1.0, n=50, seed=2.9)
+
+    def test_whole_number_float_seed_draws_the_same(self, skt):
+        region = Region.positive(10.0, 2)
+        a = model_mod._certification_draw(skt, region, 50, 2.0)
+        b = model_mod._certification_draw(skt, region, 50, 2)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert (compute_lambda_l(skt, 1.0, n=50, seed=2.0)
+                == compute_lambda_l(skt, 1.0, n=50, seed=2))
 
 
 class TestComputeLambdaL:
