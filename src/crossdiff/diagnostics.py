@@ -15,10 +15,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.ndimage import convolve as nd_convolve
-from scipy.optimize import linprog
-from scipy.signal import fftconvolve
 
 from .errors import InputError
 from .grid import cell_gradient
@@ -163,23 +159,35 @@ def _ball_kernel(grid, R):
     return (dx[:, None] ** 2 + dy[None, :] ** 2) <= R * R * (1 + 1e-12)
 
 
+# Kernels with at most this many cells are summed by direct
+# convolution, larger ones by FFT.
+_DIRECT_MAX = 81
+
+
 class _Window(NamedTuple):
     kernel: np.ndarray      # boolean ball stencil, odd shape
     counts: np.ndarray      # in-domain cells of each center's window
     offsets: np.ndarray     # (K, 2) stencil offsets in np.nonzero order
     shifts: tuple           # per offset: (center slices, value slices)
     slack: float            # roundoff slack of the L2 bound, per max|u|^2
+    fshape: tuple | None    # padded FFT shape; None for direct kernels
+    spectrum: np.ndarray | None     # rfftn of the kernel at fshape
 
 
 @functools.lru_cache(maxsize=32)
 def _window(grid, R):
     """Ball kernel, exact window counts, stencil offsets and the slices
     that shift a grid array by each offset, built once per (grid, R).
-    Shared by every caller, threads included, so its arrays are
-    read-only."""
+    Kernels over _DIRECT_MAX cells also hold their spectrum: the rfftn
+    of the kernel at the padded fast length next_fast_len(N + k - 1)
+    per axis, which is the transform scipy.signal.fftconvolve computes
+    for the kernel on every call.  Shared by every caller, threads
+    included, so its arrays are read-only."""
+    from scipy.ndimage import convolve
     kernel = _ball_kernel(grid, R)
-    counts = np.rint(nd_convolve(np.ones(grid.shape), kernel.astype(float),
-                                 mode="constant", cval=0.0)).astype(int)
+    weights = kernel.astype(float)
+    counts = np.rint(convolve(np.ones(grid.shape), weights,
+                              mode="constant", cval=0.0)).astype(int)
     offsets = np.argwhere(kernel) - np.array(kernel.shape) // 2
     Nx, Ny = grid.shape
     shifts = tuple(
@@ -189,17 +197,37 @@ def _window(grid, R):
     K, N = len(offsets), Nx * Ny
     fft = math.log2(16 * N) * (math.sqrt(N) * K + N * math.sqrt(K))
     slack = 256.0 * np.finfo(float).eps * (fft / counts.min() + K)
+    fshape = spectrum = None
+    if kernel.size > _DIRECT_MAX:
+        from scipy.fft import next_fast_len, rfftn
+        fshape = tuple(next_fast_len(n + k - 1, True)
+                       for n, k in zip(grid.shape, kernel.shape))
+        spectrum = rfftn(weights, fshape)
+        spectrum.flags.writeable = False
     for arr in (kernel, counts, offsets):
         arr.flags.writeable = False
-    return _Window(kernel, counts, offsets, shifts, float(slack))
+    return _Window(kernel, counts, offsets, shifts, float(slack), fshape,
+                   spectrum)
 
 
-def _window_sums(arr, kernel):
-    """Sliding sums of arr over the kernel footprint clipped to the
-    domain: direct convolution for small kernels, FFT otherwise."""
-    if kernel.size <= 81:
-        return nd_convolve(arr, kernel.astype(float), mode="constant", cval=0.0)
-    return fftconvolve(arr, kernel.astype(float), mode="same")
+def _window_sums(arr, win):
+    """Sliding sums of arr over the window kernel's footprint clipped to
+    the domain: direct convolution for small kernels, FFT otherwise.
+
+    The FFT path takes scipy.signal.fftconvolve(arr, kernel, "same")'s
+    steps against the cached kernel spectrum, so it gives that
+    function's bits: transform arr at the padded shape, multiply,
+    invert, cut the full convolution to N + k - 1 per axis and take its
+    centred slice, which starts at (k - 1) // 2."""
+    if win.spectrum is None:
+        from scipy.ndimage import convolve
+        return convolve(arr, win.kernel.astype(float), mode="constant",
+                        cval=0.0)
+    from scipy.fft import irfftn, rfftn
+    full = irfftn(rfftn(arr, win.fshape) * win.spectrum, win.fshape)
+    (Nx, Ny), (kx, ky) = arr.shape, win.kernel.shape
+    ox, oy = (kx - 1) // 2, (ky - 1) // 2
+    return full[ox:ox + Nx, oy:oy + Ny]
 
 
 # Kernels with at least this many cells search centers in bound order.
@@ -274,7 +302,7 @@ def _mean_oscillation_sup(comp, win):
     they are more than _PRUNE_MAX_SHARE of the grid the bounds are too
     flat to prune, and the shift loop runs instead.
     """
-    means = _window_sums(comp, win.kernel) / win.counts
+    means = _window_sums(comp, win) / win.counts
     if len(win.offsets) >= _PRUNE_MIN_OFFSETS:
         best = _bound_ordered_sup(comp, means, win)
         if best is not None:
@@ -289,7 +317,7 @@ def _oscillation_bound(comp, means, win):
     """Per-center upper bound of the computed L1 mean oscillation (see
     _mean_oscillation_sup); comp must be finite."""
     M = float(np.abs(comp).max())
-    sq = _window_sums(comp * comp, win.kernel) / win.counts
+    sq = _window_sums(comp * comp, win) / win.counts
     return np.sqrt(np.maximum(sq - means * means, 0.0) + win.slack * M * M)
 
 
@@ -405,7 +433,7 @@ def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None, *, grad=None,
             continue
         win = _window(g, R)
         bmo[R] = _bmo_sup(vals, win)
-        morrey[R] = float(_window_sums(du2, win.kernel).max() * area)
+        morrey[R] = float(_window_sums(du2, win).max() * area)
     return NormRecord(t=float(t), mass=mass, L1=L1, L2=L2, Lp=Lp, W12=W12,
                       energy_y=energy_y, lambda_moment=lambda_moment,
                       bmo=bmo, morrey=morrey)
@@ -496,11 +524,6 @@ def energy_inequality_check(traj, spec):
     times = np.asarray(traj.times, dtype=float)
     states = traj.states
     area = states[0].grid.cell_area
-
-    def lam_weight(fld, w2):
-        lam = eval_lambda(spec, fld.points())
-        return float(area * (lam * w2).sum())
-
     records = traj.records
     if len(records) == len(states) and all(
             isinstance(rec, NormRecord) for rec in records):
@@ -519,13 +542,15 @@ def energy_inequality_check(traj, spec):
             raise InputError("record times must be strictly increasing")
         ut = (states[k + 1].values - states[k].values) / dt
         ut2 = (ut * ut).sum(axis=0)
-        diss = lam_weight(states[k + 1], ut2)
+        pts = states[k + 1].points()
+        lam = eval_lambda(spec, pts)
+        diss = float(area * (lam * ut2).sum())
         dydt[k] = (ys[k + 1] - ys[k]) / dt
-        f = reaction_zero_order(spec, states[k + 1].points())
+        f = reaction_zero_order(spec, pts)
         f2 = np.moveaxis(f, -1, 0)
         f2 = (f2 * f2).sum(axis=0)
         lhs[k] = diss + dydt[k]
-        rhs[k] = ys[k + 1] + lam_weight(states[k + 1], f2)
+        rhs[k] = ys[k + 1] + float(area * (lam * f2).sum())
 
     # steps with rhs = 0 (stationary, reaction-free) constrain nothing
     # unless their lhs is positive, which no C can cover
@@ -537,6 +562,7 @@ def energy_inequality_check(traj, spec):
     feasible = bool(np.all(lhs[~pos] <= 0))
     margins = C * rhs - lhs
 
+    from scipy.optimize import linprog
     yk = ys[1:]
     res = linprog(c=[float(np.mean(yk)), 1.0],
                   A_ub=np.column_stack([-yk, -np.ones(n)]), b_ub=-dydt,
@@ -694,6 +720,7 @@ def morrey_profile(traj, radii, max_windows=64):
     radii = [float(R) for R in radii]
     if len(radii) < 2:
         raise InputError("need at least 2 radii for a slope")
+    from scipy.integrate import cumulative_trapezoid
     times = np.asarray(traj.times, dtype=float)
     g = traj.states[0].grid
     area = g.cell_area
@@ -706,8 +733,8 @@ def morrey_profile(traj, radii, max_windows=64):
             raise InputError(
                 f"radius {R:g} needs a time window of length {R * R:g}; "
                 "trajectory is too short")
-        kernel = _window(g, R).kernel
-        S = np.stack([_window_sums(du2[i], kernel) * area
+        win = _window(g, R)
+        S = np.stack([_window_sums(du2[i], win) * area
                       for i in range(len(times))])
         Cum = np.concatenate([
             np.zeros((1,) + g.shape),

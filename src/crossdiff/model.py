@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.stats import qmc
 
 from .errors import InputError, ModelDefinitionError, whole_number
 
@@ -451,6 +449,7 @@ class Region:
             raise InputError("sample count must be >= 1")
         m = self.m
         n_q = (n + 1) // 2
+        from scipy.stats import qmc
         halton = qmc.Halton(d=m, scramble=True, seed=np.random.default_rng([seed, 0x48]))
         pts = np.empty((n, m))
         pts[0::2] = halton.random(n_q)
@@ -709,6 +708,7 @@ def _skt_lambda1(a11, a12, a21, a22):
     hi = min(i + 1, len(thetas) - 1)
     best = vals[i]
     if hi > lo:
+        from scipy.optimize import minimize_scalar
         res = minimize_scalar(slope, bounds=(thetas[lo], thetas[hi]),
                               method="bounded", options={"xatol": 1e-12})
         best = min(best, float(res.fun))

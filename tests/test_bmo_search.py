@@ -159,7 +159,7 @@ def test_bound_covers_every_computed_center_value(kind, offset):
         win = diag._window(g, k * g.hy)
         for comp in (fields(48, 80, 1.5, 2.0)[kind] + offset,
                      np.full((48, 80), offset)):
-            means = diag._window_sums(comp, win.kernel) / win.counts
+            means = diag._window_sums(comp, win) / win.counts
             values = center_values(comp, means, win)
             assert np.all(values <= diag._oscillation_bound(comp, means, win))
 
@@ -170,7 +170,7 @@ def test_slack_is_needed_for_a_constant_field():
     g = build_grid(1.0, 1.0, 64, 64)
     win = diag._window(g, 16 / 64)
     comp = np.full((64, 64), 0.1)
-    means = diag._window_sums(comp, win.kernel) / win.counts
+    means = diag._window_sums(comp, win) / win.counts
     values = center_values(comp, means, win)
     assert values.max() > 0.0
     assert np.all(values <= diag._oscillation_bound(comp, means, win))
@@ -216,6 +216,39 @@ class TestWindowCache:
         for arr in (win.kernel, win.counts, win.offsets):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 0
+
+    @pytest.mark.parametrize("Nx,Ny,Lx,Ly", [(64, 64, 1.0, 1.0),
+                                             (48, 80, 1.5, 2.0),
+                                             (33, 17, 1.0, 1.0),
+                                             (128, 128, 1.0, 1.0)])
+    @pytest.mark.parametrize("kind", ["uniform", "squared", "zero", "normal"])
+    def test_cached_spectrum_gives_fftconvolve_bits(self, Nx, Ny, Lx, Ly, kind):
+        from scipy.signal import fftconvolve
+        g = build_grid(Lx, Ly, Nx, Ny)
+        rng = np.random.default_rng(11)
+        arr = {"uniform": rng.uniform(0.0, 1.0, (Nx, Ny)),
+               "squared": rng.uniform(-1.0, 1.0, (Nx, Ny)) ** 2,
+               "zero": np.zeros((Nx, Ny)),
+               "normal": 100.0 * rng.standard_normal((Nx, Ny))}[kind]
+        wins = [diag._window(g, R) for R in (1 / 16, 1 / 8, 1 / 4, 1 / 2)]
+        wins = [w for w in wins if w.kernel.size > diag._DIRECT_MAX]
+        assert wins
+        for win in wins:
+            want = fftconvolve(arr, win.kernel.astype(float), mode="same")
+            got = diag._window_sums(arr, win)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_spectrum_is_shared_and_read_only(self):
+        g = build_grid(1.0, 1.0, 64, 64)
+        win = diag._window(g, 0.25)
+        assert diag._window(build_grid(1.0, 1.0, 64, 64), 0.25) is win
+        assert win.spectrum is not None
+        with pytest.raises(ValueError):
+            win.spectrum[0, 0] = 0
+        small = diag._window(g, 1 / 16)
+        assert small.kernel.size <= diag._DIRECT_MAX
+        assert small.spectrum is None and small.fshape is None
 
     def test_diagnose_builds_each_kernel_once(self, write_manifest, tmp_path,
                                               monkeypatch):

@@ -9,6 +9,7 @@ from crossdiff import (Field, InequalityReport, InputError, SolverConfig,
                        decay_bound_check, energy_inequality_check,
                        interpolation_check, morrey_profile, norms,
                        record_headers, record_row, run, stability_ratio)
+from crossdiff import diagnostics as diag_mod
 
 from conftest import eigenmode_field, smooth_field
 
@@ -240,6 +241,23 @@ class TestEnergyInequality:
         assert np.all(C1 * y + C2 - dydt >= 0)
         if C1 > 0 or C2 > 0:
             assert np.min(0.99 * C1 * y + 0.99 * C2 - dydt) < 0
+
+    def test_lambda_evaluated_once_per_step(self, skt_lv, grid16n,
+                                            monkeypatch):
+        # the dissipation and reaction terms of a step share one
+        # lambda(u) of the later state
+        traj = short_run(skt_lv, smooth_field(grid16n, m=2, amp=0.5),
+                         2e-3, 0.02)
+        calls = []
+        inner = diag_mod.eval_lambda
+
+        def counted(spec, u):
+            calls.append(1)
+            return inner(spec, u)
+
+        monkeypatch.setattr(diag_mod, "eval_lambda", counted)
+        energy_inequality_check(traj, skt_lv)
+        assert len(calls) == len(traj.states) - 1
 
     def test_requires_stored_states(self, heat1, grid16d):
         cfg = SolverConfig(dt0=1e-3, t_end=5e-3)
