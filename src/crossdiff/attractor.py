@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .diagnostics import InequalityReport, decay_bound_check
+from .diagnostics import InequalityReport, _bump_to_cover, decay_bound_check
 from .errors import InputError, whole_number
 from .grid import Field, Grid2D
 from .model import ModelSpec, ReactionSpec, Region, verify_structure
@@ -177,6 +177,7 @@ def ystar_dominance(traj, spec, tol=0.05):
     and check y(t) <= max(y(0), y_*) * (1 + tol), y_* = (C1/C3)^(1/(p-1)).
 
     Requires a competitive reaction (kappa, c0 declared); p = (kappa+2)/2.
+    Raises InputError when no C1 can be certified to cover the data.
     """
     r = spec.reaction
     if not isinstance(r, ReactionSpec):
@@ -209,10 +210,7 @@ def ystar_dominance(traj, spec, tol=0.05):
     need = d + C3 * ymp
     if mask.any():
         C1 = max(C1, float(np.max(need[mask] / ym[mask])))
-        for _ in range(64):
-            if np.all(C1 * ym[mask] >= need[mask]):
-                break
-            C1 = np.nextafter(C1, np.inf)
+        C1 = _bump_to_cover(C1, need[mask], ym[mask])
     if np.any(~mask & (need > 0)):
         return InequalityReport(
             name="ystar", constants={"C1": C1, "C3": C3, "p": p, "y_star": None},

@@ -30,7 +30,7 @@ from .errors import (InputError, ManifestError, ModelDefinitionError,
 from .grid import Field, build_grid, load_snapshot, save_snapshot
 from .model import (ReactionSpec, Region, classic_skt, model_from_dict,
                     model_to_dict, verify_structure)
-from .solver import SolverConfig, _NormsRecorder, run
+from .solver import SolverConfig, run
 
 OUTPUT_ROOT_ENV = "CROSSDIFF_OUT"
 SCHEMA = "crossdiff/1"
@@ -226,17 +226,6 @@ def _write_snapshots(res, traj):
     _write_json(res.out_dir / "snapshots.json", {"format": fmt, "files": files}, res)
 
 
-def _diag_config(res):
-    d = res.section("diagnostics")
-    with _manifest_values("diagnostics"):
-        return diag_mod.DiagnosticsConfig.from_dict(d)
-
-
-def _recorder(res):
-    dc = _diag_config(res)
-    return _NormsRecorder(s0=dc.s0, p_list=dc.p_list, R_list=dc.radii)
-
-
 # The package's own input errors and failed file access; a bare
 # ValueError or KeyError from the numerics is a fault, not an input error.
 _INPUT_ERRORS = (ModelDefinitionError, InputError, OSError)
@@ -311,28 +300,22 @@ def verify(manifest, out, seed):
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
 
 
-def _simulate_once(res, store_states=False, record_every=None):
+def _simulate_once(res, **overrides):
+    """Run the manifest's model, with the solver overrides given;
+    returns the model, its diagnostics config and the trajectory."""
     model = _resolve_model(res)
     grid = _resolve_grid(res)
-    overrides = {}
-    if store_states:
-        overrides["store_states"] = True
-    if record_every is not None:
-        overrides["record_every"] = record_every
     config = _resolve_solver(res, **overrides)
     f0 = _resolve_initial(res, model, grid)
-    traj = run(model, f0, config, recorder=_recorder(res))
-    return model, traj
+    with _manifest_values("diagnostics"):
+        dc = diag_mod.DiagnosticsConfig.from_dict(res.section("diagnostics"))
+    return model, dc, run(model, f0, config, diagnostics=dc)
 
 
-@main.command()
-@_common
-@_format_option
-@_guard
-def simulate(manifest, out, seed, fmt):
-    """Integrate the manifest's model and write the trajectory."""
-    res = _load_manifest(manifest, out, seed, fmt)
-    model, traj = _simulate_once(res)
+def _simulate_and_write(res):
+    """Run the manifest's model and write its manifest, trajectory,
+    snapshots and summary under res.out_dir; returns the trajectory."""
+    _, _, traj = _simulate_once(res)
     _write_json(res.out_dir / "manifest.json", res.data, res)
     _write_trajectory(res, traj)
     _write_snapshots(res, traj)
@@ -347,6 +330,17 @@ def simulate(manifest, out, seed, fmt):
         "krylov_iterations": traj.krylov_iterations,
         "worst_linear_residual": traj.worst_linear_residual,
     }, res)
+    return traj
+
+
+@main.command()
+@_common
+@_format_option
+@_guard
+def simulate(manifest, out, seed, fmt):
+    """Integrate the manifest's model and write the trajectory."""
+    res = _load_manifest(manifest, out, seed, fmt)
+    traj = _simulate_and_write(res)
     click.echo(f"terminated: {traj.terminated_reason} at t={traj.times[-1]:g}")
     return EXIT_OK if traj.reached_end else EXIT_RUNTIME
 
@@ -357,12 +351,11 @@ def simulate(manifest, out, seed, fmt):
 def diagnose(manifest, out, seed):
     """Re-run densely and fit the trajectory inequalities."""
     res = _load_manifest(manifest, out, seed)
-    model, traj = _simulate_once(res, store_states=True, record_every=1)
+    model, dc, traj = _simulate_once(res, store_states=True, record_every=1)
     _write_json(res.out_dir / "manifest.json", res.data, res)
     _write_trajectory(res, traj)
     if not traj.reached_end:
         raise NumericalStateError(f"run terminated: {traj.terminated_reason}")
-    dc = _diag_config(res)
     gating = {}
     reports = {}
 
@@ -491,18 +484,11 @@ def sweep(manifest, out, seed, fmt, threads):
 
     subs = [make_run(i, v) for i, v in enumerate(values)]
 
-    def do(sub):
-        model, traj = _simulate_once(sub)
-        _write_json(sub.out_dir / "manifest.json", sub.data, sub)
-        _write_trajectory(sub, traj)
-        _write_snapshots(sub, traj)
-        return traj
-
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            trajs = list(ex.map(do, subs))
+            trajs = list(ex.map(_simulate_and_write, subs))
     else:
-        trajs = [do(sub) for sub in subs]
+        trajs = [_simulate_and_write(sub) for sub in subs]
 
     headers = ["index", "value", "reached", "t_final", "final_L2"]
     rows = []

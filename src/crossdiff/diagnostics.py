@@ -159,52 +159,43 @@ def _ball_kernel(grid, R):
     return (dx[:, None] ** 2 + dy[None, :] ** 2) <= R * R * (1 + 1e-12)
 
 
-# Kernels with at most this many cells are summed by direct
-# convolution, larger ones by FFT.
-_DIRECT_MAX = 81
-
-
 class _Window(NamedTuple):
     kernel: np.ndarray      # boolean ball stencil, odd shape
     counts: np.ndarray      # in-domain cells of each center's window
     offsets: np.ndarray     # (K, 2) stencil offsets in np.nonzero order
     shifts: tuple           # per offset: (center slices, value slices)
     slack: float            # roundoff slack of the L2 bound, per max|u|^2
-    fshape: tuple | None    # padded FFT shape; None for direct kernels
-    spectrum: np.ndarray | None     # rfftn of the kernel at fshape
+    fshape: tuple           # padded FFT shape
+    spectrum: np.ndarray    # rfftn of the kernel at fshape
 
 
 @functools.lru_cache(maxsize=32)
 def _window(grid, R):
-    """Ball kernel, exact window counts, stencil offsets and the slices
-    that shift a grid array by each offset, built once per (grid, R).
-    Kernels over _DIRECT_MAX cells also hold their spectrum: the rfftn
-    of the kernel at the padded fast length next_fast_len(N + k - 1)
-    per axis, which is the transform scipy.signal.fftconvolve computes
-    for the kernel on every call.  Shared by every caller, threads
-    included, so its arrays are read-only."""
-    from scipy.ndimage import convolve
+    """Ball kernel, exact window counts, stencil offsets, the slices
+    that shift a grid array by each offset, and the kernel's spectrum,
+    built once per (grid, R).  The spectrum is the rfftn of the kernel
+    at the padded fast length next_fast_len(N + k - 1) per axis, which
+    is the transform scipy.signal.fftconvolve computes for the kernel on
+    every call.  Shared by every caller, threads included, so its arrays
+    are read-only."""
+    from scipy.fft import next_fast_len, rfftn
     kernel = _ball_kernel(grid, R)
-    weights = kernel.astype(float)
-    counts = np.rint(convolve(np.ones(grid.shape), weights,
-                              mode="constant", cval=0.0)).astype(int)
     offsets = np.argwhere(kernel) - np.array(kernel.shape) // 2
     Nx, Ny = grid.shape
     shifts = tuple(
         ((slice(max(0, -di), Nx - max(0, di)), slice(max(0, -dj), Ny - max(0, dj))),
          (slice(max(0, di), Nx + min(0, di)), slice(max(0, dj), Ny + min(0, dj))))
         for di, dj in offsets.tolist())
+    counts = np.zeros(grid.shape, dtype=int)
+    for cs, _ in shifts:
+        counts[cs] += 1
     K, N = len(offsets), Nx * Ny
     fft = math.log2(16 * N) * (math.sqrt(N) * K + N * math.sqrt(K))
     slack = 256.0 * np.finfo(float).eps * (fft / counts.min() + K)
-    fshape = spectrum = None
-    if kernel.size > _DIRECT_MAX:
-        from scipy.fft import next_fast_len, rfftn
-        fshape = tuple(next_fast_len(n + k - 1, True)
-                       for n, k in zip(grid.shape, kernel.shape))
-        spectrum = rfftn(weights, fshape)
-        spectrum.flags.writeable = False
-    for arr in (kernel, counts, offsets):
+    fshape = tuple(next_fast_len(n + k - 1, True)
+                   for n, k in zip(grid.shape, kernel.shape))
+    spectrum = rfftn(kernel.astype(float), fshape)
+    for arr in (kernel, counts, offsets, spectrum):
         arr.flags.writeable = False
     return _Window(kernel, counts, offsets, shifts, float(slack), fshape,
                    spectrum)
@@ -212,17 +203,13 @@ def _window(grid, R):
 
 def _window_sums(arr, win):
     """Sliding sums of arr over the window kernel's footprint clipped to
-    the domain: direct convolution for small kernels, FFT otherwise.
+    the domain.
 
-    The FFT path takes scipy.signal.fftconvolve(arr, kernel, "same")'s
-    steps against the cached kernel spectrum, so it gives that
-    function's bits: transform arr at the padded shape, multiply,
-    invert, cut the full convolution to N + k - 1 per axis and take its
-    centred slice, which starts at (k - 1) // 2."""
-    if win.spectrum is None:
-        from scipy.ndimage import convolve
-        return convolve(arr, win.kernel.astype(float), mode="constant",
-                        cval=0.0)
+    They take scipy.signal.fftconvolve(arr, kernel, "same")'s steps
+    against the cached kernel spectrum, so they give that function's
+    bits: transform arr at the padded shape, multiply, invert, cut the
+    full convolution to N + k - 1 per axis and take its centred slice,
+    which starts at (k - 1) // 2."""
     from scipy.fft import irfftn, rfftn
     full = irfftn(rfftn(arr, win.fshape) * win.spectrum, win.fshape)
     (Nx, Ny), (kx, ky) = arr.shape, win.kernel.shape
@@ -279,8 +266,6 @@ def _mean_oscillation_sup(comp, win):
       every entry by at most about 20 L eps (sqrt(N) K + N sqrt(K)) M^2.
       S2/n errs by that over n_min, and 2 |m| |m - mu| by at most twice
       the same, as the window sum of u obeys the bound with M for M^2.
-      A direct window sum of n terms errs by at most K eps M^2 after
-      the division.
     - Summing n deviations (each at most 2M) and dividing by n raises
       the squared L1 value by at most 3 (K + 2) eps 4 M^2, and the
       subtraction, square and square root of b cost a few eps 4 M^2.
@@ -513,24 +498,21 @@ def energy_inequality_check(traj, spec):
 
     where y = int |A(u)Du|^2, and the smallest (C1, C2) >= 0 with
     dy/dt <= C1*y + C2, minimizing mean(y)*C1 + C2 so both fits touch
-    the data.  States must be stored at every record (store_states).
-    y is read from the records when they are NormRecords, one per
-    stored state, and computed from the states otherwise.
+    the data.  States must be stored at every record (store_states),
+    and y is read from the records, one NormRecord per stored state, as
+    run() writes them.
     """
     if traj.states is None:
         raise InputError("trajectory was run without store_states")
     if len(traj.states) < 3:
         raise InputError("need at least 3 stored states")
-    times = np.asarray(traj.times, dtype=float)
-    states = traj.states
-    area = states[0].grid.cell_area
-    records = traj.records
-    if len(records) == len(states) and all(
+    states, records = traj.states, traj.records
+    if len(records) != len(states) or not all(
             isinstance(rec, NormRecord) for rec in records):
-        ys = np.array([rec.energy_y for rec in records])
-    else:
-        ys = np.array([_energy_y(fld, spec, cell_gradient(fld))
-                       for fld in states])
+        raise InputError("need one NormRecord per stored state")
+    times = np.asarray(traj.times, dtype=float)
+    area = states[0].grid.cell_area
+    ys = np.array([rec.energy_y for rec in records])
 
     n = len(states) - 1
     lhs = np.empty(n)

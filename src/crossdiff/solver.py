@@ -22,13 +22,13 @@ once per accepted state (and once for the initial state) and hands
 that one array to the reaction step cap and to the stepper, also when
 a rejected step is retried; the final state's f is never needed.
 
-When run() records a state with its own norms recorder (the default,
-and the CLI's), it computes that state's cell-centre gradient Du
-(cell_gradient) and diffusion matrices A(u) (eval_A) once.  It hands
-both to diagnostics.norms, A(u) to the explicit step cap stable_dt, and
-Du to the reaction term, also when a rejected step is retried from that
-state.  A state that is not recorded (record_every > 1), or one recorded
-by any other recorder, has them computed where they are needed.
+Every record is the NormRecord diagnostics.norms gives of the state
+under the run's DiagnosticsConfig (s0, p_list, radii).  run() computes
+a recorded state's cell-centre gradient Du (cell_gradient) and diffusion
+matrices A(u) (eval_A) once and hands both to norms, A(u) to the
+explicit step cap stable_dt, and Du to the reaction term, also when a
+rejected step is retried from that state.  A state that is not recorded
+(record_every > 1) has them computed where they are needed.
 
 Every linear solve goes through spsolve(), which factors with the
 MMD_AT_PLUS_A column ordering and then gives the bits of scipy's
@@ -69,6 +69,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import diagnostics as diag_mod
 from .errors import InputError, NewtonConvergenceError, NumericalStateError
 from .grid import (Field, _require_finite, cell_gradient, component_laplacian,
                    face_coefficients, flux_operator, laplacian_of_P, stable_dt)
@@ -412,17 +413,7 @@ def step(spec, field, dt, scheme="imex", config=None):
                              config, _LastFactor())
 
 
-class _NormsRecorder:
-    """run()'s own recorder: diagnostics.norms of each recorded state
-    under run()'s spec, with these keyword options (s0, p_list, R_list).
-    run() computes the state's Du and A(u) once and hands them to norms
-    and to the next step (see the module docstring)."""
-
-    def __init__(self, **options):
-        self.options = options
-
-
-def run(spec, field0, config, recorder=None):
+def run(spec, field0, config, diagnostics=None):
     """Integrate from field0 to config.t_end; returns a Trajectory.
 
     Steps that fail (a NumericalStateError such as Newton breakdown or
@@ -436,14 +427,12 @@ def run(spec, field0, config, recorder=None):
     record_every accepted steps, and at the final time; snapshots are
     stored exactly at the requested times.  The trajectory counts the
     rejected steps and the factorizations, linear solves and GMRES
-    iterations that ran.  The default recorder is diagnostics.norms
-    with its default options.
+    iterations that ran.  Each record is diagnostics.norms of the state
+    with the s0, p_list and radii of diagnostics, a DiagnosticsConfig
+    (its defaults when None).
     """
     _require_finite(field0)
-    from . import diagnostics
-
-    if recorder is None:
-        recorder = _NormsRecorder()
+    dc = diag_mod.DiagnosticsConfig() if diagnostics is None else diagnostics
     stepper = _STEPPERS[config.scheme]
     if config.scheme == "imex":
         factors = _LaggedFactor(config.linear_tol)
@@ -461,18 +450,13 @@ def run(spec, field0, config, recorder=None):
     states = [] if config.store_states else None
 
     def record(state, t):
-        """Record state at t; returns its (Du, A(u)) when run()'s own
-        recorder took it, else (None, None)."""
-        grad = A = None
-        if isinstance(recorder, _NormsRecorder):
-            grad = cell_gradient(state)
-            A = eval_A(spec, state.points())
-            rec = diagnostics.norms(state, spec, t=t, grad=grad, A=A,
-                                    **recorder.options)
-        else:
-            rec = recorder(state, t)
+        """Record state at t; returns its Du and A(u)."""
+        grad = cell_gradient(state)
+        A = eval_A(spec, state.points())
+        records.append(diag_mod.norms(state, spec, t=t, s0=dc.s0,
+                                      p_list=dc.p_list, R_list=dc.radii,
+                                      grad=grad, A=A))
         times.append(t)
-        records.append(rec)
         if states is not None:
             states.append(state.copy())
         return grad, A

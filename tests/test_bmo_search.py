@@ -213,7 +213,7 @@ class TestWindowCache:
     def test_cached_arrays_are_shared_and_read_only(self):
         win = diag._window(build_grid(1.0, 1.0, 16, 16), 0.25)
         assert diag._window(build_grid(1.0, 1.0, 16, 16), 0.25) is win
-        for arr in (win.kernel, win.counts, win.offsets):
+        for arr in (win.kernel, win.counts, win.offsets, win.spectrum):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 0
 
@@ -231,8 +231,6 @@ class TestWindowCache:
                "zero": np.zeros((Nx, Ny)),
                "normal": 100.0 * rng.standard_normal((Nx, Ny))}[kind]
         wins = [diag._window(g, R) for R in (1 / 16, 1 / 8, 1 / 4, 1 / 2)]
-        wins = [w for w in wins if w.kernel.size > diag._DIRECT_MAX]
-        assert wins
         for win in wins:
             want = fftconvolve(arr, win.kernel.astype(float), mode="same")
             got = diag._window_sums(arr, win)
@@ -246,9 +244,13 @@ class TestWindowCache:
         assert win.spectrum is not None
         with pytest.raises(ValueError):
             win.spectrum[0, 0] = 0
+        # a kernel of at most 81 cells has its spectrum too
         small = diag._window(g, 1 / 16)
-        assert small.kernel.size <= diag._DIRECT_MAX
-        assert small.spectrum is None and small.fshape is None
+        assert small.kernel.size <= 81
+        assert small.fshape == (72, 72)
+        assert small.spectrum.shape == (72, 37)
+        with pytest.raises(ValueError):
+            small.spectrum[0, 0] = 0
 
     def test_diagnose_builds_each_kernel_once(self, write_manifest, tmp_path,
                                               monkeypatch):

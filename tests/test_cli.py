@@ -373,6 +373,25 @@ class TestSweepCommand:
         assert summary["all_reached"] is True
         assert summary["values"] == [1e-3, 5e-4]
 
+    def test_every_run_writes_its_summary(self, write_manifest, tmp_path):
+        # the second run stops after three steps, short of t_end
+        data = heat_sim_manifest()
+        data["solver"] = {"scheme": "imex", "dt0": 1e-3, "t_end": 0.02}
+        data["sweep"] = {"path": "solver.max_steps", "values": [100, 3]}
+        path = write_manifest(data)
+        out = tmp_path / "sw"
+        r = invoke("sweep", "--manifest", path, "--out", out)
+        assert r.exit_code == cli_mod.EXIT_RUNTIME, r.output
+        _, _, rows = read_rows(out / "sweep.csv")
+        reasons = []
+        for i, row in enumerate(rows):
+            _, _, reached, t_final, _ = (float(v) for v in row.split(","))
+            summary = load_json(out / f"run_{i:03d}" / "summary.json")
+            assert (summary["terminated_reason"] == "reached") == (reached == 1.0)
+            assert summary["t_final"] == t_final
+            reasons.append(summary["terminated_reason"])
+        assert reasons == ["reached", "maxsteps"]
+
     def test_sweep_needs_path_and_values(self, write_manifest, tmp_path):
         data = heat_sim_manifest()
         data["sweep"] = {"path": "solver.dt0"}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -264,6 +265,13 @@ class TestEnergyInequality:
         traj = run(heat1, eigenmode_field(grid16d), cfg)
         with pytest.raises(InputError):
             energy_inequality_check(traj, heat1)
+
+    def test_requires_a_norm_record_per_stored_state(self, heat1, grid16d):
+        traj = short_run(heat1, eigenmode_field(grid16d), 1e-3, 5e-3)
+        for records in ([None] * len(traj.records), traj.records[:-1]):
+            with pytest.raises(InputError):
+                energy_inequality_check(
+                    dataclasses.replace(traj, records=records), heat1)
 
     def test_requires_three_states(self, heat1, grid16d):
         cfg = SolverConfig(dt0=1e-3, t_end=2e-3, store_states=True,

@@ -74,7 +74,34 @@ for t in threads:
 assert not any(t.is_alive() for t in threads)
 rec = norms(f, spec, R_list=radii)
 assert all(r == (rec.bmo, rec.morrey) for r in results), results
-""") == ["scipy.optimize", "scipy.ndimage", "scipy.fft"]
+""") == ["scipy.optimize", "scipy.fft"]
+
+
+def test_diagnose_with_radii_loads_neither_ndimage_nor_signal(tmp_path):
+    # 16x16 at R = 2h and 4h: kernels of 25 and 81 cells, the sizes a
+    # direct convolution would take
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "schema": "crossdiff/1", "seed": 0,
+        "model": {"classic_skt": {"a1": 1.0, "a2": 1.0, "a11": 1.0,
+                                  "a12": 0.5, "a21": 0.5, "a22": 1.0}},
+        "grid": {"Nx": 16, "Ny": 16, "bc": "neumann"},
+        "solver": {"scheme": "imex", "dt0": 4e-3, "dt_min": 4e-3,
+                   "dt_max": 4e-3, "t_end": 0.08},
+        "initial": {"family": "positive_fourier", "amplitude": 0.5},
+        "diagnostics": {"radii": [0.125, 0.25]}}))
+    got = loaded_after(f"""
+from pathlib import Path
+from click.testing import CliRunner
+out = Path({str(tmp_path / "out")!r})
+r = CliRunner().invoke(crossdiff.cli.main, ["diagnose", "--manifest",
+                       {str(manifest)!r}, "--out", str(out)])
+assert r.exit_code in (0, 1), r.output
+assert json.loads((out / "bmo.json").read_text())["oscillation"]
+assert (out / "morrey.json").exists()
+""")
+    assert "scipy.fft" in got
+    assert not {"scipy.ndimage", "scipy.signal"} & set(got)
 
 
 def test_classic_skt_loads_only_optimize():

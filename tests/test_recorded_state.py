@@ -1,7 +1,7 @@
 """run() computes Du and A(u) once per recorded state and shares them
-with the recorder, the explicit step cap and the reaction term; diagnose
-reads y and the final bmo values from the records.  Every value must be
-bit for bit the one computed from scratch."""
+with norms, the explicit step cap and the reaction term; diagnose reads
+y and the final bmo values from the records.  Every value must be bit
+for bit the one computed from scratch."""
 
 import dataclasses
 import json
@@ -13,9 +13,9 @@ import pytest
 import crossdiff.diagnostics as diag_mod
 import crossdiff.grid as grid_mod
 import crossdiff.solver as solver_mod
-from crossdiff import (Field, InputError, LambdaSpec, ModelSpec,
-                       PolynomialMap, SolverConfig, bmo_profile, build_grid,
-                       cell_gradient, energy_inequality_check,
+from crossdiff import (DiagnosticsConfig, Field, InputError, LambdaSpec,
+                       ModelSpec, PolynomialMap, SolverConfig, bmo_profile,
+                       build_grid, cell_gradient, energy_inequality_check,
                        eval_A, initial_field, norms, run)
 from crossdiff.diagnostics import _energy_y
 
@@ -25,6 +25,14 @@ from conftest import eigenmode_field
 def record_bits(rec):
     # repr of a float round-trips, and tells -0.0 from 0.0
     return repr(dataclasses.astuple(rec))
+
+
+def from_scratch(traj, spec, dc=DiagnosticsConfig()):
+    """traj with its records replaced by norms of its stored states, each
+    computing its own Du and A(u)."""
+    return dataclasses.replace(traj, records=[
+        norms(s, spec, t=t, s0=dc.s0, p_list=dc.p_list, R_list=dc.radii)
+        for t, s in zip(traj.times, traj.states)])
 
 
 def cross_model(m):
@@ -89,14 +97,17 @@ class TestSharedRecord:
         for t, rec, state in zip(traj.times, traj.records, traj.states):
             assert record_bits(rec) == record_bits(norms(state, spec, t=t))
 
-    def test_steps_equal_those_under_a_user_recorder(self, case):
+    def test_steps_equal_those_of_unrecorded_states(self, case):
+        # recording only the first and the final state, every step
+        # computes its own Du and A(u)
         spec, f0, config = case
         got = run(spec, f0, config)
-        want = run(spec, f0, config, recorder=lambda f, t: norms(f, spec, t=t))
+        want = run(spec, f0, dataclasses.replace(config, record_every=10**6))
+        assert len(want.records) == 2
         assert got.dt_history.tobytes() == want.dt_history.tobytes()
         assert got.final.values.tobytes() == want.final.values.tobytes()
-        assert list(map(record_bits, got.records)) == list(
-            map(record_bits, want.records))
+        assert list(map(record_bits, want.records)) == [
+            record_bits(got.records[0]), record_bits(got.records[-1])]
 
     def test_one_A_and_one_gradient_per_recorded_state(self, skt_lv,
                                                         monkeypatch):
@@ -133,11 +144,11 @@ class TestDiagnoseReadsTheRecord:
         config = SolverConfig(scheme="imex", dt0=2e-3, t_end=0.04,
                               store_states=True)
         recorded = run(skt_lv, f0, config)
-        other = run(skt_lv, f0, config, recorder=lambda f, t: t)
         got = energy_inequality_check(recorded, skt_lv).to_dict()
-        want = energy_inequality_check(other, skt_lv).to_dict()
+        want = energy_inequality_check(
+            from_scratch(recorded, skt_lv), skt_lv).to_dict()
         assert got == want
-        ys = [_energy_y(s, skt_lv, cell_gradient(s)) for s in other.states]
+        ys = [_energy_y(s, skt_lv, cell_gradient(s)) for s in recorded.states]
         assert got["extra"]["y"] == ys
 
     def test_bmo_profile_takes_recorded_radii(self, skt):
@@ -183,20 +194,20 @@ class TestDiagnoseReadsTheRecord:
 
         got = outputs()
         assert {"energy.json", "bmo.json", "ystar.json"} <= set(got)
-        # the computing paths: norms recomputes Du and A(u), y comes from
-        # the stored states and the final bmo values are evaluated afresh
+        # the computing paths: the records are norms of the stored
+        # states with their own Du and A(u), the energy check takes y from
+        # records computed afresh and the final bmo values are evaluated
+        # afresh
         real_run, real_energy = run, energy_inequality_check
         real_bmo = diag_mod.bmo_profile
         monkeypatch.setattr(
             "crossdiff.cli.run",
-            lambda spec, f0, config, recorder: real_run(
-                spec, f0, config,
-                recorder=lambda f, t: norms(f, spec, t=t, **recorder.options)))
+            lambda spec, f0, config, diagnostics: from_scratch(
+                real_run(spec, f0, config, diagnostics=diagnostics), spec,
+                diagnostics))
         monkeypatch.setattr(
             diag_mod, "energy_inequality_check",
-            lambda traj, spec: real_energy(
-                dataclasses.replace(traj, records=[None] * len(traj.records)),
-                spec))
+            lambda traj, spec: real_energy(from_scratch(traj, spec), spec))
         monkeypatch.setattr(
             diag_mod, "bmo_profile",
             lambda u, radii, recorded, **kw: real_bmo(u, radii, **kw))
