@@ -458,7 +458,9 @@ class Region:
             pts[1::2] = rng.random((n - n_q, m))
         lo = np.array(self.lo)
         hi = np.array(self.hi)
-        return lo + pts * (hi - lo)
+        pts *= hi - lo  # in place: the bits of lo + pts * (hi - lo)
+        pts += lo
+        return pts
 
     def to_dict(self):
         return {"lo": list(self.lo), "hi": list(self.hi)}
@@ -558,46 +560,32 @@ def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
     Returns a StructuralReport.  Ellipticity is declared violated when
     any sample has mineig(sym A(u)) < lambda(u) * (1 - tol_ell) or a
     nonpositive minimum eigenvalue.  The sample set is reproducible from
-    (region, n, seed) via region.sample.
+    (region, n, seed) via region.sample.  The draw is held once; every
+    check runs over it in slices of _SLICE rows and reduces by min and
+    max, so the report does not depend on the slice size.
     """
     if not isinstance(region, Region):
         region = Region(*region)
     if region.m != spec.m:
         raise InputError("region dimension does not match the model")
-    # lambda_l first, so the directions of the draw are freed before the
-    # checks below allocate their own arrays of the sample's size
     sample = _certification_draw(spec, region, n, seed)
     lam_l = {float(l): compute_lambda_l(spec, l, delta=delta_k, _sample=sample)
              for l in ls}
     U, lam, A = sample[:3]
-    del sample
-    mineig = _sym_mineigs(A)
-    opn = _opnorms(A)
-    gradn = spec.lam.grad_norm(U)
-
-    ratio = mineig / lam
-    ratio_min = float(ratio.min())
-    ratio_max = float(ratio.max())
-    C_star = float(np.max(opn / lam))
-    Lambda_hat = float(np.max(gradn / lam))
+    del sample  # the directions are no longer needed
     eps0 = 1.0 / spec.lam.k if spec.lam.k > 1.0 else 1.0
-    Lambda1_hat = float(np.max(gradn / lam ** (1.0 - eps0)))
+    (ratio_mins, ratio_maxs, C_stars, Lambdas, Lambda1s, C_Ps, C_fs,
+     positive) = zip(*(_slice_checks(spec, U[s], lam[s], A[s], eps0)
+                       for s in _slices(len(U))))
+    ratio_min = float(np.min(ratio_mins))
+    ratio_max = float(np.max(ratio_maxs))
+    C_star = float(np.max(C_stars))
+    Lambda_hat = float(np.max(Lambdas))
+    Lambda1_hat = float(np.max(Lambda1s))
+    C_P_hat = float(_max_or_zero(C_Ps))
+    C_f_hat = float(_max_or_zero(C_fs))
 
-    un = np.linalg.norm(U, axis=-1)
-    mask = un > 0
-    Pn = np.linalg.norm(eval_P(spec, U), axis=-1)
-    if mask.any():
-        C_P_hat = float(np.max(Pn[mask] / (lam[mask] * un[mask])))
-    else:
-        C_P_hat = 0.0
-    fvals = reaction_zero_order(spec, U)
-    fn = np.linalg.norm(fvals, axis=-1)
-    if spec.reaction is not None and mask.any():
-        C_f_hat = float(np.max(fn[mask] * spec.lam.lambda_S / (un[mask] * lam[mask])))
-    else:
-        C_f_hat = 0.0
-
-    ellipticity_pass = bool(np.all(mineig > 0) and ratio_min >= 1.0 - tol_ell)
+    ellipticity_pass = bool(all(positive) and ratio_min >= 1.0 - tol_ell)
     growth_pass = bool(np.isfinite(C_P_hat))
     f_pass = bool(np.isfinite(C_f_hat) and
                   (spec.C_f is None or C_f_hat <= spec.C_f * (1.0 + 1e-12)))
@@ -616,23 +604,73 @@ def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
         sample_count=len(U), region=region, seed=int(seed))
 
 
+# Rows per slice of the certification draw's per-sample work: the draw
+# is held whole (104 bytes per sample at m = 2), the temporaries of one
+# slice come on top.
+_SLICE = 1 << 15
+
+
+def _slices(n):
+    """Consecutive row slices of at most _SLICE rows covering range(n)."""
+    return [slice(i, min(i + _SLICE, n)) for i in range(0, n, _SLICE)]
+
+
+def _max_or_zero(values):
+    """Max over the slices that have a value (states off the origin), 0
+    when none has."""
+    values = [v for v in values if v is not None]
+    return np.max(values) if values else 0.0
+
+
+def _slice_checks(spec, U, lam, A, eps0):
+    """The extrema of verify_structure's checks on one slice: min and
+    max of mineig/lambda, C_*, Lambda, Lambda1, C_P and C_f (None when
+    no state is off the origin, C_f also without a reaction), and
+    whether every mineig is positive."""
+    mineig = _sym_mineigs(A)
+    ratio = mineig / lam
+    gradn = spec.lam.grad_norm(U)
+    un = np.linalg.norm(U, axis=-1)
+    mask = un > 0
+    C_P = C_f = None
+    if mask.any():
+        Pn = np.linalg.norm(eval_P(spec, U), axis=-1)
+        C_P = np.max(Pn[mask] / (lam[mask] * un[mask]))
+        if spec.reaction is not None:
+            fn = np.linalg.norm(reaction_zero_order(spec, U), axis=-1)
+            C_f = np.max(fn[mask] * spec.lam.lambda_S / (un[mask] * lam[mask]))
+    return (ratio.min(), ratio.max(), np.max(_opnorms(A) / lam),
+            np.max(gradn / lam), np.max(gradn / lam ** (1.0 - eps0)), C_P, C_f,
+            bool(np.all(mineig > 0)))
+
+
+def _unit_rows(v, axis):
+    """Scale v in place to unit norm over axis; zero rows stay zero."""
+    vn = np.linalg.norm(v, axis=axis, keepdims=True)
+    vn[vn == 0] = 1.0
+    v /= vn
+
+
 def _certification_draw(spec, region, n, seed):
     """The certification sample of (region, n, seed): the states
     U = region.sample(n, seed), lambda(U), A(U), and per state one unit
     direction d in R^m (stream 0xD1) and one unit m x 2 matrix q
-    (stream 0xD2)."""
+    (stream 0xD2).  Everything after U is filled slice by slice into
+    preallocated arrays, each stream continuing across slices, so the
+    draw's bits do not depend on the slice size."""
     seed = whole_number(seed, "seed")
     U = region.sample(n, seed)
     n, m = U.shape
-    d = np.random.default_rng([seed, 0xD1]).standard_normal((n, m))
-    dn = np.linalg.norm(d, axis=-1, keepdims=True)
-    dn[dn == 0] = 1.0
-    d /= dn
-    q = np.random.default_rng([seed, 0xD2]).standard_normal((n, m, 2))
-    qn = np.linalg.norm(q, axis=(-2, -1), keepdims=True)
-    qn[qn == 0] = 1.0
-    q /= qn
-    return U, eval_lambda(spec, U), eval_A(spec, U), d, q
+    lam, A = np.empty(n), np.empty((n, m, m))
+    d, q = np.empty((n, m)), np.empty((n, m, 2))
+    d_rng = np.random.default_rng([seed, 0xD1])
+    q_rng = np.random.default_rng([seed, 0xD2])
+    for s in _slices(n):
+        lam[s] = eval_lambda(spec, U[s])
+        A[s] = eval_A(spec, U[s])
+        _unit_rows(d_rng.standard_normal(out=d[s]), -1)
+        _unit_rows(q_rng.standard_normal(out=q[s]), (-2, -1))
+    return U, lam, A, d, q
 
 
 def compute_lambda_l(spec, l, n=100000, seed=0, region=None, delta=0.99,
@@ -650,6 +688,7 @@ def compute_lambda_l(spec, l, n=100000, seed=0, region=None, delta=0.99,
     returned infimum is nonincreasing in n.  A positive return value
     is an empirical certificate.  _sample, when given, is the
     _certification_draw to use in place of drawing (region, n, seed).
+    The quotients run in slices of _SLICE rows and reduce by min.
     """
     l = float(l)
     if l < 0:
@@ -660,27 +699,108 @@ def compute_lambda_l(spec, l, n=100000, seed=0, region=None, delta=0.99,
         elif not isinstance(region, Region):
             region = Region(*region)
         _sample = _certification_draw(spec, region, n, seed)
-    U, lam, A, d, q = _sample
+    C_stars, mins = [], []
+    for s in _slices(len(_sample[0])):
+        U, lam, A, d, q = (x[s] for x in _sample)
+        if l > 0:
+            keep = np.linalg.norm(U, axis=-1) > 0
+            if not keep.any():
+                continue
+            U, lam, A, d, q = U[keep], lam[keep], A[keep], d[keep], q[keep]
+            C_stars.append(np.max(_opnorms(A) / lam))
+        AT = np.swapaxes(A, -1, -2)
+        if l > 0:
+            uhat = U / np.linalg.norm(U, axis=-1, keepdims=True)
+            Au = np.einsum("nij,nj->ni", AT, uhat)
+            T = AT + l * Au[:, :, None] * uhat[:, None, :]
+        else:
+            T = AT
+        vals1 = np.einsum("ni,nij,nj->n", d, T, d) / lam
+        vals2 = np.einsum("nic,nij,njc->n", q, T, q) / lam
+        mins.append((vals1.min(), vals2.min()))
     if l > 0:
-        keep = np.linalg.norm(U, axis=-1) > 0
-        if not keep.any():
+        if not C_stars:
             raise InputError("all samples at the origin; quotient undefined for l > 0")
-        U, lam, A, d, q = U[keep], lam[keep], A[keep], d[keep], q[keep]
-    AT = np.swapaxes(A, -1, -2)
-    if l > 0:
         # gate check: l/(l+2) <= delta / C_*, reported but not enforced
-        C_star = float(np.max(_opnorms(A) / lam))
+        C_star = float(np.max(C_stars))
         if l / (l + 2.0) > delta / C_star:
             logger.info("spectral-gap gate fails for l=%g (C_*~%.3g); "
                         "the certified constant may be nonpositive", l, C_star)
-        uhat = U / np.linalg.norm(U, axis=-1, keepdims=True)
-        Au = np.einsum("nij,nj->ni", AT, uhat)
-        T = AT + l * Au[:, :, None] * uhat[:, None, :]
-    else:
-        T = AT
-    vals1 = np.einsum("ni,nij,nj->n", d, T, d) / lam
-    vals2 = np.einsum("nic,nij,njc->n", q, T, q) / lam
-    return float(min(vals1.min(), vals2.min()))
+    min1, min2 = (np.min(v) for v in zip(*mins))
+    return float(min(min1, min2))
+
+
+def _brent_bounded(func, a, b, xatol=1e-5, maxiter=500):
+    """The least value of func found on [a, b] by Brent's bounded
+    minimization.
+
+    A port of _minimize_scalar_bounded from scipy.optimize (Copyright
+    (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers; BSD-3-Clause)
+    that does the same float operations in the same order, so it
+    returns minimize_scalar(func, bounds=(a, b), method="bounded",
+    options={"xatol": xatol}).fun bit for bit without importing
+    scipy.optimize.  The np.sign(v) + (v == 0) of the original is
+    written as -1.0 if v < 0 else 1.0.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return fx
 
 
 def _skt_lambda1(a11, a12, a21, a22):
@@ -708,10 +828,8 @@ def _skt_lambda1(a11, a12, a21, a22):
     hi = min(i + 1, len(thetas) - 1)
     best = vals[i]
     if hi > lo:
-        from scipy.optimize import minimize_scalar
-        res = minimize_scalar(slope, bounds=(thetas[lo], thetas[hi]),
-                              method="bounded", options={"xatol": 1e-12})
-        best = min(best, float(res.fun))
+        best = min(best, _brent_bounded(slope, float(thetas[lo]), float(thetas[hi]),
+                                        xatol=1e-12))
     # small safety margin so the sampled ellipticity ratio stays >= 1
     return max(best, 0.0) * (1.0 - 1e-7)
 

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -483,7 +487,12 @@ class TestVerifyStructure:
         assert a.to_dict() == b.to_dict()
 
     def test_sample_drawn_and_evaluated_once(self, skt, monkeypatch):
-        counts = {"sample": 0, "eval_A": 0, "compute_lambda_l": 0}
+        # three slices, the last of 3 rows: A is evaluated slice by slice
+        # and covers every state of the one draw exactly once
+        n = 2 * model_mod._SLICE + 3
+        region = Region.positive(50.0, 2)
+        counts = {"sample": 0, "compute_lambda_l": 0}
+        evaluated = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -491,13 +500,18 @@ class TestVerifyStructure:
                 return fn(*args, **kwargs)
             return wrapper
 
+        def recorded_eval_A(spec, u):
+            evaluated.append(np.array(u))
+            return eval_A(spec, u)
+
         monkeypatch.setattr(Region, "sample", counted("sample", Region.sample))
-        for name in ("eval_A", "compute_lambda_l"):
-            monkeypatch.setattr(model_mod, name,
-                                counted(name, getattr(model_mod, name)))
-        verify_structure(skt, Region.positive(50.0, 2), n=500, seed=3,
-                         ls=(0, 1, 2))
-        assert counts == {"sample": 1, "eval_A": 1, "compute_lambda_l": 3}
+        monkeypatch.setattr(model_mod, "compute_lambda_l",
+                            counted("compute_lambda_l", compute_lambda_l))
+        monkeypatch.setattr(model_mod, "eval_A", recorded_eval_A)
+        verify_structure(skt, region, n=n, seed=3, ls=(0, 1, 2))
+        assert counts == {"sample": 1, "compute_lambda_l": 3}
+        assert [len(u) for u in evaluated] == [model_mod._SLICE] * 2 + [3]
+        assert np.array_equal(np.concatenate(evaluated), region.sample(n, 3))
 
     @pytest.mark.parametrize("region", [Region.positive(100.0, 2),
                                         Region.symmetric(3.0, 2)])
@@ -533,6 +547,218 @@ class TestVerifyStructure:
             Az2 = (np.einsum("nij,j->ni", A, z) ** 2).sum(axis=-1)
             assert np.all(Az2 >= lam ** 2 * (z @ z) * (1 - 1e-9))
             assert np.all(Az2 <= rep.C_star_hat ** 2 * lam ** 2 * (z @ z) * (1 + 1e-9))
+
+
+def float_bits(x):
+    """x with every float replaced by its IEEE bits, so == compares bit
+    for bit (NaN included)."""
+    if isinstance(x, dict):
+        return {k: float_bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [float_bits(v) for v in x]
+    if isinstance(x, float):
+        return int(np.float64(x).view(np.uint64))
+    return x
+
+
+def three_component_model():
+    """m = 3 with cross terms, a cubic and a radial envelope."""
+    return ModelSpec(
+        P=PolynomialMap(3, [
+            [(1.0, (1, 0, 0)), (0.3, (2, 0, 0)), (0.2, (1, 1, 0))],
+            [(1.0, (0, 1, 0)), (0.1, (1, 1, 0)), (0.4, (0, 2, 1))],
+            [(1.0, (0, 0, 1)), (0.2, (0, 1, 1)), (0.5, (0, 0, 3))]]),
+        lam=LambdaSpec(1.0, 0.1, 2.0))
+
+
+SLICE_CASES = [("skt_lv", Region.positive(100.0, 2)),
+               ("skt_lv", Region.symmetric(3.0, 2)),
+               ("m3", Region.symmetric(2.0, 3))]
+
+
+class TestCertificationSlices:
+    """The certification does its per-sample work in slices of _SLICE
+    rows; every result is the same bits whatever the slice size."""
+
+    SLICE = 7
+    N = 3 * SLICE + 5
+
+    def certify(self, spec, region, seed, monkeypatch, slice_rows):
+        monkeypatch.setattr(model_mod, "_SLICE", slice_rows)
+        n = self.N
+        rep = verify_structure(spec, region, n=n, seed=seed, delta_k=0.9)
+        alone = [compute_lambda_l(spec, l, n, seed, region, 0.9)
+                 for l in (0.0, 1.0, 2.0)]
+        draw = model_mod._certification_draw(spec, region, n, seed)
+        return (float_bits(rep.to_dict()), float_bits(alone),
+                region.sample(n, seed), draw)
+
+    @pytest.mark.parametrize("name,region", SLICE_CASES)
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_results_do_not_depend_on_the_slice_size(self, name, region, seed,
+                                                     skt_lv, monkeypatch):
+        spec = skt_lv if name == "skt_lv" else three_component_model()
+        sliced = self.certify(spec, region, seed, monkeypatch, self.SLICE)
+        whole = self.certify(spec, region, seed, monkeypatch, self.N + 1)
+        assert sliced[0] == whole[0]
+        assert sliced[1] == whole[1]
+        assert sliced[0]["lambda_l"] == dict(zip(
+            ("0.0", "1.0", "2.0"), whole[1]))
+        assert sliced[2].tobytes() == whole[2].tobytes()
+        assert [a.tobytes() for a in sliced[3]] == [a.tobytes() for a in whole[3]]
+
+    def test_sample_scaled_in_place_keeps_the_bits(self):
+        region = Region((-1.5, 2.0), (0.25, 7.0))
+        pts = region.sample(101, 4)
+        unit = Region((0.0, 0.0), (1.0, 1.0)).sample(101, 4)
+        lo, hi = np.array(region.lo), np.array(region.hi)
+        assert pts.tobytes() == (lo + unit * (hi - lo)).tobytes()
+
+    @staticmethod
+    def hand_made_sample(n, rng, off_origin):
+        """A _certification_draw-shaped tuple with U = 0 except on the
+        rows in off_origin."""
+        U = np.zeros((n, 2))
+        U[off_origin] = rng.uniform(0.5, 2.0, (len(off_origin), 2))
+        lam = rng.uniform(1.0, 2.0, n)
+        A = rng.uniform(-0.2, 0.2, (n, 2, 2)) + 3.0 * np.eye(2)
+        d = rng.standard_normal((n, 2))
+        q = rng.standard_normal((n, 2, 2))
+        return U, lam, A, d, q
+
+    def test_origin_rejected_only_when_the_whole_draw_is_there(
+            self, heat2, monkeypatch):
+        monkeypatch.setattr(model_mod, "_SLICE", self.SLICE)
+        rng = np.random.default_rng(0)
+        # the first three slices lie at the origin, the last holds one
+        # state off it
+        sample = self.hand_made_sample(self.N, rng, [self.N - 2])
+        U, lam, A, d, q = sample
+        got = compute_lambda_l(heat2, 1.0, _sample=sample)
+        keep = [self.N - 2]
+        monkeypatch.setattr(model_mod, "_SLICE", self.N)
+        want = compute_lambda_l(heat2, 1.0, _sample=(
+            U[keep], lam[keep], A[keep], d[keep], q[keep]))
+        assert float_bits(got) == float_bits(want)
+        # l = 0 does not divide by |u|, so the origin is a valid sample
+        assert math.isfinite(compute_lambda_l(heat2, 0.0, _sample=sample))
+        monkeypatch.setattr(model_mod, "_SLICE", self.SLICE)
+        origin = self.hand_made_sample(self.N, rng, [])
+        with pytest.raises(InputError, match="all samples at the origin"):
+            compute_lambda_l(heat2, 1.0, _sample=origin)
+
+    def test_spectral_gap_logged_once_with_c_star_over_all_kept(
+            self, heat2, monkeypatch, caplog):
+        monkeypatch.setattr(model_mod, "_SLICE", self.SLICE)
+        rng = np.random.default_rng(1)
+        off = [i for i in range(self.N) if i % 4]
+        U, lam, A, d, q = self.hand_made_sample(self.N, rng, off)
+        # the largest ||A||/lambda of the kept states is in the second
+        # of four slices; a larger one at the origin (row 0) is dropped
+        lam[:] = 1.0
+        A[self.SLICE + 2] = [[50.0, 0.0], [0.0, 3.0]]
+        A[0] = [[900.0, 0.0], [0.0, 3.0]]
+        C_star = float(np.max(_opnorms(A[off]) / lam[off]))
+        assert C_star == 50.0
+        with caplog.at_level("INFO", logger="crossdiff.model"):
+            compute_lambda_l(heat2, 2.0, delta=0.99, _sample=(U, lam, A, d, q))
+        gates = [r for r in caplog.records if "spectral-gap" in r.getMessage()]
+        assert len(gates) == 1
+        assert f"C_*~{C_star:.3g}" in gates[0].getMessage()
+
+
+def test_verify_memory_stays_bounded(tmp_path):
+    # n = 1e6 held whole is about 104 MB at m = 2; before the checks ran
+    # in slices the peak above the imports was about 290 MB
+    code = """
+import resource, sys
+import crossdiff.cli
+from crossdiff import Region, classic_skt, verify_structure
+spec = classic_skt(1.0, 1.0, 1.0, 0.5, 0.5, 1.0)
+region = Region.positive(100.0, 2)
+verify_structure(spec, region, n=10, seed=1)  # loads scipy.stats
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+rep = verify_structure(spec, region, n=1_000_000, seed=1)
+assert rep.sample_count == 1_000_000
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) / 1024)
+"""
+    src = str(Path(model_mod.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                         capture_output=True, timeout=300, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    above_mb = float(out.stdout.split()[-1])
+    assert above_mb < 200.0
+
+
+# (a11, a12, a21, a22) of every classic_skt in the tests and the
+# benchmark, then 50 seeded random sets
+SKT_COEFFICIENTS = ([(1.0, 0.5, 0.5, 1.0), (1.0, 1.0, 1.0, 1.0),
+                     (0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 0.0, 0.0),
+                     (2.0, 1.0, 1.0, 2.0)]
+                    + [tuple(np.random.default_rng([0xB7, k]).uniform(0.0, 3.0, 4))
+                       for k in range(50)])
+
+
+def scipy_bounded(func, a, b, xatol=1e-5, maxiter=500):
+    from scipy.optimize import minimize_scalar
+    return float(minimize_scalar(func, bounds=(a, b), method="bounded",
+                                 options={"xatol": xatol,
+                                          "maxiter": maxiter}).fun)
+
+
+class TestBoundedBrent:
+    """model._brent_bounded is scipy's bounded minimize_scalar, bit for
+    bit, without importing scipy.optimize."""
+
+    @pytest.mark.parametrize("coefs", SKT_COEFFICIENTS)
+    def test_skt_slope_search_matches_scipy(self, coefs, monkeypatch):
+        port = model_mod._brent_bounded
+        searches = []
+
+        def recorded(func, a, b, xatol=1e-5):
+            searches.append((func, a, b, xatol))
+            return port(func, a, b, xatol=xatol)
+
+        monkeypatch.setattr(model_mod, "_brent_bounded", recorded)
+        got = model_mod._skt_lambda1(*coefs)
+        assert len(searches) == 1
+        func, a, b, xatol = searches[0]
+        assert (self.evaluations(port, func, (a, b), xatol=xatol)
+                == self.evaluations(scipy_bounded, func, (a, b), xatol=xatol))
+        monkeypatch.setattr(model_mod, "_brent_bounded", scipy_bounded)
+        assert float_bits(got) == float_bits(model_mod._skt_lambda1(*coefs))
+
+    @staticmethod
+    def evaluations(minimize, func, bounds, **options):
+        """The result of minimize and every point it evaluated func at."""
+        xs = []
+
+        def logged(x):
+            xs.append(float(x))
+            return func(x)
+
+        return float_bits([minimize(logged, *bounds, **options)] + xs)
+
+    @pytest.mark.parametrize("maxiter", [3, 500])
+    @pytest.mark.parametrize("func,bounds", [
+        (lambda x: (x - 0.3) ** 2, (-1.0, 2.0)),
+        (lambda x: math.cos(3.0 * x) + 0.1 * x, (-2.0, 2.5)),
+        (lambda x: abs(x - 1.0 / 3.0), (0.0, 1.0)),  # kink: golden steps
+        (lambda x: -x, (0.0, 1.0)),  # minimum at a bound
+        (lambda x: 1.0, (0.0, 1e-9)),  # flat on a tiny bracket
+        # ties between f values steer the bracket updates
+        (lambda x: 1.0, (0.0, 1.0)),
+        (lambda x: max(abs(x - 0.5), 0.2), (0.0, 1.0)),
+        (lambda x: math.floor(16.0 * (x - 0.3) ** 2), (-1.0, 2.0)),
+    ])
+    def test_generic_functions_match_scipy(self, func, bounds, maxiter):
+        for xatol in (1e-5, 1e-12):
+            options = {"xatol": xatol, "maxiter": maxiter}
+            assert (self.evaluations(model_mod._brent_bounded, func, bounds, **options)
+                    == self.evaluations(scipy_bounded, func, bounds, **options))
 
 
 def spectral_batches(m, n=2000):
