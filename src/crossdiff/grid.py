@@ -7,8 +7,13 @@ normal difference of its cells, and a cell's row is the divergence of
 its face fluxes.  Boundary conditions act through ghost cells (mirror
 for no-flux, odd reflection for zero-Dirichlet), which the matrix
 folds into its boundary rows.  flux_operator assembles Div(A Du) from
-face coefficients; its sparsity pattern, and the component Laplacian
-I_m (x) L_1 built from unit coefficients, are cached per (grid, m).
+face coefficients through a plan cached per (grid, m): the canonical
+CSR pattern, the diagonal positions, and a table that gathers each
+entry's face terms from the raw face arrays, added in the order scipy's
+COO-to-CSR conversion adds them, so an assembly is a few gathers and
+adds with no COO matrix, sort or conversion.  The IMEX operator
+I - dt L is shifted on the same plan.  The component Laplacian
+I_m (x) L_1, built from unit coefficients, is cached per (grid, m) too.
 The quasilinear operator Div(A(u) Du) and the fully nonlinear form
 Lap(P(u)) = (I_m (x) L_1) P(u) are both products with these matrices.
 """
@@ -177,67 +182,166 @@ def cell_gradient(field):
     return np.stack([gx, gy], axis=1)
 
 
-@functools.lru_cache(maxsize=16)
-def _face_pattern(grid, m):
-    """COO (rows, cols) of the flux operator for m components, built
-    once per (grid, m).
+class _FluxPlan:
+    """How face coefficients fill the flux operator of m components on a
+    grid: its canonical CSR pattern and a gather table into the face
+    arrays.  _flux_plan builds one per (grid, m) and shares it, threads
+    included, so its arrays are read-only; matrices made from it share
+    indptr and indices, and drop entries only on copies.
 
     Each interior face contributes a paired (+w, -w) four-entry block
     coupling its two cells, so with no-flux boundaries every column of
     the operator sums to zero, which is what makes backward-Euler steps
     conservative.  Dirichlet boundary faces contribute -2w on the
-    diagonal block (odd-reflection ghosts).
+    diagonal block (odd-reflection ghosts).  Several blocks meet at a
+    diagonal block, and an entry there is their sum in the order scipy's
+    COO-to-CSR conversion adds them: the plan replays that conversion
+    once on entries tagged with their position, so the sums keep
+    scipy's bits on whatever scipy is installed.
+
+    * indptr, indices: the canonical (sorted, summed) pattern;
+    * gather: (k, nnz) positions in the signed source vector that
+      data() fills (the face values w / h^2, 0.0, then their
+      negations), k being the most blocks at one entry; shorter sums
+      are padded with -0.0, which adds exactly nothing, also to -0.0;
+    * eye: the identity's data on the pattern, 1.0 at the diagonal
+      positions.
     """
+
+    __slots__ = ("n", "indptr", "indices", "gather", "eye", "_faces", "_size")
+
+    def __init__(self, grid, m):
+        Nx, Ny = grid.Nx, grid.Ny
+        N = Nx * Ny
+        n = self.n = m * N
+        hx2, hy2 = grid.hx ** 2, grid.hy ** 2
+        # the face arrays in source order, as (0 for Ax or 1 for Ay,
+        # index, factor, h^2) with their blocks (row cells, column cells,
+        # sign); a block's entries run over (m, m, faces)
+        fi, j = np.meshgrid(np.arange(1, Nx), np.arange(Ny), indexing="ij")
+        xL, xR = ((fi - 1) * Ny + j).ravel(), (fi * Ny + j).ravel()
+        i, fj = np.meshgrid(np.arange(Nx), np.arange(1, Ny), indexing="ij")
+        yB, yT = (i * Ny + fj - 1).ravel(), (i * Ny + fj).ravel()
+        faces = [(0, np.s_[1:-1], 1.0, hx2,
+                  ((xL, xR, 1), (xL, xL, -1), (xR, xR, -1), (xR, xL, 1))),
+                 (1, np.s_[:, 1:-1], 1.0, hy2,
+                  ((yB, yT, 1), (yB, yB, -1), (yT, yT, -1), (yT, yB, 1)))]
+        if grid.bc == "dirichlet":
+            jj, ii = np.arange(Ny), np.arange(Nx)
+            for axis, index, cells, h2 in (
+                    (0, np.s_[0], jj, hx2), (0, np.s_[-1], (Nx - 1) * Ny + jj, hx2),
+                    (1, np.s_[:, 0], ii * Ny, hy2),
+                    (1, np.s_[:, -1], ii * Ny + Ny - 1, hy2)):
+                faces.append((axis, index, -2.0, h2, ((cells, cells, 1),)))
+        a = np.arange(m)[:, None, None]
+        b = np.arange(m)[None, :, None]
+        rows, cols, src = [], [], []  # src: source position + 1, signed
+        size = 0
+        for *_, blocks in faces:
+            F = blocks[0][0].size
+            at = size + (np.arange(F) * m + a) * m + b  # (m, m, F)
+            for rc, cc, sign in blocks:
+                rows.append(np.broadcast_to(a * N + rc, at.shape).ravel())
+                cols.append(np.broadcast_to(b * N + cc, at.shape).ravel())
+                src.append(sign * (at.ravel() + 1))
+            size += F * m * m
+        self._faces = tuple(f[:4] for f in faces)
+        self._size = size
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        src = np.concatenate(src)
+        src = np.where(src > 0, src - 1, size - src)
+
+        # scipy's conversion on entries tagged with their position:
+        # coo_tocsr keeps the input order within a row (a stable sort by
+        # row), then sum_duplicates sorts each row with sort_indices and
+        # adds each run of equal columns in the order it leaves them
+        order = np.argsort(rows, kind="stable")
+        counts = np.bincount(rows, minlength=n)
+        tagged = sp.csr_matrix(
+            (order.astype(float), cols[order],
+             np.concatenate(([0], np.cumsum(counts)))), shape=(n, n))
+        tagged.sort_indices()
+        r = np.repeat(np.arange(n), counts)
+        c = tagged.indices
+        first = np.ones(c.size, dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        position = np.cumsum(first) - 1
+        rank = np.arange(c.size) - np.flatnonzero(first)[position]
+        self.gather = np.full((rank.max() + 1, position[-1] + 1), 2 * size + 1)
+        self.gather[rank, position] = src[tagged.data.astype(np.intp)]
+        self.indices = c[first]
+        self.indptr = np.zeros_like(tagged.indptr)
+        np.cumsum(np.bincount(r[first], minlength=n), out=self.indptr[1:])
+        self.eye = (self.indices == r[first]).astype(float)
+        for arr in (self.indptr, self.indices, self.gather, self.eye):
+            arr.flags.writeable = False
+
+    def data(self, Ax, Ay):
+        """The operator's CSR data for face coefficients (Ax, Ay): each
+        entry is its k gathered face values added in order."""
+        size = self._size
+        src = np.empty(2 * size + 2)
+        at = 0
+        for axis, index, factor, h2 in self._faces:
+            w = (Ax, Ay)[axis][index]
+            if factor != 1.0:
+                w = factor * w
+            np.divide(w, h2, out=src[at:at + w.size].reshape(w.shape))
+            at += w.size
+        src[size] = 0.0
+        np.negative(src[:size + 1], out=src[size + 1:])
+        data = src.take(self.gather[0])
+        for row in self.gather[1:]:
+            data += src.take(row)
+        return data
+
+    def backward_euler(self, data, dt):
+        """I - dt L for the operator L with these data, with the bits of
+        scipy's identity(n) - dt * L: each entry is eye - data * dt, and
+        exact zeros are dropped, as the sparse subtraction drops them
+        (whole off-diagonal blocks are zero for a diagonal A)."""
+        vals = self.eye - data * dt
+        keep = vals != 0
+        if keep.all():
+            return sp.csr_matrix((vals, self.indices, self.indptr),
+                                 shape=(self.n, self.n))
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        return sp.csr_matrix(
+            (vals[keep], self.indices[keep],
+             kept[self.indptr].astype(self.indptr.dtype)),
+            shape=(self.n, self.n))
+
+
+@functools.lru_cache(maxsize=16)
+def _flux_plan(grid, m):
+    return _FluxPlan(grid, m)
+
+
+def _flux_data(grid, Ax, Ay):
+    """(plan, data): the flux operator's plan and CSR data for face
+    coefficients with the shapes face_coefficients returns, checked."""
     Nx, Ny = grid.Nx, grid.Ny
-    N = Nx * Ny
-    a = np.arange(m)[:, None, None]
-    b = np.arange(m)[None, :, None]
-    rows, cols = [], []
-
-    def add(rc, cc):
-        rows.append(np.broadcast_to(a * N + rc, (m, m, rc.size)).ravel())
-        cols.append(np.broadcast_to(b * N + cc, (m, m, cc.size)).ravel())
-
-    fi, j = np.meshgrid(np.arange(1, Nx), np.arange(Ny), indexing="ij")
-    xL = ((fi - 1) * Ny + j).ravel()
-    xR = (fi * Ny + j).ravel()
-    for rc, cc in ((xL, xR), (xL, xL), (xR, xR), (xR, xL)):
-        add(rc, cc)
-    i, fj = np.meshgrid(np.arange(Nx), np.arange(1, Ny), indexing="ij")
-    yB = (i * Ny + fj - 1).ravel()
-    yT = (i * Ny + fj).ravel()
-    for rc, cc in ((yB, yT), (yB, yB), (yT, yT), (yT, yB)):
-        add(rc, cc)
-    if grid.bc == "dirichlet":
-        jj = np.arange(Ny)
-        ii = np.arange(Nx)
-        for cells in (jj, (Nx - 1) * Ny + jj, ii * Ny, ii * Ny + Ny - 1):
-            add(cells, cells)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-def _face_block(w, m):
-    """(F..., m, m) face data -> (m, m, F) raveled to match the pattern."""
-    return np.moveaxis(w.reshape(-1, m, m), 0, -1).ravel()
+    Ax, Ay = np.asarray(Ax), np.asarray(Ay)
+    m = Ax.shape[-1] if Ax.ndim == 4 else 0
+    if (m < 1 or Ax.shape != (Nx + 1, Ny, m, m)
+            or Ay.shape != (Nx, Ny + 1, m, m)):
+        raise InputError(
+            f"face coefficients must have shapes (Nx+1, Ny, m, m) = "
+            f"({Nx + 1}, {Ny}, m, m) and (Nx, Ny+1, m, m) = ({Nx}, {Ny + 1}, "
+            f"m, m) with the same m >= 1; got {Ax.shape} and {Ay.shape}")
+    plan = _flux_plan(grid, m)
+    return plan, plan.data(Ax, Ay)
 
 
 def flux_operator(grid, Ax, Ay):
     """Sparse Div(A Du) on component-major vectors (values.ravel()
     order) from face coefficients with the shapes face_coefficients
-    returns."""
-    m = Ax.shape[-1]
-    rows, cols = _face_pattern(grid, m)
-    wx = _face_block(Ax[1:-1] / grid.hx ** 2, m)
-    wy = _face_block(np.ascontiguousarray(Ay[:, 1:-1]) / grid.hy ** 2, m)
-    data = [wx, -wx, -wx, wx, wy, -wy, -wy, wy]
-    if grid.bc == "dirichlet":
-        for w, h2 in ((Ax[0], grid.hx ** 2), (Ax[-1], grid.hx ** 2),
-                      (Ay[:, 0], grid.hy ** 2), (Ay[:, -1], grid.hy ** 2)):
-            data.append(-2.0 * _face_block(np.ascontiguousarray(w), m) / h2)
-    n = m * grid.Nx * grid.Ny
-    return sp.coo_matrix((np.concatenate(data), (rows, cols)), shape=(n, n)).tocsr()
+    returns, (Nx+1, Ny, m, m) and (Nx, Ny+1, m, m); other shapes raise
+    InputError.  Its indptr and indices are the cached plan's, which
+    are read-only."""
+    plan, data = _flux_data(grid, Ax, Ay)
+    return sp.csr_matrix((data, plan.indices, plan.indptr),
+                         shape=(plan.n, plan.n))
 
 
 @functools.lru_cache(maxsize=16)
@@ -287,8 +391,10 @@ def face_coefficients(spec, field):
 def div_A_grad(spec, field):
     """Discrete Div(A(u) Du) with face-averaged coefficients.
 
-    Identical to laplacian_of_P when P is the identity map.  Returns
-    (m, Nx, Ny)."""
+    Identical to laplacian_of_P when P is the identity map and m <= 2;
+    from m = 3 on, scipy's COO-to-CSR conversion (whose sums the flux
+    plan keeps) may add a diagonal entry's face terms in another order
+    than in L_1, an ulp apart.  Returns (m, Nx, Ny)."""
     _require_finite(field)
     L = flux_operator(field.grid, *face_coefficients(spec, field))
     return (L @ field.values.ravel()).reshape(field.values.shape)

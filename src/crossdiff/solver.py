@@ -13,8 +13,15 @@ All three schemes use the one face-flux operator of grid.py:
   Jacobian is (I_m (x) L_1) A(v) with A(v) acting cellwise; reaction
   explicit.
 
-The operator's sparsity pattern and I_m (x) L_1 are built once per
-(grid, m) in grid.py, so repeated step() calls share them.  run()
+grid.py builds the flux operator's plan (its canonical CSR pattern,
+diagonal and a gather table into the face arrays) and I_m (x) L_1 once
+per (grid, m), so repeated step() calls share them.  An IMEX operator
+is filled on the plan: its data are the gathered face values, shifted
+to I - dt L with the bits of scipy's sparse subtraction, with no COO
+matrix, sort or sparse arithmetic per step.  The Newton Jacobian
+I - dt (I_m (x) L_1) A(v) stays scipy's subtraction on a sparse
+product, whose pattern drops exact zeros of the product; it is built
+once per step size when A is constant.  run()
 drives adaptive steps (halve on failure, grow 1.2x on success up to
 dt_max), lands exactly on requested snapshot times and t_end, and
 records norms along the way.  It evaluates the reaction term f(u, Du)
@@ -71,8 +78,9 @@ import scipy.sparse.linalg as spla
 
 from . import diagnostics as diag_mod
 from .errors import InputError, NewtonConvergenceError, NumericalStateError
-from .grid import (Field, _require_finite, cell_gradient, component_laplacian,
-                   face_coefficients, flux_operator, laplacian_of_P, stable_dt)
+from .grid import (Field, _flux_data, _require_finite, cell_gradient,
+                   component_laplacian, face_coefficients, laplacian_of_P,
+                   stable_dt)
 from .model import eval_A, eval_P, eval_reaction
 
 __all__ = ["SolverConfig", "Trajectory", "step", "run"]
@@ -122,10 +130,11 @@ class SolverConfig:
 @dataclass
 class Trajectory:
     """Output of run(): recorded norms, optional states, step history,
-    and counts of rejected steps, LU factorizations, linear solves and
-    GMRES iterations.  worst_linear_residual is the largest IMEX
-    residual |M x - rhs| / (linear_tol (1 + |rhs|)) over the steps that
-    passed that gate (None when no IMEX step did)."""
+    and counts of rejected steps, implicit operators assembled, LU
+    factorizations, linear solves and GMRES iterations.
+    worst_linear_residual is the largest IMEX residual
+    |M x - rhs| / (linear_tol (1 + |rhs|)) over the steps that passed
+    that gate (None when no IMEX step did)."""
 
     times: np.ndarray
     records: list
@@ -136,6 +145,7 @@ class Trajectory:
     dt_history: np.ndarray = dc_field(default_factory=lambda: np.zeros(0))
     newton_history: np.ndarray = dc_field(default_factory=lambda: np.zeros(0, dtype=int))
     first_negative_t: float | None = None
+    assemblies: int = 0
     factorizations: int = 0
     linear_solves: int = 0
     rejected_steps: int = 0
@@ -162,10 +172,10 @@ def _bits(a):
 class _LastFactor:
     """Factor policy of one run: the last operator it built, with the dt
     and coefficient arrays it was built from, and the LU of the last
-    operator it factored, with the counts of that run: factorizations,
-    linear solves, GMRES iterations, and the worst IMEX residual
-    relative to its gate.  The coefficient arrays and operators are held,
-    not copied, so callers must not change them in place."""
+    operator it factored, with the counts of that run: operators built,
+    factorizations, linear solves, GMRES iterations, and the worst IMEX
+    residual relative to its gate.  The coefficient arrays and operators
+    are held, not copied, so callers must not change them in place."""
 
     def __init__(self):
         self.dt = None
@@ -173,6 +183,7 @@ class _LastFactor:
         self.built = None
         self.factored = None
         self.lu = None
+        self.assemblies = 0
         self.factorizations = 0
         self.solves = 0
         self.krylov_iterations = 0
@@ -186,6 +197,7 @@ class _LastFactor:
                 np.array_equal(_bits(a), _bits(b))
                 for a, b in zip(coefs, self.coefs))):
             self.built = build()
+            self.assemblies += 1
             self.dt, self.coefs = dt, coefs
         return self.built
 
@@ -330,15 +342,16 @@ def _step_explicit(spec, field, dt, f, config, factors):
     return Field(field.grid, field.values + dt * rhs), 0
 
 
-def _backward_euler(L, dt):
-    """The implicit operator I - dt L."""
-    return sp.identity(L.shape[0], format="csr") - dt * L
+def _imex_operator(grid, coefs, dt):
+    """I - dt L(A) for the face coefficients coefs, on the flux plan."""
+    plan, data = _flux_data(grid, *coefs)
+    return plan.backward_euler(data, dt)
 
 
 def _step_imex(spec, field, dt, f, config, factors):
     coefs = face_coefficients(spec, field)
-    M = factors.operator(
-        dt, coefs, lambda: _backward_euler(flux_operator(field.grid, *coefs), dt))
+    M = factors.operator(dt, coefs,
+                         lambda: _imex_operator(field.grid, coefs, dt))
     rhs = _flat(field.values + dt * f)
     x = spsolve(M, rhs, factors)
     if not np.all(np.isfinite(x)):
@@ -363,6 +376,13 @@ def _cellwise(A):
                           np.arange(0, m * m * N + 1, m)), shape=(m * N, m * N))
 
 
+def _newton_operator(L, A, dt):
+    """The Newton Jacobian I - dt L A of the cellwise A, by scipy's
+    sparse subtraction: the product's pattern drops its exact zeros,
+    so the flux plan's fixed pattern does not fit it."""
+    return sp.identity(L.shape[0], format="csr") - dt * (L @ _cellwise(A))
+
+
 def _step_newton(spec, field, dt, f, config, factors):
     g = field.grid
     L = component_laplacian(g, field.m)
@@ -382,8 +402,7 @@ def _step_newton(spec, field, dt, f, config, factors):
         if rn <= tol:
             return Field(g, v.reshape(shape)), solves
         A = eval_A(spec, vf.points()).reshape(-1, field.m, field.m)
-        J = factors.operator(dt, (A,),
-                             lambda: _backward_euler(L @ _cellwise(A), dt))
+        J = factors.operator(dt, (A,), lambda: _newton_operator(L, A, dt))
         dv = spsolve(J, R, factors)
         if not np.all(np.isfinite(dv)):
             raise NewtonConvergenceError("singular Newton system")
@@ -426,7 +445,8 @@ def run(spec, field0, config, diagnostics=None):
     any step, whatever the scheme.  Records are taken at t=0, every
     record_every accepted steps, and at the final time; snapshots are
     stored exactly at the requested times.  The trajectory counts the
-    rejected steps and the factorizations, linear solves and GMRES
+    rejected steps, the implicit operators the factor policy built
+    (assemblies), and the factorizations, linear solves and GMRES
     iterations that ran.  Each record is diagnostics.norms of the state
     with the s0, p_list and radii of diagnostics, a DiagnosticsConfig
     (its defaults when None).
@@ -551,6 +571,7 @@ def run(spec, field0, config, diagnostics=None):
         dt_history=np.array(dt_hist),
         newton_history=np.array(newton_hist, dtype=int),
         first_negative_t=first_negative,
+        assemblies=factors.assemblies,
         factorizations=factors.factorizations,
         linear_solves=factors.solves, rejected_steps=rejected,
         krylov_iterations=factors.krylov_iterations,

@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 import crossdiff.solver as solver_mod
@@ -12,7 +13,7 @@ from crossdiff import (Field, InputError, LambdaSpec, ModelSpec,
                        build_grid, cell_gradient, classic_skt, div_A_grad,
                        eval_A, initial_field, laplacian_of_P, load_snapshot,
                        run, save_snapshot, stable_dt)
-from crossdiff.grid import component_laplacian, flux_operator
+from crossdiff.grid import _flux_plan, component_laplacian, flux_operator
 
 from conftest import eigenmode_field, smooth_field
 
@@ -100,11 +101,19 @@ class TestDiffusionOperators:
         # Dirichlet constants are not compatible data, but both operators
         # must still agree for P = identity (below); only Neumann is zero.
 
-    def test_identity_P_operators_bit_identical(self, heat1, grid16n, grid16d):
-        rng = np.random.default_rng(8)
-        for grid in (grid16n, grid16d):
-            f = Field(grid, rng.normal(size=(1, 16, 16)))
-            assert np.array_equal(laplacian_of_P(heat1, f), div_A_grad(heat1, f))
+    @given(bc=st.sampled_from(["neumann", "dirichlet"]), Nx=st.integers(2, 12),
+           Ny=st.integers(2, 12), m=st.integers(1, 2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_identity_P_operators_bit_identical(self, bc, Nx, Ny, m, seed):
+        # A = I: the flux operator's diagonal blocks are L_1's entries,
+        # added in the same order, and its off-diagonal blocks exact zeros.
+        # From m = 3 on a row has over 16 entries, scipy's sort_indices
+        # is no longer stable there, and a diagonal sum can take another
+        # order than in L_1 (an ulp apart at m = 3 on 4x4 Neumann, seed 0)
+        heat = ModelSpec(P=PolynomialMap.identity(m), lam=LambdaSpec(1.0))
+        g = build_grid(1.3, 0.7, Nx, Ny, bc)
+        f = Field(g, np.random.default_rng(seed).normal(size=(m, Nx, Ny)))
+        assert np.array_equal(laplacian_of_P(heat, f), div_A_grad(heat, f))
 
     def test_neumann_flux_telescoping(self, skt, grid16n):
         rng = np.random.default_rng(3)
@@ -176,16 +185,76 @@ class TestDiffusionOperators:
             div_A_grad(heat1, f)
 
 
+def face_arrays(rng, g, m, zero_blocks=False):
+    """Random face coefficients of the shapes face_coefficients returns;
+    with zero_blocks, the off-diagonal blocks of component 0 are exact
+    zeros (as a12 = 0 gives in classic SKT)."""
+    Ax = rng.uniform(-1.0, 2.0, size=(g.Nx + 1, g.Ny, m, m))
+    Ay = rng.uniform(-1.0, 2.0, size=(g.Nx, g.Ny + 1, m, m))
+    if zero_blocks:
+        Ax[..., 0, 1:] = 0.0
+        Ay[..., 0, 1:] = 0.0
+    return Ax, Ay
+
+
+def coo_flux_operator(g, Ax, Ay):
+    """The flux operator by scipy's COO route, an independent oracle.
+
+    Each interior face gives the blocks (L, R) = +w, (L, L) = -w,
+    (R, R) = -w and (R, L) = +w with w = A / h^2, x faces before y
+    faces, and under Dirichlet each boundary face gives -2A / h^2 on its
+    cell's diagonal block (left, right, bottom, top); a block lists its
+    entries over (a, b, face).  tocsr() adds duplicates in that order."""
+    Nx, Ny, m = g.Nx, g.Ny, Ax.shape[-1]
+    N = Nx * Ny
+    rows, cols, data = [], [], []
+
+    def add(rc, cc, w):
+        for a in range(m):
+            for b in range(m):
+                rows.append(a * N + rc)
+                cols.append(b * N + cc)
+                data.append(w[:, a, b])
+
+    fi, j = np.meshgrid(np.arange(1, Nx), np.arange(Ny), indexing="ij")
+    L, R = ((fi - 1) * Ny + j).ravel(), (fi * Ny + j).ravel()
+    w = Ax[1:-1].reshape(-1, m, m) / g.hx ** 2
+    for rc, cc, s in ((L, R, 1), (L, L, -1), (R, R, -1), (R, L, 1)):
+        add(rc, cc, s * w)
+    i, fj = np.meshgrid(np.arange(Nx), np.arange(1, Ny), indexing="ij")
+    B, T = (i * Ny + fj - 1).ravel(), (i * Ny + fj).ravel()
+    w = Ay[:, 1:-1].reshape(-1, m, m) / g.hy ** 2
+    for rc, cc, s in ((B, T, 1), (B, B, -1), (T, T, -1), (T, B, 1)):
+        add(rc, cc, s * w)
+    if g.bc == "dirichlet":
+        jj, ii = np.arange(Ny), np.arange(Nx)
+        for cells, w, h2 in ((jj, Ax[0], g.hx ** 2),
+                             ((Nx - 1) * Ny + jj, Ax[-1], g.hx ** 2),
+                             (ii * Ny, Ay[:, 0], g.hy ** 2),
+                             (ii * Ny + Ny - 1, Ay[:, -1], g.hy ** 2)):
+            add(cells, cells, -2.0 * w / h2)
+    n = m * N
+    return sp.coo_matrix((np.concatenate(data), (np.concatenate(rows),
+                                                 np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
+
+
+def assert_same_csr(got, want):
+    for name in ("indptr", "indices"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
 class TestFluxOperator:
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_neumann_columns_sum_to_zero(self, m):
+    @given(Nx=st.integers(2, 12), Ny=st.integers(2, 12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_neumann_columns_sum_to_zero(self, m, Nx, Ny, seed):
         # conservation: each face adds +w and -w to the same column, so
         # no-flux operators lose no mass whatever the face coefficients
-        g = build_grid(1.3, 0.7, 9, 13, "neumann")
-        rng = np.random.default_rng(m)
-        Ax = rng.uniform(-1.0, 2.0, size=(g.Nx + 1, g.Ny, m, m))
-        Ay = rng.uniform(-1.0, 2.0, size=(g.Nx, g.Ny + 1, m, m))
-        L = flux_operator(g, Ax, Ay)
+        g = build_grid(1.3, 0.7, Nx, Ny, "neumann")
+        L = flux_operator(g, *face_arrays(np.random.default_rng(seed), g, m))
         assert L.shape == (m * g.Nx * g.Ny,) * 2
         col_sums = np.abs(np.asarray(L.sum(axis=0))).max()
         assert col_sums <= 1e-14 * np.abs(L.data).max()
@@ -199,13 +268,60 @@ class TestFluxOperator:
         # a face couples its two cells by A/h^2 both ways, and a
         # Dirichlet face adds -2A/h^2 to its cell's diagonal block
         g = build_grid(1.3, 0.7, Nx, Ny, bc)
-        rng = np.random.default_rng(seed)
-        Ax = rng.uniform(-1.0, 2.0, size=(Nx + 1, Ny, m, m))
-        Ay = rng.uniform(-1.0, 2.0, size=(Nx, Ny + 1, m, m))
+        Ax, Ay = face_arrays(np.random.default_rng(seed), g, m)
         Ax = Ax + np.swapaxes(Ax, -1, -2)
         Ay = Ay + np.swapaxes(Ay, -1, -2)
         L = flux_operator(g, Ax, Ay)
         assert abs(L - L.T).max() <= 1e-14 * np.abs(L.data).max()
+
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    @given(Nx=st.integers(2, 9), Ny=st.integers(2, 9), m=st.integers(1, 3),
+           zero_blocks=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_plan_gives_the_coo_bits(self, bc, Nx, Ny, m, zero_blocks, seed):
+        # flux_operator and the IMEX operator I - dt L against scipy's
+        # COO conversion and sparse subtraction, which drops exact zeros
+        g = build_grid(1.3, 0.7, Nx, Ny, bc)
+        Ax, Ay = face_arrays(np.random.default_rng(seed), g, m, zero_blocks)
+        want = coo_flux_operator(g, Ax, Ay)
+        assert_same_csr(flux_operator(g, Ax, Ay), want)
+        for dt in (1e-3, 0.37):
+            assert_same_csr(solver_mod._imex_operator(g, (Ax, Ay), dt),
+                            sp.identity(want.shape[0], format="csr") - dt * want)
+
+    def test_dropped_zeros_leave_the_plan_intact(self):
+        # an operator with zero blocks drops entries on copies: a later
+        # operator at another dt still has the full pattern's bits
+        g = build_grid(1.0, 1.0, 6, 5, "neumann")
+        Ax, Ay = face_arrays(np.random.default_rng(5), g, 2, zero_blocks=True)
+        want = coo_flux_operator(g, Ax, Ay)
+        eye = sp.identity(want.shape[0], format="csr")
+        first = solver_mod._imex_operator(g, (Ax, Ay), 1e-3)
+        assert first.nnz < want.nnz
+        second = solver_mod._imex_operator(g, (Ax, Ay), 2e-3)
+        assert_same_csr(second, eye - 2e-3 * want)
+        assert_same_csr(flux_operator(g, Ax, Ay), want)
+        plan = _flux_plan(g, 2)
+        for arr in (plan.indptr, plan.indices, plan.gather, plan.eye):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            flux_operator(g, Ax, Ay).eliminate_zeros()
+
+    @pytest.mark.parametrize("case", ["swapped", "mismatched_m", "cell_count",
+                                      "not_blocks"])
+    def test_misshaped_coefficients_raise(self, case):
+        g = build_grid(1.0, 1.0, 6, 6)
+        Ax, Ay = face_arrays(np.random.default_rng(0), g, 2)
+        if case == "swapped":
+            # square grid: the same number of x and y faces
+            Ax, Ay = Ay, Ax
+        elif case == "mismatched_m":
+            Ay = Ay[..., :1, :1]
+        elif case == "cell_count":
+            Ax, Ay = Ax[:-1], Ay[:-1]
+        else:
+            Ax = Ax[..., 0]
+        with pytest.raises(InputError, match=r"\(Nx\+1, Ny, m, m\) = \(7, 6"):
+            flux_operator(g, Ax, Ay)
 
     def test_component_laplacian_is_shared_and_read_only(self):
         g = build_grid(1.0, 1.0, 5, 4)

@@ -256,7 +256,7 @@ def newton_operator(factors, A, dt=1e-3, built=None):
     def build():
         if built is not None:
             built.append(A)
-        return solver_mod._backward_euler(L @ solver_mod._cellwise(A), dt)
+        return solver_mod._newton_operator(L, A, dt)
 
     return factors.operator(dt, (A,), build)
 
@@ -361,7 +361,7 @@ class TestRunCounts:
         assert traj.reached_end and traj.rejected_steps == 0
         changes = np.count_nonzero(np.diff(traj.dt_history))
         assert changes == 1
-        assert traj.factorizations == 1 + changes
+        assert traj.assemblies == traj.factorizations == 1 + changes
         if scheme == "newton":
             assert traj.linear_solves == traj.newton_history.sum()
         else:
@@ -395,6 +395,26 @@ class TestRunCounts:
         m0 = np.array(traj.records[0].mass)
         for rec in traj.records[1:]:
             assert np.abs(np.array(rec.mass) - m0).max() <= 1e-12 * np.abs(m0).min()
+
+    def test_state_dependent_imex_assembles_every_attempted_step(
+            self, skt_lv, grid16n, monkeypatch):
+        # the operator changes with the state, and a rejected step's
+        # retry at half the step builds its own
+        real = solver_mod.spsolve
+        calls = []
+
+        def nan_once(M, rhs, factors):
+            calls.append(1)
+            x = real(M, rhs, factors)
+            return np.full_like(x, np.nan) if len(calls) == 3 else x
+
+        monkeypatch.setattr(solver_mod, "spsolve", nan_once)
+        traj = run(skt_lv, smooth_field(grid16n, m=2, amp=0.3),
+                   SolverConfig(scheme="imex", dt0=1e-3, t_end=1e-2))
+        assert traj.reached_end and traj.rejected_steps == 1
+        attempted = len(traj.dt_history) + traj.rejected_steps
+        assert traj.assemblies == attempted == traj.linear_solves == len(calls)
+        assert traj.factorizations < traj.assemblies
 
     def test_unchanged_imex_operator_ignores_a_tiny_linear_tol(self, heat1,
                                                                grid16d):
