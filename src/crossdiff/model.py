@@ -409,6 +409,59 @@ def reaction_zero_order(spec, u):
     return spec.reaction.zero_order(u)
 
 
+def _first_primes(d):
+    """The first d primes, by trial division."""
+    primes = []
+    k = 2
+    while len(primes) < d:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _halton(n, d, rng):
+    """The first n points of a scrambled Halton sequence in [0, 1)^d.
+
+    A port of Halton from scipy.stats._qmc (Copyright (c) 2001-2002
+    Enthought, Inc. 2003, SciPy Developers; BSD-3-Clause) that draws the
+    same permutations from the same generator and does the same float
+    operations in the same order, so it returns
+    qmc.Halton(d, scramble=True, seed=rng).random(n) bit for bit without
+    importing scipy.stats.  Scrambling is Owen's random digit permutation
+    (A. B. Owen, "A randomized Halton algorithm in R", arXiv:1706.02808):
+    coordinate k is the base-p van der Corput sequence of the k-th prime
+    p, with digit j of every index mapped through permutation j of
+    range(p).  A double resolves 54 bits, so ceil(54 / log2(p)) - 1
+    digits are summed.  Once every index has run out of digits the
+    remaining ones are all 0, and their terms are added as scalars.
+    Like scipy, it shuffles with a child generator spawned from rng's
+    seed sequence, not with rng itself.  Needs n >= 1.
+    """
+    bg = rng.bit_generator
+    child = np.random.Generator(type(bg)(bg._seed_seq.spawn(1)[0]))
+    bases = _first_primes(d)
+    perms = []
+    for base in bases:  # every permutation is drawn before any point
+        count = math.ceil(54 / math.log2(base)) - 1
+        rows = np.repeat(np.arange(base)[None], count, axis=0)
+        for row in rows:
+            child.shuffle(row)
+        perms.append(rows)
+    out = np.zeros((d, n))
+    for v, base, rows in zip(out, bases, perms):
+        q = np.arange(n)
+        b2r = 1.0 / base
+        for row in rows:
+            if q[-1]:  # q is nondecreasing: some index has digits left
+                q, r = np.divmod(q, base)
+                v += row[r] * b2r
+            else:
+                v += row[0] * b2r
+            b2r /= base
+    return out.T
+
+
 @dataclass(frozen=True)
 class Region:
     """Axis-aligned sampling box."""
@@ -440,19 +493,18 @@ class Region:
 
     def sample(self, n, seed):
         """Deterministic sample of n points, interleaving a scrambled
-        Halton stream (even indices) with uniform random points (odd
-        indices).  For a fixed seed the first n rows of a larger draw
-        equal a draw of size n, so enlarging a sample only appends."""
+        Halton stream (even indices; `_halton`, scipy's qmc.Halton bit
+        for bit) with uniform random points (odd indices).  For a fixed
+        seed the first n rows of a larger draw equal a draw of size n, so
+        enlarging a sample only appends."""
         n = whole_number(n, "sample count")
         seed = whole_number(seed, "seed")
         if n < 1:
             raise InputError("sample count must be >= 1")
         m = self.m
         n_q = (n + 1) // 2
-        from scipy.stats import qmc
-        halton = qmc.Halton(d=m, scramble=True, seed=np.random.default_rng([seed, 0x48]))
         pts = np.empty((n, m))
-        pts[0::2] = halton.random(n_q)
+        pts[0::2] = _halton(n_q, m, np.random.default_rng([seed, 0x48]))
         if n - n_q:
             rng = np.random.default_rng([seed, 0x55])
             pts[1::2] = rng.random((n - n_q, m))

@@ -1,5 +1,6 @@
 """The import graph stays lean: scipy submodules that crossdiff uses at
-one call site each load on first use, not on `import crossdiff.cli`."""
+one call site each load on first use, not on `import crossdiff.cli`,
+and certification loads none of them."""
 
 import json
 import os
@@ -108,3 +109,19 @@ def test_classic_skt_loads_no_deferred_module():
     # its coercivity slope minimizes with a port of scipy's bounded
     # Brent search, not scipy.optimize
     assert loaded_after("classic_skt(1.0, 1.0, 1.0, 0.5, 0.5, 1.0)\n") == []
+
+
+def test_certification_loads_no_deferred_module():
+    # the sample's scrambled Halton points come from a port of scipy's
+    # engine, not scipy.stats.qmc; the ensemble certifies before it runs
+    assert loaded_after("""
+from crossdiff import EnsembleSpec, Region, verify_structure
+spec = classic_skt(1.0, 1.0, 1.0, 0.5, 0.5, 1.0)
+assert verify_structure(spec, Region.positive(10.0, 2), n=200, seed=1).passed
+cfg = SolverConfig(scheme="imex", dt0=1e-2, dt_min=1e-2, dt_max=1e-2,
+                   t_end=4e-2)
+es = EnsembleSpec(model=spec, grid=build_grid(1.0, 1.0, 4, 4), config=cfg,
+                  count=2, amp_range=(0.1, 1.0), seed=3)
+rep = attractor.ensemble_absorbing_ball(es, verify_samples=200)
+assert rep.excluded == () and rep.all_reached
+""") == []

@@ -387,10 +387,14 @@ class TestRegion:
         assert pts.shape == (400, 2)
         assert np.all(pts >= [-1.0, 2.0]) and np.all(pts <= [0.5, 4.0])
 
-    @pytest.mark.parametrize("small,large", [(500, 1000), (500, 501), (1, 2)])
+    # the last pair's larger draw has Halton indices with two base-2
+    # digits more than the smaller draw's
+    @pytest.mark.parametrize("small,large", [(500, 1000), (500, 501), (1, 2),
+                                             (2**14, 2**15 + 1)])
     def test_prefix_stability(self, small, large):
-        reg = Region.symmetric(3.0, 2)
-        assert np.array_equal(reg.sample(small, 7), reg.sample(large, 7)[:small])
+        for m in (1, 2, 3):
+            reg = Region.symmetric(3.0, m)
+            assert np.array_equal(reg.sample(small, 7), reg.sample(large, 7)[:small])
 
     def test_degenerate_rejected(self):
         with pytest.raises(InputError):
@@ -676,7 +680,7 @@ import crossdiff.cli
 from crossdiff import Region, classic_skt, verify_structure
 spec = classic_skt(1.0, 1.0, 1.0, 0.5, 0.5, 1.0)
 region = Region.positive(100.0, 2)
-verify_structure(spec, region, n=10, seed=1)  # loads scipy.stats
+verify_structure(spec, region, n=10, seed=1)  # warm-up: first-call allocations stay out of base
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 rep = verify_structure(spec, region, n=1_000_000, seed=1)
 assert rep.sample_count == 1_000_000
@@ -759,6 +763,42 @@ class TestBoundedBrent:
             options = {"xatol": xatol, "maxiter": maxiter}
             assert (self.evaluations(model_mod._brent_bounded, func, bounds, **options)
                     == self.evaluations(scipy_bounded, func, bounds, **options))
+
+
+def scipy_halton(n, d, seed):
+    from scipy.stats import qmc
+    return qmc.Halton(d=d, scramble=True,
+                      seed=np.random.default_rng([seed, 0x48])).random(n)
+
+
+class TestScrambledHalton:
+    """model._halton is scipy's scrambled qmc.Halton, bit for bit,
+    without importing scipy.stats."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    # 2**14 + 1 needs one digit more in base 2 than every index before it
+    @pytest.mark.parametrize("n", [1, 2, 17, 2**14 + 1, 150_001])
+    def test_matches_scipy(self, seed, d, n):
+        got = model_mod._halton(n, d, np.random.default_rng([seed, 0x48]))
+        want = scipy_halton(n, d, seed)
+        assert got.shape == want.shape == (n, d)
+        assert got.tobytes() == want.tobytes()
+
+    def test_matches_scipy_in_thirty_dimensions(self):
+        # bases are the first 30 primes, 2 to 113
+        got = model_mod._halton(257, 30, np.random.default_rng([5, 0x48]))
+        assert got.tobytes() == scipy_halton(257, 30, 5).tobytes()
+
+    @pytest.mark.parametrize("m,n,seed", [(1, 9, 3), (2, 1001, 1), (3, 500, 7)])
+    def test_region_sample_keeps_the_scipy_draw(self, m, n, seed):
+        # the Halton rows of Region.sample as drawn through scipy.stats
+        region = Region(tuple(-1.0 - k for k in range(m)),
+                        tuple(2.0 + 0.5 * k for k in range(m)))
+        pts = region.sample(n, seed)
+        lo, hi = np.array(region.lo), np.array(region.hi)
+        want = scipy_halton((n + 1) // 2, m, seed) * (hi - lo) + lo
+        assert pts[0::2].tobytes() == want.tobytes()
 
 
 def spectral_batches(m, n=2000):
