@@ -352,20 +352,26 @@ def _bound_ordered_sup(comp, means, win):
 
 def _energy_y(field, spec, grad, A=None):
     """y = int |A(u) Du|^2 by midpoint quadrature; grad is
-    cell_gradient(field), and A, when given, eval_A(spec,
-    field.points()).
+    cell_gradient(field), (m, 2, Nx, Ny), and A, when given,
+    eval_A(spec, field.values), (m, m, Nx, Ny).
 
-    (A Du)_{id} = sum_j A_ij (Du)_jd is summed over j in index order on
-    the (x, y, i, d) layout, which gives the bits of
-    einsum("xyij,jdxy->xyid") and its reduction (AD * AD).sum() at a
-    third of its time (32x32, m = 2)."""
+    (A Du)_{id} = sum_j A_ij (Du)_jd is summed over j in index order, as
+    einsum("ijxy,jdxy->idxy") sums it.  The squares are then summed
+    pairwise in a fixed memory order, which sets the last bit of y: for
+    m >= 2 the cell-by-cell order of a C-contiguous (x, y, i, d) array,
+    for m = 1 the (i, d, x, y) order of AD itself.  Both are the orders
+    in which the earlier point-major contraction held its squares, so y
+    keeps those bits."""
     if A is None:
-        A = eval_A(spec, field.points())
-    G = np.moveaxis(grad, (0, 1), (2, 3))
-    AD = A[..., 0, None] * G[:, :, None, 0, :]
-    for j in range(1, A.shape[-1]):
-        AD += A[..., j, None] * G[:, :, None, j, :]
-    return float(field.grid.cell_area * (AD * AD).sum())
+        A = eval_A(spec, field.values)
+    m = A.shape[0]
+    AD = A[:, 0, None] * grad[0]
+    for j in range(1, m):
+        AD += A[:, j, None] * grad[j]
+    AD2 = AD * AD
+    if m > 1:
+        AD2 = np.ascontiguousarray(AD2.transpose(2, 3, 0, 1))
+    return float(field.grid.cell_area * AD2.sum())
 
 
 def _bmo_sup(values, win):
@@ -381,10 +387,11 @@ def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None, *, grad=None,
     magnitude across components, gradient norms via cell_gradient.
 
     grad and A, when given, must be cell_gradient(u) and eval_A(spec,
-    u.points()), arrays a caller already holds (solver.run() computes
+    u.values), arrays a caller already holds (solver.run() computes
     them once per recorded state and reuses them for the next step);
     otherwise they are computed here.  The record is the same either
-    way."""
+    way.  lambda(u) is evaluated on the point-major view
+    u.values.transpose(1, 2, 0), the layout eval_lambda takes."""
     g = u.grid
     area = g.cell_area
     vals = u.values
@@ -408,7 +415,7 @@ def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None, *, grad=None,
     du2 = (grad * grad).sum(axis=(0, 1))
     W12 = L2 + float(math.sqrt(area * du2.sum()))
     energy_y = _energy_y(u, spec, grad, A)
-    lam = eval_lambda(spec, u.points())
+    lam = eval_lambda(spec, vals.transpose(1, 2, 0))
     lambda_moment = float(area * (lam ** float(s0)).sum())
     bmo = {}
     morrey = {}
@@ -524,13 +531,12 @@ def energy_inequality_check(traj, spec):
             raise InputError("record times must be strictly increasing")
         ut = (states[k + 1].values - states[k].values) / dt
         ut2 = (ut * ut).sum(axis=0)
-        pts = states[k + 1].points()
-        lam = eval_lambda(spec, pts)
+        vals = states[k + 1].values
+        lam = eval_lambda(spec, vals.transpose(1, 2, 0))
         diss = float(area * (lam * ut2).sum())
         dydt[k] = (ys[k + 1] - ys[k]) / dt
-        f = reaction_zero_order(spec, pts)
-        f2 = np.moveaxis(f, -1, 0)
-        f2 = (f2 * f2).sum(axis=0)
+        f = reaction_zero_order(spec, vals)
+        f2 = (f * f).sum(axis=0)
         lhs[k] = diss + dydt[k]
         rhs[k] = ys[k + 1] + float(area * (lam * f2).sum())
 

@@ -140,10 +140,6 @@ class Field:
                                (const.size,) + grid.shape).copy()
         return cls(grid, vals)
 
-    def points(self):
-        """Values rearranged to (Nx, Ny, m) for batched model evaluation."""
-        return np.moveaxis(self.values, 0, -1)
-
     def copy(self):
         return Field(self.grid, self.values.copy())
 
@@ -201,7 +197,8 @@ class _FluxPlan:
 
     * indptr, indices: the canonical (sorted, summed) pattern;
     * gather: (k, nnz) positions in the signed source vector that
-      data() fills (the face values w / h^2, 0.0, then their
+      data() fills (the face values w / h^2 of each face block in the
+      (m, m, faces) order of the face arrays, 0.0, then their
       negations), k being the most blocks at one entry; shorter sums
       are padded with -0.0, which adds exactly nothing, also to -0.0;
     * eye: the identity's data on the pattern, 1.0 at the diagonal
@@ -216,22 +213,24 @@ class _FluxPlan:
         n = self.n = m * N
         hx2, hy2 = grid.hx ** 2, grid.hy ** 2
         # the face arrays in source order, as (0 for Ax or 1 for Ay,
-        # index, factor, h^2) with their blocks (row cells, column cells,
-        # sign); a block's entries run over (m, m, faces)
+        # index into their (m, m, x, y) layout, factor, h^2) with their
+        # blocks (row cells, column cells, sign); a block's entries run
+        # over (m, m, faces)
         fi, j = np.meshgrid(np.arange(1, Nx), np.arange(Ny), indexing="ij")
         xL, xR = ((fi - 1) * Ny + j).ravel(), (fi * Ny + j).ravel()
         i, fj = np.meshgrid(np.arange(Nx), np.arange(1, Ny), indexing="ij")
         yB, yT = (i * Ny + fj - 1).ravel(), (i * Ny + fj).ravel()
-        faces = [(0, np.s_[1:-1], 1.0, hx2,
+        faces = [(0, np.s_[:, :, 1:-1], 1.0, hx2,
                   ((xL, xR, 1), (xL, xL, -1), (xR, xR, -1), (xR, xL, 1))),
-                 (1, np.s_[:, 1:-1], 1.0, hy2,
+                 (1, np.s_[:, :, :, 1:-1], 1.0, hy2,
                   ((yB, yT, 1), (yB, yB, -1), (yT, yT, -1), (yT, yB, 1)))]
         if grid.bc == "dirichlet":
             jj, ii = np.arange(Ny), np.arange(Nx)
             for axis, index, cells, h2 in (
-                    (0, np.s_[0], jj, hx2), (0, np.s_[-1], (Nx - 1) * Ny + jj, hx2),
-                    (1, np.s_[:, 0], ii * Ny, hy2),
-                    (1, np.s_[:, -1], ii * Ny + Ny - 1, hy2)):
+                    (0, np.s_[:, :, 0], jj, hx2),
+                    (0, np.s_[:, :, -1], (Nx - 1) * Ny + jj, hx2),
+                    (1, np.s_[:, :, :, 0], ii * Ny, hy2),
+                    (1, np.s_[:, :, :, -1], ii * Ny + Ny - 1, hy2)):
                 faces.append((axis, index, -2.0, h2, ((cells, cells, 1),)))
         a = np.arange(m)[:, None, None]
         b = np.arange(m)[None, :, None]
@@ -239,7 +238,7 @@ class _FluxPlan:
         size = 0
         for *_, blocks in faces:
             F = blocks[0][0].size
-            at = size + (np.arange(F) * m + a) * m + b  # (m, m, F)
+            at = size + (a * m + b) * F + np.arange(F)  # (m, m, F)
             for rc, cc, sign in blocks:
                 rows.append(np.broadcast_to(a * N + rc, at.shape).ravel())
                 cols.append(np.broadcast_to(b * N + cc, at.shape).ravel())
@@ -322,13 +321,13 @@ def _flux_data(grid, Ax, Ay):
     coefficients with the shapes face_coefficients returns, checked."""
     Nx, Ny = grid.Nx, grid.Ny
     Ax, Ay = np.asarray(Ax), np.asarray(Ay)
-    m = Ax.shape[-1] if Ax.ndim == 4 else 0
-    if (m < 1 or Ax.shape != (Nx + 1, Ny, m, m)
-            or Ay.shape != (Nx, Ny + 1, m, m)):
+    m = Ax.shape[0] if Ax.ndim == 4 else 0
+    if (m < 1 or Ax.shape != (m, m, Nx + 1, Ny)
+            or Ay.shape != (m, m, Nx, Ny + 1)):
         raise InputError(
-            f"face coefficients must have shapes (Nx+1, Ny, m, m) = "
-            f"({Nx + 1}, {Ny}, m, m) and (Nx, Ny+1, m, m) = ({Nx}, {Ny + 1}, "
-            f"m, m) with the same m >= 1; got {Ax.shape} and {Ay.shape}")
+            f"face coefficients must have shapes (m, m, Nx+1, Ny) = "
+            f"(m, m, {Nx + 1}, {Ny}) and (m, m, Nx, Ny+1) = (m, m, {Nx}, "
+            f"{Ny + 1}) with the same m >= 1; got {Ax.shape} and {Ay.shape}")
     plan = _flux_plan(grid, m)
     return plan, plan.data(Ax, Ay)
 
@@ -336,7 +335,7 @@ def _flux_data(grid, Ax, Ay):
 def flux_operator(grid, Ax, Ay):
     """Sparse Div(A Du) on component-major vectors (values.ravel()
     order) from face coefficients with the shapes face_coefficients
-    returns, (Nx+1, Ny, m, m) and (Nx, Ny+1, m, m); other shapes raise
+    returns, (m, m, Nx+1, Ny) and (m, m, Nx, Ny+1); other shapes raise
     InputError.  Its indptr and indices are the cached plan's, which
     are read-only."""
     plan, data = _flux_data(grid, Ax, Ay)
@@ -350,8 +349,8 @@ def component_laplacian(grid, m):
 
     Built once per (grid, m) and shared by every caller, threads
     included, so its arrays are read-only."""
-    L1 = flux_operator(grid, np.ones((grid.Nx + 1, grid.Ny, 1, 1)),
-                       np.ones((grid.Nx, grid.Ny + 1, 1, 1)))
+    L1 = flux_operator(grid, np.ones((1, 1, grid.Nx + 1, grid.Ny)),
+                       np.ones((1, 1, grid.Nx, grid.Ny + 1)))
     L = sp.kron(sp.identity(m, format="csr"), L1, format="csr")
     for arr in (L.data, L.indices, L.indptr):
         arr.flags.writeable = False
@@ -369,23 +368,21 @@ def laplacian_of_P(spec, field):
     data for u gives zero-Dirichlet data for P(u), and mirror ghosts
     commute with pointwise maps.  Returns (m, Nx, Ny)."""
     _require_finite(field)
-    w = np.moveaxis(eval_P(spec, field.points()), -1, 0)
+    w = eval_P(spec, field.values)
     return (component_laplacian(field.grid, field.m) @ w.ravel()).reshape(w.shape)
 
 
 def face_coefficients(spec, field):
     """A evaluated at arithmetic face averages of the padded state.
 
-    Returns (coef_x, coef_y) with shapes (Nx+1, Ny, m, m) and
-    (Nx, Ny+1, m, m).  With odd Dirichlet ghosts the boundary face
+    Returns (coef_x, coef_y) with shapes (m, m, Nx+1, Ny) and
+    (m, m, Nx, Ny+1).  With odd Dirichlet ghosts the boundary face
     average is exactly 0, so boundary faces carry A(0)."""
     g = field.grid
     p = _pad(field.values, g.bc)
     ux = 0.5 * (p[:, 1:, 1:-1] + p[:, :-1, 1:-1])
     uy = 0.5 * (p[:, 1:-1, 1:] + p[:, 1:-1, :-1])
-    Ax = eval_A(spec, np.moveaxis(ux, 0, -1))
-    Ay = eval_A(spec, np.moveaxis(uy, 0, -1))
-    return Ax, Ay
+    return eval_A(spec, ux), eval_A(spec, uy)
 
 
 def div_A_grad(spec, field):
@@ -407,16 +404,16 @@ def stable_dt(spec, field, cfl=0.9, *, A=None):
     state; 8 = 2 * 4 covers the two space directions of the 5-point
     stencil with a matrix diffusion coefficient.  The norm comes from
     model._opnorms: closed form for m = 2, LAPACK's SVD otherwise.
-    A, when given, must be eval_A(spec, field.points()), the cell-centre
-    A(u) a caller already holds (solver.run() passes the one it computed
-    to record the state); otherwise it is evaluated here.
+    A, when given, must be eval_A(spec, field.values), the (m, m, Nx, Ny)
+    cell-centre A(u) a caller already holds (solver.run() passes the one
+    it computed to record the state); otherwise it is evaluated here.
     A non-finite state raises NumericalStateError, as does a state
     whose A(u) overflows."""
     _require_finite(field)
     g = field.grid
     if A is None:
-        A = eval_A(spec, field.points())
-    s = float(_opnorms(A).max())
+        A = eval_A(spec, field.values)
+    s = float(_opnorms(A.transpose(2, 3, 0, 1)).max())
     if not np.isfinite(s):
         raise NumericalStateError("diffusion matrix norm is not finite")
     if s <= 0:

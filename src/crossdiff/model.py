@@ -14,6 +14,17 @@ PolynomialMap (P, and f0 of a GeneralReaction) holds itself and its
 Jacobian as MatrixPolynomials of shape (m, 1) and (m, m), so P, A(u),
 f0, the reaction matrices B and G and the radial comparison maps all
 sum coef * |u|^radial * prod_i u_i^{e_i} through it, term by term.
+Each term starts from its scalar coefficient and multiplies in one
+component array per nonzero exponent, in component order.
+
+States are component-major, the layout of a field's values: u has the
+component on axis 0, shape (m, ...), with any trailing shape (a grid,
+a batch of n points, or none).  P and the reactions return (m, ...),
+matrix maps (r, c, ...), so A(u) of an (m, Nx, Ny) field is
+(m, m, Nx, Ny), and a gradient Du is (m, 2, ...).  A point-major
+(n, m) batch U is passed as U.T.  The exception is the envelope:
+LambdaSpec and eval_lambda take points (..., m), the layout of the
+certification draw.
 """
 
 from __future__ import annotations
@@ -58,7 +69,18 @@ def _as_points(u, m):
     """Coerce u to a float array whose last axis has length m."""
     u = np.asarray(u, dtype=float)
     if u.ndim == 0 or u.shape[-1] != m:
-        raise ModelDefinitionError(f"state has wrong component count (expected {m})")
+        raise ModelDefinitionError(
+            f"points must have shape (..., {m}); got {u.shape}")
+    return u
+
+
+def _as_components(u, m):
+    """Coerce u to a float array whose axis 0 has length m."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 0 or u.shape[0] != m:
+        raise ModelDefinitionError(
+            f"state must be component-major, shape ({m}, ...); got {u.shape} "
+            "(pass a point-major (n, m) batch as its transpose)")
     return u
 
 
@@ -69,7 +91,8 @@ class PolynomialMap:
     pairs; exps is a length-m tuple of nonnegative integer powers.  P
     and its Jacobian A = P_u are built once as MatrixPolynomials of
     shape (m, 1) and (m, m), so evaluation is exact term by term and
-    vectorized over leading axes of the input.
+    vectorized over the trailing axes of a component-major (m, ...)
+    input; P(u) is (m, ...) and A(u) is (m, m, ...).
     """
 
     def __init__(self, m, terms, max_degree=None):
@@ -100,7 +123,7 @@ class PolynomialMap:
             for j in range(self.m) if ex[j]])
 
     def __call__(self, u):
-        return self._P(u)[..., 0]
+        return self._P(u)[:, 0]
 
     def jacobian(self, u):
         return self._A(u)
@@ -145,7 +168,8 @@ class MatrixPolynomial:
     i and j must be integer indices into shape, coef and radial finite,
     radial nonnegative, and exps m nonnegative integers (whole-number
     floats such as 2.0 count, bools do not).  Terms with a zero
-    coefficient are dropped.
+    coefficient are dropped.  M(u) of a component-major (m, ...) state
+    has shape shape + (...).
     """
 
     def __init__(self, m, shape, terms):
@@ -175,21 +199,21 @@ class MatrixPolynomial:
                 self._terms.append((i, j, c, s, tuple(int(e) for e in ex)))
 
     def __call__(self, u):
-        u = _as_points(u, self.m)
-        out = np.zeros(u.shape[:-1] + self.shape)
-        if not self._terms:
-            return out
+        u = _as_components(u, self.m)
+        out = np.zeros(self.shape + u.shape[1:])
         r = None
         for i, j, c, s, ex in self._terms:
-            v = np.full(u.shape[:-1], c)
-            for axis, e in enumerate(ex):
-                if e:
-                    v = v * u[..., axis] ** e
+            v = c
+            for comp, e in zip(u, ex):
+                if e == 1:
+                    v = v * comp
+                elif e:
+                    v = v * comp ** e
             if s:
                 if r is None:
-                    r = np.linalg.norm(u, axis=-1)
+                    r = np.linalg.norm(u, axis=0)
                 v = v * r ** s
-            out[..., i, j] += v
+            out[i, j] += v
         return out
 
     def scaled(self, s, prefactor=1.0):
@@ -244,10 +268,11 @@ class LambdaSpec:
         return self.lambda0 + self.lambda1
 
     def __call__(self, u):
+        """lambda at points u of shape (..., m)."""
         u = np.asarray(u, dtype=float)
-        r = np.linalg.norm(u, axis=-1)
         if self.lambda1 == 0.0:
-            return np.full(r.shape, self.lambda0)
+            return np.full(u.shape[:-1], self.lambda0)
+        r = np.linalg.norm(u, axis=-1)
         return self.lambda0 + self.lambda1 * r ** self.k
 
     def grad_norm(self, u):
@@ -269,23 +294,25 @@ class LambdaSpec:
 
 
 def _flatten_gradient(g, m):
-    """(..., m, 2) gradient -> (..., 2m) with component-major layout
-    (du1/dx, du1/dy, du2/dx, ...)."""
+    """(m, 2, ...) gradient -> (2m, ...) in the order (du1/dx, du1/dy,
+    du2/dx, ...)."""
     g = np.asarray(g, dtype=float)
-    if g.shape[-2:] != (m, 2):
-        raise ModelDefinitionError(f"gradient must have shape (..., {m}, 2)")
-    return g.reshape(g.shape[:-2] + (2 * m,))
+    if g.shape[:2] != (m, 2):
+        raise ModelDefinitionError(
+            f"gradient must have shape ({m}, 2, ...); got {g.shape}")
+    return g.reshape((2 * m,) + g.shape[2:])
 
 
 class _Reaction:
-    """f(u, Du) = B(u) Du + zero_order(u); subclasses supply m, the
+    """f(u, Du) = B(u) Du + zero_order(u) on a component-major state u,
+    (m, ...), and gradient Du, (m, 2, ...); subclasses supply m, the
     optional MatrixPolynomial B of shape (m, 2m) and zero_order."""
 
     def __call__(self, u, g):
         out = self.zero_order(u)
         if self.B is not None:
             gf = _flatten_gradient(g, self.m)
-            out = out + np.einsum("...ij,...j->...i", self.B(np.asarray(u, float)), gf)
+            out = out + np.einsum("ij...,j...->i...", self.B(u), gf)
         return out
 
 
@@ -317,10 +344,10 @@ class ReactionSpec(_Reaction):
         return self.K.shape[0]
 
     def zero_order(self, u):
-        u = _as_points(u, self.m)
-        out = u @ self.K.T
+        u = _as_components(u, self.m)
+        out = np.tensordot(self.K, u, axes=1)
         if self.G is not None:
-            out = out - np.einsum("...ij,...j->...i", self.G(u), u)
+            out = out - np.einsum("ij...,j...->i...", self.G(u), u)
         return out
 
 
@@ -333,7 +360,7 @@ class GeneralReaction(_Reaction):
     f0: PolynomialMap | None = None
 
     def zero_order(self, u):
-        u = _as_points(u, self.m)
+        u = _as_components(u, self.m)
         if self.f0 is None:
             return np.zeros(u.shape)
         return self.f0(u)
@@ -381,31 +408,37 @@ class ModelSpec:
 
 
 def eval_P(spec, u):
-    """Evaluate the diffusion potential P at one state or a batch."""
+    """Evaluate the diffusion potential P at a component-major state
+    u, (m, ...); returns (m, ...)."""
     return spec.P(u)
 
 
 def eval_A(spec, u):
-    """Evaluate A(u) = P_u(u), the Jacobian of P, analytically."""
+    """Evaluate A(u) = P_u(u), the Jacobian of P, analytically, at a
+    component-major state u, (m, ...); returns (m, m, ...)."""
     return spec.P.jacobian(u)
 
 
 def eval_lambda(spec, u):
-    """Evaluate the declared envelope lambda(u) = lambda0 + lambda1 |u|^k."""
-    return spec.lam(u)
+    """Evaluate the declared envelope lambda(u) = lambda0 + lambda1 |u|^k
+    at points u of shape (..., m), the layout of the certification draw;
+    returns (...)."""
+    return spec.lam(_as_points(u, spec.m))
 
 
 def eval_reaction(spec, u, g):
-    """Evaluate the reaction f(u, Du); g has shape (..., m, 2)."""
+    """Evaluate the reaction f(u, Du) at a component-major state u,
+    (m, ...), with gradient g, (m, 2, ...); returns (m, ...)."""
     if spec.reaction is None:
-        return np.zeros(_as_points(u, spec.m).shape)
+        return np.zeros(_as_components(u, spec.m).shape)
     return spec.reaction(u, g)
 
 
 def reaction_zero_order(spec, u):
-    """The zero-order part f(u) of the reaction (0 if no reaction)."""
+    """The zero-order part f(u) of the reaction (0 if no reaction) at a
+    component-major state u, (m, ...); returns (m, ...)."""
     if spec.reaction is None:
-        return np.zeros(_as_points(u, spec.m).shape)
+        return np.zeros(_as_components(u, spec.m).shape)
     return spec.reaction.zero_order(u)
 
 
@@ -686,10 +719,10 @@ def _slice_checks(spec, U, lam, A, eps0):
     mask = un > 0
     C_P = C_f = None
     if mask.any():
-        Pn = np.linalg.norm(eval_P(spec, U), axis=-1)
+        Pn = np.linalg.norm(eval_P(spec, U.T), axis=0)
         C_P = np.max(Pn[mask] / (lam[mask] * un[mask]))
         if spec.reaction is not None:
-            fn = np.linalg.norm(reaction_zero_order(spec, U), axis=-1)
+            fn = np.linalg.norm(reaction_zero_order(spec, U.T), axis=0)
             C_f = np.max(fn[mask] * spec.lam.lambda_S / (un[mask] * lam[mask]))
     return (ratio.min(), ratio.max(), np.max(_opnorms(A) / lam),
             np.max(gradn / lam), np.max(gradn / lam ** (1.0 - eps0)), C_P, C_f,
@@ -709,7 +742,8 @@ def _certification_draw(spec, region, n, seed):
     direction d in R^m (stream 0xD1) and one unit m x 2 matrix q
     (stream 0xD2).  Everything after U is filled slice by slice into
     preallocated arrays, each stream continuing across slices, so the
-    draw's bits do not depend on the slice size."""
+    draw's bits do not depend on the slice size.  The draw is
+    point-major: U is (n, m) and A is (n, m, m), evaluated on U.T."""
     seed = whole_number(seed, "seed")
     U = region.sample(n, seed)
     n, m = U.shape
@@ -719,7 +753,7 @@ def _certification_draw(spec, region, n, seed):
     q_rng = np.random.default_rng([seed, 0xD2])
     for s in _slices(n):
         lam[s] = eval_lambda(spec, U[s])
-        A[s] = eval_A(spec, U[s])
+        A[s] = eval_A(spec, U[s].T).transpose(2, 0, 1)
         _unit_rows(d_rng.standard_normal(out=d[s]), -1)
         _unit_rows(q_rng.standard_normal(out=q[s]), (-2, -1))
     return U, lam, A, d, q

@@ -31,11 +31,13 @@ a rejected step is retried; the final state's f is never needed.
 
 Every record is the NormRecord diagnostics.norms gives of the state
 under the run's DiagnosticsConfig (s0, p_list, radii).  run() computes
-a recorded state's cell-centre gradient Du (cell_gradient) and diffusion
-matrices A(u) (eval_A) once and hands both to norms, A(u) to the
-explicit step cap stable_dt, and Du to the reaction term, also when a
-rejected step is retried from that state.  A state that is not recorded
-(record_every > 1) has them computed where they are needed.
+a recorded state's cell-centre gradient Du (cell_gradient, (m, 2, Nx,
+Ny)) and diffusion matrices A(u) (eval_A on the field's values, (m, m,
+Nx, Ny)) once and hands both to norms, A(u) to the explicit step cap
+stable_dt, and Du to the reaction term, also when a rejected step is
+retried from that state.  A state that is not recorded (record_every >
+1) has them computed where they are needed.  Every model evaluation
+takes the (m, Nx, Ny) values as they are stored, with no transpose.
 
 Every linear solve goes through spsolve(), which factors with the
 MMD_AT_PLUS_A column ordering and then gives the bits of scipy's
@@ -308,9 +310,7 @@ def _reaction_term(spec, field, grad=None):
         return np.zeros(field.values.shape)
     if grad is None:
         grad = cell_gradient(field)
-    g = np.moveaxis(grad, (0, 1), (-2, -1))
-    f = eval_reaction(spec, field.points(), g)
-    return np.moveaxis(f, -1, 0)
+    return eval_reaction(spec, field.values, grad)
 
 
 def _reaction_dt_cap(f, values, cfl):
@@ -367,12 +367,15 @@ def _step_imex(spec, field, dt, f, config, factors):
 
 
 def _cellwise(A):
-    """(N, m, m) cell matrices A as one sparse matrix acting cellwise on
-    component-major vectors: row c*N + n holds A[n, c, :] at columns
-    d*N + n."""
-    N, m, _ = A.shape
+    """(m, m, Nx, Ny) cell matrices A as one sparse matrix acting
+    cellwise on component-major vectors: with N = Nx * Ny cells, row
+    c*N + n holds A[c, :, n] at columns d*N + n, so its data run in
+    (c, n, d) order."""
+    m = A.shape[0]
+    A = A.reshape(m, m, -1)
+    N = A.shape[2]
     cols = np.broadcast_to(np.arange(m) * N + np.arange(N)[:, None], (m, N, m))
-    return sp.csr_matrix((np.moveaxis(A, 0, 1).ravel(), cols.ravel(),
+    return sp.csr_matrix((A.transpose(0, 2, 1).ravel(), cols.ravel(),
                           np.arange(0, m * m * N + 1, m)), shape=(m * N, m * N))
 
 
@@ -393,15 +396,14 @@ def _step_newton(spec, field, dt, f, config, factors):
     v = uflat.copy()
     solves = 0
     for _ in range(config.max_newton):
-        vf = Field(g, v.reshape(shape))
-        Pv = _flat(np.moveaxis(eval_P(spec, vf.points()), -1, 0))
-        R = v - dt * (L @ Pv) - rhs
+        V = v.reshape(shape)
+        R = v - dt * (L @ _flat(eval_P(spec, V))) - rhs
         rn = np.linalg.norm(R)
         if not np.isfinite(rn):
             raise NewtonConvergenceError("non-finite Newton residual")
         if rn <= tol:
-            return Field(g, v.reshape(shape)), solves
-        A = eval_A(spec, vf.points()).reshape(-1, field.m, field.m)
+            return Field(g, V), solves
+        A = eval_A(spec, V)
         J = factors.operator(dt, (A,), lambda: _newton_operator(L, A, dt))
         dv = spsolve(J, R, factors)
         if not np.all(np.isfinite(dv)):
@@ -472,7 +474,7 @@ def run(spec, field0, config, diagnostics=None):
     def record(state, t):
         """Record state at t; returns its Du and A(u)."""
         grad = cell_gradient(state)
-        A = eval_A(spec, state.points())
+        A = eval_A(spec, state.values)
         records.append(diag_mod.norms(state, spec, t=t, s0=dc.s0,
                                       p_list=dc.p_list, R_list=dc.radii,
                                       grad=grad, A=A))

@@ -79,11 +79,11 @@ class TestField:
         with pytest.raises(InputError, match="m >= 1"):
             Field(grid16n, np.zeros((0, 16, 16)))
 
-    def test_constant_and_points(self, grid16n):
+    def test_constant(self, grid16n):
         f = Field.constant(grid16n, [2.0, -1.0])
         assert f.m == 2
         assert np.all(f.values[0] == 2.0) and np.all(f.values[1] == -1.0)
-        assert f.points().shape == (16, 16, 2)
+        assert f.values.shape == (2, 16, 16)
 
     def test_copy_is_independent(self, grid16n):
         f = Field.constant(grid16n, [1.0])
@@ -186,15 +186,17 @@ class TestDiffusionOperators:
 
 
 def face_arrays(rng, g, m, zero_blocks=False):
-    """Random face coefficients of the shapes face_coefficients returns;
-    with zero_blocks, the off-diagonal blocks of component 0 are exact
-    zeros (as a12 = 0 gives in classic SKT)."""
+    """Random face coefficients of the shapes face_coefficients returns,
+    (m, m, Nx+1, Ny) and (m, m, Nx, Ny+1); with zero_blocks, the
+    off-diagonal blocks of component 0 are exact zeros (as a12 = 0 gives
+    in classic SKT)."""
     Ax = rng.uniform(-1.0, 2.0, size=(g.Nx + 1, g.Ny, m, m))
     Ay = rng.uniform(-1.0, 2.0, size=(g.Nx, g.Ny + 1, m, m))
     if zero_blocks:
         Ax[..., 0, 1:] = 0.0
         Ay[..., 0, 1:] = 0.0
-    return Ax, Ay
+    return (np.ascontiguousarray(Ax.transpose(2, 3, 0, 1)),
+            np.ascontiguousarray(Ay.transpose(2, 3, 0, 1)))
 
 
 def coo_flux_operator(g, Ax, Ay):
@@ -204,7 +206,9 @@ def coo_flux_operator(g, Ax, Ay):
     (R, R) = -w and (R, L) = +w with w = A / h^2, x faces before y
     faces, and under Dirichlet each boundary face gives -2A / h^2 on its
     cell's diagonal block (left, right, bottom, top); a block lists its
-    entries over (a, b, face).  tocsr() adds duplicates in that order."""
+    entries over (a, b, face).  tocsr() adds duplicates in that order.
+    Ax and Ay are component-major, as face_coefficients returns them."""
+    Ax, Ay = Ax.transpose(2, 3, 0, 1), Ay.transpose(2, 3, 0, 1)
     Nx, Ny, m = g.Nx, g.Ny, Ax.shape[-1]
     N = Nx * Ny
     rows, cols, data = [], [], []
@@ -269,8 +273,8 @@ class TestFluxOperator:
         # Dirichlet face adds -2A/h^2 to its cell's diagonal block
         g = build_grid(1.3, 0.7, Nx, Ny, bc)
         Ax, Ay = face_arrays(np.random.default_rng(seed), g, m)
-        Ax = Ax + np.swapaxes(Ax, -1, -2)
-        Ay = Ay + np.swapaxes(Ay, -1, -2)
+        Ax = Ax + np.swapaxes(Ax, 0, 1)
+        Ay = Ay + np.swapaxes(Ay, 0, 1)
         L = flux_operator(g, Ax, Ay)
         assert abs(L - L.T).max() <= 1e-14 * np.abs(L.data).max()
 
@@ -315,13 +319,22 @@ class TestFluxOperator:
             # square grid: the same number of x and y faces
             Ax, Ay = Ay, Ax
         elif case == "mismatched_m":
-            Ay = Ay[..., :1, :1]
+            Ay = Ay[:1, :1]
         elif case == "cell_count":
-            Ax, Ay = Ax[:-1], Ay[:-1]
+            Ax, Ay = Ax[:, :, :-1], Ay[:, :, :-1]
         else:
-            Ax = Ax[..., 0]
-        with pytest.raises(InputError, match=r"\(Nx\+1, Ny, m, m\) = \(7, 6"):
+            Ax = Ax[0]
+        with pytest.raises(InputError,
+                           match=r"\(m, m, Nx\+1, Ny\) = \(m, m, 7, 6\)"):
             flux_operator(g, Ax, Ay)
+
+    def test_point_major_coefficients_raise(self):
+        # the (faces, m, m) layout of an older release names the new one
+        g = build_grid(1.0, 1.0, 6, 5)
+        Ax, Ay = face_arrays(np.random.default_rng(0), g, 2)
+        with pytest.raises(InputError,
+                           match=r"got \(7, 5, 2, 2\) and \(6, 6, 2, 2\)"):
+            flux_operator(g, Ax.transpose(2, 3, 0, 1), Ay.transpose(2, 3, 0, 1))
 
     def test_component_laplacian_is_shared_and_read_only(self):
         g = build_grid(1.0, 1.0, 5, 4)
@@ -439,7 +452,7 @@ class TestStableDt:
     def test_explicit_run_matches_svd_step_cap(self, monkeypatch):
         def svd_stable_dt(spec, field, cfl=0.9, A=None):
             # run() may pass the A(u) it holds; the fake computes its own
-            A = eval_A(spec, field.points())
+            A = eval_A(spec, field.values).transpose(2, 3, 0, 1)
             s = float(np.linalg.svd(A, compute_uv=False)[..., 0].max())
             h = min(field.grid.hx, field.grid.hy)
             return float(cfl) * h * h / (8.0 * s)

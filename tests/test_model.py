@@ -78,9 +78,9 @@ class TestEvalP:
 
     def test_batch_evaluation(self, skt):
         U = np.random.default_rng(1).uniform(0, 2, size=(7, 5, 2))
-        batch = eval_P(skt, U)
-        for idx in np.ndindex(7, 5):
-            assert np.allclose(batch[idx], eval_P(skt, U[idx]))
+        batch = eval_P(skt, U.transpose(2, 0, 1))
+        for i, j in np.ndindex(7, 5):
+            assert np.allclose(batch[:, i, j], eval_P(skt, U[i, j]))
 
     def test_dimension_mismatch(self, skt):
         with pytest.raises(ModelDefinitionError):
@@ -159,7 +159,7 @@ class TestExactOracle:
         terms = [random_terms(rng, m) for _ in range(m)]
         P = PolynomialMap(m, terms)
         U = rng.uniform(-2.0, 2.0, size=(8, m))
-        values, jacobians = P(U), P.jacobian(U)
+        values, jacobians = P(U.T).T, P.jacobian(U.T).transpose(2, 0, 1)
         for u, value, jac in zip(U, values, jacobians):
             for i, comp in enumerate(terms):
                 assert_matches_oracle(value[i], [(c, 0, ex, u) for c, ex in comp])
@@ -176,11 +176,184 @@ class TestExactOracle:
                   float(rng.normal()), int(rng.integers(0, 4)),
                   tuple(int(e) for e in rng.integers(0, 6, m))) for _ in range(6)]
         U = rng.uniform(-2.0, 2.0, size=(8, m))
-        for u, M in zip(U, MatrixPolynomial(m, (m, m), terms)(U)):
+        Ms = MatrixPolynomial(m, (m, m), terms)(U.T).transpose(2, 0, 1)
+        for u, M in zip(U, Ms):
             for a, b in np.ndindex(m, m):
                 assert_matches_oracle(M[a, b], [(c, s, ex, u)
                                                 for i, j, c, s, ex in terms
                                                 if (i, j) == (a, b)])
+
+
+def point_major(u):
+    """The (..., m) view of a component-major (m, ...) array: the
+    points a field's values were once evaluated on."""
+    return u.transpose(tuple(range(1, u.ndim)) + (0,))
+
+
+def component_major(x, k):
+    """x with its last k axes moved to the front, as a C-contiguous
+    array."""
+    n = x.ndim - k
+    return np.ascontiguousarray(
+        x.transpose(tuple(range(n, x.ndim)) + tuple(range(n))))
+
+
+def point_major_matrix_polynomial(M, u):
+    """M(u) by the point-major evaluator the component-major one
+    replaced: u is (..., m), each term starts from np.full(c), and the
+    result is (..., r, c)."""
+    out = np.zeros(u.shape[:-1] + M.shape)
+    r = None
+    for i, j, c, s, ex in M._terms:
+        v = np.full(u.shape[:-1], c)
+        for axis, e in enumerate(ex):
+            if e:
+                v = v * u[..., axis] ** e
+        if s:
+            if r is None:
+                r = np.linalg.norm(u, axis=-1)
+            v = v * r ** s
+        out[..., i, j] += v
+    return out
+
+
+def point_major_zero_order(reaction, u):
+    """ReactionSpec.zero_order by the point-major evaluator."""
+    out = u @ reaction.K.T
+    G = point_major_matrix_polynomial(reaction.G, u)
+    return out - np.einsum("...ij,...j->...i", G, u)
+
+
+def point_major_gradient_term(B, u, g):
+    """B(u) Du by the point-major evaluator; g is (..., m, 2)."""
+    gf = g.reshape(g.shape[:-2] + (2 * B.m,))
+    return np.einsum("...ij,...j->...i", point_major_matrix_polynomial(B, u), gf)
+
+
+def random_matrix_terms(rng, m, shape):
+    """Terms with radial powers 0..3 and exponents 0..5, plus one
+    constant term."""
+    terms = [(int(rng.integers(0, shape[0])), int(rng.integers(0, shape[1])),
+              float(rng.normal()), int(rng.integers(0, 4)),
+              tuple(int(e) for e in rng.integers(0, 6, m))) for _ in range(8)]
+    return terms + [(0, 0, float(rng.normal()), 0.0, (0,) * m)]
+
+
+SPATIAL_SHAPES = [(9,), (5, 7), (3, 4, 5)]
+
+
+class TestComponentMajorParity:
+    """The component-major evaluators give, bit for bit, what the
+    point-major ones gave on the point-major view of the same array."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("shape", SPATIAL_SHAPES)
+    def test_matrix_polynomial(self, m, shape):
+        rng = np.random.default_rng([m, len(shape), 2])
+        M = MatrixPolynomial(m, (m, m + 1),
+                             random_matrix_terms(rng, m, (m, m + 1)))
+        u = rng.uniform(-2.0, 2.0, size=(m,) + shape)
+        want = point_major_matrix_polynomial(M, point_major(u))
+        assert M(u).tobytes() == component_major(want, 2).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("shape", SPATIAL_SHAPES)
+    def test_polynomial_map_and_jacobian(self, m, shape):
+        rng = np.random.default_rng([m, len(shape), 3])
+        P = PolynomialMap(m, [random_terms(rng, m) for _ in range(m)])
+        u = rng.uniform(-2.0, 2.0, size=(m,) + shape)
+        pts = point_major(u)
+        want_P = point_major_matrix_polynomial(P._P, pts)[..., 0]
+        want_A = point_major_matrix_polynomial(P._A, pts)
+        assert P(u).tobytes() == component_major(want_P, 1).tobytes()
+        assert P.jacobian(u).tobytes() == component_major(want_A, 2).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("shape", SPATIAL_SHAPES)
+    def test_reaction_parts(self, m, shape):
+        rng = np.random.default_rng([m, len(shape), 4])
+        G = MatrixPolynomial(m, (m, m), random_matrix_terms(rng, m, (m, m)))
+        B = MatrixPolynomial(m, (m, 2 * m),
+                             random_matrix_terms(rng, m, (m, 2 * m)))
+        reaction = ReactionSpec(K=rng.normal(size=(m, m)), B=B, G=G,
+                                kappa=1.0, c0=1.0)
+        u = rng.uniform(0.1, 2.0, size=(m,) + shape)
+        g = rng.normal(size=(m, 2) + shape)
+        pts, gp = point_major(u), g.transpose(tuple(range(2, g.ndim)) + (0, 1))
+        want_f0 = point_major_zero_order(reaction, pts)
+        want = want_f0 + point_major_gradient_term(B, pts, gp)
+        assert (reaction.zero_order(u).tobytes()
+                == component_major(want_f0, 1).tobytes())
+        assert reaction(u, g).tobytes() == component_major(want, 1).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_certification_draw_layout(self, m):
+        # the draw is point-major, (n, m), and evaluated on U.T
+        rng = np.random.default_rng([m, 5])
+        M = MatrixPolynomial(m, (m, m), random_matrix_terms(rng, m, (m, m)))
+        P = PolynomialMap(m, [random_terms(rng, m) for _ in range(m)])
+        K = rng.normal(size=(m, m))
+        U = rng.uniform(-2.0, 2.0, size=(50, m))
+        assert np.array_equal(M(U.T).transpose(2, 0, 1),
+                              point_major_matrix_polynomial(M, U))
+        assert np.array_equal(P(U.T).T,
+                              point_major_matrix_polynomial(P._P, U)[..., 0])
+        reaction = ReactionSpec(K=K, B=None, G=None, kappa=1.0, c0=1.0)
+        assert np.array_equal(reaction.zero_order(U.T).T, U @ K.T)
+
+
+class TestLayoutErrors:
+    """A state in the wrong layout fails loudly."""
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda spec, u: eval_P(spec, u),
+        lambda spec, u: eval_A(spec, u),
+        lambda spec, u: reaction_zero_order(spec, u),
+        lambda spec, u: eval_reaction(spec, u, np.zeros((2, 2, 3))),
+        lambda spec, u: spec.reaction.G(u),
+    ])
+    def test_point_major_batch_rejected(self, skt_lv, evaluate):
+        U = np.ones((3, 2))  # a stale (n, m) batch with n != m
+        with pytest.raises(ModelDefinitionError,
+                           match=r"component-major, shape \(2, \.\.\.\)"):
+            evaluate(skt_lv, U)
+        assert evaluate(skt_lv, U.T).shape[-1] == 3
+
+    @pytest.mark.parametrize("spec_name", ["skt", "decay_model"])
+    def test_no_reaction_or_general_reaction_checks_the_layout(self, spec_name,
+                                                               request):
+        spec = request.getfixturevalue(spec_name)
+        U = np.ones((5, spec.m + 1))
+        with pytest.raises(ModelDefinitionError, match="component-major"):
+            eval_reaction(spec, U, np.zeros((spec.m, 2, spec.m + 1)))
+        with pytest.raises(ModelDefinitionError, match="component-major"):
+            reaction_zero_order(spec, U)
+
+    def test_point_major_gradient_rejected(self):
+        spec = ModelSpec(
+            P=PolynomialMap.identity(2), lam=LambdaSpec(1.0),
+            reaction=ReactionSpec(K=np.eye(2),
+                                  B=MatrixPolynomial.constant(2, np.ones((2, 4))),
+                                  G=None, kappa=1.0, c0=1.0))
+        u = np.ones((2, 4))
+        assert eval_reaction(spec, u, np.zeros((2, 2, 4))).shape == (2, 4)
+        with pytest.raises(ModelDefinitionError,
+                           match=r"gradient must have shape \(2, 2, \.\.\.\)"):
+            eval_reaction(spec, u, np.zeros((4, 2, 2)))
+
+    def test_lambda_checks_the_component_count(self, skt):
+        # eval_lambda takes points (..., m)
+        with pytest.raises(ModelDefinitionError, match=r"\(\.\.\., 2\)"):
+            eval_lambda(skt, np.ones((2, 5)))
+        assert eval_lambda(skt, np.ones((5, 2))).shape == (5,)
+
+    def test_constant_envelope_takes_no_norm(self, monkeypatch):
+        def no_norm(*args, **kwargs):
+            raise AssertionError("norm taken for a constant envelope")
+
+        monkeypatch.setattr(np.linalg, "norm", no_norm)
+        got = LambdaSpec(1.5)(np.ones((4, 3, 2)))
+        assert got.shape == (4, 3) and np.all(got == 1.5)
 
 
 class TestEvalLambda:
@@ -505,7 +678,7 @@ class TestVerifyStructure:
             return wrapper
 
         def recorded_eval_A(spec, u):
-            evaluated.append(np.array(u))
+            evaluated.append(np.array(u).T)
             return eval_A(spec, u)
 
         monkeypatch.setattr(Region, "sample", counted("sample", Region.sample))
@@ -541,7 +714,7 @@ class TestVerifyStructure:
         rep = verify_structure(skt, region, n=300, seed=5)
         assert rep.passed
         U = region.sample(300, 5)
-        A = eval_A(skt, U)
+        A = eval_A(skt, U.T).transpose(2, 0, 1)
         lam = eval_lambda(skt, U)
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -939,11 +1112,13 @@ class TestSerialization:
         rng = np.random.default_rng(4)
         U = rng.uniform(-2.0, 2.0, size=(64, m))
         G = rng.normal(size=(64, m, 2))
-        assert np.array_equal(eval_P(a, U), eval_P(b, U))
-        assert np.array_equal(eval_A(a, U), eval_A(b, U))
+        assert np.array_equal(eval_P(a, U.T), eval_P(b, U.T))
+        assert np.array_equal(eval_A(a, U.T), eval_A(b, U.T))
         assert np.array_equal(eval_lambda(a, U), eval_lambda(b, U))
         if with_gradient:
-            assert np.array_equal(eval_reaction(a, U, G), eval_reaction(b, U, G))
+            G = G.transpose(1, 2, 0)
+            assert np.array_equal(eval_reaction(a, U.T, G),
+                                  eval_reaction(b, U.T, G))
 
     def test_dict_round_trip_competitive(self, skt_lv):
         again = model_from_dict(model_to_dict(skt_lv))

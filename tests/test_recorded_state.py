@@ -16,8 +16,9 @@ import crossdiff.solver as solver_mod
 from crossdiff import (DiagnosticsConfig, Field, InputError, LambdaSpec,
                        ModelSpec, PolynomialMap, SolverConfig, bmo_profile,
                        build_grid, cell_gradient, energy_inequality_check,
-                       eval_A, initial_field, norms, run)
+                       eval_A, initial_field, norms, run, stable_dt)
 from crossdiff.diagnostics import _energy_y
+from crossdiff.model import _opnorms
 
 from conftest import eigenmode_field
 
@@ -58,11 +59,54 @@ class TestEnergyContraction:
         for _ in range(3):
             u = Field(g, 0.1 + rng.random((m,) + shape))
             grad = cell_gradient(u)
-            A = eval_A(spec, u.points())
-            AD = np.einsum("xyij,jdxy->xyid", A, grad)
+            A = eval_A(spec, u.values)
+            A_xy = np.ascontiguousarray(A.transpose(2, 3, 0, 1))
+            AD = np.einsum("xyij,jdxy->xyid", A_xy, grad)
             want = float(g.cell_area * (AD * AD).sum())
             assert repr(_energy_y(u, spec, grad)) == repr(want)
             assert repr(_energy_y(u, spec, grad, A)) == repr(want)
+
+
+def point_major_energy_y(spec, u, grad):
+    """y by the point-major contraction the component-major _energy_y
+    replaced: A(u) of the (x, y, m) points, (A Du)_{id} summed over j in
+    (x, y, i, d) and (AD * AD).sum()."""
+    pts = u.values.transpose(1, 2, 0)
+    A = np.ascontiguousarray(eval_A(spec, u.values).transpose(2, 3, 0, 1))
+    assert A.shape == pts.shape + (u.m,)
+    G = grad.transpose(2, 3, 0, 1)
+    AD = A[..., 0, None] * G[:, :, None, 0, :]
+    for j in range(1, A.shape[-1]):
+        AD += A[..., j, None] * G[:, :, None, j, :]
+    return float(u.grid.cell_area * (AD * AD).sum())
+
+
+class TestPointMajorParity:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(32, 32), (17, 23)])
+    def test_energy_y_keeps_the_point_major_bits(self, m, shape):
+        spec = cross_model(m)
+        g = build_grid(1.0, 1.5, *shape, "neumann")
+        rng = np.random.default_rng(m * 100 + shape[0] + 1)
+        for _ in range(3):
+            u = Field(g, 0.1 + rng.random((m,) + shape))
+            grad = cell_gradient(u)
+            want = point_major_energy_y(spec, u, grad)
+            assert repr(_energy_y(u, spec, grad)) == repr(want)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_stable_dt_keeps_the_point_major_bits(self, m):
+        # m = 3 takes LAPACK's SVD, m = 2 the closed form
+        spec = cross_model(m)
+        g = build_grid(1.0, 1.5, 17, 23, "neumann")
+        u = Field(g, 0.1 + np.random.default_rng(m).random((m, 17, 23)))
+        A = np.ascontiguousarray(eval_A(spec, u.values).transpose(2, 3, 0, 1))
+        s = float(_opnorms(A).max())
+        h = min(g.hx, g.hy)
+        want = 0.9 * h * h / (8.0 * s)
+        assert repr(stable_dt(spec, u, 0.9)) == repr(want)
+        A = eval_A(spec, u.values)
+        assert repr(stable_dt(spec, u, 0.9, A=A)) == repr(want)
 
 
 # explicit SKT+LV, IMEX SKT+LV, Newton heat, explicit every third step

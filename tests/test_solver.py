@@ -242,7 +242,7 @@ def implicit_matrix(kind, spec, f, dt=1e-3):
     if kind == "imex":
         L = flux_operator(f.grid, *face_coefficients(spec, f))
     else:
-        D = solver_mod._cellwise(eval_A(spec, f.points()).reshape(-1, f.m, f.m))
+        D = solver_mod._cellwise(eval_A(spec, f.values))
         L = component_laplacian(f.grid, f.m) @ D
     return sp.identity(L.shape[0], format="csr") - dt * L
 
@@ -251,7 +251,7 @@ def newton_operator(factors, A, dt=1e-3, built=None):
     """The Newton Jacobian I - dt (I_m (x) L_1) A on the 16x16 Neumann
     grid through the factor policy, keyed on the cellwise A; each build
     is appended to built."""
-    L = component_laplacian(build_grid(1.0, 1.0, 16, 16, "neumann"), A.shape[-1])
+    L = component_laplacian(build_grid(1.0, 1.0, 16, 16, "neumann"), A.shape[0])
 
     def build():
         if built is not None:
@@ -262,7 +262,7 @@ def newton_operator(factors, A, dt=1e-3, built=None):
 
 
 def cell_A(spec, f):
-    return eval_A(spec, f.points()).reshape(-1, f.m, f.m)
+    return eval_A(spec, f.values)
 
 
 class TestSpsolve:
