@@ -507,6 +507,8 @@ class Region:
         hi = tuple(float(x) for x in self.hi)
         if len(lo) != len(hi) or not lo:
             raise InputError("region bounds must have equal, positive length")
+        if not all(math.isfinite(x) for x in lo + hi):
+            raise InputError(f"region bounds must be finite, got {lo} and {hi}")
         if any(not (h > l) for l, h in zip(lo, hi)):
             raise InputError("degenerate region: need hi > lo in every coordinate")
         object.__setattr__(self, "lo", lo)
@@ -653,8 +655,13 @@ def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
         region = Region(*region)
     if region.m != spec.m:
         raise InputError("region dimension does not match the model")
+    ls = [_power(l) for l in ls]
+    delta_k = _positive_finite(delta_k, "delta_k")
+    tol_ell = float(tol_ell)
+    if not (math.isfinite(tol_ell) and tol_ell >= 0):
+        raise InputError(f"tol_ell must be finite and nonnegative, got {tol_ell!r}")
     sample = _certification_draw(spec, region, n, seed)
-    lam_l = {float(l): compute_lambda_l(spec, l, delta=delta_k, _sample=sample)
+    lam_l = {l: compute_lambda_l(spec, l, delta=delta_k, _sample=sample)
              for l in ls}
     U, lam, A = sample[:3]
     del sample  # the directions are no longer needed
@@ -685,8 +692,25 @@ def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
         C_f_hat=C_f_hat, C_P_hat=C_P_hat, lambda_l=lam_l,
         ellipticity_pass=ellipticity_pass, growth_pass=growth_pass,
         f_pass=f_pass, sg_pass=sg_pass, sg_prime_pass=sg_prime_pass,
-        delta_k=float(delta_k), tol_ell=float(tol_ell),
+        delta_k=delta_k, tol_ell=tol_ell,
         sample_count=len(U), region=region, seed=int(seed))
+
+
+def _power(l):
+    """The test-function power l as a float; InputError unless it is
+    finite and nonnegative."""
+    l = float(l)
+    if not (math.isfinite(l) and l >= 0):
+        raise InputError(f"l must be finite and nonnegative, got {l!r}")
+    return l
+
+
+def _positive_finite(value, what):
+    """value as a float; InputError unless it is finite and positive."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise InputError(f"{what} must be finite and positive, got {value!r}")
+    return value
 
 
 # Rows per slice of the certification draw's per-sample work: the draw
@@ -759,6 +783,46 @@ def _certification_draw(spec, region, n, seed):
     return U, lam, A, d, q
 
 
+def _quotients(A, d, q, l, uhat):
+    """The unnormalized quotients <A q, M_l q> / |u|^l of one slice:
+    v1 over the directions d (n, m) and v2 over the matrices q (n, m, c),
+    with uhat = u/|u| (n, m) when l > 0.
+
+    The matrix tested is T[i, j] = A[j, i] for l = 0 and
+    A[j, i] + l * Au[i] * uhat[j] with Au[i] = sum_j A[j, i] uhat[j]
+    otherwise.  The sums are the ones np.einsum does on a C-contiguous
+    batch of two or more rows, term for term: Au from 0.0 in j order;
+    v1 and v2 from 0.0 over (i, j) pairs in i-major order when l > 0
+    (T is then a fresh array) and in j-major order when l = 0 (einsum
+    walked the transposed view of A in memory order), c innermost; each
+    term d_i * t * d_j or q_ic * t * q_jc multiplied left to right.
+    Rounding depends on the order of the terms, so these orders keep
+    the quotients' bits.  The one exception is a lone row at m = 2:
+    einsum dropped the unit batch axis and summed its four terms as
+    (t00 + t01) + (t10 + t11), so a one-row slice there can differ from
+    the einsum value in the last bits.  Here every row is summed alike,
+    whatever the rows beside it.
+    """
+    n, m = d.shape
+    v1, v2 = np.zeros(n), np.zeros(n)
+    if l > 0:
+        Au = np.zeros((m, n))
+        for i in range(m):
+            for j in range(m):
+                Au[i] += A[:, j, i] * uhat[:, j]
+        pairs = [(i, j) for i in range(m) for j in range(m)]
+    else:
+        pairs = [(i, j) for j in range(m) for i in range(m)]
+    for i, j in pairs:
+        t = A[:, j, i]
+        if l > 0:
+            t = t + l * Au[i] * uhat[:, j]
+        v1 += d[:, i] * t * d[:, j]
+        for c in range(q.shape[-1]):
+            v2 += q[:, i, c] * t * q[:, j, c]
+    return v1, v2
+
+
 def compute_lambda_l(spec, l, n=100000, seed=0, region=None, delta=0.99,
                      _sample=None):
     """Brute-force the spectral test-function constant lambda_l.
@@ -774,40 +838,45 @@ def compute_lambda_l(spec, l, n=100000, seed=0, region=None, delta=0.99,
     returned infimum is nonincreasing in n.  A positive return value
     is an empirical certificate.  _sample, when given, is the
     _certification_draw to use in place of drawing (region, n, seed).
-    The quotients run in slices of _SLICE rows and reduce by min.
+
+    The quotients run in slices of _SLICE rows and reduce by min.  Each
+    slice sums its quotients in plain column loops (_quotients) in the
+    order np.einsum summed them, so the value keeps its bits.  States at
+    the origin are dropped for l > 0.  C_* = max ||A||/lambda over the
+    kept states feeds only the spectral-gap gate l/(l+2) <= delta/C_*,
+    which is logged at INFO and not enforced, so C_* is computed only
+    when that log is on.
     """
-    l = float(l)
-    if l < 0:
-        raise InputError("l must be nonnegative")
+    l = _power(l)
+    delta = _positive_finite(delta, "delta")
     if _sample is None:
         if region is None:
             region = Region.symmetric(10.0, spec.m)
         elif not isinstance(region, Region):
             region = Region(*region)
         _sample = _certification_draw(spec, region, n, seed)
+    gate_logged = l > 0 and logger.isEnabledFor(logging.INFO)
     C_stars, mins = [], []
     for s in _slices(len(_sample[0])):
         U, lam, A, d, q = (x[s] for x in _sample)
+        uhat = None
         if l > 0:
-            keep = np.linalg.norm(U, axis=-1) > 0
-            if not keep.any():
-                continue
-            U, lam, A, d, q = U[keep], lam[keep], A[keep], d[keep], q[keep]
-            C_stars.append(np.max(_opnorms(A) / lam))
-        AT = np.swapaxes(A, -1, -2)
-        if l > 0:
-            uhat = U / np.linalg.norm(U, axis=-1, keepdims=True)
-            Au = np.einsum("nij,nj->ni", AT, uhat)
-            T = AT + l * Au[:, :, None] * uhat[:, None, :]
-        else:
-            T = AT
-        vals1 = np.einsum("ni,nij,nj->n", d, T, d) / lam
-        vals2 = np.einsum("nic,nij,njc->n", q, T, q) / lam
+            un = np.linalg.norm(U, axis=-1)
+            keep = un > 0
+            if not keep.all():
+                if not keep.any():
+                    continue
+                U, un, lam, A, d, q = (x[keep] for x in (U, un, lam, A, d, q))
+            uhat = U / un[:, None]
+            if gate_logged:
+                C_stars.append(np.max(_opnorms(A) / lam))
+        vals1, vals2 = _quotients(A, d, q, l, uhat)
+        vals1 /= lam
+        vals2 /= lam
         mins.append((vals1.min(), vals2.min()))
-    if l > 0:
-        if not C_stars:
-            raise InputError("all samples at the origin; quotient undefined for l > 0")
-        # gate check: l/(l+2) <= delta / C_*, reported but not enforced
+    if l > 0 and not mins:
+        raise InputError("all samples at the origin; quotient undefined for l > 0")
+    if C_stars:
         C_star = float(np.max(C_stars))
         if l / (l + 2.0) > delta / C_star:
             logger.info("spectral-gap gate fails for l=%g (C_*~%.3g); "

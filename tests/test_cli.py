@@ -117,6 +117,23 @@ class TestVerifyCommand:
         assert mb["seed"] == 77
         assert ma["manifest_sha256"] != mb["manifest_sha256"]
 
+    @pytest.mark.parametrize("key,value", [
+        ("tol_ell", float("nan")), ("tol_ell", -1e-9),
+        ("delta_k", float("inf")), ("delta_k", 0.0),
+        ("ls", [0.0, float("nan")]), ("ls", [float("inf")]),
+        ("region", {"lo": [-2.0], "hi": [float("inf")]})])
+    def test_non_finite_parameters_are_input_errors(self, write_manifest,
+                                                    tmp_path, key, value):
+        # "tol_ell": NaN used to fail ellipticity (exit 1) and write NaN,
+        # which is not JSON, into verify.json
+        data = self._manifest()
+        data["verify"][key] = value
+        out = tmp_path / "bad"
+        r = invoke("verify", "--manifest", write_manifest(data), "--out", out)
+        assert r.exit_code == 2, r.output
+        assert "input error" in r.output
+        assert not (out / "verify.json").exists()
+
     def test_missing_schema_is_input_error(self, tmp_path):
         path = tmp_path / "m.json"
         data = self._manifest()

@@ -573,6 +573,14 @@ class TestRegion:
         with pytest.raises(InputError):
             Region((0.0, 0.0), (1.0, 0.0))
 
+    @pytest.mark.parametrize("lo,hi", [
+        ((0.0, 0.0), (math.inf, 10.0)), ((-math.inf, 0.0), (1.0, 1.0)),
+        ((0.0, math.nan), (1.0, 1.0)), ((0.0,), (math.nan,))])
+    def test_non_finite_bound_rejected(self, lo, hi):
+        # an infinite box constructed and then certified an all-NaN report
+        with pytest.raises(InputError, match="finite"):
+            Region(lo, hi)
+
     @pytest.mark.parametrize("n", [2.5, True, float("nan"), 0])
     def test_sample_count_must_be_a_positive_whole_number(self, n):
         with pytest.raises(InputError):
@@ -657,6 +665,28 @@ class TestVerifyStructure:
     def test_region_dimension_checked(self, skt):
         with pytest.raises(InputError):
             verify_structure(skt, Region.symmetric(1.0, 3), n=10, seed=0)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"ls": (0.0, math.nan)}, "l must be finite"),
+        ({"ls": (math.inf,)}, "l must be finite"),
+        ({"ls": (-1.0,)}, "nonnegative"),
+        ({"delta_k": math.nan}, "delta_k"),
+        ({"delta_k": math.inf}, "delta_k"),
+        ({"delta_k": 0.0}, "delta_k"),
+        ({"tol_ell": math.nan}, "tol_ell"),
+        ({"tol_ell": math.inf}, "tol_ell"),
+        ({"tol_ell": -1e-9}, "tol_ell")])
+    def test_bad_parameters_rejected_before_the_draw(self, skt, kwargs, match,
+                                                     monkeypatch):
+        # ls=(nan,) reported lambda_l {nan: ...}; tol_ell = NaN failed
+        # ellipticity and wrote NaN into verify.json
+        def no_draw(*args):
+            raise AssertionError("drew the sample")
+
+        monkeypatch.setattr(model_mod, "_certification_draw", no_draw)
+        with pytest.raises(InputError, match=match):
+            verify_structure(skt, Region.positive(10.0, 2), n=100, seed=0,
+                             **kwargs)
 
     def test_determinism(self, skt):
         a = verify_structure(skt, Region.positive(50.0, 2), n=500, seed=3)
@@ -842,6 +872,143 @@ class TestCertificationSlices:
         gates = [r for r in caplog.records if "spectral-gap" in r.getMessage()]
         assert len(gates) == 1
         assert f"C_*~{C_star:.3g}" in gates[0].getMessage()
+
+    def test_c_star_computed_only_for_the_info_log(self, heat2, monkeypatch,
+                                                   caplog):
+        # C_* feeds nothing but the spectral-gap log, so with INFO off no
+        # ||A|| is taken; the value is the same either way
+        monkeypatch.setattr(model_mod, "_SLICE", self.SLICE)
+        calls = []
+
+        def counted_opnorms(A):
+            calls.append(len(A))
+            return _opnorms(A)
+
+        monkeypatch.setattr(model_mod, "_opnorms", counted_opnorms)
+        rng = np.random.default_rng(2)
+        off = [i for i in range(self.N) if i >= self.SLICE]
+        sample = self.hand_made_sample(self.N, rng, off)
+        caplog.set_level("WARNING", logger="crossdiff.model")
+        quiet = compute_lambda_l(heat2, 2.0, _sample=sample)
+        assert calls == []
+        caplog.set_level("INFO", logger="crossdiff.model")
+        logged = compute_lambda_l(heat2, 2.0, _sample=sample)
+        assert calls == [self.SLICE, self.SLICE, self.SLICE - 2]
+        assert float_bits(logged) == float_bits(quiet)
+
+
+def einsum_quotients(U, A, d, q, l):
+    """The quotient step of compute_lambda_l as it was written with
+    np.einsum: (v1, v2) of rows off the origin (for l > 0), before the
+    division by lambda.
+
+    np.einsum drops the unit batch axis of a lone row and at m = 2 then
+    sums its terms as (t00 + t01) + (t10 + t11); a lone row is stacked
+    twice here, so every row is summed as einsum sums a batch of two or
+    more rows, the order compute_lambda_l keeps."""
+    if len(U) == 1:
+        v1, v2 = einsum_quotients(
+            *(np.concatenate([x, x]) for x in (U, A, d, q)), l)
+        return v1[:1], v2[:1]
+    AT = np.swapaxes(A, -1, -2)
+    if l > 0:
+        uhat = U / np.linalg.norm(U, axis=-1, keepdims=True)
+        Au = np.einsum("nij,nj->ni", AT, uhat)
+        T = AT + l * Au[:, :, None] * uhat[:, None, :]
+    else:
+        T = AT
+    return (np.einsum("ni,nij,nj->n", d, T, d),
+            np.einsum("nic,nij,njc->n", q, T, q))
+
+
+def einsum_lambda_l(sample, l, slice_rows):
+    """compute_lambda_l's value from einsum_quotients over slices of
+    slice_rows rows (no spectral-gap log)."""
+    mins = []
+    for start in range(0, len(sample[0]), slice_rows):
+        U, lam, A, d, q = (x[start:start + slice_rows] for x in sample)
+        if l > 0:
+            keep = np.linalg.norm(U, axis=-1) > 0
+            if not keep.any():
+                continue
+            U, lam, A, d, q = U[keep], lam[keep], A[keep], d[keep], q[keep]
+        v1, v2 = einsum_quotients(U, A, d, q, l)
+        mins.append(min((v1 / lam).min(), (v2 / lam).min()))
+    return float(min(mins))
+
+
+def random_sample(rng, m, n, origin):
+    """A _certification_draw-shaped tuple over magnitudes from 1e-3 to
+    1e3, with about a fraction origin of the states at the origin."""
+    U = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    U[rng.random(n) < origin] = 0.0
+    lam = rng.uniform(0.5, 2.0, n)
+    A = rng.standard_normal((n, m, m)) * 10.0 ** rng.uniform(-2, 2, (n, 1, 1))
+    d = rng.standard_normal((n, m))
+    q = rng.standard_normal((n, m, 2))
+    return U, lam, A, d, q
+
+
+def quotients_of(sample, l):
+    """_quotients on the rows compute_lambda_l tests (those off the
+    origin when l > 0), with the einsum reference on the same rows."""
+    U, lam, A, d, q = sample
+    uhat = None
+    if l > 0:
+        un = np.linalg.norm(U, axis=-1)
+        keep = un > 0
+        U, un, A, d, q = U[keep], un[keep], A[keep], d[keep], q[keep]
+        uhat = U / un[:, None]
+    return model_mod._quotients(A, d, q, l, uhat), einsum_quotients(U, A, d, q, l)
+
+
+LS = [0.0, 0.5, 1.0, 2.0, 3.0]
+
+
+class TestQuotientsKeepEinsumBits:
+    """compute_lambda_l sums its quotients in column loops in the order
+    np.einsum summed them, so every row's quotient and the infimum are
+    the einsum code's bits."""
+
+    @given(m=st.sampled_from([1, 2, 3]), n=st.integers(1, 70),
+           l=st.sampled_from(LS), origin=st.sampled_from([0.0, 0.2, 0.8]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_and_infimum_match_the_einsum_code(self, heat2, m, n, l,
+                                                    origin, seed):
+        sample = random_sample(np.random.default_rng(seed), m, n, origin)
+        got, want = quotients_of(sample, l)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_mod, "_SLICE", 7)
+            if l > 0 and not np.any(sample[0]):
+                with pytest.raises(InputError, match="origin"):
+                    compute_lambda_l(heat2, l, _sample=sample)
+                return
+            value = compute_lambda_l(heat2, l, _sample=sample)
+        assert float_bits(value) == float_bits(einsum_lambda_l(sample, l, 7))
+
+    @pytest.mark.parametrize("name,region", SLICE_CASES)
+    @pytest.mark.parametrize("l", LS)
+    def test_certification_draws_match_the_einsum_code(self, skt_lv, name,
+                                                       region, l):
+        spec = skt_lv if name == "skt_lv" else three_component_model()
+        sample = model_mod._certification_draw(spec, region, 3001, 11)
+        got, want = quotients_of(sample, l)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("l", [0.0, 1.0])
+    def test_a_row_sums_alike_in_any_batch(self, m, l):
+        # each row is summed on its own, so a one-row slice gives the
+        # bits the row has in any larger slice
+        U, lam, A, d, q = random_sample(np.random.default_rng(m), m, 30, 0.0)
+        uhat = U / np.linalg.norm(U, axis=-1)[:, None] if l > 0 else None
+        whole = model_mod._quotients(A, d, q, l, uhat)
+        for k in range(len(U)):
+            row = slice(k, k + 1)
+            alone = model_mod._quotients(
+                A[row], d[row], q[row], l, None if uhat is None else uhat[row])
+            assert [v.tobytes() for v in alone] == [v[row].tobytes() for v in whole]
 
 
 def test_verify_memory_stays_bounded(tmp_path):
@@ -1083,6 +1250,24 @@ class TestComputeLambdaL:
     def test_negative_l_rejected(self, heat2):
         with pytest.raises(InputError):
             compute_lambda_l(heat2, -0.5)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"l": math.nan}, "l must be finite"),
+        ({"l": math.inf}, "l must be finite"),
+        ({"l": 1.0, "delta": math.nan}, "delta"),
+        ({"l": 1.0, "delta": math.inf}, "delta"),
+        ({"l": 1.0, "delta": 0.0}, "delta"),
+        ({"l": 1.0, "delta": -0.5}, "delta")])
+    def test_bad_parameters_rejected_before_the_draw(self, heat2, kwargs,
+                                                     match, monkeypatch):
+        # l = NaN returned the l = 0 value (NaN < 0 and NaN > 0 are both
+        # False) and l = inf returned NaN
+        def no_draw(*args):
+            raise AssertionError("drew the sample")
+
+        monkeypatch.setattr(model_mod, "_certification_draw", no_draw)
+        with pytest.raises(InputError, match=match):
+            compute_lambda_l(heat2, n=100, **kwargs)
 
 
 class TestWithSigma:
