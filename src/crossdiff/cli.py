@@ -325,6 +325,7 @@ def _simulate_and_write(res):
         "steps": int(len(traj.dt_history)),
         "first_negative_t": traj.first_negative_t,
         "rejected_steps": traj.rejected_steps,
+        "assemblies": traj.assemblies,
         "factorizations": traj.factorizations,
         "linear_solves": traj.linear_solves,
         "krylov_iterations": traj.krylov_iterations,

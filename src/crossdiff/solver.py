@@ -39,9 +39,13 @@ retried from that state.  A state that is not recorded (record_every >
 1) has them computed where they are needed.  Every model evaluation
 takes the (m, Nx, Ny) values as they are stored, with no transpose.
 
-Every linear solve goes through spsolve(), which factors with the
-MMD_AT_PLUS_A column ordering and then gives the bits of scipy's
-spsolve(M, b, permc_spec="MMD_AT_PLUS_A") for a CSR matrix.  run()
+Every linear solve goes through spsolve(), which gives the bits of
+scipy's spsolve(M, b, permc_spec="MMD_AT_PLUS_A") for a CSR matrix.
+The fill-reducing ordering depends only on the sparsity pattern (Davis,
+Direct Methods for Sparse Linear Systems, SIAM 2006, ch. 7), so it is
+computed once per pattern (see _factor): the first LU of a pattern runs
+MMD_AT_PLUS_A, and later ones factor the matrix with its columns
+already in that order.  run()
 hands the stepper one factor policy per run, and step() a fresh one.
 The policy holds the last implicit operator it built and the LU of the
 last operator it factored (never two LUs at once), and one rule decides
@@ -60,7 +64,9 @@ very operator object it was factored from.  An operator of a constant A
   true residual |rhs - M x| is on target; otherwise GMRES with that LU
   as preconditioner (Saad, Iterative Methods for Sparse Linear
   Systems, 2nd ed., ch. 9) runs for at most _KRYLOV_MAXITER iterations
-  and its result is taken under the same true-residual test.  The
+  and its result is taken under the same true-residual test.  The GMRES
+  cycle (_gmres_cycle) is scipy's, run in place on the held LU's
+  solution and residual, with the bits of scipy's gmres.  The
   target is 1e-3 * linear_tol * |rhs|, or the relative residual of the
   last direct solve times |rhs| where that is larger, so a linear_tol
   below roundoff does not rule out every lagged solve.  A missed target
@@ -72,11 +78,13 @@ very operator object it was factored from.  An operator of a constant A
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dlartg
 
 from . import diagnostics as diag_mod
 from .errors import InputError, NewtonConvergenceError, NumericalStateError
@@ -165,6 +173,8 @@ _KRYLOV_MAXITER = 10
 # * |rhs|, a thousandth of the gate of _step_imex, so lagged steps stay
 # close to the accuracy of a direct solve.
 _KRYLOV_RTOL = 1e-3
+# The orderings of at most this many sparsity patterns are kept.
+_ORDERINGS_MAX = 16
 
 
 def _bits(a):
@@ -230,7 +240,7 @@ class _LaggedFactor(_LastFactor):
 
     def solve(self, M, rhs):
         if M is self.factored:
-            return self.lu.solve(rhs, trans="T")
+            return self.lu.solve(rhs)
         if self.lu is not None and self.dt == self.lu_dt:
             x = self._krylov(M, rhs)
             if x is not None:
@@ -245,29 +255,177 @@ class _LaggedFactor(_LastFactor):
         """x with |rhs - M x| on target, or None."""
         lu = self.lu
         target = max(self.rtol, self.floor) * np.linalg.norm(rhs)
-        x = lu.solve(rhs, trans="T")
-        if np.linalg.norm(rhs - M @ x) <= target:
+        x = lu.solve(rhs)
+        r = rhs - M @ x
+        if np.linalg.norm(r) <= target:
             return x
-        precond = spla.LinearOperator(
-            M.shape, matvec=lambda v: lu.solve(v, trans="T"), dtype=M.dtype)
-        residuals = []  # one per GMRES iteration
-        x, info = spla.gmres(M, rhs, x0=x, rtol=0.0, atol=target,
-                             restart=_KRYLOV_MAXITER, maxiter=1, M=precond,
-                             callback=residuals.append, callback_type="pr_norm")
-        self.krylov_iterations += len(residuals)
-        if info == 0 and np.linalg.norm(rhs - M @ x) <= target:
-            return x
-        return None
+        x, iterations, rnorm = _gmres_cycle(M, lu.solve, rhs, x, r,
+                                            np.linalg.norm(x), target)
+        self.krylov_iterations += iterations
+        return x if rnorm <= target else None
+
+
+def _gmres_cycle(M, psolve, b, x, r, mb_norm, atol):
+    """One restart cycle of left-preconditioned GMRES on M x = b, run
+    in place on x: returns (x, iterations, |b - M x|).
+
+    A port of gmres from scipy.sparse.linalg._isolve (Copyright (c)
+    2001-2002 Enthought, Inc. 2003, SciPy Developers; BSD-3-Clause) for
+    restart=_KRYLOV_MAXITER, maxiter=1, rtol=0 and atol=atol, which does
+    the same float operations in the same order (modified Gram-Schmidt,
+    LAPACK's lartg Givens rotations, the same back-substitution and
+    y @ v), so x and the iteration count are gmres(M, b, x0=x, rtol=0.0,
+    atol=atol, restart=_KRYLOV_MAXITER, maxiter=1, M=psolve)'s bit for
+    bit.  The caller hands in what it already holds: the residual
+    r = b - M @ x, with |r| > atol (gmres returns before its cycle
+    otherwise), and the norm of psolve(b), where psolve applies the
+    preconditioner.
+    """
+    n = b.size
+    eps = np.finfo(b.dtype).eps
+    bnrm2 = np.linalg.norm(b)
+    restart = min(_KRYLOV_MAXITER, n)
+    ptol = mb_norm * min(1.0, atol / bnrm2)
+    v = np.empty((restart + 1, n))
+    h = np.zeros((restart, restart + 1))
+    givens = np.zeros((restart, 2))
+
+    v[0] = psolve(r)
+    tmp = np.linalg.norm(v[0])
+    v[0] *= 1 / tmp
+    S = np.zeros(restart + 1)  # right-hand side of the Hessenberg problem
+    S[0] = tmp
+    breakdown = False
+    for col in range(restart):
+        w = psolve(M @ v[col])
+        h0 = np.linalg.norm(w)
+        for k in range(col + 1):
+            tmp = np.dot(v[k], w)
+            h[col, k] = tmp
+            w -= tmp * v[k]
+        h1 = np.linalg.norm(w)
+        h[col, col + 1] = h1
+        v[col + 1] = w
+        if h1 <= eps * h0:  # the Krylov space holds the exact solution
+            h[col, col + 1] = 0
+            breakdown = True
+        else:
+            v[col + 1] *= 1 / h1
+        for k in range(col):
+            c, s = givens[k]
+            n0, n1 = h[col, k], h[col, k + 1]
+            h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+        c, s, mag = dlartg(h[col, col], h[col, col + 1])
+        givens[col] = c, s
+        h[col, col], h[col, col + 1] = mag, 0
+        tmp = -s * S[col]
+        S[col], S[col + 1] = c * S[col], tmp
+        presid = abs(tmp)
+        if presid <= ptol or breakdown:
+            break
+
+    if h[col, col] == 0:
+        S[col] = 0
+    y = S[:col + 1].copy()
+    for k in range(col, 0, -1):
+        if y[k] != 0:
+            y[k] /= h[k, k]
+            y[:k] -= y[k] * h[k, :k]
+    if y[0] != 0:
+        y[0] /= h[0, 0]
+    x += y @ v[:col + 1]
+    return x, col + 1, np.linalg.norm(b - M @ x)
+
+
+class _LU:
+    """A SuperLU of the transpose of a CSR matrix M (its arrays read as
+    a CSC), and the gather that puts a right-hand side into the order
+    of the LU's columns (None when the LU has its own ordering)."""
+
+    __slots__ = ("lu", "rows")
+
+    def __init__(self, lu, rows=None):
+        self.lu, self.rows = lu, rows
+
+    def solve(self, rhs):
+        """x with M x = rhs."""
+        if self.rows is not None:
+            rhs = rhs.take(self.rows)
+        return self.lu.solve(rhs, trans="T")
+
+
+class _Ordering:
+    """The fill-reducing column order of one CSR pattern, as read-only
+    indices into its arrays: the matrix's CSC with its columns in that
+    order has indptr indptr and takes its data and indices at gather
+    (both int32), and a right-hand side is gathered at rows (intp, as
+    take wants it on every solve)."""
+
+    __slots__ = ("indptr", "gather", "rows")
+
+    def __init__(self, indptr, perm_c):
+        rows = np.empty(perm_c.size, dtype=np.intp)
+        rows[perm_c] = np.arange(perm_c.size)
+        lengths = np.diff(indptr).take(rows)
+        self.indptr = np.zeros(rows.size + 1, dtype=np.intc)
+        np.cumsum(lengths, out=self.indptr[1:])
+        self.gather = (np.repeat(indptr[:-1].take(rows) - self.indptr[:-1],
+                                 lengths)
+                       + np.arange(self.indptr[-1], dtype=np.intc))
+        self.rows = rows
+        for a in (self.indptr, self.gather, self.rows):
+            a.flags.writeable = False
+
+
+# pattern key -> _Ordering, oldest first; shared by threads, so entries
+# are read-only and the dict is touched under the lock
+_orderings = {}
+_orderings_lock = threading.Lock()
+
+
+def _pattern_key(M):
+    """The exact sparsity pattern of the CSR matrix M, as a dict key."""
+    return (M.shape, np.asarray(M.indptr, dtype=np.intc).tobytes(),
+            np.asarray(M.indices, dtype=np.intc).tobytes())
 
 
 def _factor(M):
-    """SuperLU of the CSR matrix M, whose arrays are read as the CSC of
-    its transpose (as scipy's spsolve does), with the fill-reducing
-    MMD_AT_PLUS_A column ordering; None if exactly singular."""
+    """The _LU of the CSR matrix M, whose arrays are read as the CSC of
+    its transpose (as scipy's spsolve does); None if exactly singular.
+
+    The first factorization of a sparsity pattern runs SuperLU's
+    fill-reducing MMD_AT_PLUS_A column ordering, and _orderings keeps
+    the post-ordered lu.perm_c that SuperLU leaves, keyed on the exact
+    pattern.  Every later factorization of that pattern gathers its data
+    into the CSC with the columns in that order and factors it with the
+    NATURAL ordering, whose post-order then leaves the columns where
+    they are.  Only columns move, so SuperLU meets the entries of each
+    column in the same order and does the same eliminations.  Its
+    diagonal pivot preference now looks at row j of column j instead of
+    the column's own diagonal; at the default threshold of 1.0 that
+    matters only where two entries tie for a pivot column's largest
+    magnitude, so solves give the bits of the MMD_AT_PLUS_A LU.
+    """
+    key = _pattern_key(M)
+    with _orderings_lock:
+        order = _orderings.get(key)
     try:
-        return spla.splu(sp.csc_array((M.data, M.indices, M.indptr),
-                                      shape=M.shape),
-                         permc_spec="MMD_AT_PLUS_A")
+        if order is None:
+            lu = spla.splu(sp.csc_array((M.data, M.indices, M.indptr),
+                                        shape=M.shape),
+                           permc_spec="MMD_AT_PLUS_A")
+            order = _Ordering(np.asarray(M.indptr, dtype=np.intc), lu.perm_c)
+            with _orderings_lock:
+                if key not in _orderings:
+                    if len(_orderings) >= _ORDERINGS_MAX:
+                        del _orderings[next(iter(_orderings))]
+                    _orderings[key] = order
+            return _LU(lu)
+        lu = spla.splu(sp.csc_array((M.data.take(order.gather),
+                                     M.indices.take(order.gather),
+                                     order.indptr), shape=M.shape),
+                       permc_spec="NATURAL")
+        return _LU(lu, order.rows)
     except RuntimeError as e:
         if "singular" not in str(e):
             raise
@@ -277,7 +435,7 @@ def _factor(M):
 def _lu_solve(lu, rhs):
     if lu is None:
         return np.full(np.shape(rhs), np.nan)
-    return lu.solve(rhs, trans="T")
+    return lu.solve(rhs)
 
 
 def spsolve(M, rhs, factors):
@@ -285,11 +443,13 @@ def spsolve(M, rhs, factors):
     factors.
 
     With a _LastFactor the result is an exact direct solve, bit for bit
-    that of scipy's spsolve(M, rhs, permc_spec="MMD_AT_PLUS_A"); the LU
-    is reused when M is the very operator it was factored from.  With a
-    _LaggedFactor, M is the operator the policy built last; it is solved
-    directly with the held LU if that LU was factored from M, and
-    otherwise may be solved by GMRES on an earlier LU to a true residual
+    that of scipy's spsolve(M, rhs, permc_spec="MMD_AT_PLUS_A"), though
+    the ordering runs only on the first LU of each sparsity pattern
+    (see _factor); the LU is reused when M is the very operator it was
+    factored from.  With a _LaggedFactor, M is the operator the policy
+    built last; it is solved directly with the held LU if that LU was
+    factored from M, and otherwise may be solved by the held LU, or one
+    in-place GMRES cycle on it with scipy's bits, to a true residual
     |rhs - M x| at most 1e-3 * linear_tol * |rhs|, or at most that of
     the last direct solve relative to its |rhs| (see the module
     docstring).  All NaN if M is exactly singular.

@@ -241,6 +241,8 @@ class TestSimulateCommand:
         assert invoke("simulate", "--manifest", path, "--out", out).exit_code == 0
         summary = load_json(out / "summary.json")
         assert summary["steps"] == summary["linear_solves"] == 20
+        # the state-dependent operator is assembled on every step
+        assert summary["assemblies"] == 20
         assert summary["rejected_steps"] == 0
         assert 1 <= summary["factorizations"] < summary["linear_solves"]
         assert summary["krylov_iterations"] >= 0

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ import scipy.sparse.linalg as spla
 import crossdiff.solver as solver_mod
 from crossdiff import (Field, GeneralReaction, InputError, LambdaSpec,
                        ModelSpec, NewtonConvergenceError, NumericalStateError,
-                       PolynomialMap, SolverConfig, build_grid, eval_A, run,
-                       step)
+                       PolynomialMap, SolverConfig, build_grid, classic_skt,
+                       eval_A, run, step)
 from crossdiff.grid import (component_laplacian, face_coefficients,
                             flux_operator)
 
@@ -351,6 +353,228 @@ class TestSpsolve:
             step(heat1, f, dt, scheme="newton")
 
 
+def cross_model(m):
+    """P_i = u_i + 0.5 u_i^2 + 0.2 u_i u_(i+1): a state-dependent A for
+    any m, coupling each component to the next."""
+    terms = []
+    for i in range(m):
+        comp = [(1.0, tuple(int(k == i) for k in range(m))),
+                (0.5, tuple(2 * int(k == i) for k in range(m)))]
+        if m > 1:
+            comp.append((0.2, tuple(int(k in (i, (i + 1) % m))
+                                    for k in range(m))))
+        terms.append(comp)
+    return ModelSpec(P=PolynomialMap(m, terms), lam=LambdaSpec(1.0),
+                     name=f"cross{m}")
+
+
+def mmd_lu(M):
+    """scipy's own MMD_AT_PLUS_A SuperLU of the CSR matrix M read as
+    the CSC of its transpose."""
+    return spla.splu(sp.csc_array((M.data, M.indices, M.indptr),
+                                  shape=M.shape), permc_spec="MMD_AT_PLUS_A")
+
+
+def lu_nnz(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+class TestOrderingCache:
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        """The permc_spec of every splu call, with an empty cache."""
+        monkeypatch.setattr(solver_mod, "_orderings", {})
+        real, calls = spla.splu, []
+
+        def counting(A, permc_spec=None, **kw):
+            calls.append(permc_spec)
+            return real(A, permc_spec=permc_spec, **kw)
+
+        monkeypatch.setattr(solver_mod.spla, "splu", counting)
+        return calls
+
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["imex", "newton"])
+    def test_cached_ordering_gives_the_mmd_bits(self, m, bc, kind, splu_calls):
+        # a second operator of the same pattern is factored on the
+        # ordering of the first: scipy's solve bits and fill, no MMD
+        spec = cross_model(m)
+        g = build_grid(1.0, 1.0, 12, 10, bc)
+        M1 = implicit_matrix(kind, spec, smooth_field(g, m=m, amp=3.0))
+        M2 = implicit_matrix(kind, spec, smooth_field(g, m=m, amp=2.0,
+                                                      shift=2.5))
+        for M in (M1, M2):
+            M.sum_duplicates()
+        assert solver_mod._pattern_key(M1) == solver_mod._pattern_key(M2)
+        rhs = np.random.default_rng(3).normal(size=M1.shape[0])
+        first = solver_mod._factor(M1)
+        cached = solver_mod._factor(M2)
+        assert splu_calls == ["MMD_AT_PLUS_A", "NATURAL"]
+        assert first.rows is None and cached.rows is not None
+        assert np.array_equal(cached.lu.perm_c, np.arange(M2.shape[0]))
+        want = mmd_lu(M2)
+        assert lu_nnz(cached.lu) == lu_nnz(want)
+        assert not np.array_equal(want.perm_c, np.arange(M2.shape[0]))
+        for M, lu in ((M1, first), (M2, cached)):
+            assert np.array_equal(bits(lu.solve(rhs)), bits(spla.spsolve(
+                M, rhs, permc_spec="MMD_AT_PLUS_A")))
+
+    def test_one_mmd_per_distinct_pattern(self, splu_calls):
+        # the IMEX operator of a12 = 0 drops its exact-zero blocks, and
+        # the Newton Jacobian drops the product's zeros where u_0 = 0 (a
+        # face average of A is not zero there): three patterns, three
+        # orderings, with the operators interleaved
+        g = build_grid(1.0, 1.0, 12, 10, "neumann")
+        dropped = classic_skt(1.0, 1.0, 1.0, 0.0, 0.5, 1.0)
+        full = classic_skt(1.0, 1.0, 1.0, 0.5, 0.5, 1.0)
+
+        def state(amp):
+            f = smooth_field(g, m=2, amp=amp)
+            f.values[0, :3] = 0.0
+            return f
+
+        ops = [implicit_matrix(kind, spec, state(a))
+               for a in (3.0, 2.0)
+               for kind, spec in (("imex", full), ("imex", dropped),
+                                  ("newton", full))]
+        for M in ops:
+            M.sum_duplicates()
+        assert ops[1].nnz < ops[0].nnz and ops[2].nnz < ops[0].nnz
+        assert len({solver_mod._pattern_key(M) for M in ops}) == 3
+        rhs = np.ones(ops[0].shape[0])
+        for M in ops:
+            x = solver_mod._factor(M).solve(rhs)
+            assert np.array_equal(bits(x), bits(spla.spsolve(
+                M, rhs, permc_spec="MMD_AT_PLUS_A")))
+        assert splu_calls == ["MMD_AT_PLUS_A"] * 3 + ["NATURAL"] * 3
+        assert len(solver_mod._orderings) == 3
+
+    def test_cache_is_bounded_and_read_only(self, monkeypatch, splu_calls):
+        monkeypatch.setattr(solver_mod, "_ORDERINGS_MAX", 2)
+        keys = []
+        for n in (4, 5, 6):
+            M = implicit_matrix("imex", cross_model(1), smooth_field(
+                build_grid(1.0, 1.0, n, n, "neumann")))
+            M.sum_duplicates()
+            solver_mod._factor(M)
+            keys.append(solver_mod._pattern_key(M))
+        assert list(solver_mod._orderings) == keys[1:]
+        for order in solver_mod._orderings.values():
+            for a in (order.indptr, order.gather):
+                assert a.dtype == np.intc and not a.flags.writeable
+            assert not order.rows.flags.writeable
+
+
+    def test_threads_share_the_cache(self, monkeypatch, splu_calls):
+        # more threads than cores factor interleaved patterns through a
+        # cache of two, so entries are added and evicted concurrently:
+        # every solve keeps scipy's bits and the bound holds
+        monkeypatch.setattr(solver_mod, "_ORDERINGS_MAX", 2)
+        ops = []
+        for n in (4, 5, 6):
+            g = build_grid(1.0, 1.0, n, n, "dirichlet")
+            for amp in (1.0, 2.0):
+                M = implicit_matrix("imex", cross_model(2),
+                                    smooth_field(g, m=2, amp=amp))
+                M.sum_duplicates()
+                rhs = np.ones(M.shape[0])
+                ops.append((M, rhs, spla.spsolve(
+                    M, rhs, permc_spec="MMD_AT_PLUS_A")))
+
+        def work(k):
+            for i in range(40):
+                M, rhs, want = ops[(k + i) % len(ops)]
+                x = solver_mod._factor(M).solve(rhs)
+                if not np.array_equal(bits(x), bits(want)):
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(work, k) for k in range(6)]
+                assert all(f.result(timeout=120) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(solver_mod._orderings) <= 2
+        assert "NATURAL" in splu_calls
+
+
+class TestGmresCycle:
+    """_gmres_cycle against scipy's gmres on the same lagged LU."""
+
+    @staticmethod
+    def lagged_pair(spec, bc, scale, dt=2e-3, n=16):
+        g = build_grid(1.0, 1.0, n, n, bc)
+        f = smooth_field(g, m=2, amp=3.0)
+        M1, M2 = (solver_mod._imex_operator(
+            g, face_coefficients(spec, Field(g, s * f.values)), dt)
+            for s in (1.0, scale))
+        return M1, M2
+
+    @staticmethod
+    def compare(M, lu, rhs, x0, target):
+        def psolve(v):
+            return lu.solve(v, trans="T")
+
+        residuals = []
+        want, info = spla.gmres(
+            M, rhs, x0=x0, rtol=0.0, atol=target, restart=10, maxiter=1,
+            M=spla.LinearOperator(M.shape, matvec=psolve, dtype=M.dtype),
+            callback=residuals.append, callback_type="pr_norm")
+        x = x0.copy()
+        got, iterations, rnorm = solver_mod._gmres_cycle(
+            M, psolve, rhs, x, rhs - M @ x, np.linalg.norm(psolve(rhs)),
+            target)
+        assert got is x
+        assert np.array_equal(bits(got), bits(want))
+        assert iterations == len(residuals)
+        assert (rnorm <= target) == (info == 0)
+        assert rnorm == np.linalg.norm(rhs - M @ want)
+        return iterations, info
+
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    def test_target_met_inside_the_cycle(self, skt, bc):
+        M1, M2 = self.lagged_pair(skt, bc, 1.05)
+        lu = mmd_lu(M1)
+        rhs = np.random.default_rng(4).normal(size=M1.shape[0])
+        x0 = lu.solve(rhs, trans="T")
+        target = 1e-3 * np.linalg.norm(rhs - M2 @ x0)
+        iterations, info = self.compare(M2, lu, rhs, x0, target)
+        assert info == 0 and 1 <= iterations < 10
+
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    def test_target_missed_after_ten_iterations(self, skt, bc):
+        M1, M2 = self.lagged_pair(skt, bc, 3.0, dt=2e-2)
+        lu = mmd_lu(M1)
+        rhs = np.random.default_rng(5).normal(size=M1.shape[0])
+        x0 = lu.solve(rhs, trans="T")
+        target = 1e-14 * np.linalg.norm(rhs)
+        iterations, info = self.compare(M2, lu, rhs, x0, target)
+        assert info != 0 and iterations == 10
+
+    def test_breakdown_on_the_operators_own_lu(self, skt):
+        # the operator's own LU leaves nothing to add to the Krylov space,
+        # so with atol = 0 the cycle stops after one iteration only by
+        # breakdown (h1 <= eps * h0), here on a 4x4 grid
+        _, M = self.lagged_pair(skt, "neumann", 1.05, n=4)
+        lu = mmd_lu(M)
+        rhs = np.random.default_rng(2).normal(size=M.shape[0])
+        x0 = lu.solve(rhs, trans="T")
+        assert np.linalg.norm(rhs - M @ x0) > 0
+        iterations, info = self.compare(M, lu, rhs, x0, 0.0)
+        assert iterations == 1 and info != 0
+
+    def test_all_zero_start(self, skt):
+        M1, M2 = self.lagged_pair(skt, "dirichlet", 1.05)
+        lu = mmd_lu(M1)
+        rhs = np.random.default_rng(7).normal(size=M1.shape[0])
+        self.compare(M2, lu, rhs, np.zeros_like(rhs),
+                     1e-6 * np.linalg.norm(rhs))
+
+
 class TestRunCounts:
     @pytest.mark.parametrize("scheme", ["newton", "imex"])
     def test_linear_operator_factored_once_per_dt(self, heat1, grid16d, scheme):
@@ -449,11 +673,11 @@ class TestRunCounts:
         if trigger == "new_dt":
             dt = 2e-3
         else:
-            def fails(A, b, x0=None, **kw):
+            def fails(M, psolve, b, x, r, mb_norm, atol):
                 gmres_calls.append(b)
-                return x0, 1
+                return x, 1, np.inf
 
-            monkeypatch.setattr(solver_mod.spla, "gmres", fails)
+            monkeypatch.setattr(solver_mod, "_gmres_cycle", fails)
         got, _ = solver_mod._step_imex(skt, f2, dt,
                                        solver_mod._reaction_term(skt, f2),
                                        cfg, factors=factors)
