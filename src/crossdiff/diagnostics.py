@@ -217,34 +217,52 @@ def _window_sums(arr, win):
     return full[ox:ox + Nx, oy:oy + Ny]
 
 
-# Kernels with at least this many cells search centers in bound order.
-# Below it (R up to about 5h) the search's fixed cost, a second window
-# sum, a partition and the first batch, outweighs its saving: measured
-# on 64x64 and 128x128 grids, it took 1.4-2x the shift loop's time on
-# fields with flat bounds and saved at most half on the others.
+# Kernels with at least this many cells search in bound order without
+# a starting value.  Below it (R up to about 5h) the search's fixed
+# cost, a partition and the first batch, outweighs its saving: measured
+# on 64x64 and 128x128 grids, it took up to 1.4x the shift loop's time
+# on fields with flat bounds.  A search that starts from another
+# component's value has neither cost, and runs at every kernel size.
 _PRUNE_MIN_OFFSETS = 100
 # Centers gathered in the first batch and at most per later batch: the
 # gather buffers hold offsets x batch floats.
 _PRUNE_FIRST = 32
 _PRUNE_BATCH = 256
-# Largest share of the centers the search may have left to visit after
-# its first batch.  Flat bounds (linear, random, constant-like fields)
-# leave nearly all of them, and the shift loop, which costs a third to
-# a half of the gather per center, does that work faster.
-_PRUNE_MAX_SHARE = 0.25
+# Largest share of the centers the search may have left to visit.  A
+# gathered center costs about 1.2-2x its share of the shift loop (4.1
+# against 2.4 us at 797 offsets on 64x64, 0.7 against 0.5 us at 197),
+# so past about half of the grid the loop is faster.  Measured on the
+# random, linear, fourier and constant fields at 64x64 and 128x128 and
+# on certify_diagnose's states: 0.5 and 0.75 ran alike; 0.25 gave up
+# in 14 of 105 searches that 0.5 finished sooner; 1.0 took 1.9-2.2x
+# 0.5's time on random and linear fields at 128x128.
+_PRUNE_MAX_SHARE = 0.5
 
 
-def _mean_oscillation_sup(comp, win):
-    """sup over centers of mean_{B} |comp - mean_B comp| for one
-    component on one grid; windows are clipped to the domain.
+def _shift_loop_sup(comp, means, win):
+    """sup over centers of the L1 mean oscillation of comp, whose window
+    means are means: the deviations |comp - mean| are added offset by
+    offset, in np.nonzero order of the kernel, and divided by the
+    window's cell count.  NaN and inf propagate as numpy's max does."""
+    acc = np.zeros(comp.shape)
+    for cs, vs in win.shifts:
+        acc[cs] += np.abs(comp[vs] - means[cs])
+    return float((acc / win.counts).max())
 
-    The value at a center is the one the shift loop computes: the
-    deviations |comp - mean| are added offset by offset, in np.nonzero
-    order of the kernel, and divided by the window's cell count.
 
-    Small kernels run that loop over every center.  Larger ones search
-    the centers in bound order.  For a window of n cells with values
-    u_i, computed mean m and exact mean mu, Cauchy-Schwarz gives
+def _mean_oscillation_sup(comp, means, bound, win, best=None):
+    """max(best, sup over centers of mean_{B} |comp - mean_B comp|) for
+    one component on one grid, windows clipped to the domain; means are
+    its window means and bound its _oscillation_bound, which must be
+    finite.  best is a value already found (another component's), or
+    None.
+
+    The value at a center is the one _shift_loop_sup computes.
+
+    Small kernels run that loop over every center until a best exists.
+    Otherwise the centers are searched in bound order.  For a window of
+    n cells with values u_i, computed mean m and exact mean mu,
+    Cauchy-Schwarz gives
 
         (1/n) sum |u_i - m| <= sqrt((1/n) sum (u_i - m)^2)
                              = sqrt(mean(u^2) - m^2 + 2 m (m - mu)),
@@ -272,71 +290,85 @@ def _mean_oscillation_sup(comp, win):
 
     slack = 256 eps (L (sqrt(N) K + N sqrt(K)) / n_min + K) M^2 covers
     the sum of these terms.  It is 0 for an identically zero component
-    and about 1e-9 M^2 on a 64x64 grid at R = 16h.  A non-finite
-    component goes to the shift loop, which propagates it as before.
+    and about 1e-9 M^2 on a 64x64 grid at R = 16h.
 
     The search visits centers in descending bound order, in batches.  A
     batch gathers each center's window values into an (offsets, batch)
-    array with one fancy index.  Offsets outside the domain contribute
-    +0.0, and the sum over axis 0 adds the rows in order, so every
-    visited value is the shift loop's value bit for bit.  The search
-    stops when the next bound is <= the running maximum: no unvisited
-    center can exceed it, so the supremum is exact.  After the first
-    batch, the centers whose bound exceeds the running maximum are all
-    that is left to visit, and the running maximum only grows.  When
-    they are more than _PRUNE_MAX_SHARE of the grid the bounds are too
-    flat to prune, and the shift loop runs instead.
+    array with one take.  Offsets outside the domain are multiplied by
+    0 and contribute +0.0, and the sum over axis 0 adds the rows in
+    order, so every visited value is the shift loop's value bit for
+    bit.  The search stops when the next bound is <= the running maximum: no unvisited
+    center can exceed it, so max(best, sup) is exact.  Without a best,
+    the running maximum starts from a first batch of the highest
+    bounds.  From then on, the centers whose bound exceeds the running
+    maximum are all that is left to visit, and the running maximum
+    only grows.  When they are more than _PRUNE_MAX_SHARE of the grid
+    the bounds are too flat to prune, and the shift loop runs instead.
     """
-    means = _window_sums(comp, win) / win.counts
-    if len(win.offsets) >= _PRUNE_MIN_OFFSETS:
-        best = _bound_ordered_sup(comp, means, win)
-        if best is not None:
-            return best
-    acc = np.zeros(comp.shape)
-    for cs, vs in win.shifts:
-        acc[cs] += np.abs(comp[vs] - means[cs])
-    return float((acc / win.counts).max())
+    if best is not None or len(win.offsets) >= _PRUNE_MIN_OFFSETS:
+        found = _bound_ordered_sup(comp, means, bound, win, best)
+        if found is not None:
+            return found
+    value = _shift_loop_sup(comp, means, win)
+    return value if best is None else max(best, value)
 
 
 def _oscillation_bound(comp, means, win):
     """Per-center upper bound of the computed L1 mean oscillation (see
-    _mean_oscillation_sup); comp must be finite."""
+    _mean_oscillation_sup); a bound only where it is finite, which fails
+    for non-finite comp and where comp squared overflows."""
     M = float(np.abs(comp).max())
     sq = _window_sums(comp * comp, win) / win.counts
     return np.sqrt(np.maximum(sq - means * means, 0.0) + win.slack * M * M)
 
 
-def _bound_ordered_sup(comp, means, win):
-    """The search of _mean_oscillation_sup; None when it gives up."""
-    if not np.isfinite(comp).all():
-        return None
-    bound = _oscillation_bound(comp, means, win)
+def _bound_ordered_sup(comp, means, bound, win, best):
+    """The search of _mean_oscillation_sup, from best (None: from its
+    first batch, whose centers it marks in bound with -inf); None when
+    it gives up."""
     Nx, Ny = comp.shape
     rx, ry = win.kernel.shape[0] // 2, win.kernel.shape[1] // 2
     Py = Ny + 2 * ry
     padded = np.zeros((Nx + 2 * rx, Py))
     padded[rx:rx + Nx, ry:ry + Ny] = comp
-    inside = np.zeros(padded.shape)
-    inside[rx:rx + Nx, ry:ry + Ny] = 1.0
+    inside = np.zeros(padded.shape, dtype=bool)
+    inside[rx:rx + Nx, ry:ry + Ny] = True
     padded, inside = padded.ravel(), inside.ravel()
     shift = win.offsets[:, 0] * Py + win.offsets[:, 1]
     flat_means, flat_counts = means.ravel(), win.counts.ravel()
+    # every batch gathers into these: fresh megabyte-sized temporaries
+    # for each batch took 2.1 against 0.95 ms per 256 centers at 797
+    # offsets on 64x64
+    K, width = len(shift), max(_PRUNE_FIRST, _PRUNE_BATCH, 2)
+    idx_buf = np.empty(K * width, dtype=np.intp)
+    dev_buf = np.empty(K * width)
+    in_buf = np.empty(K * width, dtype=bool)
 
     def visit(batch):
         if len(batch) == 1:
             # numpy sums a single column pairwise, out of the shift
             # loop's order; two equal columns are summed in row order
             batch = np.repeat(batch, 2)
+        n = len(batch)
         i, j = np.divmod(batch, Ny)
-        idx = shift[:, None] + ((i + rx) * Py + j + ry)
-        dev = np.abs(padded[idx] - flat_means[batch]) * inside[idx]
+        idx = idx_buf[:K * n].reshape(K, n)
+        np.add(shift[:, None], (i + rx) * Py + j + ry, out=idx)
+        # every index is in range, so "clip" only skips take's buffering
+        dev = dev_buf[:K * n].reshape(K, n)
+        np.take(padded, idx, out=dev, mode="clip")
+        dev -= flat_means[batch]
+        np.abs(dev, out=dev)
+        mask = in_buf[:K * n].reshape(K, n)
+        np.take(inside, idx, out=mask, mode="clip")
+        dev *= mask
         return float((dev.sum(axis=0) / flat_counts[batch]).max())
 
     flat = bound.ravel()
-    k = min(_PRUNE_FIRST, flat.size)
-    first = np.argpartition(-flat, k - 1)[:k]
-    best = visit(first)
-    flat[first] = -math.inf
+    if best is None:
+        k = min(_PRUNE_FIRST, flat.size)
+        first = np.argpartition(-flat, k - 1)[:k]
+        best = visit(first)
+        flat[first] = -math.inf
     rest = np.flatnonzero(flat > best)
     if rest.size > _PRUNE_MAX_SHARE * flat.size:
         return None
@@ -376,9 +408,31 @@ def _energy_y(field, spec, grad, A=None):
 
 def _bmo_sup(values, win):
     """sup over window centers of the mean oscillation, max over
-    components, of values shifted by their (0, 0) cell."""
+    components, of values shifted by their (0, 0) cell.
+
+    The components share one running maximum, taken in descending order
+    of their largest bound: each searches only for centers whose bound
+    exceeds the best value found so far, and one whose largest bound is
+    at or below it is skipped.  The result is the max of the components'
+    shift-loop values bit for bit.  Where a bound is not finite (values
+    that are not, or whose squares pass the float range) the bounds
+    prove nothing: the shift loop runs on every component, and max takes
+    them in the components' order."""
     shifted = values - values[:, :1, :1]
-    return max(_mean_oscillation_sup(comp, win) for comp in shifted)
+    means = [_window_sums(comp, win) / win.counts for comp in shifted]
+    bounds = [_oscillation_bound(comp, mu, win)
+              for comp, mu in zip(shifted, means)]
+    tops = [float(b.max()) for b in bounds]
+    if not all(map(math.isfinite, tops)):
+        return max(_shift_loop_sup(comp, mu, win)
+                   for comp, mu in zip(shifted, means))
+    best = None
+    for c in sorted(range(len(tops)), key=tops.__getitem__, reverse=True):
+        if best is not None and tops[c] <= best:
+            break
+        best = _mean_oscillation_sup(shifted[c], means[c], bounds[c], win,
+                                     best)
+    return best
 
 
 def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None, *, grad=None,

@@ -186,8 +186,10 @@ class _LastFactor:
     and coefficient arrays it was built from, and the LU of the last
     operator it factored, with the counts of that run: operators built,
     factorizations, linear solves, GMRES iterations, and the worst IMEX
-    residual relative to its gate.  The coefficient arrays and operators
-    are held, not copied, so callers must not change them in place."""
+    residual relative to its gate.  residual is the true residual norm
+    |rhs - M x| of the last solve where the policy computed one, else
+    None.  The coefficient arrays and operators are held, not copied, so
+    callers must not change them in place."""
 
     def __init__(self):
         self.dt = None
@@ -200,6 +202,7 @@ class _LastFactor:
         self.solves = 0
         self.krylov_iterations = 0
         self.worst_residual = None
+        self.residual = None
 
     def operator(self, dt, coefs, build):
         """The held operator while dt and every array in coefs are bit
@@ -248,7 +251,8 @@ class _LaggedFactor(_LastFactor):
         self.lu_dt = self.dt
         x = _lu_solve(self.refactor(M), rhs)
         norm = np.linalg.norm(rhs)
-        self.floor = np.linalg.norm(rhs - M @ x) / norm if norm > 0 else 0.0
+        self.residual = np.linalg.norm(rhs - M @ x)
+        self.floor = self.residual / norm if norm > 0 else 0.0
         return x
 
     def _krylov(self, M, rhs):
@@ -257,12 +261,13 @@ class _LaggedFactor(_LastFactor):
         target = max(self.rtol, self.floor) * np.linalg.norm(rhs)
         x = lu.solve(rhs)
         r = rhs - M @ x
-        if np.linalg.norm(r) <= target:
+        self.residual = np.linalg.norm(r)
+        if self.residual <= target:
             return x
-        x, iterations, rnorm = _gmres_cycle(M, lu.solve, rhs, x, r,
-                                            np.linalg.norm(x), target)
+        x, iterations, self.residual = _gmres_cycle(
+            M, lu.solve, rhs, x, r, np.linalg.norm(x), target)
         self.krylov_iterations += iterations
-        return x if rnorm <= target else None
+        return x if self.residual <= target else None
 
 
 def _gmres_cycle(M, psolve, b, x, r, mb_norm, atol):
@@ -456,6 +461,7 @@ def spsolve(M, rhs, factors):
     """
     M.sum_duplicates()
     factors.solves += 1
+    factors.residual = None
     return factors.solve(M, rhs)
 
 
@@ -516,7 +522,10 @@ def _step_imex(spec, field, dt, f, config, factors):
     x = spsolve(M, rhs, factors)
     if not np.all(np.isfinite(x)):
         return Field(field.grid, x.reshape(field.values.shape)), 0
-    res = np.linalg.norm(M @ x - rhs)
+    # the policy's |rhs - M x| where it has one; its bits are |M x - rhs|'s
+    res = factors.residual
+    if res is None:
+        res = np.linalg.norm(M @ x - rhs)
     gate = config.linear_tol * (1.0 + np.linalg.norm(rhs))
     if res > gate:
         raise NumericalStateError(

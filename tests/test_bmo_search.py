@@ -1,10 +1,13 @@
 """The BMO supremum: window cache, L2 bound and bound-ordered search.
 
-The plain-Python oracle enumerates every center's clipped ball; the
-three code paths (bound-ordered search, its shift-loop fallback and the
-shift loop alone) must agree with each other bit for bit.
+The plain-Python oracle enumerates every center's clipped ball; every
+code path (bound-ordered search on its own or from another
+component's value, its shift-loop fallback, and components skipped by
+their bound) must give the max of the components' shift-loop values
+bit for bit.
 """
 
+import itertools
 import math
 import sys
 import threading
@@ -80,16 +83,30 @@ def test_bmo_profile_matches_the_enumerated_oracle(Nx, Ny, Lx, Ly, kind):
 
 
 PATHS = {
-    # the shift loop for every kernel
-    "loop": dict(_PRUNE_MIN_OFFSETS=10 ** 9),
+    # the shift loop for every kernel and component, with no running
+    # maximum: the value every other path must reproduce
+    "loop": None,
     # the search to the end, with batches small enough to hit a batch
     # of one center
     "search": dict(_PRUNE_MIN_OFFSETS=1, _PRUNE_MAX_SHARE=1.0,
                    _PRUNE_FIRST=1, _PRUNE_BATCH=3),
     "search_default_batches": dict(_PRUNE_MIN_OFFSETS=1, _PRUNE_MAX_SHARE=1.0),
-    # the search gives up after its first batch
+    # the shift loop for the first component, searches from its value
+    # for the others
+    "loop_then_search": dict(_PRUNE_MIN_OFFSETS=10 ** 9),
+    # every search gives up, after its first batch or at once from the
+    # running maximum
     "fallback": dict(_PRUNE_MIN_OFFSETS=1, _PRUNE_MAX_SHARE=-1.0),
 }
+
+
+def loop_sup(values, win):
+    """max over components of the shift loop's supremum, in component
+    order."""
+    shifted = values - values[:, :1, :1]
+    return max(diag._shift_loop_sup(comp, diag._window_sums(comp, win)
+                                    / win.counts, win)
+               for comp in shifted)
 
 
 def sups_on_each_path(monkeypatch, values, win):
@@ -98,16 +115,19 @@ def sups_on_each_path(monkeypatch, values, win):
     real = diag._bound_ordered_sup
     for name, consts in PATHS.items():
         with monkeypatch.context() as mp:
-            for k, v in consts.items():
-                mp.setattr(diag, k, v)
             outcomes = []
 
-            def spy(comp, means, w):
-                got = real(comp, means, w)
+            def spy(comp, means, bound, w, best):
+                got = real(comp, means, bound, w, best)
                 outcomes.append(got)
                 return got
 
             mp.setattr(diag, "_bound_ordered_sup", spy)
+            if consts is None:
+                out[name] = (loop_sup(values, win), outcomes)
+                continue
+            for k, v in consts.items():
+                mp.setattr(diag, k, v)
             out[name] = (diag._bmo_sup(values, win), outcomes)
     return out
 
@@ -149,6 +169,108 @@ def test_paths_agree_on_random_fields(Nx, Ny, R_frac, scale, seed):
         assert_paths_agree(mp, values, diag._window(g, lo + R_frac * (hi - lo)))
     finally:
         mp.undo()
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 3), N=st.integers(6, 24),
+       R_frac=st.floats(0.0, 1.0),
+       kinds=st.lists(st.sampled_from(["random", "linear", "fourier",
+                                       "spike", "constant"]),
+                      min_size=3, max_size=3),
+       scales=st.lists(st.sampled_from([1e-3, 0.3, 1.0, 5.0]),
+                       min_size=3, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_shared_maximum_is_the_shift_loop_max(m, N, R_frac, kinds, scales,
+                                               seed):
+    g = build_grid(1.0, 1.0, N, N)
+    fam = fields(N, N, seed=seed)
+    comps = np.stack([scale * fam[kind]
+                      for kind, scale in zip(kinds[:m], scales[:m])])
+    lo, hi = 2.0 / N, 1.0
+    win = diag._window(g, lo + R_frac * (hi - lo))
+    for order in itertools.permutations(range(m)):
+        values = comps[list(order)]
+        got, want = diag._bmo_sup(values, win), loop_sup(values, win)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), order
+
+
+@pytest.mark.parametrize("k", [3, 16])
+@pytest.mark.parametrize("first", [0, 1])
+def test_component_bounded_by_the_best_is_skipped(monkeypatch, k, first):
+    # the small component's largest bound is below the large one's
+    # supremum, so it runs neither a search nor the shift loop, in
+    # whichever place it stands
+    g = build_grid(1.0, 1.0, 64, 64)
+    win = diag._window(g, k / 64)
+    big = fields(64, 64)["fourier"]
+    small = 1e-3 * fields(64, 64)["random"]
+    values = np.stack([big, small] if first == 0 else [small, big])
+    shifted = values - values[:, :1, :1]
+    small_shifted = shifted[1 - first]
+    means = diag._window_sums(small_shifted, win) / win.counts
+    top = diag._oscillation_bound(small_shifted, means, win).max()
+    assert top <= loop_sup(values[first:first + 1], win)
+    seen = []
+    real_search, real_loop = diag._bound_ordered_sup, diag._shift_loop_sup
+
+    def search(comp, *args):
+        seen.append(("search", comp.copy()))
+        return real_search(comp, *args)
+
+    def loop(comp, *args):
+        seen.append(("loop", comp.copy()))
+        return real_loop(comp, *args)
+
+    monkeypatch.setattr(diag, "_bound_ordered_sup", search)
+    monkeypatch.setattr(diag, "_shift_loop_sup", loop)
+    got = diag._bmo_sup(values, win)
+    assert seen and all(np.array_equal(comp, shifted[first]) for _, comp in seen)
+    assert {kind for kind, _ in seen} == {"loop" if k == 3 else "search"}
+    monkeypatch.undo()
+    assert np.float64(got).tobytes() == np.float64(loop_sup(values, win)).tobytes()
+
+
+# the window sums of an infinite component meet inf * 0
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("k", [3, 16])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_component_keeps_the_shift_loop_max(monkeypatch, k, bad):
+    # every component runs the shift loop and Python's max takes them in
+    # component order, so a NaN first wins and a NaN later loses
+    g = build_grid(1.0, 1.0, 32, 32)
+    win = diag._window(g, k / 32)
+    fam = fields(32, 32)
+    finite = fam["fourier"]
+    broken = fam["random"].copy()
+    broken[5, 7] = bad
+    searched = []
+    real = diag._bound_ordered_sup
+    monkeypatch.setattr(diag, "_bound_ordered_sup",
+                        lambda *a: searched.append(1) or real(*a))
+    for values in (np.stack([broken, finite]), np.stack([finite, broken]),
+                   np.stack([finite, 0.5 * finite, broken])):
+        got, want = diag._bmo_sup(values, win), loop_sup(values, win)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert searched == []
+    nan_first = diag._bmo_sup(np.stack([broken, finite]), win)
+    nan_last = diag._bmo_sup(np.stack([finite, broken]), win)
+    assert math.isnan(nan_first)
+    assert nan_last == loop_sup(finite[None], win)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("k", [3, 8])
+def test_squares_past_the_float_range_run_the_shift_loop(k):
+    # u^2 overflows, so the bounds are not finite and prune nothing; a
+    # search on them would skip the centers whose bound is NaN
+    g = build_grid(1.0, 1.0, 32, 32)
+    win = diag._window(g, k / 32)
+    values = 1e155 * np.stack([fields(32, 32)["random"],
+                               fields(32, 32)["fourier"]])
+    got = diag._bmo_sup(values, win)
+    assert math.isfinite(got)
+    assert np.float64(got).tobytes() == np.float64(loop_sup(values, win)).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["random", "linear", "fourier", "spike"])

@@ -620,6 +620,61 @@ class TestRunCounts:
         for rec in traj.records[1:]:
             assert np.abs(np.array(rec.mass) - m0).max() <= 1e-12 * np.abs(m0).min()
 
+    @pytest.mark.parametrize("model,amp,linear_tol,paths", [
+        # a small state change and a loose target let the held LU's own
+        # solution pass on some steps and need GMRES on others
+        ("skt", 0.01, 0.06, {"direct", "first_check", "gmres"}),
+        ("heat1", 0.3, 1e-10, {"direct", "held"})])
+    def test_imex_gate_takes_the_policy_residual(self, model, amp, linear_tol,
+                                                 paths, request, grid16n,
+                                                 monkeypatch):
+        # the gate reads the |rhs - M x| the policy computed, on every
+        # solve path but the held LU's; a run that recomputes |M x - rhs|
+        # after every solve, as the stepper did before, gives the same
+        # counts, worst residual and state bit for bit
+        spec = request.getfixturevalue(model)
+        f0 = smooth_field(grid16n, m=spec.m, amp=amp)
+        cfg = fixed_dt_config("imex", 1e-3, 0.05, record_every=10,
+                              linear_tol=linear_tol)
+        real_solve, real_gmres = solver_mod.spsolve, solver_mod._gmres_cycle
+        taken, cycles = [], []
+
+        def gmres(*args):
+            cycles.append(1)
+            return real_gmres(*args)
+
+        def tracing(M, rhs, factors):
+            before = factors.factorizations, len(cycles)
+            x = real_solve(M, rhs, factors)
+            if factors.residual is None:
+                taken.append("held")
+            else:
+                assert factors.residual == np.linalg.norm(M @ x - rhs)
+                taken.append("direct" if factors.factorizations > before[0]
+                             else "gmres" if len(cycles) > before[1]
+                             else "first_check")
+            return x
+
+        def recomputing(M, rhs, factors):
+            x = real_solve(M, rhs, factors)
+            factors.residual = None
+            return x
+
+        monkeypatch.setattr(solver_mod, "_gmres_cycle", gmres)
+        monkeypatch.setattr(solver_mod, "spsolve", tracing)
+        traj = run(spec, f0, cfg)
+        monkeypatch.setattr(solver_mod, "spsolve", recomputing)
+        old = run(spec, f0, cfg)
+        assert traj.reached_end and set(taken) == paths
+        for name in ("rejected_steps", "assemblies", "factorizations",
+                     "linear_solves", "krylov_iterations"):
+            assert getattr(traj, name) == getattr(old, name), name
+        assert 0.0 < traj.worst_linear_residual <= 1.0
+        assert (np.float64(traj.worst_linear_residual).tobytes()
+                == np.float64(old.worst_linear_residual).tobytes())
+        assert np.array_equal(traj.dt_history, old.dt_history)
+        assert np.array_equal(bits(traj.final.values), bits(old.final.values))
+
     def test_state_dependent_imex_assembles_every_attempted_step(
             self, skt_lv, grid16n, monkeypatch):
         # the operator changes with the state, and a rejected step's
