@@ -122,7 +122,9 @@ def _jsonable(v):
 @dataclass(frozen=True)
 class DiagnosticsConfig:
     """Per-record diagnostic knobs; defaults follow the smallest
-    exponents the estimates admit (s0 = 1, q = 2)."""
+    exponents the estimates admit (s0 = 1, q = 2).  s0, q and eps must
+    be finite, q and eps positive, and mu0 finite when given; anything
+    else raises InputError."""
 
     s0: float = 1.0
     q: float = 2.0
@@ -131,6 +133,14 @@ class DiagnosticsConfig:
     mu0: float | None = None
     eps: float = 0.1
     M1_targets: tuple = ()
+
+    def __post_init__(self):
+        if not math.isfinite(self.s0):
+            raise InputError("s0 must be finite")
+        if not (0 < self.q < math.inf and 0 < self.eps < math.inf):
+            raise InputError("q and eps must be finite and positive")
+        if self.mu0 is not None and not math.isfinite(self.mu0):
+            raise InputError("mu0 must be finite when given")
 
     def to_dict(self):
         return {"s0": self.s0, "q": self.q,
@@ -417,9 +427,13 @@ def _bmo_sup(values, win):
     shift-loop values bit for bit.  Where a bound is not finite (values
     that are not, or whose squares pass the float range) the bounds
     prove nothing: the shift loop runs on every component, and max takes
-    them in the components' order."""
+    them in the components' order.  A single component at a kernel
+    under _PRUNE_MIN_OFFSETS has no search and nothing to order, so it
+    runs the shift loop with no bound."""
     shifted = values - values[:, :1, :1]
     means = [_window_sums(comp, win) / win.counts for comp in shifted]
+    if len(shifted) == 1 and len(win.offsets) < _PRUNE_MIN_OFFSETS:
+        return _shift_loop_sup(shifted[0], means[0], win)
     bounds = [_oscillation_bound(comp, mu, win)
               for comp, mu in zip(shifted, means)]
     tops = [float(b.max()) for b in bounds]

@@ -9,10 +9,9 @@ for no-flux, odd reflection for zero-Dirichlet), which the matrix
 folds into its boundary rows.  flux_operator assembles Div(A Du) from
 face coefficients through a plan cached per (grid, m): the canonical
 CSR pattern, the diagonal positions, and a table that gathers each
-entry's face terms from the raw face arrays, added in the order scipy's
-COO-to-CSR conversion adds them, so an assembly is a few gathers and
-adds with no COO matrix, sort or conversion.  The IMEX operator
-I - dt L is shifted on the same plan.  The component Laplacian
+entry's face terms from the raw face arrays, added in face-block order,
+with no COO matrix, sort or conversion.  Both implicit operators, IMEX
+and Newton, are I - dt L filled on this plan.  The component Laplacian
 I_m (x) L_1, built from unit coefficients, is cached per (grid, m) too.
 The quasilinear operator Div(A(u) Du) and the fully nonlinear form
 Lap(P(u)) = (I_m (x) L_1) P(u) are both products with these matrices.
@@ -190,10 +189,9 @@ class _FluxPlan:
     the operator sums to zero, which is what makes backward-Euler steps
     conservative.  Dirichlet boundary faces contribute -2w on the
     diagonal block (odd-reflection ghosts).  Several blocks meet at a
-    diagonal block, and an entry there is their sum in the order scipy's
-    COO-to-CSR conversion adds them: the plan replays that conversion
-    once on entries tagged with their position, so the sums keep
-    scipy's bits on whatever scipy is installed.
+    diagonal block, and an entry there is their sum in face-block order
+    (x faces, y faces, Dirichlet faces), so the diagonal blocks of A = I
+    are L_1's entries bit for bit at every m.
 
     * indptr, indices: the canonical (sorted, summed) pattern;
     * gather: (k, nnz) positions in the signed source vector that
@@ -250,26 +248,20 @@ class _FluxPlan:
         src = np.concatenate(src)
         src = np.where(src > 0, src - 1, size - src)
 
-        # scipy's conversion on entries tagged with their position:
-        # coo_tocsr keeps the input order within a row (a stable sort by
-        # row), then sum_duplicates sorts each row with sort_indices and
-        # adds each run of equal columns in the order it leaves them
-        order = np.argsort(rows, kind="stable")
-        counts = np.bincount(rows, minlength=n)
-        tagged = sp.csr_matrix(
-            (order.astype(float), cols[order],
-             np.concatenate(([0], np.cumsum(counts)))), shape=(n, n))
-        tagged.sort_indices()
-        r = np.repeat(np.arange(n), counts)
-        c = tagged.indices
+        # a stable sort by (row, column) keeps each entry's terms in
+        # source order, which is the order data() adds them in
+        order = np.lexsort((cols, rows))
+        r, c = rows[order], cols[order]
         first = np.ones(c.size, dtype=bool)
         first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
         position = np.cumsum(first) - 1
         rank = np.arange(c.size) - np.flatnonzero(first)[position]
         self.gather = np.full((rank.max() + 1, position[-1] + 1), 2 * size + 1)
-        self.gather[rank, position] = src[tagged.data.astype(np.intp)]
-        self.indices = c[first]
-        self.indptr = np.zeros_like(tagged.indptr)
+        self.gather[rank, position] = src[order]
+        # the index dtype scipy picks
+        index = np.int32 if max(n, c.size) < 2 ** 31 else np.int64
+        self.indices = c[first].astype(index)
+        self.indptr = np.zeros(n + 1, dtype=index)
         np.cumsum(np.bincount(r[first], minlength=n), out=self.indptr[1:])
         self.eye = (self.indices == r[first]).astype(float)
         for arr in (self.indptr, self.indices, self.gather, self.eye):
@@ -314,6 +306,23 @@ class _FluxPlan:
 @functools.lru_cache(maxsize=16)
 def _flux_plan(grid, m):
     return _FluxPlan(grid, m)
+
+
+@functools.lru_cache(maxsize=16)
+def _product_plan(grid, m):
+    """(plan, l1, at) that fill (I_m (x) L_1) A for (m, m, Nx, Ny) cell
+    matrices A on the flux plan: its entry (c N + n, d N + n') is the
+    one product L_1[n, n'] A[c, d, n'] = l1 * A.ravel()[at].  l1 is the
+    plan's data for unit face coefficients, which adds L_1's terms in
+    L_1's order; l1 and at are read-only."""
+    plan = _flux_plan(grid, m)
+    l1 = plan.data(np.ones((m, m, grid.Nx + 1, grid.Ny)),
+                   np.ones((m, m, grid.Nx, grid.Ny + 1)))
+    c = np.repeat(np.arange(plan.n) // (grid.Nx * grid.Ny),
+                  np.diff(plan.indptr))
+    at = c * plan.n + plan.indices
+    l1.flags.writeable = at.flags.writeable = False
+    return plan, l1, at
 
 
 def _flux_data(grid, Ax, Ay):
@@ -388,10 +397,8 @@ def face_coefficients(spec, field):
 def div_A_grad(spec, field):
     """Discrete Div(A(u) Du) with face-averaged coefficients.
 
-    Identical to laplacian_of_P when P is the identity map and m <= 2;
-    from m = 3 on, scipy's COO-to-CSR conversion (whose sums the flux
-    plan keeps) may add a diagonal entry's face terms in another order
-    than in L_1, an ulp apart.  Returns (m, Nx, Ny)."""
+    Identical to laplacian_of_P when P is the identity map.  Returns
+    (m, Nx, Ny)."""
     _require_finite(field)
     L = flux_operator(field.grid, *face_coefficients(spec, field))
     return (L @ field.values.ravel()).reshape(field.values.shape)

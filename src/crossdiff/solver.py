@@ -15,13 +15,12 @@ All three schemes use the one face-flux operator of grid.py:
 
 grid.py builds the flux operator's plan (its canonical CSR pattern,
 diagonal and a gather table into the face arrays) and I_m (x) L_1 once
-per (grid, m), so repeated step() calls share them.  An IMEX operator
-is filled on the plan: its data are the gathered face values, shifted
-to I - dt L with the bits of scipy's sparse subtraction, with no COO
-matrix, sort or sparse arithmetic per step.  The Newton Jacobian
-I - dt (I_m (x) L_1) A(v) stays scipy's subtraction on a sparse
-product, whose pattern drops exact zeros of the product; it is built
-once per step size when A is constant.  run()
+per (grid, m), so repeated step() calls share them.  Both implicit
+operators are I - dt L filled on the plan (plan.backward_euler drops
+exact zeros), with no sparse arithmetic per step: the IMEX L from the
+face values, the Newton L = (I_m (x) L_1) A(v) from one product per
+entry, which keeps the bits and pattern of scipy's sparse product; it
+is built once per step size when A is constant.  run()
 drives adaptive steps (halve on failure, grow 1.2x on success up to
 dt_max), lands exactly on requested snapshot times and t_end, and
 records norms along the way.  It evaluates the reaction term f(u, Du)
@@ -87,10 +86,11 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dlartg
 
 from . import diagnostics as diag_mod
-from .errors import InputError, NewtonConvergenceError, NumericalStateError
-from .grid import (Field, _flux_data, _require_finite, cell_gradient,
-                   component_laplacian, face_coefficients, laplacian_of_P,
-                   stable_dt)
+from .errors import (InputError, NewtonConvergenceError, NumericalStateError,
+                     whole_number)
+from .grid import (Field, _flux_data, _product_plan, _require_finite,
+                   cell_gradient, component_laplacian, face_coefficients,
+                   laplacian_of_P, stable_dt)
 from .model import eval_A, eval_P, eval_reaction
 
 __all__ = ["SolverConfig", "Trajectory", "step", "run"]
@@ -100,7 +100,12 @@ _SCHEMES = ("explicit", "imex", "newton")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Scheme and step-control parameters for run()."""
+    """Scheme and step-control parameters for run().  A malformed
+    number raises InputError: dt0, t_end or a tolerance that is not
+    finite, a linear_tol that is not positive, a negative Newton
+    tolerance, a blowup_threshold that is not positive (inf turns
+    blowup detection off), or a max_steps, record_every or max_newton
+    that is not a whole number of at least 1."""
 
     scheme: str = "imex"
     dt0: float = 1e-3
@@ -121,8 +126,21 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise InputError(f"scheme must be one of {_SCHEMES}")
-        if not (self.dt0 > 0 and self.t_end > 0):
-            raise InputError("dt0 and t_end must be positive")
+        if not (0 < self.dt0 < np.inf and 0 < self.t_end < np.inf):
+            raise InputError("dt0 and t_end must be finite and positive")
+        if not 0 < self.linear_tol < np.inf:
+            raise InputError("linear_tol must be finite and positive")
+        if not (0 <= self.newton_abs_tol < np.inf
+                and 0 <= self.newton_rel_tol < np.inf):
+            raise InputError("newton_abs_tol and newton_rel_tol must be "
+                             "finite and >= 0")
+        if not self.blowup_threshold > 0:
+            raise InputError("blowup_threshold must be positive")
+        for name in ("max_steps", "record_every", "max_newton"):
+            value = whole_number(getattr(self, name), name)
+            if value < 1:
+                raise InputError(f"{name} must be >= 1")
+            object.__setattr__(self, name, value)
         if self.dt_min is None:
             object.__setattr__(self, "dt_min", self.dt0 / 1024.0)
         if self.dt_max is None:
@@ -131,8 +149,6 @@ class SolverConfig:
             raise InputError("need 0 < dt_min <= dt0 <= dt_max")
         if not (0 < self.cfl_safety <= 1):
             raise InputError("cfl_safety must lie in (0, 1]")
-        if self.record_every < 1 or self.max_newton < 1:
-            raise InputError("record_every and max_newton must be >= 1")
         object.__setattr__(self, "snapshot_times",
                            tuple(sorted({float(t) for t in self.snapshot_times})))
 
@@ -535,24 +551,12 @@ def _step_imex(spec, field, dt, f, config, factors):
     return Field(field.grid, x.reshape(field.values.shape)), 0
 
 
-def _cellwise(A):
-    """(m, m, Nx, Ny) cell matrices A as one sparse matrix acting
-    cellwise on component-major vectors: with N = Nx * Ny cells, row
-    c*N + n holds A[c, :, n] at columns d*N + n, so its data run in
-    (c, n, d) order."""
-    m = A.shape[0]
-    A = A.reshape(m, m, -1)
-    N = A.shape[2]
-    cols = np.broadcast_to(np.arange(m) * N + np.arange(N)[:, None], (m, N, m))
-    return sp.csr_matrix((A.transpose(0, 2, 1).ravel(), cols.ravel(),
-                          np.arange(0, m * m * N + 1, m)), shape=(m * N, m * N))
-
-
-def _newton_operator(L, A, dt):
-    """The Newton Jacobian I - dt L A of the cellwise A, by scipy's
-    sparse subtraction: the product's pattern drops its exact zeros,
-    so the flux plan's fixed pattern does not fit it."""
-    return sp.identity(L.shape[0], format="csr") - dt * (L @ _cellwise(A))
+def _newton_operator(grid, A, dt):
+    """The Newton Jacobian I - dt (I_m (x) L_1) A of the (m, m, Nx, Ny)
+    cell matrices A, on the flux plan: each entry of the product is one
+    product L_1[n, n'] A[c, d, n'], and exact zeros are dropped."""
+    plan, l1, at = _product_plan(grid, A.shape[0])
+    return plan.backward_euler(l1 * A.reshape(-1).take(at), dt)
 
 
 def _step_newton(spec, field, dt, f, config, factors):
@@ -573,7 +577,7 @@ def _step_newton(spec, field, dt, f, config, factors):
         if rn <= tol:
             return Field(g, V), solves
         A = eval_A(spec, V)
-        J = factors.operator(dt, (A,), lambda: _newton_operator(L, A, dt))
+        J = factors.operator(dt, (A,), lambda: _newton_operator(g, A, dt))
         dv = spsolve(J, R, factors)
         if not np.all(np.isfinite(dv)):
             raise NewtonConvergenceError("singular Newton system")

@@ -232,6 +232,28 @@ def test_component_bounded_by_the_best_is_skipped(monkeypatch, k, first):
 
 # the window sums of an infinite component meet inf * 0
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["random", "linear", "fourier", "constant",
+                                  np.nan, np.inf])
+def test_lone_component_at_a_small_kernel_computes_no_bound(monkeypatch,
+                                                            kind):
+    # one component under _PRUNE_MIN_OFFSETS has no search and nothing
+    # to order: the shift loop's value, with no L2 bound computed
+    g = build_grid(1.0, 1.0, 64, 64)
+    win = diag._window(g, 4 / 64)
+    assert len(win.offsets) == 49 < diag._PRUNE_MIN_OFFSETS
+    fam = fields(64, 64)
+    if isinstance(kind, str):
+        values = fam[kind][None]
+    else:
+        values = fam["random"][None].copy()
+        values[0, 5, 7] = kind
+    monkeypatch.setattr(diag, "_oscillation_bound",
+                        lambda *a: pytest.fail("bound computed"))
+    got = diag._bmo_sup(values, win)
+    assert np.float64(got).tobytes() == np.float64(loop_sup(values, win)).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("k", [3, 16])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_component_keeps_the_shift_loop_max(monkeypatch, k, bad):

@@ -491,6 +491,25 @@ class TestInputErrors:
         assert r.exit_code == 2, r.output
         assert "input error" in r.output
 
+    @pytest.mark.parametrize("command,dotted,written", [
+        # a NaN linear_tol used to run with the residual gate off
+        ("simulate", "solver.linear_tol", "summary.json"),
+        ("simulate", "solver.blowup_threshold", "summary.json"),
+        # a NaN q or eps used to fail the interpolation fit (exit 1)
+        ("diagnose", "diagnostics.q", "diagnose_summary.json"),
+        ("diagnose", "diagnostics.eps", "diagnose_summary.json"),
+    ])
+    def test_nan_solver_or_diagnostics_number_is_input_error(
+            self, write_manifest, tmp_path, command, dotted, written):
+        data = dict(heat_sim_manifest(), diagnostics={})
+        path = write_manifest(_set(data, dotted, float("nan")))
+        assert "NaN" in path.read_text()
+        out = tmp_path / "x"
+        r = invoke(command, "--manifest", path, "--out", out)
+        assert r.exit_code == 2, r.output
+        assert "input error" in r.output
+        assert not (out / written).exists()
+
     @pytest.mark.parametrize("value", [
         {"M1_targets": ["x"]},
         {"amp_range": ["a", 1.0]},

@@ -27,6 +27,26 @@ def checkerboard_field(N):
     return Field(g, board[None])
 
 
+class TestDiagnosticsConfig:
+    @pytest.mark.parametrize("kw", [
+        dict(s0=math.nan), dict(s0=math.inf),
+        # a NaN q or eps failed the interpolation fit instead
+        dict(q=math.nan), dict(q=math.inf), dict(q=0.0), dict(q=-2.0),
+        dict(eps=math.nan), dict(eps=math.inf), dict(eps=0.0),
+        dict(eps=-0.1),
+        dict(mu0=math.nan), dict(mu0=-math.inf),
+    ])
+    def test_malformed_numbers_raise(self, kw):
+        with pytest.raises(InputError, match=next(iter(kw))):
+            diag_mod.DiagnosticsConfig(**kw)
+        with pytest.raises(InputError, match=next(iter(kw))):
+            diag_mod.DiagnosticsConfig.from_dict(kw)
+
+    def test_defaults_and_edge_numbers_are_accepted(self):
+        diag_mod.DiagnosticsConfig()
+        diag_mod.DiagnosticsConfig(s0=-1.0, q=1e-3, eps=1e3, mu0=0.0)
+
+
 class TestNorms:
     def test_constant_one_unit_square(self, heat1, grid16n):
         u = Field.constant(grid16n, [1.0])

@@ -102,14 +102,12 @@ class TestDiffusionOperators:
         # must still agree for P = identity (below); only Neumann is zero.
 
     @given(bc=st.sampled_from(["neumann", "dirichlet"]), Nx=st.integers(2, 12),
-           Ny=st.integers(2, 12), m=st.integers(1, 2),
+           Ny=st.integers(2, 12), m=st.integers(1, 4),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_identity_P_operators_bit_identical(self, bc, Nx, Ny, m, seed):
         # A = I: the flux operator's diagonal blocks are L_1's entries,
-        # added in the same order, and its off-diagonal blocks exact zeros.
-        # From m = 3 on a row has over 16 entries, scipy's sort_indices
-        # is no longer stable there, and a diagonal sum can take another
-        # order than in L_1 (an ulp apart at m = 3 on 4x4 Neumann, seed 0)
+        # added in the same face-block order at every m, and its
+        # off-diagonal blocks exact zeros
         heat = ModelSpec(P=PolynomialMap.identity(m), lam=LambdaSpec(1.0))
         g = build_grid(1.3, 0.7, Nx, Ny, bc)
         f = Field(g, np.random.default_rng(seed).normal(size=(m, Nx, Ny)))
@@ -199,15 +197,16 @@ def face_arrays(rng, g, m, zero_blocks=False):
             np.ascontiguousarray(Ay.transpose(2, 3, 0, 1)))
 
 
-def coo_flux_operator(g, Ax, Ay):
-    """The flux operator by scipy's COO route, an independent oracle.
+def face_block_entries(g, Ax, Ay):
+    """(rows, cols, data) of the flux operator's face-block terms in
+    face-block order, before any duplicates are added.
 
     Each interior face gives the blocks (L, R) = +w, (L, L) = -w,
     (R, R) = -w and (R, L) = +w with w = A / h^2, x faces before y
     faces, and under Dirichlet each boundary face gives -2A / h^2 on its
     cell's diagonal block (left, right, bottom, top); a block lists its
-    entries over (a, b, face).  tocsr() adds duplicates in that order.
-    Ax and Ay are component-major, as face_coefficients returns them."""
+    entries over (a, b, face).  Ax and Ay are component-major, as
+    face_coefficients returns them."""
     Ax, Ay = Ax.transpose(2, 3, 0, 1), Ay.transpose(2, 3, 0, 1)
     Nx, Ny, m = g.Nx, g.Ny, Ax.shape[-1]
     N = Nx * Ny
@@ -237,10 +236,41 @@ def coo_flux_operator(g, Ax, Ay):
                              (ii * Ny, Ay[:, 0], g.hy ** 2),
                              (ii * Ny + Ny - 1, Ay[:, -1], g.hy ** 2)):
             add(cells, cells, -2.0 * w / h2)
-    n = m * N
-    return sp.coo_matrix((np.concatenate(data), (np.concatenate(rows),
-                                                 np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
+
+
+def coo_flux_operator(g, Ax, Ay):
+    """The flux operator by scipy's COO route, an independent oracle:
+    tocsr() adds the face-block terms of each entry in face-block order
+    while a row has at most 16 terms (m <= 2), where scipy's
+    sort_indices is an insertion sort and so stable."""
+    rows, cols, data = face_block_entries(g, Ax, Ay)
+    n = Ax.shape[0] * g.Nx * g.Ny
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def accumulated_flux_operator(g, Ax, Ay):
+    """(touched, dense): the flux operator's pattern and entries by
+    np.add.at, which adds each entry's face-block terms in face-block
+    order at every m.  Entries start at -0.0, which adds exactly
+    nothing, also to -0.0."""
+    rows, cols, data = face_block_entries(g, Ax, Ay)
+    n = Ax.shape[0] * g.Nx * g.Ny
+    dense = np.full((n, n), -0.0)
+    np.add.at(dense, (rows, cols), data)
+    touched = np.zeros((n, n), dtype=bool)
+    touched[rows, cols] = True
+    return touched, dense
+
+
+def assert_csr_is_dense(got, touched, dense):
+    """got's pattern is touched and its data the bits of dense there."""
+    r, c = np.nonzero(touched)
+    assert np.array_equal(got.indptr, np.concatenate(
+        ([0], np.cumsum(np.bincount(r, minlength=got.shape[0])))))
+    assert np.array_equal(got.indices, c)
+    assert np.array_equal(got.data.view(np.uint64),
+                          dense[r, c].view(np.uint64))
 
 
 def assert_same_csr(got, want):
@@ -279,15 +309,27 @@ class TestFluxOperator:
         assert abs(L - L.T).max() <= 1e-14 * np.abs(L.data).max()
 
     @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
-    @given(Nx=st.integers(2, 9), Ny=st.integers(2, 9), m=st.integers(1, 3),
+    @given(Nx=st.integers(2, 9), Ny=st.integers(2, 9), m=st.integers(1, 4),
            zero_blocks=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
     def test_plan_gives_the_coo_bits(self, bc, Nx, Ny, m, zero_blocks, seed):
-        # flux_operator and the IMEX operator I - dt L against scipy's
-        # COO conversion and sparse subtraction, which drops exact zeros
+        # flux_operator and the IMEX operator I - dt L against the terms
+        # accumulated in face-block order, with exact zeros dropped from
+        # I - dt L, and for m <= 2 against scipy's COO conversion and
+        # sparse subtraction, which add in that order there too
         g = build_grid(1.3, 0.7, Nx, Ny, bc)
         Ax, Ay = face_arrays(np.random.default_rng(seed), g, m, zero_blocks)
+        touched, dense = accumulated_flux_operator(g, Ax, Ay)
+        L = flux_operator(g, Ax, Ay)
+        assert_csr_is_dense(L, touched, dense)
+        eye = np.eye(touched.shape[0], dtype=bool)
+        for dt in (1e-3, 0.37):
+            shifted = eye - dense * dt
+            assert_csr_is_dense(solver_mod._imex_operator(g, (Ax, Ay), dt),
+                                touched & (shifted != 0), shifted)
+        if m > 2:
+            return
         want = coo_flux_operator(g, Ax, Ay)
-        assert_same_csr(flux_operator(g, Ax, Ay), want)
+        assert_same_csr(L, want)
         for dt in (1e-3, 0.37):
             assert_same_csr(solver_mod._imex_operator(g, (Ax, Ay), dt),
                             sp.identity(want.shape[0], format="csr") - dt * want)

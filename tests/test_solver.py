@@ -11,12 +11,12 @@ import crossdiff.solver as solver_mod
 from crossdiff import (Field, GeneralReaction, InputError, LambdaSpec,
                        ModelSpec, NewtonConvergenceError, NumericalStateError,
                        PolynomialMap, SolverConfig, build_grid, classic_skt,
-                       eval_A, run, step)
+                       eval_A, initial_field, run, step)
 from crossdiff.grid import (component_laplacian, face_coefficients,
                             flux_operator)
 
 from conftest import eigenmode_field, smooth_field
-from test_grid import dirichlet_mode_eigenvalue
+from test_grid import assert_same_csr, dirichlet_mode_eigenvalue
 
 
 def fixed_dt_config(scheme, dt, t_end, **kw):
@@ -47,6 +47,40 @@ class TestSolverConfig:
         base.update(kw)
         with pytest.raises(InputError):
             SolverConfig(**base)
+
+    @pytest.mark.parametrize("kw", [
+        # a NaN linear_tol turned the residual gate off; a negative one
+        # rejected every step
+        dict(linear_tol=math.nan), dict(linear_tol=-1.0),
+        dict(linear_tol=0.0), dict(linear_tol=math.inf),
+        dict(newton_abs_tol=math.nan), dict(newton_abs_tol=-1e-12),
+        dict(newton_abs_tol=math.inf),
+        dict(newton_rel_tol=math.nan), dict(newton_rel_tol=-1e-12),
+        dict(newton_rel_tol=math.inf),
+        # a NaN threshold turned blowup detection off
+        dict(blowup_threshold=math.nan), dict(blowup_threshold=0.0),
+        dict(blowup_threshold=-1.0),
+        dict(max_steps=0), dict(max_steps=2.5), dict(max_steps=math.nan),
+        dict(max_steps=True),
+        # a fractional record_every recorded at another cadence, and a
+        # fractional max_newton raised TypeError inside the Newton loop
+        dict(record_every=2.5), dict(record_every=True),
+        dict(max_newton=2.5), dict(max_newton=math.inf),
+        dict(t_end=math.inf), dict(t_end=math.nan),
+        dict(dt0=math.inf, dt_max=math.inf), dict(dt0=math.nan),
+    ])
+    def test_malformed_numbers_raise(self, kw):
+        with pytest.raises(InputError, match=next(iter(kw))):
+            SolverConfig(**dict(dict(dt0=1e-3, t_end=1.0), **kw))
+
+    def test_edge_numbers_are_accepted(self):
+        cfg = SolverConfig(dt0=1e-3, t_end=1.0, newton_abs_tol=0.0,
+                           newton_rel_tol=0.0, blowup_threshold=math.inf,
+                           max_steps=5.0, record_every=2.0, max_newton=3.0)
+        for name, value in (("max_steps", 5), ("record_every", 2),
+                            ("max_newton", 3)):
+            assert getattr(cfg, name) == value
+            assert type(getattr(cfg, name)) is int
 
     def test_snapshot_times_sorted_unique(self):
         cfg = SolverConfig(dt0=1e-3, t_end=1.0,
@@ -238,33 +272,140 @@ def bits(x):
     return x.view(np.uint64)
 
 
+def cellwise(A):
+    """(m, m, Nx, Ny) cell matrices A as one sparse matrix acting
+    cellwise on component-major vectors: with N = Nx * Ny cells, row
+    c*N + n holds A[c, :, n] at columns d*N + n, so its data run in
+    (c, n, d) order."""
+    m = A.shape[0]
+    A = A.reshape(m, m, -1)
+    N = A.shape[2]
+    cols = np.broadcast_to(np.arange(m) * N + np.arange(N)[:, None], (m, N, m))
+    return sp.csr_matrix((A.transpose(0, 2, 1).ravel(), cols.ravel(),
+                          np.arange(0, m * m * N + 1, m)), shape=(m * N, m * N))
+
+
+def scipy_newton_operator(L, A, dt):
+    """The Newton Jacobian I - dt L A of the cellwise A by scipy's sparse
+    product and subtraction, an independent oracle: the product adds its
+    one term per entry to 0.0, and both operations drop exact zeros."""
+    return sp.identity(L.shape[0], format="csr") - dt * (L @ cellwise(A))
+
+
 def implicit_matrix(kind, spec, f, dt=1e-3):
     """The IMEX matrix I - dt L(A(u)) or the Newton Jacobian
-    I - dt (I_m (x) L_1) A(u) at the state f."""
+    I - dt (I_m (x) L_1) A(u) at the state f, by scipy's sparse
+    arithmetic."""
     if kind == "imex":
         L = flux_operator(f.grid, *face_coefficients(spec, f))
-    else:
-        D = solver_mod._cellwise(eval_A(spec, f.values))
-        L = component_laplacian(f.grid, f.m) @ D
-    return sp.identity(L.shape[0], format="csr") - dt * L
+        return sp.identity(L.shape[0], format="csr") - dt * L
+    return scipy_newton_operator(component_laplacian(f.grid, f.m),
+                                 eval_A(spec, f.values), dt)
 
 
 def newton_operator(factors, A, dt=1e-3, built=None):
     """The Newton Jacobian I - dt (I_m (x) L_1) A on the 16x16 Neumann
     grid through the factor policy, keyed on the cellwise A; each build
     is appended to built."""
-    L = component_laplacian(build_grid(1.0, 1.0, 16, 16, "neumann"), A.shape[0])
+    g = build_grid(1.0, 1.0, 16, 16, "neumann")
 
     def build():
         if built is not None:
             built.append(A)
-        return solver_mod._newton_operator(L, A, dt)
+        return solver_mod._newton_operator(g, A, dt)
 
     return factors.operator(dt, (A,), build)
 
 
 def cell_A(spec, f):
     return eval_A(spec, f.values)
+
+
+class TestNewtonOperator:
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_scipy_product(self, m, bc, seed):
+        # one product per entry on the flux plan has the pattern and bits
+        # of scipy's product and subtraction, exact zeros dropped: with
+        # zero blocks (as a12 = 0 gives), scattered 0.0 and -0.0 entries,
+        # and a dt at which products underflow
+        rng = np.random.default_rng(seed)
+        Nx, Ny = rng.integers(2, 10, size=2)
+        g = build_grid(1.3, 0.7, Nx, Ny, bc)
+        A = rng.uniform(-1.0, 2.0, size=(m, m, Nx, Ny))
+        if seed % 2:
+            A[0, 1:] = 0.0
+        A[rng.random(A.shape) < 0.2] = -0.0
+        A[rng.random(A.shape) < 0.1] = 0.0
+        L = component_laplacian(g, m)
+        for dt in (1e-3, 0.37, 5e-320):
+            want = scipy_newton_operator(L, A, dt)
+            want.sort_indices()
+            assert_same_csr(solver_mod._newton_operator(g, A, dt), want)
+
+    def test_only_newton_builds_the_product_plan(self, skt):
+        # the product plan is built by the first Jacobian of (grid, m),
+        # shared after that, and read-only
+        g = build_grid(1.0, 1.0, 7, 5, "dirichlet")
+        f = smooth_field(g, m=2, amp=0.3)
+        solver_mod._product_plan.cache_clear()
+        run(skt, f, fixed_dt_config("imex", 1e-3, 3e-3))
+        assert solver_mod._product_plan.cache_info().currsize == 0
+        run(skt, f, fixed_dt_config("newton", 1e-3, 3e-3))
+        assert solver_mod._product_plan.cache_info().misses == 1
+        _, l1, at = solver_mod._product_plan(g, 2)
+        assert solver_mod._product_plan(build_grid(1.0, 1.0, 7, 5,
+                                                   "dirichlet"), 2)[1] is l1
+        assert not (l1.flags.writeable or at.flags.writeable)
+
+    def test_threads_share_the_product_plan(self, skt):
+        # more threads than cores build Jacobians while one of them keeps
+        # emptying the cache: every build has the bits of a serial one
+        g = build_grid(1.0, 1.0, 12, 10, "dirichlet")
+        A = eval_A(skt, smooth_field(g, m=2, amp=0.7).values)
+        want = solver_mod._newton_operator(g, A, 1e-3)
+
+        def work(k):
+            for _ in range(20):
+                if k == 0:
+                    solver_mod._product_plan.cache_clear()
+                J = solver_mod._newton_operator(g, A, 1e-3)
+                if not (np.array_equal(J.indices, want.indices)
+                        and np.array_equal(bits(J.data), bits(want.data))):
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(work, k) for k in range(6)]
+                assert all(f.result(timeout=120) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_skt_lv_run_keeps_the_scipy_product_bits(self, skt_lv,
+                                                     monkeypatch):
+        # a nonlinear run with Jacobians from the plan and from scipy's
+        # product: the same states, steps and counts
+        g = build_grid(1.0, 1.0, 32, 32, "neumann")
+        f0 = initial_field("positive_fourier", g, 2, 1.0, 1)
+        cfg = SolverConfig(scheme="newton", dt0=1e-3, dt_max=1e-2, t_end=0.1)
+        got = run(skt_lv, f0, cfg)
+        monkeypatch.setattr(
+            solver_mod, "_newton_operator",
+            lambda g, A, dt: scipy_newton_operator(
+                component_laplacian(g, A.shape[0]), A, dt))
+        want = run(skt_lv, f0, cfg)
+        assert got.reached_end and len(got.dt_history) == 19
+        assert got.factorizations == 51
+        assert np.array_equal(bits(got.final.values), bits(want.final.values))
+        assert np.array_equal(bits(got.dt_history), bits(want.dt_history))
+        assert np.array_equal(got.newton_history, want.newton_history)
+        for count in ("assemblies", "factorizations", "linear_solves",
+                      "rejected_steps"):
+            assert getattr(got, count) == getattr(want, count), count
 
 
 class TestSpsolve:
@@ -343,11 +484,17 @@ class TestSpsolve:
             assert cache.factorizations == n
 
     def test_singular_newton_system_raises(self, heat1, grid16n, monkeypatch):
-        # dt * L = I with A = I makes the Jacobian I - dt L A exactly zero
+        # dt * L = I with A = I makes the Jacobian I - dt L A exactly zero;
+        # the residual takes L from component_laplacian, the Jacobian is
+        # built by _newton_operator
         dt = 0.5
         monkeypatch.setattr(
             solver_mod, "component_laplacian",
             lambda g, m: sp.identity(m * g.Nx * g.Ny, format="csr") / dt)
+        monkeypatch.setattr(
+            solver_mod, "_newton_operator",
+            lambda g, A, dt: scipy_newton_operator(
+                solver_mod.component_laplacian(g, A.shape[0]), A, dt))
         f = smooth_field(grid16n, amp=0.5)
         with pytest.raises(NewtonConvergenceError, match="singular"):
             step(heat1, f, dt, scheme="newton")
@@ -761,10 +908,11 @@ class TestRunCounts:
         # refactoring it at every iteration
         cfg = fixed_dt_config("newton", 1e-3, 0.0125)
         f0 = eigenmode_field(grid16d)
-        real_cellwise = solver_mod._cellwise
+        real_operator = solver_mod._newton_operator
         built = []
-        monkeypatch.setattr(solver_mod, "_cellwise",
-                            lambda A: built.append(1) or real_cellwise(A))
+        monkeypatch.setattr(solver_mod, "_newton_operator",
+                            lambda g, A, dt: built.append(1)
+                            or real_operator(g, A, dt))
         traj = run(heat1, f0, cfg)
         reused = len(built)
         assert reused == traj.factorizations == 1 + np.count_nonzero(
