@@ -123,8 +123,9 @@ def _jsonable(v):
 class DiagnosticsConfig:
     """Per-record diagnostic knobs; defaults follow the smallest
     exponents the estimates admit (s0 = 1, q = 2).  s0, q and eps must
-    be finite, q and eps positive, and mu0 finite when given; anything
-    else raises InputError."""
+    be finite, q and eps positive, mu0 finite when given, every radius
+    and Lp exponent finite and positive, and every M1 target finite;
+    anything else raises InputError."""
 
     s0: float = 1.0
     q: float = 2.0
@@ -141,6 +142,12 @@ class DiagnosticsConfig:
             raise InputError("q and eps must be finite and positive")
         if self.mu0 is not None and not math.isfinite(self.mu0):
             raise InputError("mu0 must be finite when given")
+        for name in ("radii", "p_list"):
+            if not all(0 < x < math.inf for x in getattr(self, name) or ()):
+                raise InputError(f"every entry of {name} must be finite "
+                                 "and positive")
+        if not all(math.isfinite(M1) for M1 in self.M1_targets):
+            raise InputError("every entry of M1_targets must be finite")
 
     def to_dict(self):
         return {"s0": self.s0, "q": self.q,
@@ -473,8 +480,8 @@ def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None, *, grad=None,
     Lp = {}
     for p in p_list:
         p = float(p)
-        if p <= 0:
-            raise InputError("Lp exponents must be positive")
+        if not 0 < p < math.inf:
+            raise InputError("Lp exponents must be finite and positive")
         if p == 2.0:
             continue        # the dedicated L2 entry already carries it
         Lp[p] = float((area * (r ** p).sum()) ** (1.0 / p))

@@ -38,41 +38,48 @@ retried from that state.  A state that is not recorded (record_every >
 1) has them computed where they are needed.  Every model evaluation
 takes the (m, Nx, Ny) values as they are stored, with no transpose.
 
-Every linear solve goes through spsolve(), which gives the bits of
-scipy's spsolve(M, b, permc_spec="MMD_AT_PLUS_A") for a CSR matrix.
+Every direct solve goes through _factor, whose LU solves give the bits
+of scipy's spsolve(M, b, permc_spec="MMD_AT_PLUS_A") for a CSR matrix.
 The fill-reducing ordering depends only on the sparsity pattern (Davis,
 Direct Methods for Sparse Linear Systems, SIAM 2006, ch. 7), so it is
-computed once per pattern (see _factor): the first LU of a pattern runs
-MMD_AT_PLUS_A, and later ones factor the matrix with its columns
-already in that order.  run()
-hands the stepper one factor policy per run, and step() a fresh one.
-The policy holds the last implicit operator it built and the LU of the
-last operator it factored (never two LUs at once), and one rule decides
-reuse: the operator is rebuilt unless dt and its coefficients (the face
-coefficients (Ax, Ay) under IMEX, the cellwise A(v) under Newton) are
-bit for bit those it was built from, and an LU is reused only for the
-very operator object it was factored from.  An operator of a constant A
-(a linear P) is thus assembled and factored once per step size.
+computed once per pattern: the first LU of a pattern runs MMD_AT_PLUS_A,
+and later ones factor the matrix with its columns already in that order.
 
-* Newton (_LastFactor): any other operator is factored afresh, so
-  every solve is an exact direct solve.
-* IMEX (_LaggedFactor): I - dt L(A(u)) of a state-dependent A changes
-  a little from step to step, so the held LU of an earlier step serves
-  as a preconditioner while dt is unchanged (Knoll & Keyes, J. Comput.
-  Phys. 193 (2004) 357).  The solution of the held LU is taken if its
-  true residual |rhs - M x| is on target; otherwise GMRES with that LU
-  as preconditioner (Saad, Iterative Methods for Sparse Linear
-  Systems, 2nd ed., ch. 9) runs for at most _KRYLOV_MAXITER iterations
-  and its result is taken under the same true-residual test.  The GMRES
-  cycle (_gmres_cycle) is scipy's, run in place on the held LU's
-  solution and residual, with the bits of scipy's gmres.  The
-  target is 1e-3 * linear_tol * |rhs|, or the relative residual of the
-  last direct solve times |rhs| where that is larger, so a linear_tol
-  below roundoff does not rule out every lagged solve.  A missed target
-  or a new dt drops the LU and factors M, which is then solved
-  directly.  Under Neumann conditions every IMEX operator has unit
-  column sums, so the held LU's inverse keeps the sum of a vector and
-  the Krylov corrections conserve mass to roundoff.
+run() hands the stepper one factor policy (_LaggedFactor) per run, and
+step() a fresh one, whose first solve is therefore direct.  The policy
+holds the last implicit operator it built and the LU of the last
+operator it factored (never two LUs at once), and one rule serves both
+implicit schemes.  The operator is rebuilt unless dt and its
+coefficients (the face coefficients (Ax, Ay) under IMEX, the cellwise
+A(v) under Newton) are bit for bit those it was built from, and it is
+then solved thus:
+
+* the held LU solves the very operator object it was factored from, so
+  an operator of a constant A (a linear P) is assembled and factored
+  once per step size;
+* at an unchanged dt the held LU of an earlier operator serves as a
+  preconditioner (Knoll & Keyes, J. Comput. Phys. 193 (2004) 357).
+  I - dt L(A(u)) of a state-dependent A changes a little from IMEX step
+  to step, and the Newton Jacobian from iterate to iterate.  The
+  solution of the held LU is taken if its true residual |rhs - M x| is
+  on target; otherwise GMRES with that LU as preconditioner (Saad,
+  Iterative Methods for Sparse Linear Systems, 2nd ed., ch. 9) runs
+  for at most _KRYLOV_MAXITER iterations and its result is taken under
+  the same true-residual test.  The GMRES cycle (_gmres_cycle) is
+  scipy's, run in place on the held LU's solution and residual, with
+  the bits of scipy's gmres.  The target is 1e-3 * linear_tol * |rhs|,
+  or the relative residual of the last direct solve times |rhs| where
+  that is larger, so a linear_tol below roundoff does not rule out
+  every lagged solve;
+* otherwise (a missed target or a new dt) the LU is dropped and M is
+  factored and solved directly.
+
+A Newton solve on the held LU is thus an inexact Newton step (Dembo,
+Eisenstat & Steihaug, SIAM J. Numer. Anal. 19 (1982) 400) with the
+forcing term of that target; Newton's own residual test stays the
+step's acceptance test.  Under Neumann conditions every IMEX operator
+has unit column sums, so the held LU's inverse keeps the sum of a
+vector and the Krylov corrections conserve mass to roundoff.
 """
 
 from __future__ import annotations
@@ -104,8 +111,9 @@ class SolverConfig:
     number raises InputError: dt0, t_end or a tolerance that is not
     finite, a linear_tol that is not positive, a negative Newton
     tolerance, a blowup_threshold that is not positive (inf turns
-    blowup detection off), or a max_steps, record_every or max_newton
-    that is not a whole number of at least 1."""
+    blowup detection off), a max_steps, record_every or max_newton
+    that is not a whole number of at least 1, or a snapshot time that
+    is not finite."""
 
     scheme: str = "imex"
     dt0: float = 1e-3
@@ -149,8 +157,10 @@ class SolverConfig:
             raise InputError("need 0 < dt_min <= dt0 <= dt_max")
         if not (0 < self.cfl_safety <= 1):
             raise InputError("cfl_safety must lie in (0, 1]")
-        object.__setattr__(self, "snapshot_times",
-                           tuple(sorted({float(t) for t in self.snapshot_times})))
+        times = {float(t) for t in self.snapshot_times}
+        if not all(np.isfinite(t) for t in times):
+            raise InputError("snapshot_times must be finite")
+        object.__setattr__(self, "snapshot_times", tuple(sorted(times)))
 
 
 @dataclass
@@ -186,8 +196,8 @@ class Trajectory:
 # GMRES on a lagged LU runs at most this many iterations per solve.
 _KRYLOV_MAXITER = 10
 # A lagged solve is taken when |rhs - M x| <= _KRYLOV_RTOL * linear_tol
-# * |rhs|, a thousandth of the gate of _step_imex, so lagged steps stay
-# close to the accuracy of a direct solve.
+# * |rhs|, a thousandth of the gate of _step_imex, so lagged IMEX steps
+# and Newton corrections stay close to the accuracy of a direct solve.
 _KRYLOV_RTOL = 1e-3
 # The orderings of at most this many sparsity patterns are kept.
 _ORDERINGS_MAX = 16
@@ -197,22 +207,27 @@ def _bits(a):
     return a.view(np.uint8)
 
 
-class _LastFactor:
-    """Factor policy of one run: the last operator it built, with the dt
-    and coefficient arrays it was built from, and the LU of the last
-    operator it factored, with the counts of that run: operators built,
-    factorizations, linear solves, GMRES iterations, and the worst IMEX
-    residual relative to its gate.  residual is the true residual norm
-    |rhs - M x| of the last solve where the policy computed one, else
-    None.  The coefficient arrays and operators are held, not copied, so
-    callers must not change them in place."""
+class _LaggedFactor:
+    """Factor policy of one run (see the module docstring): the last
+    operator it built, with the dt and coefficient arrays it was built
+    from, and the LU of the last operator it factored, with that
+    operator's dt and the relative residual of its direct solve.  It
+    counts operators built, factorizations, linear solves and GMRES
+    iterations, and holds the worst IMEX residual relative to its gate.
+    residual is the true residual norm |rhs - M x| of the last solve
+    where the policy computed one, else None.  The coefficient arrays
+    and operators are held, not copied, so callers must not change them
+    in place."""
 
-    def __init__(self):
+    def __init__(self, linear_tol):
+        self.rtol = _KRYLOV_RTOL * linear_tol
         self.dt = None
         self.coefs = ()
         self.built = None
         self.factored = None
         self.lu = None
+        self.lu_dt = None  # dt of the operator the held LU was factored from
+        self.floor = 0.0  # relative residual of the last direct solve
         self.assemblies = 0
         self.factorizations = 0
         self.solves = 0
@@ -232,58 +247,39 @@ class _LastFactor:
             self.dt, self.coefs = dt, coefs
         return self.built
 
-    def refactor(self, M):
+    def solve(self, M, rhs):
+        """x with M x = rhs, where M is the operator this policy built
+        last (its dt is self.dt)."""
+        if M is self.factored:
+            return self.lu.solve(rhs)
+        if self.lu is not None and self.dt == self.lu_dt:
+            target = max(self.rtol, self.floor) * np.linalg.norm(rhs)
+            x = self.lu.solve(rhs)
+            r = rhs - M @ x
+            self.residual = np.linalg.norm(r)
+            if not self.residual <= target:
+                x, iterations, self.residual = _gmres_cycle(
+                    M, self.lu.solve, rhs, x, r, np.linalg.norm(x), target)
+                self.krylov_iterations += iterations
+            if self.residual <= target:
+                return x
+        return self._direct(M, rhs)
+
+    def _direct(self, M, rhs):
+        """Factor M and solve directly; all NaN if M is exactly
+        singular."""
         # drop the old LU before factoring, so two are never held at once
         self.factored = self.lu = None
         self.factorizations += 1
         self.lu = _factor(M)
-        if self.lu is not None:
-            self.factored = M
-        return self.lu
-
-    def solve(self, M, rhs):
-        return _lu_solve(self.lu if M is self.factored else self.refactor(M),
-                         rhs)
-
-
-class _LaggedFactor(_LastFactor):
-    """IMEX factor policy: the held LU of an earlier step preconditions
-    GMRES while dt is unchanged (see the module docstring).  M must be
-    the operator this policy built last, whose dt is self.dt."""
-
-    def __init__(self, linear_tol):
-        super().__init__()
-        self.rtol = _KRYLOV_RTOL * linear_tol
-        self.lu_dt = None  # dt of the operator the held LU was factored from
-        self.floor = 0.0  # relative residual of the last direct solve
-
-    def solve(self, M, rhs):
-        if M is self.factored:
-            return self.lu.solve(rhs)
-        if self.lu is not None and self.dt == self.lu_dt:
-            x = self._krylov(M, rhs)
-            if x is not None:
-                return x
-        self.lu_dt = self.dt
-        x = _lu_solve(self.refactor(M), rhs)
+        if self.lu is None:
+            return np.full(np.shape(rhs), np.nan)
+        self.factored, self.lu_dt = M, self.dt
+        x = self.lu.solve(rhs)
         norm = np.linalg.norm(rhs)
         self.residual = np.linalg.norm(rhs - M @ x)
         self.floor = self.residual / norm if norm > 0 else 0.0
         return x
-
-    def _krylov(self, M, rhs):
-        """x with |rhs - M x| on target, or None."""
-        lu = self.lu
-        target = max(self.rtol, self.floor) * np.linalg.norm(rhs)
-        x = lu.solve(rhs)
-        r = rhs - M @ x
-        self.residual = np.linalg.norm(r)
-        if self.residual <= target:
-            return x
-        x, iterations, self.residual = _gmres_cycle(
-            M, lu.solve, rhs, x, r, np.linalg.norm(x), target)
-        self.krylov_iterations += iterations
-        return x if self.residual <= target else None
 
 
 def _gmres_cycle(M, psolve, b, x, r, mb_norm, atol):
@@ -453,27 +449,19 @@ def _factor(M):
         return None
 
 
-def _lu_solve(lu, rhs):
-    if lu is None:
-        return np.full(np.shape(rhs), np.nan)
-    return lu.solve(rhs)
-
-
 def spsolve(M, rhs, factors):
-    """Solve M x = rhs for a square CSR matrix M with the factor policy
-    factors.
+    """Solve M x = rhs for a square CSR matrix M, the operator the
+    factor policy factors built last (see the module docstring).
 
-    With a _LastFactor the result is an exact direct solve, bit for bit
+    M is solved directly with the held LU if that LU was factored from
+    M.  Otherwise, at an unchanged dt, it may be solved by the held LU,
+    or one in-place GMRES cycle on it with scipy's bits, to a true
+    residual |rhs - M x| at most 1e-3 * linear_tol * |rhs|, or at most
+    that of the last direct solve relative to its |rhs|.  Failing that,
+    M is factored and the result is an exact direct solve, bit for bit
     that of scipy's spsolve(M, rhs, permc_spec="MMD_AT_PLUS_A"), though
-    the ordering runs only on the first LU of each sparsity pattern
-    (see _factor); the LU is reused when M is the very operator it was
-    factored from.  With a _LaggedFactor, M is the operator the policy
-    built last; it is solved directly with the held LU if that LU was
-    factored from M, and otherwise may be solved by the held LU, or one
-    in-place GMRES cycle on it with scipy's bits, to a true residual
-    |rhs - M x| at most 1e-3 * linear_tol * |rhs|, or at most that of
-    the last direct solve relative to its |rhs| (see the module
-    docstring).  All NaN if M is exactly singular.
+    the ordering runs only on the first LU of each sparsity pattern (see
+    _factor).  All NaN if M is exactly singular.
     """
     M.sum_duplicates()
     factors.solves += 1
@@ -604,7 +592,7 @@ def step(spec, field, dt, scheme="imex", config=None):
     if config is None:
         config = SolverConfig(scheme=scheme, dt0=dt, t_end=dt)
     return _STEPPERS[scheme](spec, field, dt, _reaction_term(spec, field),
-                             config, _LastFactor())
+                             config, _LaggedFactor(config.linear_tol))
 
 
 def run(spec, field0, config, diagnostics=None):
@@ -629,10 +617,7 @@ def run(spec, field0, config, diagnostics=None):
     _require_finite(field0)
     dc = diag_mod.DiagnosticsConfig() if diagnostics is None else diagnostics
     stepper = _STEPPERS[config.scheme]
-    if config.scheme == "imex":
-        factors = _LaggedFactor(config.linear_tol)
-    else:
-        factors = _LastFactor()
+    factors = _LaggedFactor(config.linear_tol)
 
     u = field0.copy()
     t = 0.0

@@ -510,6 +510,21 @@ class TestInputErrors:
         assert "input error" in r.output
         assert not (out / written).exists()
 
+    @pytest.mark.parametrize("dotted", ["diagnostics.radii",
+                                        "diagnostics.p_list"])
+    def test_nan_diagnostics_entry_is_input_error(self, write_manifest,
+                                                  tmp_path, dotted):
+        # a NaN radius failed in the BMO stencil (exit 4), a NaN p wrote
+        # an Lnan column
+        path = write_manifest(_set(dict(heat_sim_manifest(), diagnostics={}),
+                                   dotted, [float("nan")]))
+        assert "NaN" in path.read_text()
+        out = tmp_path / "x"
+        r = invoke("simulate", "--manifest", path, "--out", out)
+        assert r.exit_code == 2, r.output
+        assert "input error" in r.output
+        assert not (out / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("value", [
         {"M1_targets": ["x"]},
         {"amp_range": ["a", 1.0]},

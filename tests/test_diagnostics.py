@@ -35,6 +35,14 @@ class TestDiagnosticsConfig:
         dict(eps=math.nan), dict(eps=math.inf), dict(eps=0.0),
         dict(eps=-0.1),
         dict(mu0=math.nan), dict(mu0=-math.inf),
+        # a NaN radius failed in the BMO stencil (exit 4), a negative one
+        # recorded NaN; a NaN p recorded an Lnan column, an infinite one
+        # Linf = 1
+        dict(radii=(0.25, math.nan)), dict(radii=(-0.1,)), dict(radii=(0.0,)),
+        dict(radii=(math.inf,)),
+        dict(p_list=(math.nan,)), dict(p_list=(4.0, math.inf)),
+        dict(p_list=(0.0,)), dict(p_list=(-1.0,)),
+        dict(M1_targets=(math.nan,)), dict(M1_targets=(1.0, -math.inf)),
     ])
     def test_malformed_numbers_raise(self, kw):
         with pytest.raises(InputError, match=next(iter(kw))):
@@ -98,6 +106,12 @@ class TestNorms:
         u = Field.constant(grid16n, [1.0])
         with pytest.raises(InputError):
             norms(u, heat1, p_list=(0.0,))
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_nonfinite_exponent(self, heat1, grid16n, p):
+        u = Field.constant(grid16n, [1.0])
+        with pytest.raises(InputError, match="finite"):
+            norms(u, heat1, p_list=(p,))
 
     def test_w12_splits_into_l2_plus_gradient(self, skt, grid16n):
         u = smooth_field(grid16n, m=2, amp=0.7)

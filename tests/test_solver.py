@@ -68,6 +68,9 @@ class TestSolverConfig:
         dict(max_newton=2.5), dict(max_newton=math.inf),
         dict(t_end=math.inf), dict(t_end=math.nan),
         dict(dt0=math.inf, dt_max=math.inf), dict(dt0=math.nan),
+        # a NaN snapshot time was dropped without a snapshot
+        dict(snapshot_times=(0.5, math.nan)),
+        dict(snapshot_times=(math.inf,)),
     ])
     def test_malformed_numbers_raise(self, kw):
         with pytest.raises(InputError, match=next(iter(kw))):
@@ -321,6 +324,11 @@ def cell_A(spec, f):
     return eval_A(spec, f.values)
 
 
+def fresh_policy():
+    """A new factor policy at the default linear_tol."""
+    return solver_mod._LaggedFactor(SolverConfig.linear_tol)
+
+
 class TestNewtonOperator:
     @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -399,7 +407,7 @@ class TestNewtonOperator:
                 component_laplacian(g, A.shape[0]), A, dt))
         want = run(skt_lv, f0, cfg)
         assert got.reached_end and len(got.dt_history) == 19
-        assert got.factorizations == 51
+        assert got.factorizations == 25
         assert np.array_equal(bits(got.final.values), bits(want.final.values))
         assert np.array_equal(bits(got.dt_history), bits(want.dt_history))
         assert np.array_equal(got.newton_history, want.newton_history)
@@ -416,7 +424,7 @@ class TestSpsolve:
         M = implicit_matrix(kind, skt, f)
         rhs = np.random.default_rng(1).normal(size=M.shape[0])
         want = spla.spsolve(M.copy(), rhs, permc_spec="MMD_AT_PLUS_A")
-        got = solver_mod.spsolve(M, rhs, solver_mod._LastFactor())
+        got = solver_mod.spsolve(M, rhs, fresh_policy())
         assert np.array_equal(bits(got), bits(want))
 
     def test_reused_factor_gives_fresh_bits(self, skt, grid16n):
@@ -425,7 +433,7 @@ class TestSpsolve:
         f = smooth_field(grid16n, m=2, amp=3.0)
         coefs = face_coefficients(skt, f)
         built = []
-        cache = solver_mod._LastFactor()
+        cache = fresh_policy()
 
         def operator(coefs):
             return cache.operator(1e-3, coefs, lambda: built.append(1)
@@ -438,15 +446,16 @@ class TestSpsolve:
         assert operator(tuple(a.copy() for a in coefs)) is M
         again = solver_mod.spsolve(M, rhs, cache)
         assert (len(built), cache.factorizations, cache.solves) == (1, 1, 2)
-        fresh = solver_mod.spsolve(M.copy(), rhs, solver_mod._LastFactor())
+        fresh = solver_mod.spsolve(M.copy(), rhs, fresh_policy())
         assert np.array_equal(bits(again), bits(fresh))
 
     @pytest.mark.parametrize("entry", [0, 700, -1])
     def test_one_ulp_change_refactors(self, skt, grid16n, entry):
-        # one coefficient entry one ulp up rebuilds the operator and
-        # refactors it; its bits then match scipy's direct solve
+        # one coefficient entry one ulp up rebuilds the operator; at the
+        # same dt the held LU of the old one solves it on the lagged
+        # target, with no factorization
         f = smooth_field(grid16n, m=2, amp=3.0)
-        cache = solver_mod._LastFactor()
+        cache = fresh_policy()
         built = []
         A = cell_A(skt, f)
         M = newton_operator(cache, A, built=built)
@@ -457,17 +466,18 @@ class TestSpsolve:
         M2 = newton_operator(cache, A2, built=built)
         assert M2 is not M
         x = solver_mod.spsolve(M2, rhs, cache)
-        assert len(built) == cache.factorizations == 2
-        assert np.array_equal(bits(x), bits(spla.spsolve(
-            M2, rhs, permc_spec="MMD_AT_PLUS_A")))
+        assert len(built) == 2 and cache.factorizations == 1
+        assert cache.factored is M
+        target = max(cache.rtol, cache.floor) * np.linalg.norm(rhs)
+        assert np.linalg.norm(rhs - M2 @ x) <= target
         M3 = newton_operator(cache, A2.copy(), built=built)
         assert M3 is M2
         solver_mod.spsolve(M3, rhs, cache)
-        assert len(built) == cache.factorizations == 2
+        assert len(built) == 2 and cache.factorizations == 1
 
     def test_one_ulp_dt_change_rebuilds(self, skt, grid16n):
         f = smooth_field(grid16n, m=2, amp=3.0)
-        cache = solver_mod._LastFactor()
+        cache = fresh_policy()
         built = []
         A = cell_A(skt, f)
         M = newton_operator(cache, A, built=built)
@@ -476,7 +486,7 @@ class TestSpsolve:
 
     def test_singular_gives_nan_and_is_not_cached(self):
         M = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        cache = solver_mod._LastFactor()
+        cache = fresh_policy()
         for n in (1, 2):
             x = solver_mod.spsolve(M, np.ones(2), cache)
             assert x.shape == (2,) and np.all(np.isnan(x))
@@ -917,12 +927,51 @@ class TestRunCounts:
         reused = len(built)
         assert reused == traj.factorizations == 1 + np.count_nonzero(
             np.diff(traj.dt_history))
-        monkeypatch.setattr(solver_mod._LastFactor, "operator",
+        # the reference rebuilds the Jacobian and solves it directly
+        monkeypatch.setattr(solver_mod._LaggedFactor, "operator",
                             lambda self, dt, coefs, build: build())
+        monkeypatch.setattr(solver_mod._LaggedFactor, "solve",
+                            solver_mod._LaggedFactor._direct)
         fresh = run(heat1, f0, cfg)
         assert (len(built) - reused == fresh.factorizations
                 == fresh.linear_solves == traj.linear_solves > reused)
         assert np.array_equal(bits(traj.final.values), bits(fresh.final.values))
+
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    def test_newton_solves_on_the_held_lu(self, skt_lv, bc, monkeypatch):
+        # a nonlinear P changes the Jacobian at every iterate: a solve that
+        # does not refactor comes from the held LU or GMRES on it, on the
+        # lagged target, and the run takes the steps and Newton iterations
+        # of a reference that factors every Jacobian
+        g = build_grid(1.0, 1.0, 32, 32, bc)
+        f0 = initial_field("positive_fourier", g, 2, 1.0, 1)
+        cfg = SolverConfig(scheme="newton", dt0=1e-3, dt_max=1e-2, t_end=0.1)
+        real = solver_mod.spsolve
+        lagged = []
+
+        def recording(M, rhs, factors):
+            before = factors.factorizations
+            x = real(M, rhs, factors)
+            if factors.factorizations == before:
+                target = max(factors.rtol, factors.floor) * np.linalg.norm(rhs)
+                lagged.append(np.linalg.norm(rhs - M @ x) / target)
+            return x
+
+        monkeypatch.setattr(solver_mod, "spsolve", recording)
+        got = run(skt_lv, f0, cfg)
+        assert got.reached_end and got.rejected_steps == 0
+        assert len(lagged) == got.linear_solves - got.factorizations > 0
+        assert max(lagged) <= 1.0
+        monkeypatch.setattr(solver_mod, "spsolve", real)
+        monkeypatch.setattr(solver_mod._LaggedFactor, "solve",
+                            solver_mod._LaggedFactor._direct)
+        want = run(skt_lv, f0, cfg)
+        assert want.reached_end
+        assert want.factorizations == want.linear_solves == got.linear_solves
+        assert len(got.dt_history) == len(want.dt_history)
+        assert np.array_equal(got.newton_history, want.newton_history)
+        scale = np.abs(want.final.values).max()
+        assert np.abs(got.final.values - want.final.values).max() <= 1e-12 * scale
 
     def test_explicit_runs_no_linear_algebra(self, heat1, grid16n):
         traj = run(heat1, smooth_field(grid16n, amp=0.1),
