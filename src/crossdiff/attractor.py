@@ -9,6 +9,7 @@ reported with margins; nothing is assumed about the constants.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -59,11 +60,15 @@ class EnsembleSpec:
         if self.count < 1:
             raise InputError("ensemble needs at least one member")
         lo, hi = (float(a) for a in self.amp_range)
-        if not (0 < lo <= hi):
-            raise InputError("amplitude range must be positive and ordered")
+        if not (0 < lo <= hi < math.inf):
+            raise InputError("amplitude range must be positive, finite and ordered")
         object.__setattr__(self, "amp_range", (lo, hi))
         if self.T_observe is not None and not (0 <= self.T_observe < self.config.t_end):
             raise InputError("T_observe must lie in [0, t_end)")
+        if not 0 < self.tol < math.inf:
+            raise InputError("tol must be finite and positive")
+        if not all(math.isfinite(M1) for M1 in self.M1_targets):
+            raise InputError("every entry of M1_targets must be finite")
 
     def amplitudes(self):
         lo, hi = self.amp_range
@@ -153,8 +158,8 @@ def initial_field(family, grid, m, amplitude, seed):
     if family not in _FAMILIES:
         raise InputError(f"family must be one of {_FAMILIES}")
     amplitude = float(amplitude)
-    if amplitude <= 0:
-        raise InputError("amplitude must be positive")
+    if not 0 < amplitude < math.inf:
+        raise InputError("amplitude must be finite and positive")
     rng = np.random.default_rng([whole_number(seed, "seed"), 0xA5])
     if family == "constant":
         return Field.constant(grid, np.full(m, amplitude))

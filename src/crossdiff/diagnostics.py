@@ -465,8 +465,7 @@ def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None, *, grad=None,
     u.values), arrays a caller already holds (solver.run() computes
     them once per recorded state and reuses them for the next step);
     otherwise they are computed here.  The record is the same either
-    way.  lambda(u) is evaluated on the point-major view
-    u.values.transpose(1, 2, 0), the layout eval_lambda takes."""
+    way."""
     g = u.grid
     area = g.cell_area
     vals = u.values
@@ -490,7 +489,7 @@ def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None, *, grad=None,
     du2 = (grad * grad).sum(axis=(0, 1))
     W12 = L2 + float(math.sqrt(area * du2.sum()))
     energy_y = _energy_y(u, spec, grad, A)
-    lam = eval_lambda(spec, vals.transpose(1, 2, 0))
+    lam = eval_lambda(spec, vals)
     lambda_moment = float(area * (lam ** float(s0)).sum())
     bmo = {}
     morrey = {}
@@ -607,7 +606,7 @@ def energy_inequality_check(traj, spec):
         ut = (states[k + 1].values - states[k].values) / dt
         ut2 = (ut * ut).sum(axis=0)
         vals = states[k + 1].values
-        lam = eval_lambda(spec, vals.transpose(1, 2, 0))
+        lam = eval_lambda(spec, vals)
         diss = float(area * (lam * ut2).sum())
         dydt[k] = (ys[k + 1] - ys[k]) / dt
         f = reaction_zero_order(spec, vals)
@@ -766,7 +765,12 @@ def interpolation_check(fields, q=2.0, eps=0.1):
         extra={"I_high": I1, "I_grad": I2, "L1": L1})
 
 
-def morrey_profile(traj, radii, max_windows=64):
+# morrey_profile steps through the k admissible window end times t0 of
+# a radius with stride max(1, k // _MORREY_WINDOWS).
+_MORREY_WINDOWS = 64
+
+
+def morrey_profile(traj, radii):
     """Space-time gradient concentration profile along a trajectory.
 
     For each radius R this computes the largest parabolic quotient
@@ -803,7 +807,7 @@ def morrey_profile(traj, radii, max_windows=64):
             np.zeros((1,) + g.shape),
             cumulative_trapezoid(S, x=times, axis=0)])
         idx = np.nonzero(times >= times[0] + R * R * (1 - 1e-12))[0]
-        stride = max(1, len(idx) // max_windows)
+        stride = max(1, len(idx) // _MORREY_WINDOWS)
         best = 0.0
         for i in idx[::stride]:
             t_lo = times[i] - R * R

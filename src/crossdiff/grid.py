@@ -420,7 +420,7 @@ def stable_dt(spec, field, cfl=0.9, *, A=None):
     g = field.grid
     if A is None:
         A = eval_A(spec, field.values)
-    s = float(_opnorms(A.transpose(2, 3, 0, 1)).max())
+    s = float(_opnorms(A).max())
     if not np.isfinite(s):
         raise NumericalStateError("diffusion matrix norm is not finite")
     if s <= 0:

@@ -21,10 +21,11 @@ States are component-major, the layout of a field's values: u has the
 component on axis 0, shape (m, ...), with any trailing shape (a grid,
 a batch of n points, or none).  P and the reactions return (m, ...),
 matrix maps (r, c, ...), so A(u) of an (m, Nx, Ny) field is
-(m, m, Nx, Ny), and a gradient Du is (m, 2, ...).  A point-major
-(n, m) batch U is passed as U.T.  The exception is the envelope:
-LambdaSpec and eval_lambda take points (..., m), the layout of the
-certification draw.
+(m, m, Nx, Ny), and a gradient Du is (m, 2, ...).  The envelope
+lambda(u) of an (m, ...) state is (...), and the spectral kernels take
+(m, m, ...) batches, so A(u) and lambda(u) are evaluated at the same
+states in the same layout.  A point-major (n, m) batch U is passed as
+U.T.
 """
 
 from __future__ import annotations
@@ -63,15 +64,6 @@ __all__ = [
     "load_model",
     "save_model",
 ]
-
-
-def _as_points(u, m):
-    """Coerce u to a float array whose last axis has length m."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 0 or u.shape[-1] != m:
-        raise ModelDefinitionError(
-            f"points must have shape (..., {m}); got {u.shape}")
-    return u
 
 
 def _as_components(u, m):
@@ -268,17 +260,18 @@ class LambdaSpec:
         return self.lambda0 + self.lambda1
 
     def __call__(self, u):
-        """lambda at points u of shape (..., m)."""
+        """lambda at a component-major state u, (m, ...); returns (...)."""
         u = np.asarray(u, dtype=float)
         if self.lambda1 == 0.0:
-            return np.full(u.shape[:-1], self.lambda0)
-        r = np.linalg.norm(u, axis=-1)
+            return np.full(u.shape[1:], self.lambda0)
+        r = np.linalg.norm(u, axis=0)
         return self.lambda0 + self.lambda1 * r ** self.k
 
     def grad_norm(self, u):
-        """|lambda_u(u)| = lambda1 * k * |u|^(k-1) (radial gradient)."""
+        """|lambda_u(u)| = lambda1 * k * |u|^(k-1) (radial gradient) at
+        a component-major state u, (m, ...); returns (...)."""
         u = np.asarray(u, dtype=float)
-        r = np.linalg.norm(u, axis=-1)
+        r = np.linalg.norm(u, axis=0)
         c = self.lambda1 * self.k
         if c == 0.0:  # not c * r**(k-1): 0 * inf is NaN at r = 0
             return np.zeros(r.shape)
@@ -421,9 +414,8 @@ def eval_A(spec, u):
 
 def eval_lambda(spec, u):
     """Evaluate the declared envelope lambda(u) = lambda0 + lambda1 |u|^k
-    at points u of shape (..., m), the layout of the certification draw;
-    returns (...)."""
-    return spec.lam(_as_points(u, spec.m))
+    at a component-major state u, (m, ...); returns (...)."""
+    return spec.lam(_as_components(u, spec.m))
 
 
 def eval_reaction(spec, u, g):
@@ -612,31 +604,31 @@ class StructuralReport:
 
 
 def _opnorms(A):
-    """Largest singular value per matrix in a (..., m, m) batch.
+    """Largest singular value per matrix in an (m, m, ...) batch.
 
     m = 2 is the closed form
     sigma_max = (|(a+d, b-c)| + |(a-d, b+c)|) / 2 of [[a, b], [c, d]],
     a sum of two nonnegative hypotenuses, so it has no cancellation and
     matches LAPACK to a few ulps.  Every other m calls LAPACK's SVD.
     """
-    if A.shape[-1] == 2:
-        a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    if len(A) == 2:
+        (a, b), (c, d) = A
         return 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
-    return np.linalg.svd(A, compute_uv=False)[..., 0]
+    return np.linalg.svd(np.moveaxis(A, (0, 1), (-2, -1)), compute_uv=False)[..., 0]
 
 
 def _sym_mineigs(A):
-    """Smallest eigenvalue of the symmetric part per matrix in a
-    (..., m, m) batch.
+    """Smallest eigenvalue of the symmetric part per matrix in an
+    (m, m, ...) batch.
 
     m = 2 is closed form: for sym A = [[a, s], [s, d]] it is
     (a+d)/2 - |((a-d)/2, s)|, exact to about eps * max|sym A| as
     eigvalsh is.  Every other m calls LAPACK's eigvalsh.
     """
-    if A.shape[-1] == 2:
-        a, d = A[..., 0, 0], A[..., 1, 1]
-        s = 0.5 * (A[..., 0, 1] + A[..., 1, 0])
-        return 0.5 * (a + d) - np.hypot(0.5 * (a - d), s)
+    if len(A) == 2:
+        (a, b), (c, d) = A
+        return 0.5 * (a + d) - np.hypot(0.5 * (a - d), 0.5 * (b + c))
+    A = np.moveaxis(A, (0, 1), (-2, -1))
     return np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2)))[..., 0]
 
 
@@ -648,13 +640,11 @@ def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
     any sample has mineig(sym A(u)) < lambda(u) * (1 - tol_ell) or a
     nonpositive minimum eigenvalue.  The sample set is reproducible from
     (region, n, seed) via region.sample.  The draw is held once; every
-    check runs over it in slices of _SLICE rows and reduces by min and
+    check runs over it in slices of _SLICE samples and reduces by min and
     max, so the report does not depend on the slice size.
     """
     if not isinstance(region, Region):
         region = Region(*region)
-    if region.m != spec.m:
-        raise InputError("region dimension does not match the model")
     ls = [_power(l) for l in ls]
     delta_k = _positive_finite(delta_k, "delta_k")
     tol_ell = float(tol_ell)
@@ -667,8 +657,8 @@ def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
     del sample  # the directions are no longer needed
     eps0 = 1.0 / spec.lam.k if spec.lam.k > 1.0 else 1.0
     (ratio_mins, ratio_maxs, C_stars, Lambdas, Lambda1s, C_Ps, C_fs,
-     positive) = zip(*(_slice_checks(spec, U[s], lam[s], A[s], eps0)
-                       for s in _slices(len(U))))
+     positive) = zip(*(_slice_checks(spec, U[:, s], lam[s], A[..., s], eps0)
+                       for s in _slices(len(lam))))
     ratio_min = float(np.min(ratio_mins))
     ratio_max = float(np.max(ratio_maxs))
     C_star = float(np.max(C_stars))
@@ -693,7 +683,7 @@ def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
         ellipticity_pass=ellipticity_pass, growth_pass=growth_pass,
         f_pass=f_pass, sg_pass=sg_pass, sg_prime_pass=sg_prime_pass,
         delta_k=delta_k, tol_ell=tol_ell,
-        sample_count=len(U), region=region, seed=int(seed))
+        sample_count=len(lam), region=region, seed=int(seed))
 
 
 def _power(l):
@@ -713,14 +703,14 @@ def _positive_finite(value, what):
     return value
 
 
-# Rows per slice of the certification draw's per-sample work: the draw
+# Samples per slice of the certification draw's per-sample work: the draw
 # is held whole (104 bytes per sample at m = 2), the temporaries of one
 # slice come on top.
 _SLICE = 1 << 15
 
 
 def _slices(n):
-    """Consecutive row slices of at most _SLICE rows covering range(n)."""
+    """Consecutive slices of at most _SLICE samples covering range(n)."""
     return [slice(i, min(i + _SLICE, n)) for i in range(0, n, _SLICE)]
 
 
@@ -739,14 +729,14 @@ def _slice_checks(spec, U, lam, A, eps0):
     mineig = _sym_mineigs(A)
     ratio = mineig / lam
     gradn = spec.lam.grad_norm(U)
-    un = np.linalg.norm(U, axis=-1)
+    un = np.linalg.norm(U, axis=0)
     mask = un > 0
     C_P = C_f = None
     if mask.any():
-        Pn = np.linalg.norm(eval_P(spec, U.T), axis=0)
+        Pn = np.linalg.norm(eval_P(spec, U), axis=0)
         C_P = np.max(Pn[mask] / (lam[mask] * un[mask]))
         if spec.reaction is not None:
-            fn = np.linalg.norm(reaction_zero_order(spec, U.T), axis=0)
+            fn = np.linalg.norm(reaction_zero_order(spec, U), axis=0)
             C_f = np.max(fn[mask] * spec.lam.lambda_S / (un[mask] * lam[mask]))
     return (ratio.min(), ratio.max(), np.max(_opnorms(A) / lam),
             np.max(gradn / lam), np.max(gradn / lam ** (1.0 - eps0)), C_P, C_f,
@@ -762,64 +752,72 @@ def _unit_rows(v, axis):
 
 def _certification_draw(spec, region, n, seed):
     """The certification sample of (region, n, seed): the states
-    U = region.sample(n, seed), lambda(U), A(U), and per state one unit
+    U = region.sample(n, seed).T, lambda(U), A(U), and per state one unit
     direction d in R^m (stream 0xD1) and one unit m x 2 matrix q
     (stream 0xD2).  Everything after U is filled slice by slice into
     preallocated arrays, each stream continuing across slices, so the
-    draw's bits do not depend on the slice size.  The draw is
-    point-major: U is (n, m) and A is (n, m, m), evaluated on U.T."""
+    draw's bits do not depend on the slice size.  Every array has the
+    sample axis last: U and d are (m, n), A is (m, m, n) and q is
+    (m, 2, n).  standard_normal(out=) fills only C-contiguous arrays, so
+    d and q are views of (n, m) and (n, m, 2) buffers that the streams
+    fill one sample per row, as region.sample fills U; that keeps the
+    draw's bits."""
+    if region.m != spec.m:
+        raise InputError("region dimension does not match the model")
     seed = whole_number(seed, "seed")
-    U = region.sample(n, seed)
-    n, m = U.shape
-    lam, A = np.empty(n), np.empty((n, m, m))
+    U = region.sample(n, seed).T
+    m, n = U.shape
+    lam, A = np.empty(n), np.empty((m, m, n))
     d, q = np.empty((n, m)), np.empty((n, m, 2))
     d_rng = np.random.default_rng([seed, 0xD1])
     q_rng = np.random.default_rng([seed, 0xD2])
     for s in _slices(n):
-        lam[s] = eval_lambda(spec, U[s])
-        A[s] = eval_A(spec, U[s].T).transpose(2, 0, 1)
+        lam[s] = eval_lambda(spec, U[:, s])
+        A[..., s] = eval_A(spec, U[:, s])
         _unit_rows(d_rng.standard_normal(out=d[s]), -1)
         _unit_rows(q_rng.standard_normal(out=q[s]), (-2, -1))
-    return U, lam, A, d, q
+    return U, lam, A, d.T, q.transpose(1, 2, 0)
 
 
 def _quotients(A, d, q, l, uhat):
-    """The unnormalized quotients <A q, M_l q> / |u|^l of one slice:
-    v1 over the directions d (n, m) and v2 over the matrices q (n, m, c),
-    with uhat = u/|u| (n, m) when l > 0.
+    """The unnormalized quotients <A q, M_l q> / |u|^l of one slice of
+    the draw, sample axis last: v1 over the directions d (m, n) and v2
+    over the matrices q (m, c, n), with A (m, m, n) and uhat = u/|u|
+    (m, n) when l > 0.
 
     The matrix tested is T[i, j] = A[j, i] for l = 0 and
     A[j, i] + l * Au[i] * uhat[j] with Au[i] = sum_j A[j, i] uhat[j]
-    otherwise.  The sums are the ones np.einsum does on a C-contiguous
-    batch of two or more rows, term for term: Au from 0.0 in j order;
-    v1 and v2 from 0.0 over (i, j) pairs in i-major order when l > 0
-    (T is then a fresh array) and in j-major order when l = 0 (einsum
-    walked the transposed view of A in memory order), c innermost; each
-    term d_i * t * d_j or q_ic * t * q_jc multiplied left to right.
+    otherwise.  The sums are the ones np.einsum did on a C-contiguous
+    point-major batch of two or more samples, one per row, term for
+    term: Au from 0.0 in j order; v1 and v2 from 0.0 over (i, j) pairs
+    in i-major order when l > 0 (T is then a fresh array) and in j-major
+    order when l = 0 (einsum walked the transposed view of A in memory
+    order), c innermost; each term d_i * t * d_j or q_ic * t * q_jc
+    multiplied left to right.
     Rounding depends on the order of the terms, so these orders keep
-    the quotients' bits.  The one exception is a lone row at m = 2:
+    the quotients' bits.  The one exception is a lone sample at m = 2:
     einsum dropped the unit batch axis and summed its four terms as
-    (t00 + t01) + (t10 + t11), so a one-row slice there can differ from
-    the einsum value in the last bits.  Here every row is summed alike,
-    whatever the rows beside it.
+    (t00 + t01) + (t10 + t11), so a one-sample slice there can differ
+    from the einsum value in the last bits.  Here every sample is summed
+    alike, whatever the samples beside it.
     """
-    n, m = d.shape
+    m, n = d.shape
     v1, v2 = np.zeros(n), np.zeros(n)
     if l > 0:
         Au = np.zeros((m, n))
         for i in range(m):
             for j in range(m):
-                Au[i] += A[:, j, i] * uhat[:, j]
+                Au[i] += A[j, i] * uhat[j]
         pairs = [(i, j) for i in range(m) for j in range(m)]
     else:
         pairs = [(i, j) for j in range(m) for i in range(m)]
     for i, j in pairs:
-        t = A[:, j, i]
+        t = A[j, i]
         if l > 0:
-            t = t + l * Au[i] * uhat[:, j]
-        v1 += d[:, i] * t * d[:, j]
-        for c in range(q.shape[-1]):
-            v2 += q[:, i, c] * t * q[:, j, c]
+            t = t + l * Au[i] * uhat[j]
+        v1 += d[i] * t * d[j]
+        for c in range(q.shape[1]):
+            v2 += q[i, c] * t * q[j, c]
     return v1, v2
 
 
@@ -839,7 +837,7 @@ def compute_lambda_l(spec, l, n=100000, seed=0, region=None, delta=0.99,
     is an empirical certificate.  _sample, when given, is the
     _certification_draw to use in place of drawing (region, n, seed).
 
-    The quotients run in slices of _SLICE rows and reduce by min.  Each
+    The quotients run in slices of _SLICE samples and reduce by min.  Each
     slice sums its quotients in plain column loops (_quotients) in the
     order np.einsum summed them, so the value keeps its bits.  States at
     the origin are dropped for l > 0.  C_* = max ||A||/lambda over the
@@ -857,17 +855,17 @@ def compute_lambda_l(spec, l, n=100000, seed=0, region=None, delta=0.99,
         _sample = _certification_draw(spec, region, n, seed)
     gate_logged = l > 0 and logger.isEnabledFor(logging.INFO)
     C_stars, mins = [], []
-    for s in _slices(len(_sample[0])):
-        U, lam, A, d, q = (x[s] for x in _sample)
+    for s in _slices(_sample[0].shape[1]):
+        U, lam, A, d, q = (x[..., s] for x in _sample)
         uhat = None
         if l > 0:
-            un = np.linalg.norm(U, axis=-1)
+            un = np.linalg.norm(U, axis=0)
             keep = un > 0
             if not keep.all():
                 if not keep.any():
                     continue
-                U, un, lam, A, d, q = (x[keep] for x in (U, un, lam, A, d, q))
-            uhat = U / un[:, None]
+                U, un, lam, A, d, q = (x[..., keep] for x in (U, un, lam, A, d, q))
+            uhat = U / un
             if gate_logged:
                 C_stars.append(np.max(_opnorms(A) / lam))
         vals1, vals2 = _quotients(A, d, q, l, uhat)

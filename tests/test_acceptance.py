@@ -81,7 +81,7 @@ def test_structural_certification_is_seed_stable(skt, announce):
     ratios = {}
     for s in (0, 1):
         pts = region.sample(10000, seed=s)
-        r = eval_lambda(skt, pts) / (1.0 + pts.sum(axis=1))
+        r = eval_lambda(skt, pts.T) / (1.0 + pts.sum(axis=1))
         ratios[s] = (float(r.min()), float(r.max()))
 
     def rel(a, b):

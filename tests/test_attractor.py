@@ -60,6 +60,13 @@ class TestInitialField:
         with pytest.raises(InputError):
             initial_field("constant", grid8n, 1, 0.0, seed=0)
 
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+    def test_nonfinite_amplitude_rejected(self, grid8n, amplitude):
+        # NaN passed the old amplitude <= 0 check and ran to a non-finite
+        # state
+        with pytest.raises(InputError, match="finite and positive"):
+            initial_field("positive_fourier", grid8n, 2, amplitude, seed=0)
+
 
 class TestEnsembleSpec:
     def _spec(self, model, grid, **kw):
@@ -87,6 +94,10 @@ class TestEnsembleSpec:
         dict(T_observe=-0.5),
         dict(count=2.5),                   # np.geomspace would raise TypeError
         dict(seed=2.5),
+        dict(amp_range=(0.1, math.inf)),   # amplitudes() returned inf
+        dict(tol=math.nan),
+        dict(tol=0.0),
+        dict(M1_targets=(1.0, math.nan)),
     ])
     def test_validation(self, decay_model, grid8n, kw):
         with pytest.raises(InputError):

@@ -541,6 +541,36 @@ class TestInputErrors:
         assert r.exit_code == 2, r.output
         assert "input error" in r.output
 
+    @pytest.mark.parametrize("value", [
+        {"tol": float("nan")},
+        {"M1_targets": [float("nan")]},
+        {"amp_range": [0.1, float("inf")]},
+    ])
+    def test_nonfinite_ensemble_value_is_input_error(self, write_manifest,
+                                                     tmp_path, value):
+        # each loaded as given and ran the ensemble
+        data = heat_sim_manifest()
+        data["ensemble"] = {"count": 2, "amp_range": [0.1, 1.0], **value}
+        out = tmp_path / "x"
+        r = invoke("attractor", "--manifest", write_manifest(data),
+                   "--out", out)
+        assert r.exit_code == 2, r.output
+        assert "input error" in r.output
+        assert not (out / "absorbing_ball.json").exists()
+
+    @pytest.mark.parametrize("amplitude", [float("nan"), float("inf")])
+    def test_nonfinite_initial_amplitude_is_input_error(
+            self, write_manifest, tmp_path, amplitude):
+        # NaN ran to a non-finite state and exited 3 as a runtime failure
+        data = _set(heat_sim_manifest(), "initial",
+                    {"family": "positive_fourier", "amplitude": amplitude})
+        out = tmp_path / "x"
+        r = invoke("simulate", "--manifest", write_manifest(data),
+                   "--out", out)
+        assert r.exit_code == 2, r.output
+        assert "input error" in r.output
+        assert not (out / "summary.json").exists()
+
     def test_nonfinite_model_coefficient_is_input_error(self, write_manifest,
                                                         tmp_path):
         data = heat_sim_manifest()

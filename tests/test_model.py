@@ -288,7 +288,8 @@ class TestComponentMajorParity:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_certification_draw_layout(self, m):
-        # the draw is point-major, (n, m), and evaluated on U.T
+        # a point-major (n, m) batch, as Region.sample returns, is
+        # evaluated on U.T
         rng = np.random.default_rng([m, 5])
         M = MatrixPolynomial(m, (m, m), random_matrix_terms(rng, m, (m, m)))
         P = PolynomialMap(m, [random_terms(rng, m) for _ in range(m)])
@@ -311,6 +312,7 @@ class TestLayoutErrors:
         lambda spec, u: reaction_zero_order(spec, u),
         lambda spec, u: eval_reaction(spec, u, np.zeros((2, 2, 3))),
         lambda spec, u: spec.reaction.G(u),
+        lambda spec, u: eval_lambda(spec, u),
     ])
     def test_point_major_batch_rejected(self, skt_lv, evaluate):
         U = np.ones((3, 2))  # a stale (n, m) batch with n != m
@@ -342,17 +344,18 @@ class TestLayoutErrors:
             eval_reaction(spec, u, np.zeros((4, 2, 2)))
 
     def test_lambda_checks_the_component_count(self, skt):
-        # eval_lambda takes points (..., m)
-        with pytest.raises(ModelDefinitionError, match=r"\(\.\.\., 2\)"):
-            eval_lambda(skt, np.ones((2, 5)))
-        assert eval_lambda(skt, np.ones((5, 2))).shape == (5,)
+        # eval_lambda takes component-major states (m, ...) as eval_A does
+        with pytest.raises(ModelDefinitionError,
+                           match=r"component-major, shape \(2, \.\.\.\)"):
+            eval_lambda(skt, np.ones((5, 2)))
+        assert eval_lambda(skt, np.ones((2, 5))).shape == (5,)
 
     def test_constant_envelope_takes_no_norm(self, monkeypatch):
         def no_norm(*args, **kwargs):
             raise AssertionError("norm taken for a constant envelope")
 
         monkeypatch.setattr(np.linalg, "norm", no_norm)
-        got = LambdaSpec(1.5)(np.ones((4, 3, 2)))
+        got = LambdaSpec(1.5)(np.ones((2, 4, 3)))
         assert got.shape == (4, 3) and np.all(got == 1.5)
 
 
@@ -383,7 +386,7 @@ class TestEvalLambda:
     def test_grad_norm_at_the_origin(self, k, want):
         # lambda1 * k * r^(k-1) at r = 0 with lambda1 = 2: inf for k < 1,
         # lambda1 * k = 2 for k = 1, 0 for k > 1
-        got = LambdaSpec(1.0, 2.0, k).grad_norm(np.zeros((3, 2)))
+        got = LambdaSpec(1.0, 2.0, k).grad_norm(np.zeros((2, 3)))
         assert np.array_equal(got, np.full(3, want))
 
     def test_invalid_parameters(self):
@@ -628,7 +631,7 @@ class TestVerifyStructure:
         assert rep.lambda_ratio_min >= 1.0 - rep.tol_ell
         # envelope comparable to 1 + u + v on the sampled box
         U = Region.positive(100.0, 2).sample(2000, 0)
-        comp = eval_lambda(skt, U) / (1.0 + U.sum(axis=-1))
+        comp = eval_lambda(skt, U.T) / (1.0 + U.sum(axis=-1))
         assert 0.2 <= comp.min() and comp.max() <= 5.0
 
     def test_ellipticity_failure_is_reported_not_raised(self):
@@ -665,6 +668,16 @@ class TestVerifyStructure:
     def test_region_dimension_checked(self, skt):
         with pytest.raises(InputError):
             verify_structure(skt, Region.symmetric(1.0, 3), n=10, seed=0)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_both_entry_points_check_the_region_dimension(self, skt, m):
+        # compute_lambda_l used to fail in the envelope's layout check
+        # with a ModelDefinitionError
+        region = Region.positive(1.0, m)
+        with pytest.raises(InputError, match="region dimension"):
+            verify_structure(skt, region, n=100, seed=0)
+        with pytest.raises(InputError, match="region dimension"):
+            compute_lambda_l(skt, 1.0, n=100, region=region)
 
     @pytest.mark.parametrize("kwargs,match", [
         ({"ls": (0.0, math.nan)}, "l must be finite"),
@@ -745,7 +758,7 @@ class TestVerifyStructure:
         assert rep.passed
         U = region.sample(300, 5)
         A = eval_A(skt, U.T).transpose(2, 0, 1)
-        lam = eval_lambda(skt, U)
+        lam = eval_lambda(skt, U.T)
         rng = np.random.default_rng(11)
         for _ in range(100):
             z = rng.normal(size=2)
@@ -776,6 +789,28 @@ def three_component_model():
             [(1.0, (0, 1, 0)), (0.1, (1, 1, 0)), (0.4, (0, 2, 1))],
             [(1.0, (0, 0, 1)), (0.2, (0, 1, 1)), (0.5, (0, 0, 3))]]),
         lam=LambdaSpec(1.0, 0.1, 2.0))
+
+
+def sample_last(sample):
+    """A point-major (U, lam, A, d, q) tuple, one sample per row, in the
+    layout of _certification_draw: the sample axis last."""
+    U, lam, A, d, q = sample
+    return U.T, lam, A.transpose(1, 2, 0), d.T, q.transpose(1, 2, 0)
+
+
+def sample_first(draw):
+    """A _certification_draw as C-contiguous point-major arrays, one
+    sample per row, the layout the einsum code took."""
+    U, lam, A, d, q = draw
+    return tuple(np.ascontiguousarray(x) for x in (
+        U.T, lam, A.transpose(2, 0, 1), d.T, q.transpose(2, 0, 1)))
+
+
+def point_major_quotients(A, d, q, l, uhat):
+    """_quotients of point-major rows A (n, m, m), d (n, m), q (n, m, c)
+    and uhat (n, m), passed with the sample axis last."""
+    return model_mod._quotients(A.transpose(1, 2, 0), d.T, q.transpose(1, 2, 0),
+                                l, None if uhat is None else uhat.T)
 
 
 SLICE_CASES = [("skt_lv", Region.positive(100.0, 2)),
@@ -823,8 +858,8 @@ class TestCertificationSlices:
 
     @staticmethod
     def hand_made_sample(n, rng, off_origin):
-        """A _certification_draw-shaped tuple with U = 0 except on the
-        rows in off_origin."""
+        """A point-major (U, lam, A, d, q) tuple, one sample per row,
+        with U = 0 except on the rows in off_origin."""
         U = np.zeros((n, 2))
         U[off_origin] = rng.uniform(0.5, 2.0, (len(off_origin), 2))
         lam = rng.uniform(1.0, 2.0, n)
@@ -841,18 +876,19 @@ class TestCertificationSlices:
         # state off it
         sample = self.hand_made_sample(self.N, rng, [self.N - 2])
         U, lam, A, d, q = sample
-        got = compute_lambda_l(heat2, 1.0, _sample=sample)
+        got = compute_lambda_l(heat2, 1.0, _sample=sample_last(sample))
         keep = [self.N - 2]
         monkeypatch.setattr(model_mod, "_SLICE", self.N)
-        want = compute_lambda_l(heat2, 1.0, _sample=(
-            U[keep], lam[keep], A[keep], d[keep], q[keep]))
+        want = compute_lambda_l(heat2, 1.0, _sample=sample_last((
+            U[keep], lam[keep], A[keep], d[keep], q[keep])))
         assert float_bits(got) == float_bits(want)
         # l = 0 does not divide by |u|, so the origin is a valid sample
-        assert math.isfinite(compute_lambda_l(heat2, 0.0, _sample=sample))
+        assert math.isfinite(compute_lambda_l(heat2, 0.0,
+                                              _sample=sample_last(sample)))
         monkeypatch.setattr(model_mod, "_SLICE", self.SLICE)
         origin = self.hand_made_sample(self.N, rng, [])
         with pytest.raises(InputError, match="all samples at the origin"):
-            compute_lambda_l(heat2, 1.0, _sample=origin)
+            compute_lambda_l(heat2, 1.0, _sample=sample_last(origin))
 
     def test_spectral_gap_logged_once_with_c_star_over_all_kept(
             self, heat2, monkeypatch, caplog):
@@ -865,10 +901,11 @@ class TestCertificationSlices:
         lam[:] = 1.0
         A[self.SLICE + 2] = [[50.0, 0.0], [0.0, 3.0]]
         A[0] = [[900.0, 0.0], [0.0, 3.0]]
-        C_star = float(np.max(_opnorms(A[off]) / lam[off]))
+        C_star = float(np.max(_opnorms(A[off].transpose(1, 2, 0)) / lam[off]))
         assert C_star == 50.0
         with caplog.at_level("INFO", logger="crossdiff.model"):
-            compute_lambda_l(heat2, 2.0, delta=0.99, _sample=(U, lam, A, d, q))
+            compute_lambda_l(heat2, 2.0, delta=0.99,
+                             _sample=sample_last((U, lam, A, d, q)))
         gates = [r for r in caplog.records if "spectral-gap" in r.getMessage()]
         assert len(gates) == 1
         assert f"C_*~{C_star:.3g}" in gates[0].getMessage()
@@ -881,13 +918,13 @@ class TestCertificationSlices:
         calls = []
 
         def counted_opnorms(A):
-            calls.append(len(A))
+            calls.append(A.shape[-1])
             return _opnorms(A)
 
         monkeypatch.setattr(model_mod, "_opnorms", counted_opnorms)
         rng = np.random.default_rng(2)
         off = [i for i in range(self.N) if i >= self.SLICE]
-        sample = self.hand_made_sample(self.N, rng, off)
+        sample = sample_last(self.hand_made_sample(self.N, rng, off))
         caplog.set_level("WARNING", logger="crossdiff.model")
         quiet = compute_lambda_l(heat2, 2.0, _sample=sample)
         assert calls == []
@@ -938,8 +975,9 @@ def einsum_lambda_l(sample, l, slice_rows):
 
 
 def random_sample(rng, m, n, origin):
-    """A _certification_draw-shaped tuple over magnitudes from 1e-3 to
-    1e3, with about a fraction origin of the states at the origin."""
+    """A point-major (U, lam, A, d, q) tuple, one sample per row, over
+    magnitudes from 1e-3 to 1e3, with about a fraction origin of the
+    states at the origin."""
     U = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
     U[rng.random(n) < origin] = 0.0
     lam = rng.uniform(0.5, 2.0, n)
@@ -959,7 +997,8 @@ def quotients_of(sample, l):
         keep = un > 0
         U, un, A, d, q = U[keep], un[keep], A[keep], d[keep], q[keep]
         uhat = U / un[:, None]
-    return model_mod._quotients(A, d, q, l, uhat), einsum_quotients(U, A, d, q, l)
+    return (point_major_quotients(A, d, q, l, uhat),
+            einsum_quotients(U, A, d, q, l))
 
 
 LS = [0.0, 0.5, 1.0, 2.0, 3.0]
@@ -982,9 +1021,9 @@ class TestQuotientsKeepEinsumBits:
             mp.setattr(model_mod, "_SLICE", 7)
             if l > 0 and not np.any(sample[0]):
                 with pytest.raises(InputError, match="origin"):
-                    compute_lambda_l(heat2, l, _sample=sample)
+                    compute_lambda_l(heat2, l, _sample=sample_last(sample))
                 return
-            value = compute_lambda_l(heat2, l, _sample=sample)
+            value = compute_lambda_l(heat2, l, _sample=sample_last(sample))
         assert float_bits(value) == float_bits(einsum_lambda_l(sample, l, 7))
 
     @pytest.mark.parametrize("name,region", SLICE_CASES)
@@ -992,7 +1031,8 @@ class TestQuotientsKeepEinsumBits:
     def test_certification_draws_match_the_einsum_code(self, skt_lv, name,
                                                        region, l):
         spec = skt_lv if name == "skt_lv" else three_component_model()
-        sample = model_mod._certification_draw(spec, region, 3001, 11)
+        sample = sample_first(
+            model_mod._certification_draw(spec, region, 3001, 11))
         got, want = quotients_of(sample, l)
         assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
@@ -1003,10 +1043,10 @@ class TestQuotientsKeepEinsumBits:
         # bits the row has in any larger slice
         U, lam, A, d, q = random_sample(np.random.default_rng(m), m, 30, 0.0)
         uhat = U / np.linalg.norm(U, axis=-1)[:, None] if l > 0 else None
-        whole = model_mod._quotients(A, d, q, l, uhat)
+        whole = point_major_quotients(A, d, q, l, uhat)
         for k in range(len(U)):
             row = slice(k, k + 1)
-            alone = model_mod._quotients(
+            alone = point_major_quotients(
                 A[row], d[row], q[row], l, None if uhat is None else uhat[row])
             assert [v.tobytes() for v in alone] == [v[row].tobytes() for v in whole]
 
@@ -1171,7 +1211,7 @@ class TestSpectralKernels:
     def test_opnorms_match_svd_to_8_ulps(self, m, kind):
         A = spectral_batches(m)[kind]
         want = np.linalg.svd(A, compute_uv=False)[..., 0]
-        got = _opnorms(A)
+        got = _opnorms(A.transpose(1, 2, 0))
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 8 * np.spacing(want))
 
@@ -1180,7 +1220,7 @@ class TestSpectralKernels:
         A = spectral_batches(m)[kind]
         sym = 0.5 * (A + np.swapaxes(A, -1, -2))
         want = np.linalg.eigvalsh(sym)[..., 0]
-        got = _sym_mineigs(A)
+        got = _sym_mineigs(A.transpose(1, 2, 0))
         scale = np.abs(sym).max(axis=(-2, -1))
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
@@ -1299,7 +1339,7 @@ class TestSerialization:
         G = rng.normal(size=(64, m, 2))
         assert np.array_equal(eval_P(a, U.T), eval_P(b, U.T))
         assert np.array_equal(eval_A(a, U.T), eval_A(b, U.T))
-        assert np.array_equal(eval_lambda(a, U), eval_lambda(b, U))
+        assert np.array_equal(eval_lambda(a, U.T), eval_lambda(b, U.T))
         if with_gradient:
             G = G.transpose(1, 2, 0)
             assert np.array_equal(eval_reaction(a, U.T, G),

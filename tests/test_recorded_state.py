@@ -16,7 +16,8 @@ import crossdiff.solver as solver_mod
 from crossdiff import (DiagnosticsConfig, Field, InputError, LambdaSpec,
                        ModelSpec, PolynomialMap, SolverConfig, bmo_profile,
                        build_grid, cell_gradient, energy_inequality_check,
-                       eval_A, initial_field, norms, run, stable_dt)
+                       eval_A, eval_lambda, initial_field, norms, run,
+                       stable_dt)
 from crossdiff.diagnostics import _energy_y
 from crossdiff.model import _opnorms
 
@@ -81,7 +82,32 @@ def point_major_energy_y(spec, u, grad):
     return float(u.grid.cell_area * (AD * AD).sum())
 
 
+def point_major_envelope(lam, pts):
+    """lambda and |lambda_u| by the point-major formulas the envelope
+    replaced: the norm over the last axis of (..., m) points."""
+    r = np.linalg.norm(pts, axis=-1)
+    if lam.lambda1 == 0.0:
+        value = np.full(pts.shape[:-1], lam.lambda0)
+    else:
+        value = lam.lambda0 + lam.lambda1 * r ** lam.k
+    c = lam.lambda1 * lam.k
+    grad = np.zeros(r.shape) if c == 0.0 else c * r ** (lam.k - 1.0)
+    return value, grad
+
+
 class TestPointMajorParity:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lam", [LambdaSpec(1.5), LambdaSpec(1.0, 0.7, 1.0),
+                                     LambdaSpec(0.5, 2.0, 2.5)])
+    def test_envelope_keeps_the_point_major_bits(self, m, lam):
+        spec = ModelSpec(P=PolynomialMap.identity(m), lam=lam)
+        g = build_grid(1.0, 1.5, 17, 23, "neumann")
+        u = Field(g, np.random.default_rng(m).uniform(-2.0, 2.0, (m, 17, 23)))
+        want_lam, want_grad = point_major_envelope(
+            lam, u.values.transpose(1, 2, 0))
+        assert eval_lambda(spec, u.values).tobytes() == want_lam.tobytes()
+        assert lam.grad_norm(u.values).tobytes() == want_grad.tobytes()
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("shape", [(32, 32), (17, 23)])
     def test_energy_y_keeps_the_point_major_bits(self, m, shape):
@@ -101,7 +127,7 @@ class TestPointMajorParity:
         g = build_grid(1.0, 1.5, 17, 23, "neumann")
         u = Field(g, 0.1 + np.random.default_rng(m).random((m, 17, 23)))
         A = np.ascontiguousarray(eval_A(spec, u.values).transpose(2, 3, 0, 1))
-        s = float(_opnorms(A).max())
+        s = float(_opnorms(A.transpose(2, 3, 0, 1)).max())
         h = min(g.hx, g.hy)
         want = 0.9 * h * h / (8.0 * s)
         assert repr(stable_dt(spec, u, 0.9)) == repr(want)
