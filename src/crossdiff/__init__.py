@@ -18,7 +18,7 @@ from .model import (GeneralReaction, LambdaSpec, MatrixPolynomial, ModelSpec,
 from .grid import (Field, Grid2D, build_grid, cell_gradient, div_A_grad,
                    face_coefficients, laplacian_of_P, load_snapshot,
                    save_snapshot, stable_dt)
-from .solver import SolverConfig, Trajectory, run, step
+from .solver import RunStats, SolverConfig, Trajectory, run, step
 from .diagnostics import (BmoReport, DiagnosticsConfig, InequalityReport,
                           NormRecord, bmo_profile, decay_bound_check,
                           energy_inequality_check, interpolation_check,
@@ -42,7 +42,7 @@ __all__ = [
     "Grid2D", "Field", "build_grid", "cell_gradient", "laplacian_of_P",
     "div_A_grad", "face_coefficients", "stable_dt", "save_snapshot",
     "load_snapshot",
-    "SolverConfig", "Trajectory", "step", "run",
+    "SolverConfig", "RunStats", "Trajectory", "step", "run",
     "NormRecord", "BmoReport", "InequalityReport", "DiagnosticsConfig",
     "norms", "bmo_profile", "energy_inequality_check", "decay_bound_check",
     "interpolation_check", "morrey_profile", "stability_ratio",

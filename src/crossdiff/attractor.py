@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import InequalityReport, _bump_to_cover, decay_bound_check
 from .errors import InputError, whole_number
 from .grid import Field, Grid2D
-from .model import ModelSpec, ReactionSpec, Region, verify_structure
+from .model import ModelSpec, Region, verify_structure
 from .solver import SolverConfig, run
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "initial_field",
     "ensemble_absorbing_ball",
     "ystar_dominance",
+    "ystar_and_decay",
 ]
 
 _FAMILIES = ("constant", "eigenmode", "fourier", "positive_fourier")
@@ -101,7 +102,6 @@ class AbsorbingBallReport:
     T_star: dict                           # run -> {M1: fitted analytic time}
     y_star: dict                           # run -> fitted threshold (or None)
     dominance: dict                        # run -> ystar report passed flag
-    series: dict = dc_field(default_factory=dict)
 
     @property
     def all_reached(self):
@@ -181,13 +181,12 @@ def ystar_dominance(traj, spec, tol=0.05):
     """Fit y' <= C1*y - C3*y^p on the squared L2 series of a trajectory
     and check y(t) <= max(y(0), y_*) * (1 + tol), y_* = (C1/C3)^(1/(p-1)).
 
-    Requires a competitive reaction (kappa, c0 declared); p = (kappa+2)/2.
-    Raises InputError when no C1 can be certified to cover the data.
+    Requires a competitive reaction, whose decay_power is p.  Raises
+    InputError when no C1 can be certified to cover the data.
     """
-    r = spec.reaction
-    if not isinstance(r, ReactionSpec):
-        raise InputError("needs a competitive reaction with declared kappa, c0")
-    p = (r.kappa + 2.0) / 2.0
+    p = getattr(spec.reaction, "decay_power", None)
+    if p is None:
+        raise InputError("needs a competitive reaction (one with a decay_power)")
     t = np.asarray(traj.times, dtype=float)
     y = np.array([rec.L2 ** 2 for rec in traj.records])
     if len(y) < 3:
@@ -235,6 +234,23 @@ def ystar_dominance(traj, spec, tol=0.05):
         extra={"bound": bound, "max_y": float(y.max()), "y": y, "t": t})
 
 
+def ystar_and_decay(traj, spec, tol=0.05, M1_targets=()):
+    """The reports a competitive reaction gives a trajectory, by name:
+    "ystar", its ystar_dominance, and, when M1_targets is given and the
+    squared L2 series is positive, "decay", decay_bound_check of that
+    series at the reaction's decay_power.  Empty for any other
+    reaction."""
+    p = getattr(spec.reaction, "decay_power", None)
+    if p is None:
+        return {}
+    reports = {"ystar": ystar_dominance(traj, spec, tol=tol)}
+    y = np.array([rec.L2 ** 2 for rec in traj.records])
+    if M1_targets and np.all(y > 0):
+        reports["decay"] = decay_bound_check(np.asarray(traj.times), y, p,
+                                             M1_targets=M1_targets)
+    return reports
+
+
 def _run_member(args):
     spec, grid, config, family, amp, seed = args
     f0 = initial_field(family, grid, spec.m, amp, seed)
@@ -249,8 +265,12 @@ def ensemble_absorbing_ball(espec, skip_verify=False, threads=1,
     positive box spanning the amplitudes by default) unless skip_verify
     is set.  Members that fail to reach t_end are excluded from the
     statistics and flagged in the report.  Entry times and T_star refer
-    to the squared-L2 series.
+    to the squared-L2 series.  threads, a whole number of at least 1,
+    is the number of members run at once.
     """
+    threads = whole_number(threads, "threads")
+    if threads < 1:
+        raise InputError("threads must be >= 1")
     model = espec.model
     if not skip_verify:
         region = espec.verify_region
@@ -282,16 +302,10 @@ def ensemble_absorbing_ball(espec, skip_verify=False, threads=1,
 
     tail_W12, tail_L2, tail_mom = {}, {}, {}
     entry_times, T_star, y_star, dominance = {}, {}, {}, {}
-    series = {}
-    p = None
-    if isinstance(model.reaction, ReactionSpec):
-        p = (model.reaction.kappa + 2.0) / 2.0
     for i, tr in enumerate(trajs):
-        t = np.asarray(tr.times)
-        y = np.array([rec.L2 ** 2 for rec in tr.records])
-        series[i] = {"t": t, "y": y}
         if i in excluded:
             continue
+        t = np.asarray(tr.times)
         tail = t >= T_obs * (1 - 1e-12)
         if not tail.any():
             tail = np.zeros(len(t), bool)
@@ -300,15 +314,13 @@ def ensemble_absorbing_ball(espec, skip_verify=False, threads=1,
         tail_L2[i] = float(max(tr.records[j].L2 for j in np.nonzero(tail)[0]))
         tail_mom[i] = float(max(tr.records[j].lambda_moment
                                 for j in np.nonzero(tail)[0]))
-        if p is not None:
-            rep = ystar_dominance(tr, model, tol=espec.tol)
-            dominance[i] = rep.passed
-            y_star[i] = rep.constants.get("y_star")
-            if espec.M1_targets and np.all(y > 0):
-                dec = decay_bound_check(t, y, p, M1_targets=espec.M1_targets)
-                if dec.feasible:
-                    T_star[i] = dec.extra.get("T_star", {})
-                    entry_times[i] = dec.extra.get("entry_times", {})
+        fits = ystar_and_decay(tr, model, espec.tol, espec.M1_targets)
+        if "ystar" in fits:
+            dominance[i] = fits["ystar"].passed
+            y_star[i] = fits["ystar"].constants.get("y_star")
+        if "decay" in fits and fits["decay"].feasible:
+            T_star[i] = fits["decay"].extra.get("T_star", {})
+            entry_times[i] = fits["decay"].extra.get("entry_times", {})
 
     included = [i for i in range(len(trajs)) if i not in excluded]
     M_hat = max((tail_W12[i] for i in included), default=0.0)
@@ -323,4 +335,4 @@ def ensemble_absorbing_ball(espec, skip_verify=False, threads=1,
         tail_sup_lambda_moment=tail_mom, M_hat=float(M_hat),
         common_ball=bool(ratio <= 1.1), commonality_ratio=float(ratio),
         excluded=excluded, entry_times=entry_times, T_star=T_star,
-        y_star=y_star, dominance=dominance, series=series)
+        y_star=y_star, dominance=dominance)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -28,8 +29,7 @@ from . import diagnostics as diag_mod
 from .errors import (InputError, ManifestError, ModelDefinitionError,
                      NumericalStateError, whole_number)
 from .grid import Field, build_grid, load_snapshot, save_snapshot
-from .model import (ReactionSpec, Region, classic_skt, model_from_dict,
-                    model_to_dict, verify_structure)
+from .model import Region, classic_skt, model_from_dict, verify_structure
 from .solver import SolverConfig, run
 
 OUTPUT_ROOT_ENV = "CROSSDIFF_OUT"
@@ -255,7 +255,8 @@ def _guard(fn):
 
 _format_option = click.option("--format", "fmt", type=click.Choice(["csv", "bin"]),
                               default=None, help="Snapshot format override.")
-_threads_option = click.option("--threads", type=int, default=1, show_default=True,
+_threads_option = click.option("--threads", type=click.IntRange(min=1), default=1,
+                               show_default=True,
                                help="Worker threads for members or swept values.")
 
 
@@ -324,12 +325,7 @@ def _simulate_and_write(res):
         "t_final": float(traj.times[-1]),
         "steps": int(len(traj.dt_history)),
         "first_negative_t": traj.first_negative_t,
-        "rejected_steps": traj.rejected_steps,
-        "assemblies": traj.assemblies,
-        "factorizations": traj.factorizations,
-        "linear_solves": traj.linear_solves,
-        "krylov_iterations": traj.krylov_iterations,
-        "worst_linear_residual": traj.worst_linear_residual,
+        **dataclasses.asdict(traj.stats),
     }, res)
     return traj
 
@@ -365,15 +361,10 @@ def diagnose(manifest, out, seed):
     reports["interpolation"] = diag_mod.interpolation_check(
         traj.states, q=dc.q, eps=dc.eps)
     gating["interpolation"] = reports["interpolation"].passed
-    if isinstance(model.reaction, ReactionSpec):
-        reports["ystar"] = attractor_mod.ystar_dominance(traj, model)
+    reports.update(attractor_mod.ystar_and_decay(traj, model,
+                                                 M1_targets=dc.M1_targets))
+    if "ystar" in reports:
         gating["ystar"] = reports["ystar"].passed
-        if dc.M1_targets:
-            y = np.array([r.L2 ** 2 for r in traj.records])
-            if np.all(y > 0):
-                p = (model.reaction.kappa + 2.0) / 2.0
-                reports["decay"] = diag_mod.decay_bound_check(
-                    traj.times, y, p, M1_targets=dc.M1_targets)
     if dc.radii:
         bmo = diag_mod.bmo_profile(traj.final, dc.radii, mu0=dc.mu0,
                                    recorded=traj.records[-1].bmo)

@@ -299,7 +299,12 @@ def _flatten_gradient(g, m):
 class _Reaction:
     """f(u, Du) = B(u) Du + zero_order(u) on a component-major state u,
     (m, ...), and gradient Du, (m, 2, ...); subclasses supply m, the
-    optional MatrixPolynomial B of shape (m, 2m) and zero_order."""
+    optional MatrixPolynomial B of shape (m, 2m) and zero_order.
+    decay_power is the exponent p of the comparison dynamics
+    y' <= C1 y - C3 y^p of the squared L2 norm y that a competitive
+    reaction gives, None for any other reaction."""
+
+    decay_power = None
 
     def __call__(self, u, g):
         out = self.zero_order(u)
@@ -335,6 +340,10 @@ class ReactionSpec(_Reaction):
     @property
     def m(self):
         return self.K.shape[0]
+
+    @property
+    def decay_power(self):
+        return (self.kappa + 2.0) / 2.0
 
     def zero_order(self, u):
         u = _as_components(u, self.m)
@@ -1088,21 +1097,24 @@ def model_from_dict(d):
         m = int(m)
         P = PolynomialMap.from_dict(m, d["P"])
         lam = LambdaSpec.from_dict(d["lambda"])
-    except (KeyError, TypeError, IndexError) as e:
-        raise ModelDefinitionError(f"malformed model definition: {e}") from e
-    reaction = None
-    r = d.get("reaction")
-    if r:
-        if "general" in r:
+        r = d.get("reaction")
+        if r is not None and not isinstance(r, dict):
+            raise ModelDefinitionError("reaction must be an object")
+        reaction = None
+        if r and "general" in r:
             g = r["general"]
+            if len(r) > 1 or not isinstance(g, dict):
+                raise ModelDefinitionError("a general reaction takes no other key")
             B = None if g.get("B") is None else MatrixPolynomial.from_dict(m, (m, 2 * m), g["B"])
             f0 = None if g.get("f") is None else PolynomialMap.from_dict(m, g["f"])
             reaction = GeneralReaction(m=m, B=B, f0=f0)
-        else:
+        elif r:
             B = None if r.get("B") is None else MatrixPolynomial.from_dict(m, (m, 2 * m), r["B"])
             G = None if r.get("G") is None else MatrixPolynomial.from_dict(m, (m, m), r["G"])
             reaction = ReactionSpec(K=np.asarray(r["K"], dtype=float), B=B, G=G,
                                     kappa=float(r["kappa"]), c0=float(r["c0"]))
+    except (KeyError, TypeError, IndexError) as e:
+        raise ModelDefinitionError(f"malformed model definition: {e}") from e
     C_f = d.get("C_f")
     return ModelSpec(P=P, lam=lam, reaction=reaction,
                      C_f=None if C_f is None else float(C_f),

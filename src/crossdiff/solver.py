@@ -47,12 +47,13 @@ and later ones factor the matrix with its columns already in that order.
 
 run() hands the stepper one factor policy (_LaggedFactor) per run, and
 step() a fresh one, whose first solve is therefore direct.  The policy
-holds the last implicit operator it built and the LU of the last
-operator it factored (never two LUs at once), and one rule serves both
-implicit schemes.  The operator is rebuilt unless dt and its
-coefficients (the face coefficients (Ax, Ay) under IMEX, the cellwise
-A(v) under Newton) are bit for bit those it was built from, and it is
-then solved thus:
+counts its work into the RunStats it is handed, which run() returns as
+the Trajectory's stats.  It holds the last implicit operator it built
+and the LU of the last operator it factored (never two LUs at once),
+and one rule serves both implicit schemes.  The operator is rebuilt
+unless dt and its coefficients (the face coefficients (Ax, Ay) under
+IMEX, the cellwise A(v) under Newton) are bit for bit those it was
+built from, and it is then solved thus:
 
 * the held LU solves the very operator object it was factored from, so
   an operator of a constant A (a linear P) is assembled and factored
@@ -100,7 +101,7 @@ from .grid import (Field, _flux_data, _product_plan, _require_finite,
                    laplacian_of_P, stable_dt)
 from .model import eval_A, eval_P, eval_reaction
 
-__all__ = ["SolverConfig", "Trajectory", "step", "run"]
+__all__ = ["SolverConfig", "RunStats", "Trajectory", "step", "run"]
 
 _SCHEMES = ("explicit", "imex", "newton")
 
@@ -164,13 +165,25 @@ class SolverConfig:
 
 
 @dataclass
-class Trajectory:
-    """Output of run(): recorded norms, optional states, step history,
-    and counts of rejected steps, implicit operators assembled, LU
+class RunStats:
+    """What a run did: steps rejected, implicit operators assembled, LU
     factorizations, linear solves and GMRES iterations.
     worst_linear_residual is the largest IMEX residual
     |M x - rhs| / (linear_tol (1 + |rhs|)) over the steps that passed
     that gate (None when no IMEX step did)."""
+
+    rejected_steps: int = 0
+    assemblies: int = 0
+    factorizations: int = 0
+    linear_solves: int = 0
+    krylov_iterations: int = 0
+    worst_linear_residual: float | None = None
+
+
+@dataclass
+class Trajectory:
+    """Output of run(): recorded norms, optional states, step history,
+    and the RunStats of the run."""
 
     times: np.ndarray
     records: list
@@ -181,12 +194,7 @@ class Trajectory:
     dt_history: np.ndarray = dc_field(default_factory=lambda: np.zeros(0))
     newton_history: np.ndarray = dc_field(default_factory=lambda: np.zeros(0, dtype=int))
     first_negative_t: float | None = None
-    assemblies: int = 0
-    factorizations: int = 0
-    linear_solves: int = 0
-    rejected_steps: int = 0
-    krylov_iterations: int = 0
-    worst_linear_residual: float | None = None
+    stats: RunStats = dc_field(default_factory=RunStats)
 
     @property
     def reached_end(self):
@@ -212,14 +220,13 @@ class _LaggedFactor:
     operator it built, with the dt and coefficient arrays it was built
     from, and the LU of the last operator it factored, with that
     operator's dt and the relative residual of its direct solve.  It
-    counts operators built, factorizations, linear solves and GMRES
-    iterations, and holds the worst IMEX residual relative to its gate.
-    residual is the true residual norm |rhs - M x| of the last solve
-    where the policy computed one, else None.  The coefficient arrays
-    and operators are held, not copied, so callers must not change them
-    in place."""
+    counts its work into stats, a RunStats.  residual is the true
+    residual norm |rhs - M x| of the last solve where the policy
+    computed one, else None.  The coefficient arrays and operators are
+    held, not copied, so callers must not change them in place."""
 
-    def __init__(self, linear_tol):
+    def __init__(self, linear_tol, stats):
+        self.stats = stats
         self.rtol = _KRYLOV_RTOL * linear_tol
         self.dt = None
         self.coefs = ()
@@ -228,11 +235,6 @@ class _LaggedFactor:
         self.lu = None
         self.lu_dt = None  # dt of the operator the held LU was factored from
         self.floor = 0.0  # relative residual of the last direct solve
-        self.assemblies = 0
-        self.factorizations = 0
-        self.solves = 0
-        self.krylov_iterations = 0
-        self.worst_residual = None
         self.residual = None
 
     def operator(self, dt, coefs, build):
@@ -243,7 +245,7 @@ class _LaggedFactor:
                 np.array_equal(_bits(a), _bits(b))
                 for a, b in zip(coefs, self.coefs))):
             self.built = build()
-            self.assemblies += 1
+            self.stats.assemblies += 1
             self.dt, self.coefs = dt, coefs
         return self.built
 
@@ -260,7 +262,7 @@ class _LaggedFactor:
             if not self.residual <= target:
                 x, iterations, self.residual = _gmres_cycle(
                     M, self.lu.solve, rhs, x, r, np.linalg.norm(x), target)
-                self.krylov_iterations += iterations
+                self.stats.krylov_iterations += iterations
             if self.residual <= target:
                 return x
         return self._direct(M, rhs)
@@ -270,7 +272,7 @@ class _LaggedFactor:
         singular."""
         # drop the old LU before factoring, so two are never held at once
         self.factored = self.lu = None
-        self.factorizations += 1
+        self.stats.factorizations += 1
         self.lu = _factor(M)
         if self.lu is None:
             return np.full(np.shape(rhs), np.nan)
@@ -464,7 +466,7 @@ def spsolve(M, rhs, factors):
     _factor).  All NaN if M is exactly singular.
     """
     M.sum_duplicates()
-    factors.solves += 1
+    factors.stats.linear_solves += 1
     factors.residual = None
     return factors.solve(M, rhs)
 
@@ -491,8 +493,8 @@ def _reaction_dt_cap(f, values, cfl):
 
     The factor 2 rests on Euler's identity: a term g homogeneous of
     degree p has Dg(u) u = p g(u), so |g(u)|/|u| is 1/p of the
-    Jacobian's action along u, and p = 1 + kappa <= 2 for the
-    competitive term G(u) u of a ReactionSpec with kappa <= 1.  The
+    Jacobian's action along u, and p <= 2 for the competitive term
+    G(u) u whose coercivity exponent is at most 1.  The
     argument therefore covers homogeneous competitive zero-order terms
     only, and only along the ray through u; where K u and G(u) u nearly
     cancel the rate underestimates the Jacobian by more.  For a
@@ -534,8 +536,9 @@ def _step_imex(spec, field, dt, f, config, factors):
     if res > gate:
         raise NumericalStateError(
             f"linear solve residual {res:.3e} exceeds tolerance")
-    factors.worst_residual = max(factors.worst_residual or 0.0,
-                                 float(res / gate))
+    stats = factors.stats
+    stats.worst_linear_residual = max(stats.worst_linear_residual or 0.0,
+                                      float(res / gate))
     return Field(field.grid, x.reshape(field.values.shape)), 0
 
 
@@ -592,7 +595,7 @@ def step(spec, field, dt, scheme="imex", config=None):
     if config is None:
         config = SolverConfig(scheme=scheme, dt0=dt, t_end=dt)
     return _STEPPERS[scheme](spec, field, dt, _reaction_term(spec, field),
-                             config, _LaggedFactor(config.linear_tol))
+                             config, _LaggedFactor(config.linear_tol, RunStats()))
 
 
 def run(spec, field0, config, diagnostics=None):
@@ -607,17 +610,16 @@ def run(spec, field0, config, diagnostics=None):
     field0 with non-finite values raises NumericalStateError before
     any step, whatever the scheme.  Records are taken at t=0, every
     record_every accepted steps, and at the final time; snapshots are
-    stored exactly at the requested times.  The trajectory counts the
-    rejected steps, the implicit operators the factor policy built
-    (assemblies), and the factorizations, linear solves and GMRES
-    iterations that ran.  Each record is diagnostics.norms of the state
+    stored exactly at the requested times.  The trajectory's stats is
+    the RunStats that run() and its factor policy filled.  Each record is diagnostics.norms of the state
     with the s0, p_list and radii of diagnostics, a DiagnosticsConfig
     (its defaults when None).
     """
     _require_finite(field0)
     dc = diag_mod.DiagnosticsConfig() if diagnostics is None else diagnostics
     stepper = _STEPPERS[config.scheme]
-    factors = _LaggedFactor(config.linear_tol)
+    stats = RunStats()
+    factors = _LaggedFactor(config.linear_tol, stats)
 
     u = field0.copy()
     t = 0.0
@@ -655,7 +657,6 @@ def run(spec, field0, config, diagnostics=None):
     reason = "reached"
     f = None  # reaction term of u, evaluated once per accepted state
     accepted = 0
-    rejected = 0
     tptr = 0
 
     while t < config.t_end - 1e-14 * config.t_end:
@@ -690,7 +691,7 @@ def run(spec, field0, config, diagnostics=None):
             ok = False
             new = None
         if not ok:
-            rejected += 1
+            stats.rejected_steps += 1
             if dt_try <= config.dt_min * (1 + 1e-12):
                 reason = "nonfinite"
                 break
@@ -730,9 +731,4 @@ def run(spec, field0, config, diagnostics=None):
         terminated_reason=reason, states=states, snapshots=snapshots,
         dt_history=np.array(dt_hist),
         newton_history=np.array(newton_hist, dtype=int),
-        first_negative_t=first_negative,
-        assemblies=factors.assemblies,
-        factorizations=factors.factorizations,
-        linear_solves=factors.solves, rejected_steps=rejected,
-        krylov_iterations=factors.krylov_iterations,
-        worst_linear_residual=factors.worst_residual)
+        first_negative_t=first_negative, stats=stats)

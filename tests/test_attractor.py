@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -5,10 +6,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from crossdiff import (EnsembleSpec, Field, GeneralReaction, InputError,
-                       LambdaSpec, ModelSpec, PolynomialMap, SolverConfig,
-                       build_grid, ensemble_absorbing_ball, initial_field,
-                       run, ystar_dominance)
+from crossdiff import (AbsorbingBallReport, EnsembleSpec, Field,
+                       GeneralReaction, InputError, LambdaSpec, ModelSpec,
+                       PolynomialMap, SolverConfig, build_grid,
+                       decay_bound_check, ensemble_absorbing_ball,
+                       initial_field, run, ystar_dominance)
+from crossdiff.attractor import ystar_and_decay
 
 
 @pytest.fixture
@@ -191,7 +194,55 @@ class TestYstarDominance:
         assert "first_violation_index" in rep.extra
 
 
+class TestYstarAndDecay:
+    def _run_constant(self, spec, u0, t_end=6.0):
+        g = build_grid(1.0, 1.0, 4, 4, "neumann")
+        cfg = SolverConfig(scheme="newton", dt0=1e-2, dt_min=1e-2,
+                           dt_max=1e-2, t_end=t_end)
+        return run(spec, Field.constant(g, [u0]), cfg)
+
+    @staticmethod
+    def same(a, b):
+        return (json.dumps(a.to_dict(), sort_keys=True)
+                == json.dumps(b.to_dict(), sort_keys=True))
+
+    def test_reports_are_the_two_checks(self, logistic):
+        # the ystar report and the decay fit at p = (kappa + 2) / 2 on
+        # the squared L2 series
+        traj = self._run_constant(logistic, 4.5)
+        fits = ystar_and_decay(traj, logistic, tol=0.1, M1_targets=(2.0,))
+        assert list(fits) == ["ystar", "decay"]
+        assert self.same(fits["ystar"],
+                         ystar_dominance(traj, logistic, tol=0.1))
+        y = np.array([rec.L2 ** 2 for rec in traj.records])
+        assert self.same(fits["decay"], decay_bound_check(
+            traj.times, y, 1.5, M1_targets=(2.0,)))
+
+    def test_decay_needs_targets_and_a_positive_series(self, logistic):
+        traj = self._run_constant(logistic, 4.5, t_end=0.5)
+        assert list(ystar_and_decay(traj, logistic)) == ["ystar"]
+        zero = self._run_constant(logistic, 0.0, t_end=0.1)
+        fits = ystar_and_decay(zero, logistic, M1_targets=(2.0,))
+        assert list(fits) == ["ystar"] and fits["ystar"].passed
+
+    def test_nothing_unless_competitive(self, decay_model):
+        traj = self._run_constant(decay_model, 1.0, t_end=0.1)
+        assert ystar_and_decay(traj, decay_model, M1_targets=(0.5,)) == {}
+
+
 class TestEnsembleAbsorbingBall:
+    def test_report_keeps_no_member_series(self):
+        names = {f.name for f in dataclasses.fields(AbsorbingBallReport)}
+        assert "series" not in names
+
+    @pytest.mark.parametrize("threads", [0, -3, 1.5, True])
+    def test_threads_must_be_a_whole_number_of_at_least_one(
+            self, decay_model, grid8n, threads, monkeypatch):
+        monkeypatch.setattr("crossdiff.attractor.run", lambda *a: 1 / 0)
+        es = self._decay_spec(decay_model, grid8n, count=1)
+        with pytest.raises(InputError, match="threads"):
+            ensemble_absorbing_ball(es, threads=threads)
+
     def _decay_spec(self, decay_model, grid8n, **kw):
         cfg = SolverConfig(scheme="imex", dt0=1e-2, dt_max=5e-2, t_end=20.0,
                            record_every=10)

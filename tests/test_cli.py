@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -247,6 +248,39 @@ class TestSimulateCommand:
         assert 1 <= summary["factorizations"] < summary["linear_solves"]
         assert summary["krylov_iterations"] >= 0
         assert 0.0 < summary["worst_linear_residual"] <= 1.0
+
+    def test_summary_writes_the_run_stats_whole(self, write_manifest,
+                                                tmp_path, monkeypatch):
+        # summary.json is the run's RunStats plus four fields of the run,
+        # so a count added to the record reaches it with no CLI edit
+        import crossdiff.solver as solver_mod
+        from crossdiff import (RunStats, SolverConfig, build_grid,
+                               initial_field, run)
+        from crossdiff.model import model_from_dict
+
+        path = write_manifest(heat_sim_manifest())
+        out = tmp_path / "s7"
+        assert invoke("simulate", "--manifest", path, "--out", out).exit_code == 0
+        summary = load_json(out / "summary.json")
+        counts = [f.name for f in dataclasses.fields(RunStats)]
+        assert set(summary) == set(counts) | {
+            "terminated_reason", "t_final", "steps", "first_negative_t",
+            "_meta"}
+        g = build_grid(1.0, 1.0, 16, 16, "dirichlet")
+        cfg = SolverConfig(scheme="imex", dt0=1e-3, dt_min=1e-3, dt_max=1e-3,
+                           t_end=0.05, snapshot_times=(0.02,))
+        traj = run(model_from_dict(HEAT_MODEL),
+                   initial_field("eigenmode", g, 1, 1.0, 0), cfg)
+        assert {k: summary[k] for k in counts} == dataclasses.asdict(traj.stats)
+
+        @dataclasses.dataclass
+        class MoreStats(RunStats):
+            new_count: int = 7
+
+        monkeypatch.setattr(solver_mod, "RunStats", MoreStats)
+        out = tmp_path / "s8"
+        assert invoke("simulate", "--manifest", path, "--out", out).exit_code == 0
+        assert load_json(out / "summary.json")["new_count"] == 7
 
     def test_nonfinite_start_is_runtime_failure(self, write_manifest, tmp_path):
         data = heat_sim_manifest()
@@ -557,6 +591,40 @@ class TestInputErrors:
         assert r.exit_code == 2, r.output
         assert "input error" in r.output
         assert not (out / "absorbing_ball.json").exists()
+
+    @pytest.mark.parametrize("reaction", [
+        # exited 4 with an AttributeError from the model loader
+        [1.0, 2.0],
+        {"general": [1.0]},
+        # loaded as the general reaction, dropping K, kappa and c0
+        {"general": {"f": [[[-1.0, 1]]]}, "K": [[1.0]], "kappa": 1.0,
+         "c0": 1.0},
+        {"K": [[1.0]], "c0": 1.0},
+    ])
+    def test_malformed_reaction_is_input_error(self, write_manifest,
+                                               tmp_path, reaction):
+        data = _set(heat_sim_manifest(), "model",
+                    dict(HEAT_MODEL, reaction=reaction))
+        out = tmp_path / "x"
+        r = invoke("simulate", "--manifest", write_manifest(data),
+                   "--out", out)
+        assert r.exit_code == 2, r.output
+        assert "input error" in r.output
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["attractor", "sweep"])
+    def test_threads_below_one_is_usage_error(self, write_manifest, tmp_path,
+                                              command, threads):
+        # both ran serially without a word
+        data = heat_sim_manifest()
+        data["ensemble"] = {"count": 1, "amp_range": [0.1, 1.0]}
+        data["sweep"] = {"path": "initial.amplitude", "values": [1.0]}
+        r = invoke(command, "--manifest", write_manifest(data),
+                   "--out", tmp_path / "x", "--threads", threads)
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--threads'" in r.output
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("amplitude", [float("nan"), float("inf")])
     def test_nonfinite_initial_amplitude_is_input_error(

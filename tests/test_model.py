@@ -1354,6 +1354,37 @@ class TestSerialization:
         self.check_equivalent(decay_model, again, 1)
         assert again.C_f == decay_model.C_f
 
+    def test_dict_round_trip_keeps_the_reaction_kind(self, skt_lv,
+                                                     decay_model):
+        for spec in (skt_lv, decay_model):
+            d = model_to_dict(spec)
+            again = model_from_dict(d)
+            assert type(again.reaction) is type(spec.reaction)
+            assert model_to_dict(again) == d
+
+    @pytest.mark.parametrize("reaction", [
+        [1.0, 2.0],
+        {"general": None},
+        {"general": {"f": [[[-1.0, 1]]]}, "K": [[1.0]], "kappa": 1.0,
+         "c0": 1.0},
+        {"general": {}, "kappa": 1.0},
+        {"K": [[1.0]], "c0": 1.0},
+        {"K": [[1.0]], "kappa": 1.0},
+    ])
+    def test_malformed_reaction_raises(self, tmp_path, reaction):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"m": 1, "P": [[[1.0, 1]]],
+                                    "lambda": {"lambda0": 1.0},
+                                    "reaction": reaction}))
+        with pytest.raises(ModelDefinitionError, match="reaction|kappa|c0"):
+            load_model(path)
+
+    def test_decay_power_only_for_a_competitive_reaction(self, skt_lv,
+                                                        decay_model):
+        r = skt_lv.reaction
+        assert r.decay_power == (r.kappa + 2.0) / 2.0 == 1.5
+        assert decay_model.reaction.decay_power is None
+
     def test_file_round_trip(self, tmp_path, skt_lv):
         path = tmp_path / "model.json"
         save_model(path, skt_lv)

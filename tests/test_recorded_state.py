@@ -202,7 +202,7 @@ class TestSharedRecord:
                               dt_max=1e-3, t_end=0.01)
         traj = run(skt_lv, initial_field("positive_fourier", g, 2, 1.0, 3),
                    config)
-        assert traj.reached_end and traj.rejected_steps == 0
+        assert traj.reached_end and traj.stats.rejected_steps == 0
         assert calls == {"eval_A": len(traj.records),
                          "cell_gradient": len(traj.records)}
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -10,8 +11,8 @@ import scipy.sparse.linalg as spla
 import crossdiff.solver as solver_mod
 from crossdiff import (Field, GeneralReaction, InputError, LambdaSpec,
                        ModelSpec, NewtonConvergenceError, NumericalStateError,
-                       PolynomialMap, SolverConfig, build_grid, classic_skt,
-                       eval_A, initial_field, run, step)
+                       PolynomialMap, RunStats, SolverConfig, build_grid,
+                       classic_skt, eval_A, initial_field, run, step)
 from crossdiff.grid import (component_laplacian, face_coefficients,
                             flux_operator)
 
@@ -326,7 +327,7 @@ def cell_A(spec, f):
 
 def fresh_policy():
     """A new factor policy at the default linear_tol."""
-    return solver_mod._LaggedFactor(SolverConfig.linear_tol)
+    return solver_mod._LaggedFactor(SolverConfig.linear_tol, RunStats())
 
 
 class TestNewtonOperator:
@@ -407,13 +408,14 @@ class TestNewtonOperator:
                 component_laplacian(g, A.shape[0]), A, dt))
         want = run(skt_lv, f0, cfg)
         assert got.reached_end and len(got.dt_history) == 19
-        assert got.factorizations == 25
+        assert got.stats.factorizations == 25
         assert np.array_equal(bits(got.final.values), bits(want.final.values))
         assert np.array_equal(bits(got.dt_history), bits(want.dt_history))
         assert np.array_equal(got.newton_history, want.newton_history)
         for count in ("assemblies", "factorizations", "linear_solves",
                       "rejected_steps"):
-            assert getattr(got, count) == getattr(want, count), count
+            assert (getattr(got.stats, count)
+                    == getattr(want.stats, count)), count
 
 
 class TestSpsolve:
@@ -445,7 +447,8 @@ class TestSpsolve:
         rhs = rng.normal(size=M.shape[0])
         assert operator(tuple(a.copy() for a in coefs)) is M
         again = solver_mod.spsolve(M, rhs, cache)
-        assert (len(built), cache.factorizations, cache.solves) == (1, 1, 2)
+        assert (len(built), cache.stats.factorizations,
+                cache.stats.linear_solves) == (1, 1, 2)
         fresh = solver_mod.spsolve(M.copy(), rhs, fresh_policy())
         assert np.array_equal(bits(again), bits(fresh))
 
@@ -466,14 +469,14 @@ class TestSpsolve:
         M2 = newton_operator(cache, A2, built=built)
         assert M2 is not M
         x = solver_mod.spsolve(M2, rhs, cache)
-        assert len(built) == 2 and cache.factorizations == 1
+        assert len(built) == 2 and cache.stats.factorizations == 1
         assert cache.factored is M
         target = max(cache.rtol, cache.floor) * np.linalg.norm(rhs)
         assert np.linalg.norm(rhs - M2 @ x) <= target
         M3 = newton_operator(cache, A2.copy(), built=built)
         assert M3 is M2
         solver_mod.spsolve(M3, rhs, cache)
-        assert len(built) == 2 and cache.factorizations == 1
+        assert len(built) == 2 and cache.stats.factorizations == 1
 
     def test_one_ulp_dt_change_rebuilds(self, skt, grid16n):
         f = smooth_field(grid16n, m=2, amp=3.0)
@@ -491,7 +494,7 @@ class TestSpsolve:
             x = solver_mod.spsolve(M, np.ones(2), cache)
             assert x.shape == (2,) and np.all(np.isnan(x))
             assert cache.lu is None and cache.factored is None
-            assert cache.factorizations == n
+            assert cache.stats.factorizations == n
 
     def test_singular_newton_system_raises(self, heat1, grid16n, monkeypatch):
         # dt * L = I with A = I makes the Jacobian I - dt L A exactly zero;
@@ -732,6 +735,69 @@ class TestGmresCycle:
                      1e-6 * np.linalg.norm(rhs))
 
 
+class TestRunStats:
+    COUNTS = {f.name for f in dataclasses.fields(RunStats)}
+
+    def test_the_record_holds_the_six_counts(self):
+        assert [f.name for f in dataclasses.fields(RunStats)] == [
+            "rejected_steps", "assemblies", "factorizations",
+            "linear_solves", "krylov_iterations", "worst_linear_residual"]
+        assert dataclasses.asdict(RunStats()) == dict(
+            rejected_steps=0, assemblies=0, factorizations=0,
+            linear_solves=0, krylov_iterations=0,
+            worst_linear_residual=None)
+
+    def test_trajectory_has_no_count_field(self):
+        names = {f.name for f in dataclasses.fields(solver_mod.Trajectory)}
+        assert "stats" in names and not names & self.COUNTS
+        assert len(names) == 10
+
+    def test_policy_keeps_no_counter_of_its_own(self):
+        stats = RunStats()
+        policy = solver_mod._LaggedFactor(SolverConfig.linear_tol, stats)
+        assert policy.stats is stats
+        assert not set(vars(policy)) & (self.COUNTS | {"solves",
+                                                       "worst_residual"})
+
+    @pytest.mark.parametrize("scheme", ["imex", "newton"])
+    def test_run_gets_the_counts_its_policy_made(self, skt_lv, grid16n,
+                                                 scheme, monkeypatch):
+        policies = []
+        real = solver_mod._LaggedFactor
+
+        def capture(*args):
+            policies.append(real(*args))
+            return policies[-1]
+
+        monkeypatch.setattr(solver_mod, "_LaggedFactor", capture)
+        traj = run(skt_lv, smooth_field(grid16n, m=2, amp=0.3),
+                   fixed_dt_config(scheme, 1e-3, 5e-3))
+        assert len(policies) == 1 and policies[0].stats is traj.stats
+        assert traj.stats.linear_solves >= len(traj.dt_history) > 0
+        assert 1 <= traj.stats.factorizations <= traj.stats.assemblies
+
+    def test_step_leaves_no_counts_behind(self, skt, grid16n, monkeypatch):
+        # every step() hands a fresh policy a fresh record, so a step
+        # counts only its own work and a later run starts from zero
+        policies = []
+        real = solver_mod._LaggedFactor
+
+        def capture(*args):
+            policies.append(real(*args))
+            return policies[-1]
+
+        monkeypatch.setattr(solver_mod, "_LaggedFactor", capture)
+        f = smooth_field(grid16n, m=2, amp=0.3)
+        for _ in range(2):
+            step(skt, f, 1e-3, scheme="imex")
+        assert policies[0].stats is not policies[1].stats
+        for policy in policies:
+            assert dataclasses.astuple(policy.stats)[:5] == (0, 1, 1, 1, 0)
+        traj = run(skt, f, fixed_dt_config("imex", 1e-3, 1e-3))
+        assert traj.stats is policies[2].stats
+        assert (traj.stats.assemblies, traj.stats.linear_solves) == (1, 1)
+
+
 class TestRunCounts:
     @pytest.mark.parametrize("scheme", ["newton", "imex"])
     def test_linear_operator_factored_once_per_dt(self, heat1, grid16d, scheme):
@@ -739,14 +805,14 @@ class TestRunCounts:
         # second step size and needs a second factorization
         traj = run(heat1, eigenmode_field(grid16d),
                    fixed_dt_config(scheme, 1e-3, 0.0125))
-        assert traj.reached_end and traj.rejected_steps == 0
+        assert traj.reached_end and traj.stats.rejected_steps == 0
         changes = np.count_nonzero(np.diff(traj.dt_history))
         assert changes == 1
-        assert traj.assemblies == traj.factorizations == 1 + changes
+        assert traj.stats.assemblies == traj.stats.factorizations == 1 + changes
         if scheme == "newton":
-            assert traj.linear_solves == traj.newton_history.sum()
+            assert traj.stats.linear_solves == traj.newton_history.sum()
         else:
-            assert traj.linear_solves == len(traj.dt_history)
+            assert traj.stats.linear_solves == len(traj.dt_history)
 
     def test_state_dependent_imex_lags_the_lu(self, skt, grid16n, monkeypatch):
         # the operator changes every step; between factorizations a solve
@@ -756,23 +822,23 @@ class TestRunCounts:
         solves = []
 
         def recording(M, rhs, factors):
-            before = factors.factorizations
+            before = factors.stats.factorizations
             x = real(M, rhs, factors)
             rel = np.linalg.norm(rhs - M @ x) / np.linalg.norm(rhs)
-            solves.append((factors.factorizations > before, rel))
+            solves.append((factors.stats.factorizations > before, rel))
             return x
 
         monkeypatch.setattr(solver_mod, "spsolve", recording)
         cfg = fixed_dt_config("imex", 1e-3, 0.05, record_every=10)
         traj = run(skt, smooth_field(grid16n, m=2, amp=0.3), cfg)
-        assert traj.reached_end and traj.rejected_steps == 0
-        assert traj.linear_solves == len(traj.dt_history) == len(solves)
-        assert 1 <= traj.factorizations < traj.linear_solves
-        assert traj.krylov_iterations > 0
+        assert traj.reached_end and traj.stats.rejected_steps == 0
+        assert traj.stats.linear_solves == len(traj.dt_history) == len(solves)
+        assert 1 <= traj.stats.factorizations < traj.stats.linear_solves
+        assert traj.stats.krylov_iterations > 0
         lagged = [rel for refactored, rel in solves if not refactored]
-        assert len(lagged) == traj.linear_solves - traj.factorizations
+        assert len(lagged) == traj.stats.linear_solves - traj.stats.factorizations
         assert max(lagged) <= solver_mod._KRYLOV_RTOL * cfg.linear_tol
-        assert 0.0 < traj.worst_linear_residual <= 1.0
+        assert 0.0 < traj.stats.worst_linear_residual <= 1.0
         m0 = np.array(traj.records[0].mass)
         for rec in traj.records[1:]:
             assert np.abs(np.array(rec.mass) - m0).max() <= 1e-12 * np.abs(m0).min()
@@ -801,13 +867,13 @@ class TestRunCounts:
             return real_gmres(*args)
 
         def tracing(M, rhs, factors):
-            before = factors.factorizations, len(cycles)
+            before = factors.stats.factorizations, len(cycles)
             x = real_solve(M, rhs, factors)
             if factors.residual is None:
                 taken.append("held")
             else:
                 assert factors.residual == np.linalg.norm(M @ x - rhs)
-                taken.append("direct" if factors.factorizations > before[0]
+                taken.append("direct" if factors.stats.factorizations > before[0]
                              else "gmres" if len(cycles) > before[1]
                              else "first_check")
             return x
@@ -825,10 +891,10 @@ class TestRunCounts:
         assert traj.reached_end and set(taken) == paths
         for name in ("rejected_steps", "assemblies", "factorizations",
                      "linear_solves", "krylov_iterations"):
-            assert getattr(traj, name) == getattr(old, name), name
-        assert 0.0 < traj.worst_linear_residual <= 1.0
-        assert (np.float64(traj.worst_linear_residual).tobytes()
-                == np.float64(old.worst_linear_residual).tobytes())
+            assert getattr(traj.stats, name) == getattr(old.stats, name), name
+        assert 0.0 < traj.stats.worst_linear_residual <= 1.0
+        assert (np.float64(traj.stats.worst_linear_residual).tobytes()
+                == np.float64(old.stats.worst_linear_residual).tobytes())
         assert np.array_equal(traj.dt_history, old.dt_history)
         assert np.array_equal(bits(traj.final.values), bits(old.final.values))
 
@@ -847,10 +913,11 @@ class TestRunCounts:
         monkeypatch.setattr(solver_mod, "spsolve", nan_once)
         traj = run(skt_lv, smooth_field(grid16n, m=2, amp=0.3),
                    SolverConfig(scheme="imex", dt0=1e-3, t_end=1e-2))
-        assert traj.reached_end and traj.rejected_steps == 1
-        attempted = len(traj.dt_history) + traj.rejected_steps
-        assert traj.assemblies == attempted == traj.linear_solves == len(calls)
-        assert traj.factorizations < traj.assemblies
+        assert traj.reached_end and traj.stats.rejected_steps == 1
+        attempted = len(traj.dt_history) + traj.stats.rejected_steps
+        assert (traj.stats.assemblies == attempted
+                == traj.stats.linear_solves == len(calls))
+        assert traj.stats.factorizations < traj.stats.assemblies
 
     def test_unchanged_imex_operator_ignores_a_tiny_linear_tol(self, heat1,
                                                                grid16d):
@@ -858,18 +925,18 @@ class TestRunCounts:
         # of a constant A is still reused without a residual target
         traj = run(heat1, eigenmode_field(grid16d),
                    fixed_dt_config("imex", 1e-3, 0.0125, linear_tol=1e-14))
-        assert traj.reached_end and traj.rejected_steps == 0
+        assert traj.reached_end and traj.stats.rejected_steps == 0
         changes = np.count_nonzero(np.diff(traj.dt_history))
-        assert traj.factorizations == 1 + changes
-        assert traj.krylov_iterations == 0
+        assert traj.stats.factorizations == 1 + changes
+        assert traj.stats.krylov_iterations == 0
 
     def test_lagged_target_floors_at_the_direct_residual(self, skt, grid16n):
         # 1e-3 * linear_tol lies below roundoff, so without the floor set
         # by the last direct solve every step would refactor
         traj = run(skt, smooth_field(grid16n, m=2, amp=0.3),
                    fixed_dt_config("imex", 1e-3, 0.02, linear_tol=1e-14))
-        assert traj.reached_end and traj.rejected_steps == 0
-        assert traj.factorizations < traj.linear_solves
+        assert traj.reached_end and traj.stats.rejected_steps == 0
+        assert traj.stats.factorizations < traj.stats.linear_solves
 
     @pytest.mark.parametrize("trigger", ["new_dt", "gmres_fails"])
     def test_lagged_lu_refactors_to_the_direct_step(self, skt, grid16n,
@@ -878,7 +945,7 @@ class TestRunCounts:
         cfg = fixed_dt_config("imex", dt, dt)
         f1 = smooth_field(grid16n, m=2, amp=3.0)
         f2 = Field(grid16n, 1.01 * f1.values)
-        factors = solver_mod._LaggedFactor(cfg.linear_tol)
+        factors = solver_mod._LaggedFactor(cfg.linear_tol, RunStats())
         solver_mod._step_imex(skt, f1, dt, solver_mod._reaction_term(skt, f1),
                               cfg, factors=factors)
         gmres_calls = []
@@ -894,7 +961,7 @@ class TestRunCounts:
                                        solver_mod._reaction_term(skt, f2),
                                        cfg, factors=factors)
         want, _ = step(skt, f2, dt, scheme="imex")
-        assert factors.factorizations == 2
+        assert factors.stats.factorizations == 2
         assert np.array_equal(bits(got.values), bits(want.values))
         assert len(gmres_calls) == (trigger == "gmres_fails")
 
@@ -925,7 +992,7 @@ class TestRunCounts:
                             or real_operator(g, A, dt))
         traj = run(heat1, f0, cfg)
         reused = len(built)
-        assert reused == traj.factorizations == 1 + np.count_nonzero(
+        assert reused == traj.stats.factorizations == 1 + np.count_nonzero(
             np.diff(traj.dt_history))
         # the reference rebuilds the Jacobian and solves it directly
         monkeypatch.setattr(solver_mod._LaggedFactor, "operator",
@@ -933,8 +1000,8 @@ class TestRunCounts:
         monkeypatch.setattr(solver_mod._LaggedFactor, "solve",
                             solver_mod._LaggedFactor._direct)
         fresh = run(heat1, f0, cfg)
-        assert (len(built) - reused == fresh.factorizations
-                == fresh.linear_solves == traj.linear_solves > reused)
+        assert (len(built) - reused == fresh.stats.factorizations
+                == fresh.stats.linear_solves == traj.stats.linear_solves > reused)
         assert np.array_equal(bits(traj.final.values), bits(fresh.final.values))
 
     @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
@@ -950,24 +1017,26 @@ class TestRunCounts:
         lagged = []
 
         def recording(M, rhs, factors):
-            before = factors.factorizations
+            before = factors.stats.factorizations
             x = real(M, rhs, factors)
-            if factors.factorizations == before:
+            if factors.stats.factorizations == before:
                 target = max(factors.rtol, factors.floor) * np.linalg.norm(rhs)
                 lagged.append(np.linalg.norm(rhs - M @ x) / target)
             return x
 
         monkeypatch.setattr(solver_mod, "spsolve", recording)
         got = run(skt_lv, f0, cfg)
-        assert got.reached_end and got.rejected_steps == 0
-        assert len(lagged) == got.linear_solves - got.factorizations > 0
+        assert got.reached_end and got.stats.rejected_steps == 0
+        assert (len(lagged)
+                == got.stats.linear_solves - got.stats.factorizations > 0)
         assert max(lagged) <= 1.0
         monkeypatch.setattr(solver_mod, "spsolve", real)
         monkeypatch.setattr(solver_mod._LaggedFactor, "solve",
                             solver_mod._LaggedFactor._direct)
         want = run(skt_lv, f0, cfg)
         assert want.reached_end
-        assert want.factorizations == want.linear_solves == got.linear_solves
+        assert (want.stats.factorizations == want.stats.linear_solves
+                == got.stats.linear_solves)
         assert len(got.dt_history) == len(want.dt_history)
         assert np.array_equal(got.newton_history, want.newton_history)
         scale = np.abs(want.final.values).max()
@@ -977,7 +1046,7 @@ class TestRunCounts:
         traj = run(heat1, smooth_field(grid16n, amp=0.1),
                    SolverConfig(scheme="explicit", dt0=1e-4, t_end=1e-3))
         assert traj.reached_end
-        assert traj.factorizations == traj.linear_solves == 0
+        assert traj.stats.factorizations == traj.stats.linear_solves == 0
 
     @pytest.mark.parametrize("scheme", ["explicit", "imex", "newton"])
     def test_reaction_evaluated_once_per_accepted_state(self, skt_lv, grid16n,
@@ -1016,7 +1085,7 @@ class TestRunCounts:
         monkeypatch.setitem(solver_mod._STEPPERS, "imex", fails_once)
         traj = run(skt_lv, smooth_field(grid16n, m=2, amp=0.3),
                    SolverConfig(scheme="imex", dt0=1e-3, t_end=5e-3))
-        assert traj.reached_end and traj.rejected_steps == 1
+        assert traj.reached_end and traj.stats.rejected_steps == 1
         assert len(evaluated) == len(traj.dt_history)
         # the cap and every attempt from a state share one array
         assert len(capped) == len(stepped) == len(traj.dt_history) + 1
@@ -1038,6 +1107,6 @@ class TestRunCounts:
         cfg = SolverConfig(scheme="imex", dt0=1e-3, dt_max=1e-3, t_end=5e-3)
         traj = run(heat1, smooth_field(grid16n, amp=0.1), cfg)
         assert traj.reached_end
-        assert traj.rejected_steps == 1
+        assert traj.stats.rejected_steps == 1
         assert calls[:2] == [1e-3, 5e-4]
         assert traj.dt_history[0] == 5e-4
