@@ -1113,11 +1113,14 @@ def model_from_dict(d):
             G = None if r.get("G") is None else MatrixPolynomial.from_dict(m, (m, m), r["G"])
             reaction = ReactionSpec(K=np.asarray(r["K"], dtype=float), B=B, G=G,
                                     kappa=float(r["kappa"]), c0=float(r["c0"]))
-    except (KeyError, TypeError, IndexError) as e:
+        C_f = d.get("C_f")
+        C_f = None if C_f is None else float(C_f)
+    except ModelDefinitionError:
+        raise
+    # a ValueError here is a number that does not parse, such as "two"
+    except (KeyError, TypeError, IndexError, ValueError) as e:
         raise ModelDefinitionError(f"malformed model definition: {e}") from e
-    C_f = d.get("C_f")
-    return ModelSpec(P=P, lam=lam, reaction=reaction,
-                     C_f=None if C_f is None else float(C_f),
+    return ModelSpec(P=P, lam=lam, reaction=reaction, C_f=C_f,
                      name=d.get("name", ""))
 
 

@@ -23,7 +23,12 @@ entry, which keeps the bits and pattern of scipy's sparse product; it
 is built once per step size when A is constant.  run()
 drives adaptive steps (halve on failure, grow 1.2x on success up to
 dt_max), lands exactly on requested snapshot times and t_end, and
-records norms along the way.  It evaluates the reaction term f(u, Du)
+records norms along the way.  The implicit schemes step with the rung
+dt_max 2^-k at or below that dt (and the reaction cap), never below
+dt_min, so dt changes, and the held LU is dropped, only when dt crosses
+a rung: stiff integrators keep the step, and so the iteration matrix,
+until a change pays for itself (Hindmarsh et al., ACM TOMS 31 (2005)
+363).  It evaluates the reaction term f(u, Du)
 once per accepted state (and once for the initial state) and hands
 that one array to the reaction step cap and to the stepper, also when
 a rejected step is retried; the final state's f is never needed.
@@ -66,9 +71,12 @@ built from, and it is then solved thus:
   on target; otherwise GMRES with that LU as preconditioner (Saad,
   Iterative Methods for Sparse Linear Systems, 2nd ed., ch. 9) runs
   for at most _KRYLOV_MAXITER iterations and its result is taken under
-  the same true-residual test.  The GMRES cycle (_gmres_cycle) is
-  scipy's, run in place on the held LU's solution and residual, with
-  the bits of scipy's gmres.  The target is 1e-3 * linear_tol * |rhs|,
+  the same true-residual test.  The GMRES cycle (_gmres_cycle) starts
+  from the held LU's solution and residual and does scipy's float
+  operations, but stops on the true residual of the iterate, not on
+  scipy's preconditioned estimate alone, so its x after j iterations
+  has the bits of scipy's cycle of restart j.  The target is
+  1e-3 * linear_tol * |rhs|,
   or the relative residual of the last direct solve times |rhs| where
   that is larger, so a linear_tol below roundoff does not rule out
   every lagged solve;
@@ -85,6 +93,7 @@ vector and the Krylov corrections conserve mass to roundoff.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field as dc_field
 
@@ -109,12 +118,19 @@ _SCHEMES = ("explicit", "imex", "newton")
 @dataclass(frozen=True)
 class SolverConfig:
     """Scheme and step-control parameters for run().  A malformed
-    number raises InputError: dt0, t_end or a tolerance that is not
-    finite, a linear_tol that is not positive, a negative Newton
+    number raises InputError: dt0, dt_max, t_end or a tolerance that
+    is not finite, a linear_tol that is not positive, a negative Newton
     tolerance, a blowup_threshold that is not positive (inf turns
     blowup detection off), a max_steps, record_every or max_newton
     that is not a whole number of at least 1, or a snapshot time that
-    is not finite."""
+    is not finite.
+
+    run() keeps a dt that starts at dt0, halves on a rejected step and
+    grows 1.2x on an accepted one up to dt_max.  The explicit scheme
+    steps with it, capped by the stability bound.  The implicit schemes
+    (imex, newton) step on rungs: the largest dt_max 2^-k at or below
+    it (and below the reaction cap), but not below dt_min.  A step
+    clipped to land on a snapshot time or t_end is the gap itself."""
 
     scheme: str = "imex"
     dt0: float = 1e-3
@@ -154,6 +170,9 @@ class SolverConfig:
             object.__setattr__(self, "dt_min", self.dt0 / 1024.0)
         if self.dt_max is None:
             object.__setattr__(self, "dt_max", self.dt0)
+        if not self.dt_max < np.inf:
+            # the implicit ladder counts its rungs down from dt_max
+            raise InputError("dt_max must be finite")
         if not (0 < self.dt_min <= self.dt0 <= self.dt_max):
             raise InputError("need 0 < dt_min <= dt0 <= dt_max")
         if not (0 < self.cfl_safety <= 1):
@@ -170,11 +189,16 @@ class RunStats:
     factorizations, linear solves and GMRES iterations.
     worst_linear_residual is the largest IMEX residual
     |M x - rhs| / (linear_tol (1 + |rhs|)) over the steps that passed
-    that gate (None when no IMEX step did)."""
+    that gate (None when no IMEX step did).  Every factorization has one
+    of two causes, which sum to factorizations: a dt other than that of
+    the held LU, or no held LU (factorizations_new_dt), and a lagged
+    solve that missed its target (factorizations_missed_target)."""
 
     rejected_steps: int = 0
     assemblies: int = 0
     factorizations: int = 0
+    factorizations_new_dt: int = 0
+    factorizations_missed_target: int = 0
     linear_solves: int = 0
     krylov_iterations: int = 0
     worst_linear_residual: float | None = None
@@ -254,17 +278,20 @@ class _LaggedFactor:
         last (its dt is self.dt)."""
         if M is self.factored:
             return self.lu.solve(rhs)
-        if self.lu is not None and self.dt == self.lu_dt:
-            target = max(self.rtol, self.floor) * np.linalg.norm(rhs)
-            x = self.lu.solve(rhs)
-            r = rhs - M @ x
-            self.residual = np.linalg.norm(r)
-            if not self.residual <= target:
-                x, iterations, self.residual = _gmres_cycle(
-                    M, self.lu.solve, rhs, x, r, np.linalg.norm(x), target)
-                self.stats.krylov_iterations += iterations
-            if self.residual <= target:
-                return x
+        if self.lu is None or self.dt != self.lu_dt:
+            self.stats.factorizations_new_dt += 1
+            return self._direct(M, rhs)
+        target = max(self.rtol, self.floor) * np.linalg.norm(rhs)
+        x = self.lu.solve(rhs)
+        r = rhs - M @ x
+        self.residual = np.linalg.norm(r)
+        if not self.residual <= target:
+            x, iterations, self.residual = _gmres_cycle(
+                M, self.lu.solve, rhs, x, r, np.linalg.norm(x), target)
+            self.stats.krylov_iterations += iterations
+        if self.residual <= target:
+            return x
+        self.stats.factorizations_missed_target += 1
         return self._direct(M, rhs)
 
     def _direct(self, M, rhs):
@@ -285,19 +312,24 @@ class _LaggedFactor:
 
 
 def _gmres_cycle(M, psolve, b, x, r, mb_norm, atol):
-    """One restart cycle of left-preconditioned GMRES on M x = b, run
-    in place on x: returns (x, iterations, |b - M x|).
+    """One restart cycle of left-preconditioned GMRES on M x = b from x:
+    returns (a new x, iterations, |b - M x|).
 
-    A port of gmres from scipy.sparse.linalg._isolve (Copyright (c)
-    2001-2002 Enthought, Inc. 2003, SciPy Developers; BSD-3-Clause) for
-    restart=_KRYLOV_MAXITER, maxiter=1, rtol=0 and atol=atol, which does
-    the same float operations in the same order (modified Gram-Schmidt,
-    LAPACK's lartg Givens rotations, the same back-substitution and
-    y @ v), so x and the iteration count are gmres(M, b, x0=x, rtol=0.0,
-    atol=atol, restart=_KRYLOV_MAXITER, maxiter=1, M=psolve)'s bit for
-    bit.  The caller hands in what it already holds: the residual
-    r = b - M @ x, with |r| > atol (gmres returns before its cycle
-    otherwise), and the norm of psolve(b), where psolve applies the
+    The Arnoldi process, rotations and back-substitution are a port of
+    gmres from scipy.sparse.linalg._isolve (Copyright (c) 2001-2002
+    Enthought, Inc. 2003, SciPy Developers; BSD-3-Clause), with the same
+    float operations in the same order (modified Gram-Schmidt, LAPACK's
+    lartg Givens rotations, the same back-substitution and y @ v).  The
+    stop is not scipy's: where the preconditioned residual estimate
+    meets scipy's ptol, the iterate is formed and the cycle ends only if
+    its true residual |b - M x| meets atol; otherwise it goes on, up to
+    _KRYLOV_MAXITER iterations or an exact breakdown.  The x it returns
+    after j iterations is therefore, bit for bit, that of
+    gmres(M, b, x0=x, rtol=0.0, atol=0.0, restart=j, maxiter=1,
+    M=psolve), and where the first estimate stop already meets atol it
+    is that of gmres(..., atol=atol, restart=_KRYLOV_MAXITER).  The
+    caller hands in what it already holds: the residual r = b - M @ x,
+    with |r| > atol, and the norm of psolve(b), where psolve applies the
     preconditioner.
     """
     n = b.size
@@ -339,21 +371,24 @@ def _gmres_cycle(M, psolve, b, x, r, mb_norm, atol):
         h[col, col], h[col, col + 1] = mag, 0
         tmp = -s * S[col]
         S[col], S[col + 1] = c * S[col], tmp
-        presid = abs(tmp)
-        if presid <= ptol or breakdown:
+        if not (abs(tmp) <= ptol or breakdown or col == restart - 1):
+            continue
+        # the iterate after col + 1 iterations; S stays as it is, so the
+        # cycle can go on from here
+        y = S[:col + 1].copy()
+        if h[col, col] == 0:
+            y[col] = 0
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        xj = x + y @ v[:col + 1]
+        rnorm = np.linalg.norm(b - M @ xj)
+        if rnorm <= atol or breakdown:
             break
-
-    if h[col, col] == 0:
-        S[col] = 0
-    y = S[:col + 1].copy()
-    for k in range(col, 0, -1):
-        if y[k] != 0:
-            y[k] /= h[k, k]
-            y[:k] -= y[k] * h[k, :k]
-    if y[0] != 0:
-        y[0] /= h[0, 0]
-    x += y @ v[:col + 1]
-    return x, col + 1, np.linalg.norm(b - M @ x)
+    return xj, col + 1, rnorm
 
 
 class _LU:
@@ -457,7 +492,7 @@ def spsolve(M, rhs, factors):
 
     M is solved directly with the held LU if that LU was factored from
     M.  Otherwise, at an unchanged dt, it may be solved by the held LU,
-    or one in-place GMRES cycle on it with scipy's bits, to a true
+    or one GMRES cycle on it that stops on the true residual, to a true
     residual |rhs - M x| at most 1e-3 * linear_tol * |rhs|, or at most
     that of the last direct solve relative to its |rhs|.  Failing that,
     M is factored and the result is an exact direct solve, bit for bit
@@ -507,6 +542,15 @@ def _reaction_dt_cap(f, values, cfl):
         rate = np.where(den > 0, num / den, 0.0)
     rho = float(rate.max())
     return 0.5 * cfl / rho if rho > 0 else np.inf
+
+
+def _rung(dt_max, dt):
+    """The largest dt_max * 2^-k (k >= 0) at or below dt > 0, exactly."""
+    if dt >= dt_max:
+        return dt_max
+    mant, _ = math.frexp(dt_max)
+    frac, exp = math.frexp(dt)
+    return math.ldexp(mant, exp if mant <= frac else exp - 1)
 
 
 def _step_explicit(spec, field, dt, f, config, factors):
@@ -677,6 +721,9 @@ def run(spec, field0, config, diagnostics=None):
             # the state demands a step below the configured floor
             reason = "stiff"
             break
+        if config.scheme != "explicit" and dt_try > config.dt_min:
+            # implicit steps move on the ladder, so the held LU lasts
+            dt_try = max(_rung(config.dt_max, dt_try), config.dt_min)
         landed = None
         if tptr < len(targets):
             gap = targets[tptr] - t

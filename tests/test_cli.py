@@ -515,6 +515,7 @@ class TestInputErrors:
         ("sweep", {"path": "solver.dt0.x", "values": [1e-3]}),
         ("grid.Nx", 32.5),
         ("grid.Nx", True),
+        ("solver.dt_max", float("inf")),
     ])
     def test_bad_simulate_value_is_input_error(self, write_manifest, tmp_path,
                                                dotted, value):
@@ -600,6 +601,7 @@ class TestInputErrors:
         {"general": {"f": [[[-1.0, 1]]]}, "K": [[1.0]], "kappa": 1.0,
          "c0": 1.0},
         {"K": [[1.0]], "c0": 1.0},
+        {"K": [[1.0]], "kappa": "abc", "c0": 1.0},
     ])
     def test_malformed_reaction_is_input_error(self, write_manifest,
                                                tmp_path, reaction):

@@ -1379,6 +1379,22 @@ class TestSerialization:
         with pytest.raises(ModelDefinitionError, match="reaction|kappa|c0"):
             load_model(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("m", "two"), ("lambda", {"lambda0": "x"}),
+        ("lambda", {"lambda0": 1.0, "k": "y"}), ("P", [[["a", 1]]]),
+        ("C_f", "big"),
+        ("reaction", {"K": [[1.0]], "kappa": "abc", "c0": 1.0}),
+        ("reaction", {"K": [[1.0]], "kappa": 1.0, "c0": "?"}),
+        ("reaction", {"K": [["k"]], "kappa": 1.0, "c0": 1.0}),
+    ])
+    def test_non_numeric_string_raises(self, key, value):
+        # a string where a number belongs let a bare ValueError out
+        d = {"m": 1, "P": [[[1.0, 1]]], "lambda": {"lambda0": 1.0}}
+        d[key] = value
+        with pytest.raises(ModelDefinitionError,
+                           match="malformed model definition"):
+            model_from_dict(d)
+
     def test_decay_power_only_for_a_competitive_reaction(self, skt_lv,
                                                         decay_model):
         r = skt_lv.reaction

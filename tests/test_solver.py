@@ -14,7 +14,7 @@ from crossdiff import (Field, GeneralReaction, InputError, LambdaSpec,
                        PolynomialMap, RunStats, SolverConfig, build_grid,
                        classic_skt, eval_A, initial_field, run, step)
 from crossdiff.grid import (component_laplacian, face_coefficients,
-                            flux_operator)
+                            flux_operator, stable_dt)
 
 from conftest import eigenmode_field, smooth_field
 from test_grid import assert_same_csr, dirichlet_mode_eigenvalue
@@ -72,6 +72,9 @@ class TestSolverConfig:
         # a NaN snapshot time was dropped without a snapshot
         dict(snapshot_times=(0.5, math.nan)),
         dict(snapshot_times=(math.inf,)),
+        # an infinite dt_max made every implicit rung the whole gap to
+        # the next target, retried without end when that step failed
+        dict(dt_max=math.inf),
     ])
     def test_malformed_numbers_raise(self, kw):
         with pytest.raises(InputError, match=next(iter(kw))):
@@ -262,6 +265,66 @@ class TestRunControl:
         assert traj.terminated_reason == "maxsteps"
         assert len(traj.dt_history) == 3
 
+    @staticmethod
+    def on_the_ladder(dt, dt_max):
+        return any(math.ldexp(dt_max, -k) == dt for k in range(64))
+
+    @pytest.mark.parametrize("scheme", ["imex", "newton"])
+    @pytest.mark.parametrize("dt0,dt_min,amp", [(1e-3, 1e-6, 300.0),
+                                                (3e-3, 3e-3, 30.0)])
+    def test_implicit_steps_move_on_the_ladder(self, skt_lv, grid16n,
+                                               scheme, dt0, dt_min, amp):
+        # every step is a rung dt_max 2^-k, the floor dt_min (3e-3 lies
+        # between the rungs 2.5e-3 and 5e-3) or the gap to a target; at
+        # amplitude 300 the reaction cap starts below dt0
+        f0 = initial_field("positive_fourier", grid16n, 2, amp, 3)
+        cfg = SolverConfig(scheme=scheme, dt0=dt0, dt_min=dt_min,
+                           dt_max=1e-2, t_end=0.0537,
+                           snapshot_times=(0.0173, 0.031))
+        traj = run(skt_lv, f0, cfg)
+        assert traj.reached_end and traj.stats.rejected_steps == 0
+        targets = {0.0173, 0.031, 0.0537}
+        assert set(traj.snapshots) == {0.0173, 0.031}
+        assert targets <= set(traj.times) and traj.times[-1] == 0.0537
+        for dt, t0, t1 in zip(traj.dt_history, traj.times, traj.times[1:]):
+            landing = t1 in targets and dt == t1 - t0
+            assert landing or dt == dt_min or (
+                dt > dt_min and self.on_the_ladder(dt, 1e-2)), (dt, t0, t1)
+        rungs = {dt for dt in traj.dt_history if self.on_the_ladder(dt, 1e-2)}
+        assert len(rungs) >= 2
+        assert (dt_min in traj.dt_history) == (dt0 == dt_min)
+
+    def test_ladder_follows_the_controller(self, heat1, grid16n):
+        # the controller's own dt grows by 1.2 per accepted step, and each
+        # step takes the rung at or below it: 1.2 x a rung would fall back
+        # to that rung and never climb
+        traj = run(heat1, smooth_field(grid16n, amp=0.1),
+                   SolverConfig(scheme="imex", dt0=1e-3, dt_max=1e-2,
+                                t_end=0.2))
+        want, c = [], 1e-3
+        for _ in range(20):
+            k = 0
+            while math.ldexp(1e-2, -k) > c:
+                k += 1
+            want.append(math.ldexp(1e-2, -k))
+            c = min(c * 1.2, 1e-2)
+        assert traj.reached_end
+        assert traj.dt_history[:20].tolist() == want
+        assert want[0] == 6.25e-4 and want[-1] == 1e-2
+
+    def test_explicit_keeps_its_cfl_steps(self, skt_lv, grid16n):
+        # the explicit step is the stability cap, with nothing to factor
+        f0 = initial_field("positive_fourier", grid16n, 2, 1.0, 1)
+        cfg = SolverConfig(scheme="explicit", dt0=1e-3, dt_min=1e-7,
+                           dt_max=1e-3, t_end=2e-3)
+        traj = run(skt_lv, f0, cfg)
+        assert traj.reached_end and traj.times[-1] == 2e-3
+        first = stable_dt(skt_lv, f0, cfg.cfl_safety)
+        assert traj.dt_history[0] == first < 1e-3
+        off = [dt for dt in traj.dt_history[:-1]
+               if not self.on_the_ladder(dt, 1e-3)]
+        assert len(off) == len(traj.dt_history) - 1 > 2
+
     def test_newton_stall_at_floor_reports_nonfinite(self, skt, grid16n):
         f0 = smooth_field(grid16n, m=2, amp=100.0)
         cfg = SolverConfig(scheme="newton", dt0=1e-2, dt_min=1e-3, dt_max=1e-2,
@@ -407,8 +470,8 @@ class TestNewtonOperator:
             lambda g, A, dt: scipy_newton_operator(
                 component_laplacian(g, A.shape[0]), A, dt))
         want = run(skt_lv, f0, cfg)
-        assert got.reached_end and len(got.dt_history) == 19
-        assert got.stats.factorizations == 25
+        assert got.reached_end and len(got.dt_history) == 20
+        assert got.stats.factorizations == 6
         assert np.array_equal(bits(got.final.values), bits(want.final.values))
         assert np.array_equal(bits(got.dt_history), bits(want.dt_history))
         assert np.array_equal(got.newton_history, want.newton_history)
@@ -663,7 +726,14 @@ class TestOrderingCache:
 
 
 class TestGmresCycle:
-    """_gmres_cycle against scipy's gmres on the same lagged LU."""
+    """_gmres_cycle against scipy's gmres on the same lagged LU.
+
+    scipy's cycle stops at the first iteration whose preconditioned
+    residual estimate meets ptol.  The estimates never grow, so every
+    later iteration meets ptol too, and _gmres_cycle stops at the first
+    of them whose iterate meets the true-residual target, or at ten
+    iterations, or at a breakdown.  Its x after j iterations is scipy's
+    cycle of restart j with atol 0, which runs exactly j iterations."""
 
     @staticmethod
     def lagged_pair(spec, bc, scale, dt=2e-3, n=16):
@@ -675,25 +745,37 @@ class TestGmresCycle:
         return M1, M2
 
     @staticmethod
-    def compare(M, lu, rhs, x0, target):
+    def scipy_cycle(M, psolve, rhs, x0, atol, restart):
+        """scipy's one-cycle gmres: (x, iterations)."""
+        residuals = []
+        x, _ = spla.gmres(
+            M, rhs, x0=x0, rtol=0.0, atol=atol, restart=restart, maxiter=1,
+            M=spla.LinearOperator(M.shape, matvec=psolve, dtype=M.dtype),
+            callback=residuals.append, callback_type="pr_norm")
+        return x, len(residuals)
+
+    def compare(self, M, lu, rhs, x0, target):
+        """Runs _gmres_cycle and checks it against the oracle; returns
+        (iterations, true residual, iterations at scipy's stop)."""
         def psolve(v):
             return lu.solve(v, trans="T")
 
-        residuals = []
-        want, info = spla.gmres(
-            M, rhs, x0=x0, rtol=0.0, atol=target, restart=10, maxiter=1,
-            M=spla.LinearOperator(M.shape, matvec=psolve, dtype=M.dtype),
-            callback=residuals.append, callback_type="pr_norm")
+        want, j = self.scipy_cycle(M, psolve, rhs, x0, target, 10)
+        estimate_stop = j
+        while not np.linalg.norm(rhs - M @ want) <= target and j < 10:
+            want, done = self.scipy_cycle(M, psolve, rhs, x0, 0.0, j + 1)
+            if done == j:  # breakdown
+                break
+            j = done
         x = x0.copy()
         got, iterations, rnorm = solver_mod._gmres_cycle(
             M, psolve, rhs, x, rhs - M @ x, np.linalg.norm(psolve(rhs)),
             target)
-        assert got is x
+        assert np.array_equal(bits(x), bits(x0))
         assert np.array_equal(bits(got), bits(want))
-        assert iterations == len(residuals)
-        assert (rnorm <= target) == (info == 0)
+        assert iterations == j
         assert rnorm == np.linalg.norm(rhs - M @ want)
-        return iterations, info
+        return iterations, rnorm, estimate_stop
 
     @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
     def test_target_met_inside_the_cycle(self, skt, bc):
@@ -702,8 +784,10 @@ class TestGmresCycle:
         rhs = np.random.default_rng(4).normal(size=M1.shape[0])
         x0 = lu.solve(rhs, trans="T")
         target = 1e-3 * np.linalg.norm(rhs - M2 @ x0)
-        iterations, info = self.compare(M2, lu, rhs, x0, target)
-        assert info == 0 and 1 <= iterations < 10
+        iterations, rnorm, estimate_stop = self.compare(M2, lu, rhs, x0,
+                                                        target)
+        # the first estimate stop meets the target: scipy's cycle
+        assert rnorm <= target and 1 <= iterations == estimate_stop < 10
 
     @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
     def test_target_missed_after_ten_iterations(self, skt, bc):
@@ -712,8 +796,46 @@ class TestGmresCycle:
         rhs = np.random.default_rng(5).normal(size=M1.shape[0])
         x0 = lu.solve(rhs, trans="T")
         target = 1e-14 * np.linalg.norm(rhs)
-        iterations, info = self.compare(M2, lu, rhs, x0, target)
-        assert info != 0 and iterations == 10
+        iterations, rnorm, _ = self.compare(M2, lu, rhs, x0, target)
+        assert rnorm > target and iterations == 10
+
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    def test_estimate_stop_that_misses_goes_on(self, skt, bc):
+        # scipy's cycle stops where its estimate meets ptol but the
+        # iterate misses the lagged target of a run (1e-3 linear_tol
+        # |rhs|), which cost a factorization; this cycle goes on to it
+        M1, M2 = self.lagged_pair(skt, bc, 1.01, dt=1e-3)
+        lu = mmd_lu(M1)
+        rhs = np.random.default_rng(0).normal(size=M1.shape[0])
+        x0 = lu.solve(rhs, trans="T")
+        target = 1e-13 * np.linalg.norm(rhs)
+        iterations, rnorm, estimate_stop = self.compare(M2, lu, rhs, x0,
+                                                        target)
+        assert rnorm <= target and estimate_stop < iterations < 10
+
+    def test_lagged_solve_goes_on_instead_of_factoring(self, skt):
+        # the same miss in a run's factor policy: M2 is solved on the LU
+        # of M1 at the same dt, with no second factorization
+        dt = 1e-3
+        M1, M2 = self.lagged_pair(skt, "neumann", 1.01, dt=dt)
+        policy = fresh_policy()
+        rng = np.random.default_rng(0)
+        M = policy.operator(dt, (np.ones(1),), lambda: M1)
+        solver_mod.spsolve(M, rng.normal(size=M.shape[0]), policy)
+        rhs = rng.normal(size=M.shape[0])
+        M = policy.operator(dt, (np.zeros(1),), lambda: M2)
+        target = max(policy.rtol, policy.floor) * np.linalg.norm(rhs)
+        lu = mmd_lu(M1)
+        x0 = lu.solve(rhs, trans="T")
+        assert np.linalg.norm(rhs - M2 @ x0) > target
+        iterations, _, estimate_stop = self.compare(M2, lu, rhs, x0, target)
+        assert estimate_stop < iterations < 10
+        x = solver_mod.spsolve(M, rhs, policy)
+        assert np.linalg.norm(rhs - M2 @ x) == policy.residual <= target
+        stats = policy.stats
+        assert (stats.factorizations, stats.factorizations_new_dt,
+                stats.factorizations_missed_target,
+                stats.krylov_iterations) == (1, 1, 0, iterations)
 
     def test_breakdown_on_the_operators_own_lu(self, skt):
         # the operator's own LU leaves nothing to add to the Krylov space,
@@ -724,8 +846,8 @@ class TestGmresCycle:
         rhs = np.random.default_rng(2).normal(size=M.shape[0])
         x0 = lu.solve(rhs, trans="T")
         assert np.linalg.norm(rhs - M @ x0) > 0
-        iterations, info = self.compare(M, lu, rhs, x0, 0.0)
-        assert iterations == 1 and info != 0
+        iterations, rnorm, _ = self.compare(M, lu, rhs, x0, 0.0)
+        assert iterations == 1 and rnorm > 0
 
     def test_all_zero_start(self, skt):
         M1, M2 = self.lagged_pair(skt, "dirichlet", 1.05)
@@ -738,12 +860,14 @@ class TestGmresCycle:
 class TestRunStats:
     COUNTS = {f.name for f in dataclasses.fields(RunStats)}
 
-    def test_the_record_holds_the_six_counts(self):
+    def test_the_record_holds_the_eight_counts(self):
         assert [f.name for f in dataclasses.fields(RunStats)] == [
             "rejected_steps", "assemblies", "factorizations",
+            "factorizations_new_dt", "factorizations_missed_target",
             "linear_solves", "krylov_iterations", "worst_linear_residual"]
         assert dataclasses.asdict(RunStats()) == dict(
             rejected_steps=0, assemblies=0, factorizations=0,
+            factorizations_new_dt=0, factorizations_missed_target=0,
             linear_solves=0, krylov_iterations=0,
             worst_linear_residual=None)
 
@@ -775,6 +899,9 @@ class TestRunStats:
         assert len(policies) == 1 and policies[0].stats is traj.stats
         assert traj.stats.linear_solves >= len(traj.dt_history) > 0
         assert 1 <= traj.stats.factorizations <= traj.stats.assemblies
+        assert traj.stats.factorizations == (
+            traj.stats.factorizations_new_dt
+            + traj.stats.factorizations_missed_target)
 
     def test_step_leaves_no_counts_behind(self, skt, grid16n, monkeypatch):
         # every step() hands a fresh policy a fresh record, so a step
@@ -962,6 +1089,9 @@ class TestRunCounts:
                                        cfg, factors=factors)
         want, _ = step(skt, f2, dt, scheme="imex")
         assert factors.stats.factorizations == 2
+        assert (factors.stats.factorizations_new_dt,
+                factors.stats.factorizations_missed_target) == (
+            (2, 0) if trigger == "new_dt" else (1, 1))
         assert np.array_equal(bits(got.values), bits(want.values))
         assert len(gmres_calls) == (trigger == "gmres_fails")
 
