@@ -217,7 +217,7 @@ def _write_snapshots(res, traj):
         raise ManifestError("outputs.format must be csv or bin")
     files = {}
     for t, fld in sorted(traj.snapshots.items()):
-        fname = f"snapshot_t{t:.6g}.{fmt}"
+        fname = f"snapshot_t{t!r}.{fmt}"  # repr is unique per time
         save_snapshot(res.out_dir / fname, fld, fmt=fmt)
         files[f"{t:.17g}"] = fname
     fname = f"final.{fmt}"

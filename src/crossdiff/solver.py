@@ -20,18 +20,14 @@ operators are I - dt L filled on the plan (plan.backward_euler drops
 exact zeros), with no sparse arithmetic per step: the IMEX L from the
 face values, the Newton L = (I_m (x) L_1) A(v) from one product per
 entry, which keeps the bits and pattern of scipy's sparse product; it
-is built once per step size when A is constant.  run()
-drives adaptive steps (halve on failure, grow 1.2x on success up to
-dt_max), lands exactly on requested snapshot times and t_end, and
-records norms along the way.  The implicit schemes step with the rung
-dt_max 2^-k at or below that dt (and the reaction cap), never below
-dt_min, so dt changes, and the held LU is dropped, only when dt crosses
-a rung: stiff integrators keep the step, and so the iteration matrix,
-until a change pays for itself (Hindmarsh et al., ACM TOMS 31 (2005)
-363).  It evaluates the reaction term f(u, Du)
-once per accepted state (and once for the initial state) and hands
-that one array to the reaction step cap and to the stepper, also when
-a rejected step is retried; the final state's f is never needed.
+is built once per step size when A is constant.  run() drives adaptive
+steps and records norms along the way; every attempt takes its step
+size from one rule, _step_size, which names the limit that set it, and
+RunStats.dt_limits counts the accepted steps per limit.  It evaluates
+the reaction term f(u, Du) once per accepted state (and once for the
+initial state) and hands that one array to the reaction step cap and
+to the stepper, also when a rejected step is retried; the final
+state's f is never needed.
 
 Every record is the NormRecord diagnostics.norms gives of the state
 under the run's DiagnosticsConfig (s0, p_list, radii).  run() computes
@@ -122,15 +118,13 @@ class SolverConfig:
     is not finite, a linear_tol that is not positive, a negative Newton
     tolerance, a blowup_threshold that is not positive (inf turns
     blowup detection off), a max_steps, record_every or max_newton
-    that is not a whole number of at least 1, or a snapshot time that
-    is not finite.
+    that is not a whole number of at least 1, or a snapshot time
+    outside [0, t_end].
 
-    run() keeps a dt that starts at dt0, halves on a rejected step and
-    grows 1.2x on an accepted one up to dt_max.  The explicit scheme
-    steps with it, capped by the stability bound.  The implicit schemes
-    (imex, newton) step on rungs: the largest dt_max 2^-k at or below
-    it (and below the reaction cap), but not below dt_min.  A step
-    clipped to land on a snapshot time or t_end is the gap itself."""
+    Each step size comes from the controller's dt (dt0, halved on a
+    rejected step, grown 1.2x on an accepted one) by the one rule of
+    _step_size, bounded by dt_min and dt_max; RunStats.dt_limits counts
+    the limit that set each accepted step."""
 
     scheme: str = "imex"
     dt0: float = 1e-3
@@ -178,8 +172,8 @@ class SolverConfig:
         if not (0 < self.cfl_safety <= 1):
             raise InputError("cfl_safety must lie in (0, 1]")
         times = {float(t) for t in self.snapshot_times}
-        if not all(np.isfinite(t) for t in times):
-            raise InputError("snapshot_times must be finite")
+        if not all(0.0 <= t <= self.t_end for t in times):
+            raise InputError("snapshot_times must lie in [0, t_end]")
         object.__setattr__(self, "snapshot_times", tuple(sorted(times)))
 
 
@@ -192,7 +186,9 @@ class RunStats:
     that gate (None when no IMEX step did).  Every factorization has one
     of two causes, which sum to factorizations: a dt other than that of
     the held LU, or no held LU (factorizations_new_dt), and a lagged
-    solve that missed its target (factorizations_missed_target)."""
+    solve that missed its target (factorizations_missed_target).
+    dt_limits counts the accepted steps by the limit that set their
+    size, as _step_size names it."""
 
     rejected_steps: int = 0
     assemblies: int = 0
@@ -202,6 +198,7 @@ class RunStats:
     linear_solves: int = 0
     krylov_iterations: int = 0
     worst_linear_residual: float | None = None
+    dt_limits: dict = dc_field(default_factory=dict)
 
 
 @dataclass
@@ -544,13 +541,47 @@ def _reaction_dt_cap(f, values, cfl):
     return 0.5 * cfl / rho if rho > 0 else np.inf
 
 
-def _rung(dt_max, dt):
-    """The largest dt_max * 2^-k (k >= 0) at or below dt > 0, exactly."""
-    if dt >= dt_max:
-        return dt_max
-    mant, _ = math.frexp(dt_max)
-    frac, exp = math.frexp(dt)
-    return math.ldexp(mant, exp if mant <= frac else exp - 1)
+def _step_size(config, dt, cfl, reaction, gap):
+    """The step size of one attempt and the limit that set it, or
+    (None, "stiff") when a cap lies below dt_min.
+
+    dt is the controller's: it starts at dt0, halves on a rejected step
+    (not below dt_min) and grows 1.2x on an accepted one (not above
+    dt_max), and it is named "dt_max" or "dt_min" where it sits at that
+    bound, else "controller".  The rule, in order:
+
+    * cfl (the explicit stability bound) and reaction (the reaction
+      cap), inf where they do not apply, cap it and name the step;
+    * a step below dt_min by more than 1e-12 relative is "stiff": the
+      state demands less than the configured floor;
+    * an implicit (imex, newton) step above dt_min moves on the ladder:
+      it is rounded down to the largest rung dt_max 2^-k at or below it,
+      so dt changes, and the held LU is dropped, only when it crosses a
+      rung (stiff integrators keep the step, and so the iteration
+      matrix, until a change pays for itself: Hindmarsh et al., ACM
+      TOMS 31 (2005) 363).  The ladder only rounds a bound down, so the
+      step keeps that bound's name, but a rung below dt_min is raised
+      to dt_min and named "dt_min".  The explicit scheme is off the
+      ladder;
+    * a step at or beyond gap, the distance to the next snapshot time or
+      t_end, within 1e-12 relative, is the gap itself: "landing".
+    """
+    limit = ("dt_max" if dt == config.dt_max
+             else "dt_min" if dt == config.dt_min else "controller")
+    for cap, name in ((cfl, "cfl"), (reaction, "reaction")):
+        if cap < dt:
+            dt, limit = cap, name
+    if dt < config.dt_min * (1 - 1e-12):
+        return None, "stiff"
+    if config.scheme != "explicit" and config.dt_min < dt < config.dt_max:
+        mant, _ = math.frexp(config.dt_max)
+        frac, exp = math.frexp(dt)
+        dt = math.ldexp(mant, exp if mant <= frac else exp - 1)
+        if dt < config.dt_min:
+            dt, limit = config.dt_min, "dt_min"
+    if dt >= gap * (1.0 - 1e-12):
+        dt, limit = gap, "landing"
+    return dt, limit
 
 
 def _step_explicit(spec, field, dt, f, config, factors):
@@ -632,8 +663,8 @@ def step(spec, field, dt, scheme="imex", config=None):
     caller's concern); imex and newton treat diffusion implicitly and
     the reaction explicitly.
     """
-    if dt <= 0:
-        raise InputError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise InputError("dt must be finite and positive")
     if scheme not in _STEPPERS:
         raise InputError(f"scheme must be one of {_SCHEMES}")
     if config is None:
@@ -667,7 +698,8 @@ def run(spec, field0, config, diagnostics=None):
 
     u = field0.copy()
     t = 0.0
-    dt = min(config.dt0, config.dt_max)
+    dt = config.dt0
+    # the snapshot times and t_end ahead of t, nearest first
     targets = [ts for ts in config.snapshot_times if 0.0 < ts < config.t_end]
     targets.append(config.t_end)
 
@@ -701,42 +733,29 @@ def run(spec, field0, config, diagnostics=None):
     reason = "reached"
     f = None  # reaction term of u, evaluated once per accepted state
     accepted = 0
-    tptr = 0
 
     while t < config.t_end - 1e-14 * config.t_end:
         if accepted >= config.max_steps:
             reason = "maxsteps"
             break
-        while tptr < len(targets) and targets[tptr] <= t * (1 + 1e-14):
-            tptr += 1
-        dt_base = dt
-        dt_try = dt
-        if config.scheme == "explicit":
-            dt_try = min(dt_try, stable_dt(spec, u, config.cfl_safety, A=A_u))
+        while targets[0] <= t * (1 + 1e-14):
+            del targets[0]
+        cfl = (stable_dt(spec, u, config.cfl_safety, A=A_u)
+               if config.scheme == "explicit" else np.inf)
         if f is None:
             f = _reaction_term(spec, u, grad_u)
-        if spec.reaction is not None:
-            dt_try = min(dt_try, _reaction_dt_cap(f, u.values, config.cfl_safety))
-        if dt_try < config.dt_min * (1 - 1e-12):
-            # the state demands a step below the configured floor
+        reaction = (np.inf if spec.reaction is None
+                    else _reaction_dt_cap(f, u.values, config.cfl_safety))
+        dt_try, limit = _step_size(config, dt, cfl, reaction, targets[0] - t)
+        if dt_try is None:
             reason = "stiff"
             break
-        if config.scheme != "explicit" and dt_try > config.dt_min:
-            # implicit steps move on the ladder, so the held LU lasts
-            dt_try = max(_rung(config.dt_max, dt_try), config.dt_min)
-        landed = None
-        if tptr < len(targets):
-            gap = targets[tptr] - t
-            if dt_try >= gap * (1.0 - 1e-12):
-                dt_try = gap
-                landed = targets[tptr]
 
         try:
             new, nsolve = stepper(spec, u, dt_try, f, config, factors=factors)
             ok = bool(np.all(np.isfinite(new.values)))
         except NumericalStateError:
             ok = False
-            new = None
         if not ok:
             stats.rejected_steps += 1
             if dt_try <= config.dt_min * (1 + 1e-12):
@@ -745,11 +764,11 @@ def run(spec, field0, config, diagnostics=None):
             dt = max(0.5 * dt_try, config.dt_min)
             continue
 
-        t_new = landed if landed is not None else t + dt_try
         u, f = new, None
         grad_u = A_u = None
-        t = t_new
+        t = targets[0] if limit == "landing" else t + dt_try
         accepted += 1
+        stats.dt_limits[limit] = stats.dt_limits.get(limit, 0) + 1
         dt_hist.append(dt_try)
         newton_hist.append(nsolve)
         if first_negative is None and (u.values < 0).any():
@@ -760,15 +779,13 @@ def run(spec, field0, config, diagnostics=None):
             reason = "blowup"
             break
 
-        if landed is not None and landed in config.snapshot_times:
-            snapshots[landed] = u.copy()
+        if limit == "landing" and t in config.snapshot_times:
+            snapshots[t] = u.copy()
         at_end = t >= config.t_end * (1 - 1e-14)
         if accepted % config.record_every == 0 or at_end:
             grad_u, A_u = record(u, t)
-        if landed is not None:
-            tptr += 1
         # a step clipped to land on a target must not shrink the pace
-        dt = min(max(dt_try, min(dt_base, config.dt_max)) * 1.2, config.dt_max)
+        dt = min(max(dt_try, dt) * 1.2, config.dt_max)
 
     if times[-1] != t:
         record(u, t)

@@ -230,6 +230,27 @@ class TestSimulateCommand:
         assert fld.values.shape == (1, 16, 16)
         assert np.all(np.isfinite(fld.values))
 
+    def test_close_snapshot_times_get_their_own_files(self, write_manifest,
+                                                      tmp_path):
+        # both times used to write snapshot_t0.005.csv, the second over
+        # the first
+        times = [0.005000001, 0.005000002]
+        data = heat_sim_manifest()
+        data["outputs"]["snapshot_times"] = times
+        out = tmp_path / "s9"
+        path = write_manifest(data)
+        assert invoke("simulate", "--manifest", path, "--out", out).exit_code == 0
+        files = load_json(out / "snapshots.json")["files"]
+        names = [files[f"{t:.17g}"] for t in times]
+        assert names == ["snapshot_t0.005000001.csv",
+                         "snapshot_t0.005000002.csv"]
+        a, b = (load_snapshot(out / n).values for n in names)
+        assert not np.array_equal(a, b)
+        # the steps onto the two times and onto t_end are the landings
+        summary = load_json(out / "summary.json")
+        assert summary["dt_limits"] == {"dt_max": summary["steps"] - 3,
+                                        "landing": 3}
+
     def test_summary_reports_solver_counts(self, write_manifest, tmp_path):
         data = heat_sim_manifest()
         data["model"] = {"classic_skt": {"a1": 1.0, "a2": 1.0, "a11": 1.0,
@@ -544,6 +565,19 @@ class TestInputErrors:
         assert r.exit_code == 2, r.output
         assert "input error" in r.output
         assert not (out / written).exists()
+
+    @pytest.mark.parametrize("times", [[0.02, 0.06], [-1.0]])
+    def test_snapshot_time_outside_the_run_is_input_error(
+            self, write_manifest, tmp_path, times):
+        # a time beyond t_end got no snapshot; a negative one wrote the
+        # initial state as snapshot_t-1.csv
+        data = heat_sim_manifest()
+        data["outputs"]["snapshot_times"] = times
+        out = tmp_path / "x"
+        r = invoke("simulate", "--manifest", write_manifest(data), "--out", out)
+        assert r.exit_code == 2, r.output
+        assert "snapshot_times must lie in [0, t_end]" in r.output
+        assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("dotted", ["diagnostics.radii",
                                         "diagnostics.p_list"])

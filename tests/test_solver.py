@@ -75,6 +75,10 @@ class TestSolverConfig:
         # an infinite dt_max made every implicit rung the whole gap to
         # the next target, retried without end when that step failed
         dict(dt_max=math.inf),
+        # a time beyond t_end got no snapshot; a negative one stored the
+        # initial state under its own time
+        dict(snapshot_times=(0.5, 1.5)),
+        dict(snapshot_times=(-1.0,)),
     ])
     def test_malformed_numbers_raise(self, kw):
         with pytest.raises(InputError, match=next(iter(kw))):
@@ -133,6 +137,22 @@ class TestStep:
             step(heat1, f, 0.0)
         with pytest.raises(InputError):
             step(heat1, f, 1e-3, scheme="leapfrog")
+
+    @pytest.mark.parametrize("scheme", ["explicit", "imex", "newton"])
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    @pytest.mark.parametrize("given", [False, True])
+    def test_non_finite_dt_raises_before_any_work(self, heat1, grid16n,
+                                                  monkeypatch, scheme, dt,
+                                                  given):
+        # NaN and inf gave an all-NaN field (explicit, imex) or a
+        # NewtonConvergenceError; with no config the error named dt0
+        def no_work(*args):
+            raise AssertionError("step() did work for a non-finite dt")
+
+        monkeypatch.setattr(solver_mod, "_reaction_term", no_work)
+        cfg = SolverConfig(scheme=scheme, dt0=1e-3, t_end=1.0) if given else None
+        with pytest.raises(InputError, match=r"^dt must be finite and positive$"):
+            step(heat1, Field.constant(grid16n, [1.0]), dt, scheme, config=cfg)
 
 
 class TestRunConservation:
@@ -325,6 +345,23 @@ class TestRunControl:
                if not self.on_the_ladder(dt, 1e-3)]
         assert len(off) == len(traj.dt_history) - 1 > 2
 
+    @pytest.mark.parametrize("scheme,dt_min,amp,t_end", [
+        ("explicit", 1e-7, 1.0, 4e-3), ("imex", 1e-6, 300.0, 1e-2),
+        ("newton", 1e-6, 300.0, 1e-2)])
+    def test_every_accepted_step_names_one_limit(self, skt_lv, grid16n,
+                                                 scheme, dt_min, amp, t_end):
+        # at amplitude 300 the reaction cap sets the first implicit step
+        f0 = initial_field("positive_fourier", grid16n, 2, amp, 3)
+        cfg = SolverConfig(scheme=scheme, dt0=1e-3, dt_min=dt_min,
+                           dt_max=1e-2, t_end=t_end, snapshot_times=(0.0023,))
+        traj = run(skt_lv, f0, cfg)
+        limits = traj.stats.dt_limits
+        assert traj.reached_end
+        assert sum(limits.values()) == len(traj.dt_history) > 2
+        assert limits["landing"] == 2
+        assert set(limits) - {"landing"} == (
+            {"cfl"} if scheme == "explicit" else {"reaction", "controller"})
+
     def test_newton_stall_at_floor_reports_nonfinite(self, skt, grid16n):
         f0 = smooth_field(grid16n, m=2, amp=100.0)
         cfg = SolverConfig(scheme="newton", dt0=1e-2, dt_min=1e-3, dt_max=1e-2,
@@ -333,6 +370,79 @@ class TestRunControl:
         traj = run(skt, f0, cfg)
         assert traj.terminated_reason == "nonfinite"
         assert not traj.reached_end
+
+
+INF = math.inf
+RUNG3 = math.ldexp(1e-2, -3)  # 1.25e-3, the rung below 1.44e-3
+
+
+class TestStepSize:
+    """_step_size alone, one row per limit: the scheme, dt_min and dt_max
+    of the config (dt0 = dt_min), the controller's dt, the cfl and
+    reaction caps, the gap to the next target, and the step and limit
+    it gives."""
+
+    @pytest.mark.parametrize(
+        "scheme,dt_min,dt_max,dt,cfl,reaction,gap,want,limit", [
+            pytest.param("imex", 1e-6, 1e-2, 1e-2, INF, INF, 1.0,
+                         1e-2, "dt_max", id="dt_max"),
+            pytest.param("imex", 1e-6, 1e-2, 1.44e-3, INF, INF, 1.0,
+                         RUNG3, "controller", id="controller-between-rungs"),
+            pytest.param("newton", 1e-6, 1e-2, 1.44e-3, INF, INF, 1.0,
+                         RUNG3, "controller", id="newton-between-rungs"),
+            pytest.param("imex", 1e-6, 1e-2, 1e-2, INF, 2e-2, 1.0,
+                         1e-2, "dt_max", id="reaction-above"),
+            pytest.param("imex", 1e-6, 1e-2, 1e-2, INF, 3e-3, 1.0,
+                         2.5e-3, "reaction", id="reaction-below-on-a-rung"),
+            pytest.param("explicit", 1e-7, 1e-3, 1e-3, 2e-3, INF, 1.0,
+                         1e-3, "dt_max", id="cfl-above"),
+            pytest.param("explicit", 1e-7, 1e-3, 1e-3, 4e-4, INF, 1.0,
+                         4e-4, "cfl", id="cfl-below"),
+            pytest.param("explicit", 1e-7, 1e-3, 1e-3, 5e-4, 3e-4, 1.0,
+                         3e-4, "reaction", id="reaction-below-cfl"),
+            pytest.param("explicit", 1e-7, 1e-3, 1e-3, 5e-4, 5e-4, 1.0,
+                         5e-4, "cfl", id="tie-keeps-the-first-cap"),
+            pytest.param("imex", 1e-6, 1e-2, 1e-2, INF, 5e-7, 1.0,
+                         None, "stiff", id="stiff"),
+            pytest.param("explicit", 1e-6, 1e-2, 1e-2, 5e-7, INF, 1.0,
+                         None, "stiff", id="explicit-stiff"),
+            pytest.param("imex", 1e-6, 1e-2, 1e-2, INF, 1e-6 * (1 - 1e-13),
+                         1.0, 1e-6 * (1 - 1e-13), "reaction",
+                         id="cap-within-the-floor-tolerance"),
+            pytest.param("imex", 3e-3, 1e-2, 4e-3, INF, INF, 1.0,
+                         3e-3, "dt_min", id="dt_min-between-rungs"),
+            pytest.param("imex", 3e-3, 1e-2, 3e-3, INF, INF, 1.0,
+                         3e-3, "dt_min", id="controller-at-dt_min"),
+            pytest.param("imex", 1e-6, 1e-2, 1e-2, INF, INF, 4e-3,
+                         4e-3, "landing", id="gap-below"),
+            pytest.param("imex", 1e-6, 1e-2, 1e-2, INF, INF,
+                         1e-2 * (1 + 5e-13), 1e-2 * (1 + 5e-13), "landing",
+                         id="gap-within-1e-12"),
+            pytest.param("imex", 1e-6, 1e-2, 1e-2, INF, INF,
+                         1e-2 * (1 + 2e-12), 1e-2, "dt_max",
+                         id="gap-beyond-1e-12"),
+            pytest.param("imex", 1e-6, 1e-2, 1.44e-3, INF, INF, 1.3e-3,
+                         RUNG3, "controller", id="gap-above-the-rung"),
+            pytest.param("explicit", 1e-7, 1e-2, 1.44e-3, INF, INF, 1.0,
+                         1.44e-3, "controller", id="explicit-off-the-ladder"),
+        ])
+    def test_rule(self, scheme, dt_min, dt_max, dt, cfl, reaction, gap,
+                  want, limit):
+        cfg = SolverConfig(scheme=scheme, dt0=dt_min, dt_min=dt_min,
+                           dt_max=dt_max, t_end=1.0)
+        got = solver_mod._step_size(cfg, dt, cfl, reaction, gap)
+        assert got == (want, limit)
+        assert got[0] is None or math.isfinite(got[0])
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_every_rung_is_a_fixed_point(self, k):
+        cfg = SolverConfig(scheme="imex", dt0=1e-6, dt_min=1e-6,
+                           dt_max=1e-2, t_end=1.0)
+        rung = math.ldexp(1e-2, -k)
+        assert solver_mod._step_size(cfg, rung, INF, INF, 1.0)[0] == rung
+        below = np.nextafter(rung, 0.0)
+        assert solver_mod._step_size(cfg, below, INF, INF, 1.0)[0] == (
+            rung / 2)
 
 
 def bits(x):
@@ -861,15 +971,17 @@ class TestRunStats:
     COUNTS = {f.name for f in dataclasses.fields(RunStats)}
 
     def test_the_record_holds_the_eight_counts(self):
+        # and the histogram of step limits
         assert [f.name for f in dataclasses.fields(RunStats)] == [
             "rejected_steps", "assemblies", "factorizations",
             "factorizations_new_dt", "factorizations_missed_target",
-            "linear_solves", "krylov_iterations", "worst_linear_residual"]
+            "linear_solves", "krylov_iterations", "worst_linear_residual",
+            "dt_limits"]
         assert dataclasses.asdict(RunStats()) == dict(
             rejected_steps=0, assemblies=0, factorizations=0,
             factorizations_new_dt=0, factorizations_missed_target=0,
             linear_solves=0, krylov_iterations=0,
-            worst_linear_residual=None)
+            worst_linear_residual=None, dt_limits={})
 
     def test_trajectory_has_no_count_field(self):
         names = {f.name for f in dataclasses.fields(solver_mod.Trajectory)}
