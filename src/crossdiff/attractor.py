@@ -180,10 +180,14 @@ def initial_field(family, grid, m, amplitude, seed):
 def ystar_dominance(traj, spec, tol=0.05):
     """Fit y' <= C1*y - C3*y^p on the squared L2 series of a trajectory
     and check y(t) <= max(y(0), y_*) * (1 + tol), y_* = (C1/C3)^(1/(p-1)).
+    tol must be finite and nonnegative.
 
     Requires a competitive reaction, whose decay_power is p.  Raises
     InputError when no C1 can be certified to cover the data.
     """
+    tol = float(tol)
+    if not 0 <= tol < math.inf:
+        raise InputError(f"tol must be finite and nonnegative, got {tol!r}")
     p = getattr(spec.reaction, "decay_power", None)
     if p is None:
         raise InputError("needs a competitive reaction (one with a decay_power)")

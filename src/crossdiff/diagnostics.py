@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .grid import cell_gradient
-from .model import eval_A, eval_lambda, reaction_zero_order
+from .model import _positive_finite, eval_A, eval_lambda, reaction_zero_order
 
 __all__ = [
     "NormRecord",
@@ -165,6 +165,17 @@ class DiagnosticsConfig:
             mu0=None if d.get("mu0") is None else float(d["mu0"]),
             eps=float(d.get("eps", 0.1)),
             M1_targets=tuple(float(M1) for M1 in d.get("M1_targets", ())))
+
+
+def _radius(R, what):
+    """R as a float; InputError unless it is finite and positive.  Every
+    radius of norms, bmo_profile and morrey_profile passes here before
+    it reaches _window."""
+    R = float(R)
+    if not 0 < R < math.inf:
+        raise InputError(f"every entry of {what} must be finite and "
+                         f"positive, got {R!r}")
+    return R
 
 
 def _ball_kernel(grid, R):
@@ -400,27 +411,19 @@ def _bound_ordered_sup(comp, means, bound, win, best):
 
 
 def _energy_y(field, spec, grad, A=None):
-    """y = int |A(u) Du|^2 by midpoint quadrature; grad is
+    """y = int |A(u) Du|^2 = area * sum over cells, i and d of
+    (sum_j A_ij (Du)_jd)^2 by midpoint quadrature; grad is
     cell_gradient(field), (m, 2, Nx, Ny), and A, when given,
-    eval_A(spec, field.values), (m, m, Nx, Ny).
-
-    (A Du)_{id} = sum_j A_ij (Du)_jd is summed over j in index order, as
-    einsum("ijxy,jdxy->idxy") sums it.  The squares are then summed
-    pairwise in a fixed memory order, which sets the last bit of y: for
-    m >= 2 the cell-by-cell order of a C-contiguous (x, y, i, d) array,
-    for m = 1 the (i, d, x, y) order of AD itself.  Both are the orders
-    in which the earlier point-major contraction held its squares, so y
-    keeps those bits."""
+    eval_A(spec, field.values), (m, m, Nx, Ny).  Checked against the
+    same sum in exact rational arithmetic, within the gamma_n bound of
+    its terms (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Sec. 3.1)."""
     if A is None:
         A = eval_A(spec, field.values)
-    m = A.shape[0]
     AD = A[:, 0, None] * grad[0]
-    for j in range(1, m):
+    for j in range(1, A.shape[0]):
         AD += A[:, j, None] * grad[j]
-    AD2 = AD * AD
-    if m > 1:
-        AD2 = np.ascontiguousarray(AD2.transpose(2, 3, 0, 1))
-    return float(field.grid.cell_area * AD2.sum())
+    return float(field.grid.cell_area * (AD * AD).sum())
 
 
 def _bmo_sup(values, win):
@@ -494,7 +497,7 @@ def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None, *, grad=None,
     bmo = {}
     morrey = {}
     for R in (R_list or ()):
-        R = float(R)
+        R = _radius(R, "R_list")
         if R > min(g.Lx, g.Ly):
             continue
         win = _window(g, R)
@@ -544,7 +547,7 @@ def bmo_profile(u, radii, Lambda_hat=1.0, mu0=None, recorded=None):
     osc, products, small = {}, {}, {}
     skipped = []
     for R in radii:
-        R = float(R)
+        R = _radius(R, "radii")
         if R < 2.0 * hmax * (1 - 1e-12):
             raise InputError(f"radius {R:g} is below two cells ({2 * hmax:g})")
         if R > min(g.Lx, g.Ly):
@@ -660,7 +663,8 @@ def decay_bound_check(t, y, p, M1_targets=(), constants=None):
 
         T_*(M1) = [c3*(p-1)]^(-1) * (M1 - (c2/c3)^(1/p))^(1-p)
 
-    is reported beside the first empirical time with y <= M1.
+    is reported beside the first empirical time with y <= M1.  p must
+    be finite and exceed 1, and every M1 target be finite.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -671,8 +675,11 @@ def decay_bound_check(t, y, p, M1_targets=(), constants=None):
         raise InputError("need at least 3 samples")
     if not np.all(y > 0):
         raise InputError("series must be positive")
-    if not p > 1:
-        raise InputError("p must exceed 1")
+    if not 1 < p < math.inf:
+        raise InputError(f"p must be finite and exceed 1, got {p!r}")
+    M1_targets = [float(M1) for M1 in M1_targets]
+    if not all(map(math.isfinite, M1_targets)):
+        raise InputError("every entry of M1_targets must be finite")
     if np.any(np.diff(t) <= 0):
         raise InputError("times must be strictly increasing")
 
@@ -710,7 +717,6 @@ def decay_bound_check(t, y, p, M1_targets=(), constants=None):
         tolb = 1e-12 * max(1.0, float(np.max(bound[np.isfinite(bound)], initial=1.0)))
         passed = bool(np.all(bound_margins >= -tolb))
         for M1 in M1_targets:
-            M1 = float(M1)
             if M1 > K:
                 T_star[M1] = float((M1 - K) ** (1.0 - p) / (c3 * (p - 1.0)))
             else:
@@ -731,14 +737,13 @@ def decay_bound_check(t, y, p, M1_targets=(), constants=None):
 
 def interpolation_check(fields, q=2.0, eps=0.1):
     """Smallest C with int|u|^{q+2} <= eps*int|u|^q|Du|^2 + C*L1^{q+2}
-    over the supplied family of fields (zero fields contribute 0)."""
+    over the supplied family of fields (zero fields contribute 0); q and
+    eps must be finite and positive."""
     fields = list(fields)
     if not fields:
         raise InputError("need at least one field")
-    q = float(q)
-    eps = float(eps)
-    if q <= 0 or eps <= 0:
-        raise InputError("q and eps must be positive")
+    q = _positive_finite(q, "q")
+    eps = _positive_finite(eps, "eps")
     I1 = np.empty(len(fields))
     I2 = np.empty(len(fields))
     L1 = np.empty(len(fields))
@@ -784,7 +789,7 @@ def morrey_profile(traj, radii):
         raise InputError("trajectory was run without store_states")
     if len(traj.states) < 3:
         raise InputError("need at least 3 stored states")
-    radii = [float(R) for R in radii]
+    radii = [_radius(R, "radii") for R in radii]
     if len(radii) < 2:
         raise InputError("need at least 2 radii for a slope")
     from scipy.integrate import cumulative_trapezoid

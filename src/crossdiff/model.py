@@ -789,45 +789,24 @@ def _certification_draw(spec, region, n, seed):
 
 
 def _quotients(A, d, q, l, uhat):
-    """The unnormalized quotients <A q, M_l q> / |u|^l of one slice of
-    the draw, sample axis last: v1 over the directions d (m, n) and v2
-    over the matrices q (m, c, n), with A (m, m, n) and uhat = u/|u|
-    (m, n) when l > 0.
+    """The unnormalized quotients <A x, x> + l <A x, uhat><x, uhat> of one
+    slice of the draw, sample axis last: v1 for x = d (m, n), and v2 the
+    sum over the columns x of q (m, c, n), with A (m, m, n) and uhat =
+    u/|u| (m, n) when l > 0.  Every sum runs over the components in
+    index order, so each sample is summed on its own."""
+    def dot(x, y):
+        s = x[0] * y[0]
+        for a, b in zip(x[1:], y[1:]):
+            s += a * b
+        return s
 
-    The matrix tested is T[i, j] = A[j, i] for l = 0 and
-    A[j, i] + l * Au[i] * uhat[j] with Au[i] = sum_j A[j, i] uhat[j]
-    otherwise.  The sums are the ones np.einsum did on a C-contiguous
-    point-major batch of two or more samples, one per row, term for
-    term: Au from 0.0 in j order; v1 and v2 from 0.0 over (i, j) pairs
-    in i-major order when l > 0 (T is then a fresh array) and in j-major
-    order when l = 0 (einsum walked the transposed view of A in memory
-    order), c innermost; each term d_i * t * d_j or q_ic * t * q_jc
-    multiplied left to right.
-    Rounding depends on the order of the terms, so these orders keep
-    the quotients' bits.  The one exception is a lone sample at m = 2:
-    einsum dropped the unit batch axis and summed its four terms as
-    (t00 + t01) + (t10 + t11), so a one-sample slice there can differ
-    from the einsum value in the last bits.  Here every sample is summed
-    alike, whatever the samples beside it.
-    """
-    m, n = d.shape
-    v1, v2 = np.zeros(n), np.zeros(n)
-    if l > 0:
-        Au = np.zeros((m, n))
-        for i in range(m):
-            for j in range(m):
-                Au[i] += A[j, i] * uhat[j]
-        pairs = [(i, j) for i in range(m) for j in range(m)]
-    else:
-        pairs = [(i, j) for j in range(m) for i in range(m)]
-    for i, j in pairs:
-        t = A[j, i]
+    def form(x):
+        Ax = [dot(row, x) for row in A]
         if l > 0:
-            t = t + l * Au[i] * uhat[j]
-        v1 += d[i] * t * d[j]
-        for c in range(q.shape[1]):
-            v2 += q[i, c] * t * q[j, c]
-    return v1, v2
+            return dot(Ax, x) + l * dot(Ax, uhat) * dot(x, uhat)
+        return dot(Ax, x)
+
+    return form(d), sum(form(x) for x in q.transpose(1, 0, 2))
 
 
 def compute_lambda_l(spec, l, n=100000, seed=0, region=None, delta=0.99,
@@ -846,13 +825,17 @@ def compute_lambda_l(spec, l, n=100000, seed=0, region=None, delta=0.99,
     is an empirical certificate.  _sample, when given, is the
     _certification_draw to use in place of drawing (region, n, seed).
 
-    The quotients run in slices of _SLICE samples and reduce by min.  Each
-    slice sums its quotients in plain column loops (_quotients) in the
-    order np.einsum summed them, so the value keeps its bits.  States at
-    the origin are dropped for l > 0.  C_* = max ||A||/lambda over the
-    kept states feeds only the spectral-gap gate l/(l+2) <= delta/C_*,
-    which is logged at INFO and not enforced, so C_* is computed only
-    when that log is on.
+    Since <A q, M_l q> / |u|^l = <A q, q> + l <A q, uhat><q, uhat> with
+    uhat = u/|u|, _quotients computes that form column by column.  Its
+    rows are checked against the same form in exact rational arithmetic,
+    within the gamma_n bound of their terms (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Sec. 3.1).  The quotients
+    run in slices of _SLICE samples and reduce by min; each sample is
+    summed on its own, so the value does not depend on the slice size.
+    States at the origin are dropped for l > 0.  C_* = max ||A||/lambda
+    over the kept states feeds only the spectral-gap gate l/(l+2) <=
+    delta/C_*, which is logged at INFO and not enforced, so C_* is
+    computed only when that log is on.
     """
     l = _power(l)
     delta = _positive_finite(delta, "delta")

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,6 +84,21 @@ def eigenmode_field(grid, m=1, amp=1.0):
     return Field.from_function(
         grid, m, lambda c, X, Y: amp * np.sin(np.pi * X / grid.Lx)
         * np.sin(np.pi * Y / grid.Ly))
+
+
+# an array of floats as an object array of their exact Fractions
+exact = np.vectorize(Fraction, otypes=[object])
+
+
+def assert_within_gamma(got, value, scale, n):
+    """|got - value| <= gamma_n * scale in rational arithmetic, with
+    gamma_n = n u / (1 - n u) and u = eps / 2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Sec. 3.1).  A float sum
+    whose every term carries at most n roundings (an ulp-accurate
+    operation counted as two) meets it with value the exact sum and
+    scale the sum of the terms' magnitudes."""
+    n_u = n * Fraction(np.finfo(float).eps) / 2
+    assert abs(Fraction(float(got)) - value) <= n_u / (1 - n_u) * scale
 
 
 def smooth_field(grid, m=1, amp=1.0, shift=2.0):

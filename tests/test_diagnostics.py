@@ -9,7 +9,8 @@ from crossdiff import (Field, InequalityReport, InputError, SolverConfig,
                        bmo_profile, build_grid, cell_gradient,
                        decay_bound_check, energy_inequality_check,
                        interpolation_check, morrey_profile, norms,
-                       record_headers, record_row, run, stability_ratio)
+                       record_headers, record_row, run, stability_ratio,
+                       ystar_dominance)
 from crossdiff import diagnostics as diag_mod
 
 from conftest import eigenmode_field, smooth_field
@@ -434,6 +435,33 @@ class TestMorreyProfile:
         traj = run(heat1, eigenmode_field(grid16d), cfg)
         with pytest.raises(InputError):
             morrey_profile(traj, (0.125, 0.25))
+
+
+class TestMalformedArguments:
+    """A malformed number raises InputError naming its argument, under
+    the rules DiagnosticsConfig and EnsembleSpec apply."""
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda tr, spec: norms(tr.final, spec, R_list=[math.nan]), "R_list"),
+        (lambda tr, spec: norms(tr.final, spec, R_list=[-0.2]), "R_list"),
+        (lambda tr, spec: bmo_profile(tr.final, [math.nan]), "radii"),
+        (lambda tr, spec: morrey_profile(tr, [math.nan, 0.1]), "radii"),
+        (lambda tr, spec: morrey_profile(tr, [0.0, 0.1]), "radii"),
+        (lambda tr, spec: morrey_profile(tr, [-0.1, 0.1]), "radii"),
+        (lambda tr, spec: interpolation_check([tr.final], q=math.nan), "q"),
+        (lambda tr, spec: interpolation_check([tr.final], eps=math.inf), "eps"),
+        (lambda tr, spec: decay_bound_check(tr.times, [3, 2, 1.5], math.nan), "p"),
+        (lambda tr, spec: decay_bound_check(tr.times, [3, 2, 1.5], math.inf), "p"),
+        (lambda tr, spec: decay_bound_check(tr.times, [3, 2, 1.5], 2.0,
+                                            M1_targets=[math.nan]), "M1_targets"),
+        (lambda tr, spec: ystar_dominance(tr, spec, tol=math.nan), "tol"),
+        (lambda tr, spec: ystar_dominance(tr, spec, tol=-0.1), "tol"),
+        (lambda tr, spec: ystar_dominance(tr, spec, tol=math.inf), "tol"),
+    ])
+    def test_raises_naming_the_argument(self, heat1, grid16d, call, name):
+        traj = short_run(heat1, eigenmode_field(grid16d), 1e-2, 0.02)
+        with pytest.raises(InputError, match=rf"\b{name}\b"):
+            call(traj, heat1)
 
 
 class TestStabilityRatio:

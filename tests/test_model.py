@@ -20,6 +20,8 @@ from crossdiff import (InputError, LambdaSpec, MatrixPolynomial,
 import crossdiff.model as model_mod
 from crossdiff.model import _opnorms, _sym_mineigs
 
+from conftest import assert_within_gamma, exact
+
 
 def diag_model(*diag):
     """Constant diagonal diffusion matrix via linear P."""
@@ -140,6 +142,11 @@ def assert_matches_oracle(got, monomials):
     assert abs(Fraction(float(got)) - sum(terms)) <= 8 * Fraction(np.finfo(float).eps) * scale
 
 
+def assert_terms(got, terms, n):
+    """got is the sum of the exact terms within gamma_n."""
+    assert_within_gamma(got, sum(terms), sum(map(abs, terms)), n)
+
+
 def random_terms(rng, m):
     """One to four terms with exponents 0..5; no constant term."""
     comp = []
@@ -184,50 +191,9 @@ class TestExactOracle:
                                                 if (i, j) == (a, b)])
 
 
-def point_major(u):
-    """The (..., m) view of a component-major (m, ...) array: the
-    points a field's values were once evaluated on."""
-    return u.transpose(tuple(range(1, u.ndim)) + (0,))
-
-
-def component_major(x, k):
-    """x with its last k axes moved to the front, as a C-contiguous
-    array."""
-    n = x.ndim - k
-    return np.ascontiguousarray(
-        x.transpose(tuple(range(n, x.ndim)) + tuple(range(n))))
-
-
-def point_major_matrix_polynomial(M, u):
-    """M(u) by the point-major evaluator the component-major one
-    replaced: u is (..., m), each term starts from np.full(c), and the
-    result is (..., r, c)."""
-    out = np.zeros(u.shape[:-1] + M.shape)
-    r = None
-    for i, j, c, s, ex in M._terms:
-        v = np.full(u.shape[:-1], c)
-        for axis, e in enumerate(ex):
-            if e:
-                v = v * u[..., axis] ** e
-        if s:
-            if r is None:
-                r = np.linalg.norm(u, axis=-1)
-            v = v * r ** s
-        out[..., i, j] += v
-    return out
-
-
-def point_major_zero_order(reaction, u):
-    """ReactionSpec.zero_order by the point-major evaluator."""
-    out = u @ reaction.K.T
-    G = point_major_matrix_polynomial(reaction.G, u)
-    return out - np.einsum("...ij,...j->...i", G, u)
-
-
-def point_major_gradient_term(B, u, g):
-    """B(u) Du by the point-major evaluator; g is (..., m, 2)."""
-    gf = g.reshape(g.shape[:-2] + (2 * B.m,))
-    return np.einsum("...ij,...j->...i", point_major_matrix_polynomial(B, u), gf)
+def shifted(ex, j, by):
+    """The exponents ex with by added to that of u_j."""
+    return tuple(e + by * (k == j) for k, e in enumerate(ex))
 
 
 def random_matrix_terms(rng, m, shape):
@@ -240,67 +206,91 @@ def random_matrix_terms(rng, m, shape):
 
 
 SPATIAL_SHAPES = [(9,), (5, 7), (3, 4, 5)]
+# Roundings per term of the evaluators below (m <= 3), an ulp-accurate
+# power counted twice: 3 products and 3 powers; |u| (m/2 + 1) to a
+# power s <= 3 and its product (3 (m/2 + 1) + 3); a factor u_j or g_k;
+# and at most 20 terms summed: under 48.
+EVAL_ROUNDINGS = 48
 
 
 class TestComponentMajorParity:
-    """The component-major evaluators give, bit for bit, what the
-    point-major ones gave on the point-major view of the same array."""
+    """The component-major evaluators on (m, *shape) states, point by
+    point against exact rational arithmetic within gamma_48.  The ids
+    are those of the point-major parity tests this class held before."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("shape", SPATIAL_SHAPES)
     def test_matrix_polynomial(self, m, shape):
         rng = np.random.default_rng([m, len(shape), 2])
-        M = MatrixPolynomial(m, (m, m + 1),
-                             random_matrix_terms(rng, m, (m, m + 1)))
+        terms = random_matrix_terms(rng, m, (m, m + 1))
         u = rng.uniform(-2.0, 2.0, size=(m,) + shape)
-        want = point_major_matrix_polynomial(M, point_major(u))
-        assert M(u).tobytes() == component_major(want, 2).tobytes()
+        got = MatrixPolynomial(m, (m, m + 1), terms)(u)
+        for p, up in zip(np.ndindex(shape), u.reshape(m, -1).T):
+            for a, b in np.ndindex(m, m + 1):
+                assert_terms(got[(a, b) + p], [
+                    exact_monomial(c, s, ex, up)
+                    for i, j, c, s, ex in terms if (i, j) == (a, b)],
+                    EVAL_ROUNDINGS)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("shape", SPATIAL_SHAPES)
     def test_polynomial_map_and_jacobian(self, m, shape):
         rng = np.random.default_rng([m, len(shape), 3])
-        P = PolynomialMap(m, [random_terms(rng, m) for _ in range(m)])
+        terms = [random_terms(rng, m) for _ in range(m)]
+        P = PolynomialMap(m, terms)
         u = rng.uniform(-2.0, 2.0, size=(m,) + shape)
-        pts = point_major(u)
-        want_P = point_major_matrix_polynomial(P._P, pts)[..., 0]
-        want_A = point_major_matrix_polynomial(P._A, pts)
-        assert P(u).tobytes() == component_major(want_P, 1).tobytes()
-        assert P.jacobian(u).tobytes() == component_major(want_A, 2).tobytes()
+        values, jac = P(u), P.jacobian(u)
+        for p, up in zip(np.ndindex(shape), u.reshape(m, -1).T):
+            for i, comp in enumerate(terms):
+                assert_terms(values[(i,) + p], [
+                    exact_monomial(c, 0, ex, up) for c, ex in comp],
+                    EVAL_ROUNDINGS)
+                for j in range(m):
+                    assert_terms(jac[(i, j) + p], [
+                        exact_monomial(c * ex[j], 0, shifted(ex, j, -1), up)
+                        for c, ex in comp if ex[j]], EVAL_ROUNDINGS)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("shape", SPATIAL_SHAPES)
     def test_reaction_parts(self, m, shape):
+        # f = K u - G(u) u + B(u) Du, with Du flattened to (du1/dx,
+        # du1/dy, du2/dx, ...)
         rng = np.random.default_rng([m, len(shape), 4])
-        G = MatrixPolynomial(m, (m, m), random_matrix_terms(rng, m, (m, m)))
-        B = MatrixPolynomial(m, (m, 2 * m),
-                             random_matrix_terms(rng, m, (m, 2 * m)))
-        reaction = ReactionSpec(K=rng.normal(size=(m, m)), B=B, G=G,
+        G = random_matrix_terms(rng, m, (m, m))
+        B = random_matrix_terms(rng, m, (m, 2 * m))
+        K = rng.normal(size=(m, m))
+        reaction = ReactionSpec(K=K, B=MatrixPolynomial(m, (m, 2 * m), B),
+                                G=MatrixPolynomial(m, (m, m), G),
                                 kappa=1.0, c0=1.0)
         u = rng.uniform(0.1, 2.0, size=(m,) + shape)
         g = rng.normal(size=(m, 2) + shape)
-        pts, gp = point_major(u), g.transpose(tuple(range(2, g.ndim)) + (0, 1))
-        want_f0 = point_major_zero_order(reaction, pts)
-        want = want_f0 + point_major_gradient_term(B, pts, gp)
-        assert (reaction.zero_order(u).tobytes()
-                == component_major(want_f0, 1).tobytes())
-        assert reaction(u, g).tobytes() == component_major(want, 1).tobytes()
+        f0, f = reaction.zero_order(u), reaction(u, g)
+        for p, up, gp in zip(np.ndindex(shape), u.reshape(m, -1).T,
+                             g.reshape(2 * m, -1).T):
+            for a in range(m):
+                zero = [exact_monomial(K[a, j], 0, shifted((0,) * m, j, 1), up)
+                        for j in range(m)]
+                zero += [exact_monomial(-c, s, shifted(ex, j, 1), up)
+                         for i, j, c, s, ex in G if i == a]
+                grad = [exact_monomial(Fraction(c) * Fraction(gp[k]), s, ex, up)
+                        for i, k, c, s, ex in B if i == a]
+                assert_terms(f0[(a,) + p], zero, EVAL_ROUNDINGS)
+                assert_terms(f[(a,) + p], zero + grad, EVAL_ROUNDINGS)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_certification_draw_layout(self, m):
         # a point-major (n, m) batch, as Region.sample returns, is
-        # evaluated on U.T
+        # evaluated on its transposed view, with the bits of a
+        # contiguous copy
         rng = np.random.default_rng([m, 5])
         M = MatrixPolynomial(m, (m, m), random_matrix_terms(rng, m, (m, m)))
         P = PolynomialMap(m, [random_terms(rng, m) for _ in range(m)])
-        K = rng.normal(size=(m, m))
+        reaction = ReactionSpec(K=rng.normal(size=(m, m)), B=None, G=None,
+                                kappa=1.0, c0=1.0)
         U = rng.uniform(-2.0, 2.0, size=(50, m))
-        assert np.array_equal(M(U.T).transpose(2, 0, 1),
-                              point_major_matrix_polynomial(M, U))
-        assert np.array_equal(P(U.T).T,
-                              point_major_matrix_polynomial(P._P, U)[..., 0])
-        reaction = ReactionSpec(K=K, B=None, G=None, kappa=1.0, c0=1.0)
-        assert np.array_equal(reaction.zero_order(U.T).T, U @ K.T)
+        for evaluate in (M, P, P.jacobian, reaction.zero_order):
+            assert (evaluate(U.T).tobytes()
+                    == evaluate(np.ascontiguousarray(U.T)).tobytes())
 
 
 class TestLayoutErrors:
@@ -798,21 +788,6 @@ def sample_last(sample):
     return U.T, lam, A.transpose(1, 2, 0), d.T, q.transpose(1, 2, 0)
 
 
-def sample_first(draw):
-    """A _certification_draw as C-contiguous point-major arrays, one
-    sample per row, the layout the einsum code took."""
-    U, lam, A, d, q = draw
-    return tuple(np.ascontiguousarray(x) for x in (
-        U.T, lam, A.transpose(2, 0, 1), d.T, q.transpose(2, 0, 1)))
-
-
-def point_major_quotients(A, d, q, l, uhat):
-    """_quotients of point-major rows A (n, m, m), d (n, m), q (n, m, c)
-    and uhat (n, m), passed with the sample axis last."""
-    return model_mod._quotients(A.transpose(1, 2, 0), d.T, q.transpose(1, 2, 0),
-                                l, None if uhat is None else uhat.T)
-
-
 SLICE_CASES = [("skt_lv", Region.positive(100.0, 2)),
                ("skt_lv", Region.symmetric(3.0, 2)),
                ("m3", Region.symmetric(2.0, 3))]
@@ -934,49 +909,9 @@ class TestCertificationSlices:
         assert float_bits(logged) == float_bits(quiet)
 
 
-def einsum_quotients(U, A, d, q, l):
-    """The quotient step of compute_lambda_l as it was written with
-    np.einsum: (v1, v2) of rows off the origin (for l > 0), before the
-    division by lambda.
-
-    np.einsum drops the unit batch axis of a lone row and at m = 2 then
-    sums its terms as (t00 + t01) + (t10 + t11); a lone row is stacked
-    twice here, so every row is summed as einsum sums a batch of two or
-    more rows, the order compute_lambda_l keeps."""
-    if len(U) == 1:
-        v1, v2 = einsum_quotients(
-            *(np.concatenate([x, x]) for x in (U, A, d, q)), l)
-        return v1[:1], v2[:1]
-    AT = np.swapaxes(A, -1, -2)
-    if l > 0:
-        uhat = U / np.linalg.norm(U, axis=-1, keepdims=True)
-        Au = np.einsum("nij,nj->ni", AT, uhat)
-        T = AT + l * Au[:, :, None] * uhat[:, None, :]
-    else:
-        T = AT
-    return (np.einsum("ni,nij,nj->n", d, T, d),
-            np.einsum("nic,nij,njc->n", q, T, q))
-
-
-def einsum_lambda_l(sample, l, slice_rows):
-    """compute_lambda_l's value from einsum_quotients over slices of
-    slice_rows rows (no spectral-gap log)."""
-    mins = []
-    for start in range(0, len(sample[0]), slice_rows):
-        U, lam, A, d, q = (x[start:start + slice_rows] for x in sample)
-        if l > 0:
-            keep = np.linalg.norm(U, axis=-1) > 0
-            if not keep.any():
-                continue
-            U, lam, A, d, q = U[keep], lam[keep], A[keep], d[keep], q[keep]
-        v1, v2 = einsum_quotients(U, A, d, q, l)
-        mins.append(min((v1 / lam).min(), (v2 / lam).min()))
-    return float(min(mins))
-
-
 def random_sample(rng, m, n, origin):
-    """A point-major (U, lam, A, d, q) tuple, one sample per row, over
-    magnitudes from 1e-3 to 1e3, with about a fraction origin of the
+    """A (U, lam, A, d, q) tuple in the layout of _certification_draw
+    over magnitudes from 1e-3 to 1e3, with about a fraction origin of the
     states at the origin."""
     U = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
     U[rng.random(n) < origin] = 0.0
@@ -984,71 +919,91 @@ def random_sample(rng, m, n, origin):
     A = rng.standard_normal((n, m, m)) * 10.0 ** rng.uniform(-2, 2, (n, 1, 1))
     d = rng.standard_normal((n, m))
     q = rng.standard_normal((n, m, 2))
-    return U, lam, A, d, q
+    return sample_last((U, lam, A, d, q))
 
 
-def quotients_of(sample, l):
-    """_quotients on the rows compute_lambda_l tests (those off the
-    origin when l > 0), with the einsum reference on the same rows."""
+def certified_rows(sample, l):
+    """The samples compute_lambda_l tests (those off the origin when
+    l > 0) as (lam, A, d, q, uhat), and their _quotients."""
     U, lam, A, d, q = sample
     uhat = None
     if l > 0:
-        un = np.linalg.norm(U, axis=-1)
+        un = np.linalg.norm(U, axis=0)
         keep = un > 0
-        U, un, A, d, q = U[keep], un[keep], A[keep], d[keep], q[keep]
-        uhat = U / un[:, None]
-    return (point_major_quotients(A, d, q, l, uhat),
-            einsum_quotients(U, A, d, q, l))
+        U, un, lam, A, d, q = (x[..., keep] for x in (U, un, lam, A, d, q))
+        uhat = U / un
+    return (lam, A, d, q, uhat), model_mod._quotients(A, d, q, l, uhat)
+
+
+def exact_form(A, xs, uhat, l):
+    """The sum over the columns x of xs of <A x, x> + l <A x, uhat><x,
+    uhat> for one sample, in rational arithmetic."""
+    A, xs, uhat = exact(A), exact(xs), exact(uhat)
+    Ax = A @ xs
+    return (Ax * xs).sum() + Fraction(l) * ((uhat @ Ax) * (uhat @ xs)).sum()
+
+
+def check_quotient_rows(A, d, q, uhat, l, v1, v2):
+    """Each row of (v1, v2) within gamma_{3m+4} of exact_form, with the
+    form of the magnitudes as the scale.  An expanded term carries at
+    most 3m + 4 roundings: m in A x, m in each of the three dot
+    products, two in l <A x, uhat> <x, uhat>, one adding that to
+    <A x, x> and one adding the two columns of q."""
+    uhat = np.zeros(d.shape) if uhat is None else uhat
+    for k in range(d.shape[1]):
+        for got, xs in ((v1[k], d[:, None, k]), (v2[k], q[..., k])):
+            args = A[..., k], xs, uhat[:, k]
+            assert_within_gamma(got, exact_form(*args, l), exact_form(
+                *map(np.abs, args), l), 3 * len(d) + 4)
 
 
 LS = [0.0, 0.5, 1.0, 2.0, 3.0]
 
 
 class TestQuotientsKeepEinsumBits:
-    """compute_lambda_l sums its quotients in column loops in the order
-    np.einsum summed them, so every row's quotient and the infimum are
-    the einsum code's bits."""
+    """_quotients, row by row, against its form in exact rational
+    arithmetic (check_quotient_rows), and compute_lambda_l as the least
+    row quotient over lambda.  The ids are those of the einsum parity
+    tests this class held before."""
 
-    @given(m=st.sampled_from([1, 2, 3]), n=st.integers(1, 70),
+    @given(m=st.sampled_from([1, 2, 3]), n=st.integers(1, 40),
            l=st.sampled_from(LS), origin=st.sampled_from([0.0, 0.2, 0.8]),
            seed=st.integers(0, 2**32 - 1))
     def test_rows_and_infimum_match_the_einsum_code(self, heat2, m, n, l,
                                                     origin, seed):
         sample = random_sample(np.random.default_rng(seed), m, n, origin)
-        got, want = quotients_of(sample, l)
-        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model_mod, "_SLICE", 7)
             if l > 0 and not np.any(sample[0]):
                 with pytest.raises(InputError, match="origin"):
-                    compute_lambda_l(heat2, l, _sample=sample_last(sample))
+                    compute_lambda_l(heat2, l, _sample=sample)
                 return
-            value = compute_lambda_l(heat2, l, _sample=sample_last(sample))
-        assert float_bits(value) == float_bits(einsum_lambda_l(sample, l, 7))
+            value = compute_lambda_l(heat2, l, _sample=sample)
+        (lam, A, d, q, uhat), (v1, v2) = certified_rows(sample, l)
+        check_quotient_rows(A, d, q, uhat, l, v1, v2)
+        assert float_bits(value) == float_bits(
+            float(min((v1 / lam).min(), (v2 / lam).min())))
 
     @pytest.mark.parametrize("name,region", SLICE_CASES)
     @pytest.mark.parametrize("l", LS)
     def test_certification_draws_match_the_einsum_code(self, skt_lv, name,
                                                        region, l):
         spec = skt_lv if name == "skt_lv" else three_component_model()
-        sample = sample_first(
-            model_mod._certification_draw(spec, region, 3001, 11))
-        got, want = quotients_of(sample, l)
-        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+        draw = model_mod._certification_draw(spec, region, 300, 11)
+        (_, *rows), (v1, v2) = certified_rows(draw, l)
+        check_quotient_rows(*rows, l, v1, v2)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("l", [0.0, 1.0])
     def test_a_row_sums_alike_in_any_batch(self, m, l):
         # each row is summed on its own, so a one-row slice gives the
         # bits the row has in any larger slice
-        U, lam, A, d, q = random_sample(np.random.default_rng(m), m, 30, 0.0)
-        uhat = U / np.linalg.norm(U, axis=-1)[:, None] if l > 0 else None
-        whole = point_major_quotients(A, d, q, l, uhat)
-        for k in range(len(U)):
-            row = slice(k, k + 1)
-            alone = point_major_quotients(
-                A[row], d[row], q[row], l, None if uhat is None else uhat[row])
-            assert [v.tobytes() for v in alone] == [v[row].tobytes() for v in whole]
+        sample = random_sample(np.random.default_rng(m), m, 30, 0.0)
+        _, whole = certified_rows(sample, l)
+        for k in range(30):
+            _, alone = certified_rows([x[..., k:k + 1] for x in sample], l)
+            assert [v.tobytes() for v in alone] == [v[k:k + 1].tobytes()
+                                                    for v in whole]
 
 
 def test_verify_memory_stays_bounded(tmp_path):

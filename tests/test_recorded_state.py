@@ -5,7 +5,10 @@ for bit the one computed from scratch."""
 
 import dataclasses
 import json
+import math
 import shutil
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from crossdiff import (DiagnosticsConfig, Field, InputError, LambdaSpec,
 from crossdiff.diagnostics import _energy_y
 from crossdiff.model import _opnorms
 
-from conftest import eigenmode_field
+from conftest import assert_within_gamma, eigenmode_field, exact
 
 
 def record_bits(rec):
@@ -50,75 +53,73 @@ def cross_model(m):
     return ModelSpec(P=PolynomialMap(m, terms), lam=LambdaSpec(1.0))
 
 
+def check_energy_y(spec, u):
+    """_energy_y of u, with A(u) evaluated inside and passed in, within
+    gamma_n of y in rational arithmetic, with y of the magnitudes as the
+    scale.  An expanded term carries at most n = 2m + 2 m Nx Ny + 1
+    roundings: m in each of its two factors (A Du)_id, one squaring,
+    one per addition of the 2 m Nx Ny squares and one multiplying by the
+    area."""
+    grad, A = cell_gradient(u), eval_A(spec, u.values)
+    y = _energy_y(u, spec, grad)
+    assert repr(_energy_y(u, spec, grad, A)) == repr(y)
+
+    def exact_y(A, grad):
+        AD = sum(exact(A[:, j, None]) * exact(grad[j]) for j in range(u.m))
+        return Fraction(u.grid.cell_area) * (AD * AD).sum()
+
+    assert_within_gamma(y, exact_y(A, grad), exact_y(abs(A), abs(grad)),
+                        2 * u.m + 2 * u.values.size + 1)
+
+
 class TestEnergyContraction:
+    """y of positive states against exact arithmetic (check_energy_y).
+    The ids are those of the einsum parity test this class held
+    before."""
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("shape", [(32, 32), (17, 23)])
     def test_equals_einsum_bit_for_bit(self, m, shape):
-        spec = cross_model(m)
         g = build_grid(1.0, 1.5, *shape, "neumann")
         rng = np.random.default_rng(m * 100 + shape[0])
-        for _ in range(3):
-            u = Field(g, 0.1 + rng.random((m,) + shape))
-            grad = cell_gradient(u)
-            A = eval_A(spec, u.values)
-            A_xy = np.ascontiguousarray(A.transpose(2, 3, 0, 1))
-            AD = np.einsum("xyij,jdxy->xyid", A_xy, grad)
-            want = float(g.cell_area * (AD * AD).sum())
-            assert repr(_energy_y(u, spec, grad)) == repr(want)
-            assert repr(_energy_y(u, spec, grad, A)) == repr(want)
+        check_energy_y(cross_model(m), Field(g, 0.1 + rng.random((m,) + shape)))
 
 
-def point_major_energy_y(spec, u, grad):
-    """y by the point-major contraction the component-major _energy_y
-    replaced: A(u) of the (x, y, m) points, (A Du)_{id} summed over j in
-    (x, y, i, d) and (AD * AD).sum()."""
-    pts = u.values.transpose(1, 2, 0)
-    A = np.ascontiguousarray(eval_A(spec, u.values).transpose(2, 3, 0, 1))
-    assert A.shape == pts.shape + (u.m,)
-    G = grad.transpose(2, 3, 0, 1)
-    AD = A[..., 0, None] * G[:, :, None, 0, :]
-    for j in range(1, A.shape[-1]):
-        AD += A[..., j, None] * G[:, :, None, j, :]
-    return float(u.grid.cell_area * (AD * AD).sum())
-
-
-def point_major_envelope(lam, pts):
-    """lambda and |lambda_u| by the point-major formulas the envelope
-    replaced: the norm over the last axis of (..., m) points."""
-    r = np.linalg.norm(pts, axis=-1)
-    if lam.lambda1 == 0.0:
-        value = np.full(pts.shape[:-1], lam.lambda0)
-    else:
-        value = lam.lambda0 + lam.lambda1 * r ** lam.k
-    c = lam.lambda1 * lam.k
-    grad = np.zeros(r.shape) if c == 0.0 else c * r ** (lam.k - 1.0)
-    return value, grad
+def exact_envelope(lam, u):
+    """lambda(u) and |lambda_u(u)| of one state to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r2, k = sum(Decimal(float(x)) ** 2 for x in u), Decimal(lam.k)
+        c = Decimal(lam.lambda1)
+        return (Fraction(Decimal(lam.lambda0) + c * r2 ** (k / 2)),
+                Fraction(c * k * r2 ** ((k - 1) / 2)))
 
 
 class TestPointMajorParity:
+    """The envelope and y of signed states against exact arithmetic, and
+    stable_dt as its formula.  The ids are those of the point-major
+    parity tests this class held before."""
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("lam", [LambdaSpec(1.5), LambdaSpec(1.0, 0.7, 1.0),
                                      LambdaSpec(0.5, 2.0, 2.5)])
     def test_envelope_keeps_the_point_major_bits(self, m, lam):
+        # |u| carries m/2 + 1 roundings; the power k scales them and adds
+        # an ulp-accurate pow (2), and the product and sum add 2 more
+        n = math.ceil((lam.k + 1) * (m / 2 + 1)) + 4
         spec = ModelSpec(P=PolynomialMap.identity(m), lam=lam)
-        g = build_grid(1.0, 1.5, 17, 23, "neumann")
-        u = Field(g, np.random.default_rng(m).uniform(-2.0, 2.0, (m, 17, 23)))
-        want_lam, want_grad = point_major_envelope(
-            lam, u.values.transpose(1, 2, 0))
-        assert eval_lambda(spec, u.values).tobytes() == want_lam.tobytes()
-        assert lam.grad_norm(u.values).tobytes() == want_grad.tobytes()
+        u = np.random.default_rng(m).uniform(-2.0, 2.0, (m, 17, 23))
+        got = eval_lambda(spec, u), lam.grad_norm(u)
+        for p in np.ndindex(17, 23):
+            for value, want in zip(got, exact_envelope(lam, u[:, p[0], p[1]])):
+                assert_within_gamma(value[p], want, want, n)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("shape", [(32, 32), (17, 23)])
     def test_energy_y_keeps_the_point_major_bits(self, m, shape):
-        spec = cross_model(m)
         g = build_grid(1.0, 1.5, *shape, "neumann")
         rng = np.random.default_rng(m * 100 + shape[0] + 1)
-        for _ in range(3):
-            u = Field(g, 0.1 + rng.random((m,) + shape))
-            grad = cell_gradient(u)
-            want = point_major_energy_y(spec, u, grad)
-            assert repr(_energy_y(u, spec, grad)) == repr(want)
+        check_energy_y(cross_model(m), Field(g, rng.uniform(-1.0, 1.0, (m,) + shape)))
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_stable_dt_keeps_the_point_major_bits(self, m):
@@ -126,12 +127,10 @@ class TestPointMajorParity:
         spec = cross_model(m)
         g = build_grid(1.0, 1.5, 17, 23, "neumann")
         u = Field(g, 0.1 + np.random.default_rng(m).random((m, 17, 23)))
-        A = np.ascontiguousarray(eval_A(spec, u.values).transpose(2, 3, 0, 1))
-        s = float(_opnorms(A.transpose(2, 3, 0, 1)).max())
-        h = min(g.hx, g.hy)
-        want = 0.9 * h * h / (8.0 * s)
-        assert repr(stable_dt(spec, u, 0.9)) == repr(want)
         A = eval_A(spec, u.values)
+        h = min(g.hx, g.hy)
+        want = 0.9 * h * h / (8.0 * float(_opnorms(A).max()))
+        assert repr(stable_dt(spec, u, 0.9)) == repr(want)
         assert repr(stable_dt(spec, u, 0.9, A=A)) == repr(want)
 
 
