@@ -379,7 +379,7 @@ def diagnose(manifest, out, seed):
             gating["bmo"] = bmo.all_small
         usable = [R for R in dc.radii
                   if R * R <= traj.times[-1] - traj.times[0]]
-        if len(usable) >= 2:
+        if len(set(usable)) >= 2:
             reports["morrey"] = diag_mod.morrey_profile(traj, usable)
 
     for name, rep in reports.items():

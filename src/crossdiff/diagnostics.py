@@ -664,7 +664,8 @@ def decay_bound_check(t, y, p, M1_targets=(), constants=None):
         T_*(M1) = [c3*(p-1)]^(-1) * (M1 - (c2/c3)^(1/p))^(1-p)
 
     is reported beside the first empirical time with y <= M1.  p must
-    be finite and exceed 1, and every M1 target be finite.
+    be finite and exceed 1, every M1 target be finite, and supplied
+    constants be two finite numbers.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -682,6 +683,14 @@ def decay_bound_check(t, y, p, M1_targets=(), constants=None):
         raise InputError("every entry of M1_targets must be finite")
     if np.any(np.diff(t) <= 0):
         raise InputError("times must be strictly increasing")
+    if constants is not None:
+        try:
+            c2, c3 = (float(x) for x in constants)
+        except (TypeError, ValueError):
+            c2 = c3 = math.nan
+        if not (math.isfinite(c2) and math.isfinite(c3)):
+            raise InputError("constants must be two finite numbers (c2, c3), "
+                             f"got {constants!r}")
 
     dt2 = t[2:] - t[:-2]
     d = (y[2:] - y[:-2]) / dt2
@@ -690,7 +699,6 @@ def decay_bound_check(t, y, p, M1_targets=(), constants=None):
 
     first_violation = None
     if constants is not None:
-        c2, c3 = (float(x) for x in constants)
         feasible = c3 > 0
     else:
         M = np.column_stack([np.ones_like(d), -ymp])
@@ -790,8 +798,8 @@ def morrey_profile(traj, radii):
     if len(traj.states) < 3:
         raise InputError("need at least 3 stored states")
     radii = [_radius(R, "radii") for R in radii]
-    if len(radii) < 2:
-        raise InputError("need at least 2 radii for a slope")
+    if len(set(radii)) < 2:
+        raise InputError("need at least 2 distinct radii for a slope")
     from scipy.integrate import cumulative_trapezoid
     times = np.asarray(traj.times, dtype=float)
     g = traj.states[0].grid

@@ -39,12 +39,11 @@ retried from that state.  A state that is not recorded (record_every >
 1) has them computed where they are needed.  Every model evaluation
 takes the (m, Nx, Ny) values as they are stored, with no transpose.
 
-Every direct solve goes through _factor, whose LU solves give the bits
-of scipy's spsolve(M, b, permc_spec="MMD_AT_PLUS_A") for a CSR matrix.
-The fill-reducing ordering depends only on the sparsity pattern (Davis,
-Direct Methods for Sparse Linear Systems, SIAM 2006, ch. 7), so it is
-computed once per pattern: the first LU of a pattern runs MMD_AT_PLUS_A,
-and later ones factor the matrix with its columns already in that order.
+Every direct solve goes through _factor, SuperLU with the fill-reducing
+MMD_AT_PLUS_A column ordering, so its solves give the bits of scipy's
+spsolve(M, b, permc_spec="MMD_AT_PLUS_A") for a CSR matrix.  Each LU
+orders its own matrix and nothing is kept between factorizations, so no
+solve depends on what the process factored before it.
 
 run() hands the stepper one factor policy (_LaggedFactor) per run, and
 step() a fresh one, whose first solve is therefore direct.  The policy
@@ -90,7 +89,6 @@ vector and the Krylov corrections conserve mass to roundoff.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -228,8 +226,6 @@ _KRYLOV_MAXITER = 10
 # * |rhs|, a thousandth of the gate of _step_imex, so lagged IMEX steps
 # and Newton corrections stay close to the accuracy of a direct solve.
 _KRYLOV_RTOL = 1e-3
-# The orderings of at most this many sparsity patterns are kept.
-_ORDERINGS_MAX = 16
 
 
 def _bits(a):
@@ -274,17 +270,18 @@ class _LaggedFactor:
         """x with M x = rhs, where M is the operator this policy built
         last (its dt is self.dt)."""
         if M is self.factored:
-            return self.lu.solve(rhs)
+            return self.lu.solve(rhs, trans="T")
         if self.lu is None or self.dt != self.lu_dt:
             self.stats.factorizations_new_dt += 1
             return self._direct(M, rhs)
         target = max(self.rtol, self.floor) * np.linalg.norm(rhs)
-        x = self.lu.solve(rhs)
+        x = self.lu.solve(rhs, trans="T")
         r = rhs - M @ x
         self.residual = np.linalg.norm(r)
         if not self.residual <= target:
             x, iterations, self.residual = _gmres_cycle(
-                M, self.lu.solve, rhs, x, r, np.linalg.norm(x), target)
+                M, lambda v: self.lu.solve(v, trans="T"), rhs, x, r,
+                np.linalg.norm(x), target)
             self.stats.krylov_iterations += iterations
         if self.residual <= target:
             return x
@@ -301,7 +298,7 @@ class _LaggedFactor:
         if self.lu is None:
             return np.full(np.shape(rhs), np.nan)
         self.factored, self.lu_dt = M, self.dt
-        x = self.lu.solve(rhs)
+        x = self.lu.solve(rhs, trans="T")
         norm = np.linalg.norm(rhs)
         self.residual = np.linalg.norm(rhs - M @ x)
         self.floor = self.residual / norm if norm > 0 else 0.0
@@ -388,95 +385,15 @@ def _gmres_cycle(M, psolve, b, x, r, mb_norm, atol):
     return xj, col + 1, rnorm
 
 
-class _LU:
-    """A SuperLU of the transpose of a CSR matrix M (its arrays read as
-    a CSC), and the gather that puts a right-hand side into the order
-    of the LU's columns (None when the LU has its own ordering)."""
-
-    __slots__ = ("lu", "rows")
-
-    def __init__(self, lu, rows=None):
-        self.lu, self.rows = lu, rows
-
-    def solve(self, rhs):
-        """x with M x = rhs."""
-        if self.rows is not None:
-            rhs = rhs.take(self.rows)
-        return self.lu.solve(rhs, trans="T")
-
-
-class _Ordering:
-    """The fill-reducing column order of one CSR pattern, as read-only
-    indices into its arrays: the matrix's CSC with its columns in that
-    order has indptr indptr and takes its data and indices at gather
-    (both int32), and a right-hand side is gathered at rows (intp, as
-    take wants it on every solve)."""
-
-    __slots__ = ("indptr", "gather", "rows")
-
-    def __init__(self, indptr, perm_c):
-        rows = np.empty(perm_c.size, dtype=np.intp)
-        rows[perm_c] = np.arange(perm_c.size)
-        lengths = np.diff(indptr).take(rows)
-        self.indptr = np.zeros(rows.size + 1, dtype=np.intc)
-        np.cumsum(lengths, out=self.indptr[1:])
-        self.gather = (np.repeat(indptr[:-1].take(rows) - self.indptr[:-1],
-                                 lengths)
-                       + np.arange(self.indptr[-1], dtype=np.intc))
-        self.rows = rows
-        for a in (self.indptr, self.gather, self.rows):
-            a.flags.writeable = False
-
-
-# pattern key -> _Ordering, oldest first; shared by threads, so entries
-# are read-only and the dict is touched under the lock
-_orderings = {}
-_orderings_lock = threading.Lock()
-
-
-def _pattern_key(M):
-    """The exact sparsity pattern of the CSR matrix M, as a dict key."""
-    return (M.shape, np.asarray(M.indptr, dtype=np.intc).tobytes(),
-            np.asarray(M.indices, dtype=np.intc).tobytes())
-
-
 def _factor(M):
-    """The _LU of the CSR matrix M, whose arrays are read as the CSC of
-    its transpose (as scipy's spsolve does); None if exactly singular.
-
-    The first factorization of a sparsity pattern runs SuperLU's
-    fill-reducing MMD_AT_PLUS_A column ordering, and _orderings keeps
-    the post-ordered lu.perm_c that SuperLU leaves, keyed on the exact
-    pattern.  Every later factorization of that pattern gathers its data
-    into the CSC with the columns in that order and factors it with the
-    NATURAL ordering, whose post-order then leaves the columns where
-    they are.  Only columns move, so SuperLU meets the entries of each
-    column in the same order and does the same eliminations.  Its
-    diagonal pivot preference now looks at row j of column j instead of
-    the column's own diagonal; at the default threshold of 1.0 that
-    matters only where two entries tie for a pivot column's largest
-    magnitude, so solves give the bits of the MMD_AT_PLUS_A LU.
-    """
-    key = _pattern_key(M)
-    with _orderings_lock:
-        order = _orderings.get(key)
+    """The SuperLU of the CSR matrix M, whose arrays are read as the CSC
+    of its transpose (as scipy's spsolve does), with the fill-reducing
+    MMD_AT_PLUS_A column ordering; None if M is exactly singular.  Solve
+    M x = b with lu.solve(b, trans="T")."""
     try:
-        if order is None:
-            lu = spla.splu(sp.csc_array((M.data, M.indices, M.indptr),
-                                        shape=M.shape),
-                           permc_spec="MMD_AT_PLUS_A")
-            order = _Ordering(np.asarray(M.indptr, dtype=np.intc), lu.perm_c)
-            with _orderings_lock:
-                if key not in _orderings:
-                    if len(_orderings) >= _ORDERINGS_MAX:
-                        del _orderings[next(iter(_orderings))]
-                    _orderings[key] = order
-            return _LU(lu)
-        lu = spla.splu(sp.csc_array((M.data.take(order.gather),
-                                     M.indices.take(order.gather),
-                                     order.indptr), shape=M.shape),
-                       permc_spec="NATURAL")
-        return _LU(lu, order.rows)
+        return spla.splu(sp.csc_array((M.data, M.indices, M.indptr),
+                                      shape=M.shape),
+                         permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as e:
         if "singular" not in str(e):
             raise
@@ -493,9 +410,8 @@ def spsolve(M, rhs, factors):
     residual |rhs - M x| at most 1e-3 * linear_tol * |rhs|, or at most
     that of the last direct solve relative to its |rhs|.  Failing that,
     M is factored and the result is an exact direct solve, bit for bit
-    that of scipy's spsolve(M, rhs, permc_spec="MMD_AT_PLUS_A"), though
-    the ordering runs only on the first LU of each sparsity pattern (see
-    _factor).  All NaN if M is exactly singular.
+    that of scipy's spsolve(M, rhs, permc_spec="MMD_AT_PLUS_A").  All NaN
+    if M is exactly singular.
     """
     M.sum_duplicates()
     factors.stats.linear_solves += 1

@@ -359,6 +359,22 @@ class TestDiagnoseCommand:
         assert summary["passed"] is False
         assert summary["gating"]["ystar"] is False
 
+    def test_repeated_radius_counts_once(self, write_manifest, tmp_path):
+        # a repeated radius gives no slope: no morrey.json, and the run
+        # exits as it does with that radius once
+        outcomes = []
+        for k, radii in enumerate(([0.125], [0.125, 0.125], [0.125, 0.25])):
+            data = self._manifest(t_end=0.3)
+            data["diagnostics"] = dict(data["diagnostics"], radii=radii)
+            out = tmp_path / f"r{k}"
+            r = invoke("diagnose", "--manifest",
+                       write_manifest(data, f"r{k}.json"), "--out", out)
+            summary = load_json(out / "diagnose_summary.json")
+            outcomes.append((r.exit_code, (out / "morrey.json").exists(),
+                             summary["gating"]))
+        assert [o[:2] for o in outcomes] == [(1, False), (1, False), (1, True)]
+        assert outcomes[0][2] == outcomes[1][2] == outcomes[2][2]
+
 
 class TestAttractorCommand:
     def test_damped_ensemble_passes(self, write_manifest, tmp_path, decay_model):

@@ -430,6 +430,12 @@ class TestMorreyProfile:
         with pytest.raises(InputError):
             morrey_profile(traj, (0.125,))
 
+    def test_repeated_radius_counts_once(self, heat1, grid16d):
+        # (0.125, 0.125) alone is an InputError (TestMalformedArguments)
+        traj = short_run(heat1, eigenmode_field(grid16d), 1e-3, 0.05)
+        rep = morrey_profile(traj, (0.125, 0.125, 0.0625))
+        assert sorted(rep.extra["quotients"]) == [0.0625, 0.125]
+
     def test_requires_stored_states(self, heat1, grid16d):
         cfg = SolverConfig(dt0=1e-3, t_end=0.05)
         traj = run(heat1, eigenmode_field(grid16d), cfg)
@@ -457,6 +463,15 @@ class TestMalformedArguments:
         (lambda tr, spec: ystar_dominance(tr, spec, tol=math.nan), "tol"),
         (lambda tr, spec: ystar_dominance(tr, spec, tol=-0.1), "tol"),
         (lambda tr, spec: ystar_dominance(tr, spec, tol=math.inf), "tol"),
+        (lambda tr, spec: morrey_profile(tr, [0.1, 0.1]), "radii"),
+        (lambda tr, spec: decay_bound_check(tr.times, [3, 2, 1.5], 2.0,
+                                            constants=(math.nan, 1.0)),
+         "constants"),
+        (lambda tr, spec: decay_bound_check(tr.times, [3, 2, 1.5], 2.0,
+                                            constants=(1.0, math.inf)),
+         "constants"),
+        (lambda tr, spec: decay_bound_check(tr.times, [3, 2, 1.5], 2.0,
+                                            constants=(1.0,)), "constants"),
     ])
     def test_raises_naming_the_argument(self, heat1, grid16d, call, name):
         traj = short_run(heat1, eigenmode_field(grid16d), 1e-2, 0.02)

@@ -12,7 +12,7 @@ import crossdiff.solver as solver_mod
 from crossdiff import (Field, GeneralReaction, InputError, LambdaSpec,
                        ModelSpec, NewtonConvergenceError, NumericalStateError,
                        PolynomialMap, RunStats, SolverConfig, build_grid,
-                       classic_skt, eval_A, initial_field, run, step)
+                       eval_A, initial_field, run, step)
 from crossdiff.grid import (component_laplacian, face_coefficients,
                             flux_operator, stable_dt)
 
@@ -602,6 +602,33 @@ class TestSpsolve:
         got = solver_mod.spsolve(M, rhs, fresh_policy())
         assert np.array_equal(bits(got), bits(want))
 
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["imex", "newton"])
+    def test_every_lu_gives_the_mmd_bits_in_any_order(self, m, bc, kind):
+        # two operators of one pattern: each LU and each fresh policy's
+        # solve give scipy's MMD_AT_PLUS_A bits, whichever was factored
+        # first, so no solve depends on what was factored before it
+        spec = cross_model(m)
+        g = build_grid(1.0, 1.0, 12, 10, bc)
+        ops = [implicit_matrix(kind, spec, smooth_field(g, m=m, amp=3.0)),
+               implicit_matrix(kind, spec, smooth_field(g, m=m, amp=2.0,
+                                                        shift=2.5))]
+        for M in ops:
+            M.sum_duplicates()
+        assert np.array_equal(ops[0].indptr, ops[1].indptr)
+        assert np.array_equal(ops[0].indices, ops[1].indices)
+        rhs = np.random.default_rng(3).normal(size=ops[0].shape[0])
+        want = [bits(spla.spsolve(M, rhs, permc_spec="MMD_AT_PLUS_A"))
+                for M in ops]
+        for order in ((0, 1), (1, 0)):
+            for k in order:
+                lu = solver_mod._factor(ops[k])
+                assert np.array_equal(bits(lu.solve(rhs, trans="T")), want[k])
+            for k in order:
+                x = solver_mod.spsolve(ops[k], rhs, fresh_policy())
+                assert np.array_equal(bits(x), want[k])
+
     def test_reused_factor_gives_fresh_bits(self, skt, grid16n):
         # the same face coefficients give back the held operator, and the
         # LU factored from it solves a new right-hand side exactly
@@ -706,133 +733,6 @@ def mmd_lu(M):
     the CSC of its transpose."""
     return spla.splu(sp.csc_array((M.data, M.indices, M.indptr),
                                   shape=M.shape), permc_spec="MMD_AT_PLUS_A")
-
-
-def lu_nnz(lu):
-    return lu.L.nnz + lu.U.nnz
-
-
-class TestOrderingCache:
-    @pytest.fixture
-    def splu_calls(self, monkeypatch):
-        """The permc_spec of every splu call, with an empty cache."""
-        monkeypatch.setattr(solver_mod, "_orderings", {})
-        real, calls = spla.splu, []
-
-        def counting(A, permc_spec=None, **kw):
-            calls.append(permc_spec)
-            return real(A, permc_spec=permc_spec, **kw)
-
-        monkeypatch.setattr(solver_mod.spla, "splu", counting)
-        return calls
-
-    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("kind", ["imex", "newton"])
-    def test_cached_ordering_gives_the_mmd_bits(self, m, bc, kind, splu_calls):
-        # a second operator of the same pattern is factored on the
-        # ordering of the first: scipy's solve bits and fill, no MMD
-        spec = cross_model(m)
-        g = build_grid(1.0, 1.0, 12, 10, bc)
-        M1 = implicit_matrix(kind, spec, smooth_field(g, m=m, amp=3.0))
-        M2 = implicit_matrix(kind, spec, smooth_field(g, m=m, amp=2.0,
-                                                      shift=2.5))
-        for M in (M1, M2):
-            M.sum_duplicates()
-        assert solver_mod._pattern_key(M1) == solver_mod._pattern_key(M2)
-        rhs = np.random.default_rng(3).normal(size=M1.shape[0])
-        first = solver_mod._factor(M1)
-        cached = solver_mod._factor(M2)
-        assert splu_calls == ["MMD_AT_PLUS_A", "NATURAL"]
-        assert first.rows is None and cached.rows is not None
-        assert np.array_equal(cached.lu.perm_c, np.arange(M2.shape[0]))
-        want = mmd_lu(M2)
-        assert lu_nnz(cached.lu) == lu_nnz(want)
-        assert not np.array_equal(want.perm_c, np.arange(M2.shape[0]))
-        for M, lu in ((M1, first), (M2, cached)):
-            assert np.array_equal(bits(lu.solve(rhs)), bits(spla.spsolve(
-                M, rhs, permc_spec="MMD_AT_PLUS_A")))
-
-    def test_one_mmd_per_distinct_pattern(self, splu_calls):
-        # the IMEX operator of a12 = 0 drops its exact-zero blocks, and
-        # the Newton Jacobian drops the product's zeros where u_0 = 0 (a
-        # face average of A is not zero there): three patterns, three
-        # orderings, with the operators interleaved
-        g = build_grid(1.0, 1.0, 12, 10, "neumann")
-        dropped = classic_skt(1.0, 1.0, 1.0, 0.0, 0.5, 1.0)
-        full = classic_skt(1.0, 1.0, 1.0, 0.5, 0.5, 1.0)
-
-        def state(amp):
-            f = smooth_field(g, m=2, amp=amp)
-            f.values[0, :3] = 0.0
-            return f
-
-        ops = [implicit_matrix(kind, spec, state(a))
-               for a in (3.0, 2.0)
-               for kind, spec in (("imex", full), ("imex", dropped),
-                                  ("newton", full))]
-        for M in ops:
-            M.sum_duplicates()
-        assert ops[1].nnz < ops[0].nnz and ops[2].nnz < ops[0].nnz
-        assert len({solver_mod._pattern_key(M) for M in ops}) == 3
-        rhs = np.ones(ops[0].shape[0])
-        for M in ops:
-            x = solver_mod._factor(M).solve(rhs)
-            assert np.array_equal(bits(x), bits(spla.spsolve(
-                M, rhs, permc_spec="MMD_AT_PLUS_A")))
-        assert splu_calls == ["MMD_AT_PLUS_A"] * 3 + ["NATURAL"] * 3
-        assert len(solver_mod._orderings) == 3
-
-    def test_cache_is_bounded_and_read_only(self, monkeypatch, splu_calls):
-        monkeypatch.setattr(solver_mod, "_ORDERINGS_MAX", 2)
-        keys = []
-        for n in (4, 5, 6):
-            M = implicit_matrix("imex", cross_model(1), smooth_field(
-                build_grid(1.0, 1.0, n, n, "neumann")))
-            M.sum_duplicates()
-            solver_mod._factor(M)
-            keys.append(solver_mod._pattern_key(M))
-        assert list(solver_mod._orderings) == keys[1:]
-        for order in solver_mod._orderings.values():
-            for a in (order.indptr, order.gather):
-                assert a.dtype == np.intc and not a.flags.writeable
-            assert not order.rows.flags.writeable
-
-
-    def test_threads_share_the_cache(self, monkeypatch, splu_calls):
-        # more threads than cores factor interleaved patterns through a
-        # cache of two, so entries are added and evicted concurrently:
-        # every solve keeps scipy's bits and the bound holds
-        monkeypatch.setattr(solver_mod, "_ORDERINGS_MAX", 2)
-        ops = []
-        for n in (4, 5, 6):
-            g = build_grid(1.0, 1.0, n, n, "dirichlet")
-            for amp in (1.0, 2.0):
-                M = implicit_matrix("imex", cross_model(2),
-                                    smooth_field(g, m=2, amp=amp))
-                M.sum_duplicates()
-                rhs = np.ones(M.shape[0])
-                ops.append((M, rhs, spla.spsolve(
-                    M, rhs, permc_spec="MMD_AT_PLUS_A")))
-
-        def work(k):
-            for i in range(40):
-                M, rhs, want = ops[(k + i) % len(ops)]
-                x = solver_mod._factor(M).solve(rhs)
-                if not np.array_equal(bits(x), bits(want)):
-                    return False
-            return True
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(work, k) for k in range(6)]
-                assert all(f.result(timeout=120) for f in futures)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(solver_mod._orderings) <= 2
-        assert "NATURAL" in splu_calls
 
 
 class TestGmresCycle:
