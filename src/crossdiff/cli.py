@@ -59,6 +59,20 @@ def _manifest_values(where):
         raise ManifestError(f"bad value in {where}: {e}") from e
 
 
+# The keys each manifest section may hold; SolverConfig rejects the
+# solver section's unknown keys itself.
+_SECTION_KEYS = {
+    "grid": {"Lx", "Ly", "Nx", "Ny", "bc"},
+    "initial": {"family", "amplitude", "constant", "file"},
+    "outputs": {"dir", "format", "snapshot_times"},
+    "verify": {"region", "n", "delta_k", "tol_ell", "ls"},
+    "diagnostics": {f.name for f in dataclasses.fields(diag_mod.DiagnosticsConfig)},
+    "ensemble": {"family", "count", "amp_range", "T_observe", "M1_targets",
+                 "tol", "region", "skip_verify"},
+    "sweep": {"path", "values"},
+}
+
+
 class _Resolved:
     """A manifest after CLI overrides, with its hash and output dir."""
 
@@ -70,6 +84,12 @@ class _Resolved:
         self.sha256 = hashlib.sha256(canon.encode()).hexdigest()
         with _manifest_values("seed"):
             self.seed = whole_number(data.get("seed", 0), "seed")
+        for name, known in _SECTION_KEYS.items():
+            v = data.get(name)
+            unknown = sorted(set(v) - known) if isinstance(v, dict) else ()
+            if unknown:
+                raise ManifestError(f"unknown key {', '.join(map(repr, unknown))} "
+                                    f"in manifest section \"{name}\"")
 
     def section(self, name):
         v = self.data.get(name)

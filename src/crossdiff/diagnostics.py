@@ -91,7 +91,6 @@ class InequalityReport:
     pass_fraction: float
     feasible: bool
     passed: bool
-    stability: dict = dc_field(default_factory=dict)
     extra: dict = dc_field(default_factory=dict)
 
     def to_dict(self):
@@ -102,7 +101,6 @@ class InequalityReport:
             "pass_fraction": self.pass_fraction,
             "feasible": self.feasible,
             "passed": self.passed,
-            "stability": self.stability,
             "extra": {k: _jsonable(v) for k, v in self.extra.items()},
         }
 
@@ -535,7 +533,8 @@ def bmo_profile(u, radii, Lambda_hat=1.0, mu0=None, recorded=None):
     over centers of the L1 mean oscillation (max over components) and
     the products Lambda_hat^2 * oscillation^2 compared against mu0 when
     one is supplied.  Radii exceeding the domain are skipped with a
-    note; radii below two cells are rejected.  recorded, when given, is
+    note; radii below two cells are rejected, and so are a Lambda_hat
+    or a given mu0 that is not finite.  recorded, when given, is
     the bmo dict of a NormRecord of u; the radii it holds take their
     oscillation from it instead of computing it again.
     """
@@ -543,6 +542,10 @@ def bmo_profile(u, radii, Lambda_hat=1.0, mu0=None, recorded=None):
     g = u.grid
     if not radii:
         raise InputError("need at least one radius")
+    if not math.isfinite(Lambda_hat):
+        raise InputError(f"Lambda_hat must be finite, got {Lambda_hat!r}")
+    if mu0 is not None and not math.isfinite(mu0):
+        raise InputError(f"mu0 must be finite when given, got {mu0!r}")
     hmax = max(g.hx, g.hy)
     osc, products, small = {}, {}, {}
     skipped = []

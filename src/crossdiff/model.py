@@ -875,90 +875,20 @@ def compute_lambda_l(spec, l, n=100000, seed=0, region=None, delta=0.99,
     return float(min(min1, min2))
 
 
-def _brent_bounded(func, a, b, xatol=1e-5, maxiter=500):
-    """The least value of func found on [a, b] by Brent's bounded
-    minimization.
-
-    A port of _minimize_scalar_bounded from scipy.optimize (Copyright
-    (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers; BSD-3-Clause)
-    that does the same float operations in the same order, so it
-    returns minimize_scalar(func, bounds=(a, b), method="bounded",
-    options={"xatol": xatol}).fun bit for bit without importing
-    scipy.optimize.  The np.sign(v) + (v == 0) of the original is
-    written as -1.0 if v < 0 else 1.0.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxiter:
-            break
-    return fx
-
-
 def _skt_lambda1(a11, a12, a21, a22):
     """Certified linear coercivity slope for the classic quadratic map.
 
     Along any positive-orthant ray u = s*d the symmetric part of A is an
     affine matrix pencil, so its minimum eigenvalue is concave in s and
-    bounded below by mineig(A(0)) + s * mineig(sym A_lin(d)).  The
-    infimum of the directional slope over the quarter circle is the
-    certified lambda1.
+    bounded below by mineig(A(0)) + s * mineig(S(d)), where S(d) =
+    d1 S1 + d2 S2 is the symmetric part of A_lin(d).  By Weyl's
+    inequality (Horn & Johnson, Matrix Analysis, 2nd ed., Thm 4.3.1)
+    mineig(S(d)) >= d1 g1 + d2 g2 with gi = mineig(Si), and
+    d1 + d2 >= 1 on the unit quarter circle, so the infimum of the
+    directional slope is min(g1, g2) whenever that is nonnegative; below
+    zero the slope is clipped to 0 either way.
     """
-    def slope(theta):
-        c, s = math.cos(theta), math.sin(theta)
+    def slope(c, s):
         m11 = 2.0 * a11 * c + a12 * s
         m12 = a12 * c
         m21 = a21 * s
@@ -966,17 +896,8 @@ def _skt_lambda1(a11, a12, a21, a22):
         mean = 0.5 * (m11 + m22)
         return mean - math.hypot(0.5 * (m11 - m22), 0.5 * (m12 + m21))
 
-    thetas = np.linspace(0.0, 0.5 * math.pi, 2049)
-    vals = np.array([slope(t) for t in thetas])
-    i = int(np.argmin(vals))
-    lo = max(i - 1, 0)
-    hi = min(i + 1, len(thetas) - 1)
-    best = vals[i]
-    if hi > lo:
-        best = min(best, _brent_bounded(slope, float(thetas[lo]), float(thetas[hi]),
-                                        xatol=1e-12))
     # small safety margin so the sampled ellipticity ratio stays >= 1
-    return max(best, 0.0) * (1.0 - 1e-7)
+    return max(min(slope(1.0, 0.0), slope(0.0, 1.0)), 0.0) * (1.0 - 1e-7)
 
 
 def classic_skt(a1, a2, a11, a12, a21, a22, b=None, lv=None):
@@ -984,7 +905,10 @@ def classic_skt(a1, a2, a11, a12, a21, a22, b=None, lv=None):
 
     P = (a1*u + a11*u^2 + a12*u*v,  a2*v + a21*u*v + a22*v^2) with a
     certified envelope lambda(u) = min(a1,a2) + lambda1*|u| on the
-    positive orthant (lambda1 from the directional slope bound).  An
+    positive orthant (lambda1 is the least eigenvalue of the symmetric
+    linear part of A along the two axes, clipped at 0; by Weyl's
+    inequality no direction between them has a smaller one; see
+    _skt_lambda1).  An
     optional competitive Lotka-Volterra reaction lv = (r1, r2, s11, s12,
     s21, s22) maps to K = diag(r1, r2) and a diagonal matrix map G with
     kappa = 1 and c0 = min(s_ij); the coercivity declaration holds on

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import os
@@ -663,6 +664,34 @@ class TestInputErrors:
         assert r.exit_code == 2, r.output
         assert "input error" in r.output
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("command,dotted,value", [
+        # ran under Neumann conditions and exited 0
+        ("simulate", "grid.BC", "dirichlet"),
+        ("simulate", "initial.amp", 2.0),
+        ("simulate", "outputs.snapshot_time", [0.02]),
+        ("simulate", "solver.dtmax", 0.1),
+        ("verify", "verify.samples", 500),
+        # wrote a trajectory.csv with no bmo@ or morrey@ column
+        ("simulate", "diagnostics.radius", [0.25]),
+        ("attractor", "ensemble.members", 2),
+        ("sweep", "sweep.threads", 2),
+    ])
+    def test_unknown_section_key_is_input_error(self, write_manifest,
+                                                tmp_path, command, dotted,
+                                                value):
+        data = dict(heat_sim_manifest(), verify=copy.deepcopy(self.VERIFY["verify"]),
+                    diagnostics={}, ensemble={"count": 1, "amp_range": [0.1, 1.0]})
+        if command == "sweep":
+            data["sweep"] = {"path": "initial.amplitude", "values": [1.0]}
+        out = tmp_path / "x"
+        r = invoke(command, "--manifest", write_manifest(_set(data, dotted, value)),
+                   "--out", out)
+        assert r.exit_code == 2, r.output
+        section, key = dotted.split(".")
+        assert "input error" in r.output
+        assert section in r.output and repr(key) in r.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize("command", ["attractor", "sweep"])

@@ -472,6 +472,12 @@ class TestMalformedArguments:
          "constants"),
         (lambda tr, spec: decay_bound_check(tr.times, [3, 2, 1.5], 2.0,
                                             constants=(1.0,)), "constants"),
+        # products {0.25: nan}, {0.25: inf}, and every radius "not small"
+        (lambda tr, spec: bmo_profile(tr.final, [0.25], Lambda_hat=math.nan),
+         "Lambda_hat"),
+        (lambda tr, spec: bmo_profile(tr.final, [0.25], Lambda_hat=math.inf),
+         "Lambda_hat"),
+        (lambda tr, spec: bmo_profile(tr.final, [0.25], mu0=math.nan), "mu0"),
     ])
     def test_raises_naming_the_argument(self, heat1, grid16d, call, name):
         traj = short_run(heat1, eigenmode_field(grid16d), 1e-2, 0.02)

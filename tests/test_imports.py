@@ -106,8 +106,7 @@ assert (out / "morrey.json").exists()
 
 
 def test_classic_skt_loads_no_deferred_module():
-    # its coercivity slope minimizes with a port of scipy's bounded
-    # Brent search, not scipy.optimize
+    # its coercivity slope is a closed form, with no search to import
     assert loaded_after("classic_skt(1.0, 1.0, 1.0, 0.5, 0.5, 1.0)\n") == []
 
 

@@ -1041,63 +1041,101 @@ SKT_COEFFICIENTS = ([(1.0, 0.5, 0.5, 1.0), (1.0, 1.0, 1.0, 1.0),
                        for k in range(50)])
 
 
-def scipy_bounded(func, a, b, xatol=1e-5, maxiter=500):
+def axis_matrices(a11, a12, a21, a22):
+    """S1 and S2, the symmetric linear part of A along u = e1 and u = e2,
+    as rational (p, q, r) of [[p, q], [q, r]]."""
+    a11, a12, a21, a22 = (Fraction(a) for a in (a11, a12, a21, a22))
+    return [(2 * a11, a12 / 2, a21), (a12, a21 / 2, 2 * a22)]
+
+
+def semidefinite(p, q, r, shift, strict=False):
+    """Whether [[p, q], [q, r]] - shift I is positive semidefinite, or
+    positive definite when strict, in exact arithmetic."""
+    p, r = p - shift, r - shift
+    if strict:
+        return p > 0 and p * r - q * q > 0
+    return p >= 0 and r >= 0 and p * r - q * q >= 0
+
+
+def searched_lambda1(a11, a12, a21, a22):
+    """The slope as a search over the quarter circle finds it: the least
+    of 2049 grid angles, then scipy's bounded Brent search on the
+    bracket around it."""
     from scipy.optimize import minimize_scalar
-    return float(minimize_scalar(func, bounds=(a, b), method="bounded",
-                                 options={"xatol": xatol,
-                                          "maxiter": maxiter}).fun)
+
+    def slope(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        m11 = 2.0 * a11 * c + a12 * s
+        m12 = a12 * c
+        m21 = a21 * s
+        m22 = a21 * c + 2.0 * a22 * s
+        mean = 0.5 * (m11 + m22)
+        return mean - math.hypot(0.5 * (m11 - m22), 0.5 * (m12 + m21))
+
+    thetas = np.linspace(0.0, 0.5 * math.pi, 2049)
+    vals = np.array([slope(t) for t in thetas])
+    i = int(np.argmin(vals))
+    lo, hi = max(i - 1, 0), min(i + 1, len(thetas) - 1)
+    found = minimize_scalar(slope, bounds=(float(thetas[lo]), float(thetas[hi])),
+                            method="bounded", options={"xatol": 1e-12}).fun
+    return max(min(vals[i], found), 0.0) * (1.0 - 1e-7)
 
 
 class TestBoundedBrent:
-    """model._brent_bounded is scipy's bounded minimize_scalar, bit for
-    bit, without importing scipy.optimize."""
+    """The closed-form slope against the search it replaced, a 2049-point
+    grid refined by scipy's bounded Brent search: within 2e-13 relative,
+    and bit for bit on every coefficient set a classic_skt of the tests
+    or the benchmark uses."""
 
     @pytest.mark.parametrize("coefs", SKT_COEFFICIENTS)
-    def test_skt_slope_search_matches_scipy(self, coefs, monkeypatch):
-        port = model_mod._brent_bounded
-        searches = []
-
-        def recorded(func, a, b, xatol=1e-5):
-            searches.append((func, a, b, xatol))
-            return port(func, a, b, xatol=xatol)
-
-        monkeypatch.setattr(model_mod, "_brent_bounded", recorded)
+    def test_skt_slope_search_matches_scipy(self, coefs):
         got = model_mod._skt_lambda1(*coefs)
-        assert len(searches) == 1
-        func, a, b, xatol = searches[0]
-        assert (self.evaluations(port, func, (a, b), xatol=xatol)
-                == self.evaluations(scipy_bounded, func, (a, b), xatol=xatol))
-        monkeypatch.setattr(model_mod, "_brent_bounded", scipy_bounded)
-        assert float_bits(got) == float_bits(model_mod._skt_lambda1(*coefs))
+        want = searched_lambda1(*coefs)
+        assert abs(got - want) <= 2e-13 * abs(want)
+        if coefs in SKT_COEFFICIENTS[:5]:
+            assert float_bits(got) == float_bits(want)
 
-    @staticmethod
-    def evaluations(minimize, func, bounds, **options):
-        """The result of minimize and every point it evaluated func at."""
-        xs = []
 
-        def logged(x):
-            xs.append(float(x))
-            return func(x)
+class TestSktSlope:
+    """_skt_lambda1 is the least eigenvalue of S1 and S2 (clipped at 0,
+    less the 1e-7 margin) in exact rational arithmetic, and no direction
+    of the quarter circle has a smaller one."""
 
-        return float_bits([minimize(logged, *bounds, **options)] + xs)
+    # The axis entries are exact.  The mean, the half difference and the
+    # subtraction round once each and hypot counts as two (ulp-accurate),
+    # all relative to |mean| + hypot <= |p| + |q| + |r|; the margin
+    # multiply adds one more: 6 roundings, taken as 8.
+    ROUNDINGS = 8
 
-    @pytest.mark.parametrize("maxiter", [3, 500])
-    @pytest.mark.parametrize("func,bounds", [
-        (lambda x: (x - 0.3) ** 2, (-1.0, 2.0)),
-        (lambda x: math.cos(3.0 * x) + 0.1 * x, (-2.0, 2.5)),
-        (lambda x: abs(x - 1.0 / 3.0), (0.0, 1.0)),  # kink: golden steps
-        (lambda x: -x, (0.0, 1.0)),  # minimum at a bound
-        (lambda x: 1.0, (0.0, 1e-9)),  # flat on a tiny bracket
-        # ties between f values steer the bracket updates
-        (lambda x: 1.0, (0.0, 1.0)),
-        (lambda x: max(abs(x - 0.5), 0.2), (0.0, 1.0)),
-        (lambda x: math.floor(16.0 * (x - 0.3) ** 2), (-1.0, 2.0)),
-    ])
-    def test_generic_functions_match_scipy(self, func, bounds, maxiter):
-        for xatol in (1e-5, 1e-12):
-            options = {"xatol": xatol, "maxiter": maxiter}
-            assert (self.evaluations(model_mod._brent_bounded, func, bounds, **options)
-                    == self.evaluations(scipy_bounded, func, bounds, **options))
+    @pytest.mark.parametrize("coefs", SKT_COEFFICIENTS)
+    def test_axis_eigenvalues_bound_it_exactly(self, coefs):
+        lam1 = Fraction(model_mod._skt_lambda1(*coefs))
+        axes = axis_matrices(*coefs)
+        if lam1 > 0:  # a lower bound of S1 and S2, so of every S(d)
+            assert all(semidefinite(*S, lam1) for S in axes)
+        # within the margin and rounding of min(g1, g2), or of 0 when
+        # that is negative: some S_i - U I is not positive definite
+        u = Fraction(np.finfo(float).eps) / 2
+        scale = max(abs(p) + abs(q) + abs(r) for p, q, r in axes)
+        upper = (lam1 + self.ROUNDINGS * u * scale) / Fraction(1.0 - 1e-7)
+        assert not all(semidefinite(*S, upper, strict=True) for S in axes)
+
+    @given(st.tuples(*[st.floats(-1.0, 3.0)] * 4))
+    def test_no_direction_has_a_smaller_slope(self, coefs):
+        a11, a12, a21, a22 = coefs
+        lam1 = model_mod._skt_lambda1(*coefs)
+        theta = np.linspace(0.0, 0.5 * math.pi, 4097)
+        c, s = np.cos(theta), np.sin(theta)
+        S = np.empty((theta.size, 2, 2))
+        S[:, 0, 0] = 2.0 * a11 * c + a12 * s
+        S[:, 0, 1] = S[:, 1, 0] = 0.5 * (a12 * c + a21 * s)
+        S[:, 1, 1] = a21 * c + 2.0 * a22 * s
+        least = np.linalg.eigvalsh(S)[:, 0].min()
+        # roundings relative to the entries, and underflow near zero
+        tiny = np.finfo(float).smallest_subnormal
+        tol = 16 * (np.finfo(float).eps * sum(abs(a) for a in coefs) + tiny)
+        assert lam1 - tol <= max(least, 0.0)
+        assert max(least, 0.0) * (1.0 - 1e-7) <= lam1 + tol
 
 
 def scipy_halton(n, d, seed):
