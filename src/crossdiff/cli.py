@@ -60,7 +60,7 @@ def _manifest_values(where):
 
 
 # The keys each manifest section may hold; SolverConfig rejects the
-# solver section's unknown keys itself.
+# solver section's unknown keys itself, and model_from_dict the model's.
 _SECTION_KEYS = {
     "grid": {"Lx", "Ly", "Nx", "Ny", "bc"},
     "initial": {"family", "amplitude", "constant", "file"},
@@ -71,6 +71,7 @@ _SECTION_KEYS = {
                  "tol", "region", "skip_verify"},
     "sweep": {"path", "values"},
 }
+_TOP_KEYS = {"schema", "seed", "model", "model_file", "solver", *_SECTION_KEYS}
 
 
 class _Resolved:
@@ -84,6 +85,10 @@ class _Resolved:
         self.sha256 = hashlib.sha256(canon.encode()).hexdigest()
         with _manifest_values("seed"):
             self.seed = whole_number(data.get("seed", 0), "seed")
+        unknown = sorted(set(data) - _TOP_KEYS)
+        if unknown:
+            raise ManifestError(f"unknown top-level manifest key "
+                                f"{', '.join(map(repr, unknown))}")
         for name, known in _SECTION_KEYS.items():
             v = data.get(name)
             unknown = sorted(set(v) - known) if isinstance(v, dict) else ()
@@ -149,6 +154,8 @@ def _resolve_model(res):
         raise ManifestError("manifest needs \"model\" or \"model_file\"")
     with _manifest_values("model"):
         if "classic_skt" in md:
+            if len(md) > 1:
+                raise ManifestError("a classic_skt model takes no other key")
             return classic_skt(**md["classic_skt"])
         return model_from_dict(md)
 

@@ -995,14 +995,32 @@ def model_to_dict(spec):
     return d
 
 
+# The keys model_to_dict writes, and so all that model_from_dict reads.
+_MODEL_KEYS = {"m", "P", "lambda", "C_f", "name", "reaction"}
+_LAMBDA_KEYS = {"lambda0", "lambda1", "k"}
+_REACTION_KEYS = {"K", "B", "G", "kappa", "c0"}
+_GENERAL_KEYS = {"B", "f"}
+
+
+def _known_keys(d, known, where):
+    unknown = sorted(set(d) - known)
+    if unknown:
+        raise ModelDefinitionError(
+            f"unknown key {', '.join(map(repr, unknown))} in {where}")
+
+
 def model_from_dict(d):
+    """The ModelSpec of a dict as model_to_dict writes it; a missing,
+    malformed or unknown key raises ModelDefinitionError."""
     try:
+        _known_keys(d, _MODEL_KEYS, "model")
         m = d["m"]
         if isinstance(m, bool) or not float(m).is_integer():
             raise ModelDefinitionError(
                 f"component count {m!r} must be a whole number")
         m = int(m)
         P = PolynomialMap.from_dict(m, d["P"])
+        _known_keys(d["lambda"], _LAMBDA_KEYS, "lambda")
         lam = LambdaSpec.from_dict(d["lambda"])
         r = d.get("reaction")
         if r is not None and not isinstance(r, dict):
@@ -1012,10 +1030,12 @@ def model_from_dict(d):
             g = r["general"]
             if len(r) > 1 or not isinstance(g, dict):
                 raise ModelDefinitionError("a general reaction takes no other key")
+            _known_keys(g, _GENERAL_KEYS, "general reaction")
             B = None if g.get("B") is None else MatrixPolynomial.from_dict(m, (m, 2 * m), g["B"])
             f0 = None if g.get("f") is None else PolynomialMap.from_dict(m, g["f"])
             reaction = GeneralReaction(m=m, B=B, f0=f0)
         elif r:
+            _known_keys(r, _REACTION_KEYS, "reaction")
             B = None if r.get("B") is None else MatrixPolynomial.from_dict(m, (m, 2 * m), r["B"])
             G = None if r.get("G") is None else MatrixPolynomial.from_dict(m, (m, m), r["G"])
             reaction = ReactionSpec(K=np.asarray(r["K"], dtype=float), B=B, G=G,

@@ -693,6 +693,44 @@ class TestInputErrors:
         assert section in r.output and repr(key) in r.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value,where", [
+        # ran to exit 0 with no bmo@ column
+        ("diagnostic", {"radii": [0.25]}, "top-level manifest key"),
+        ("outputs_dir", "elsewhere", "top-level manifest key"),
+        # loaded as lambda1 = 0
+        ("model.lambda.lamda1", 2.0, "lambda"),
+        ("model.nmae", "heat", "model"),
+    ])
+    def test_unknown_top_level_or_model_key_is_input_error(
+            self, write_manifest, tmp_path, key, value, where):
+        data = copy.deepcopy(heat_sim_manifest())
+        node = data
+        *path, name = key.split(".")
+        for k in path:
+            node = node[k]
+        node[name] = value
+        out = tmp_path / "x"
+        r = invoke("simulate", "--manifest", write_manifest(data),
+                   "--out", out)
+        assert r.exit_code == 2, r.output
+        assert "input error" in r.output
+        assert where in r.output and repr(name) in r.output
+        assert not (out / "summary.json").exists()
+
+    def test_classic_skt_beside_another_model_key_is_input_error(
+            self, write_manifest, tmp_path):
+        # the lambda beside the shorthand was ignored
+        data = dict(heat_sim_manifest(), model={
+            "classic_skt": {"a1": 1.0, "a2": 1.0, "a11": 1.0, "a12": 0.5,
+                            "a21": 0.5, "a22": 1.0},
+            "lambda": {"lambda0": 2.0}})
+        out = tmp_path / "x"
+        r = invoke("simulate", "--manifest", write_manifest(data),
+                   "--out", out)
+        assert r.exit_code == 2, r.output
+        assert "classic_skt" in r.output and "input error" in r.output
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize("command", ["attractor", "sweep"])
     def test_threads_below_one_is_usage_error(self, write_manifest, tmp_path,

@@ -1388,6 +1388,43 @@ class TestSerialization:
                            match="malformed model definition"):
             model_from_dict(d)
 
+    # every object of a model dict that model_from_dict reads, with all
+    # the keys model_to_dict writes in it
+    FULL = {
+        "competitive": {
+            "m": 1, "P": [[[1.0, 1]]], "C_f": None, "name": "full",
+            "lambda": {"lambda0": 1.0, "lambda1": 0.0, "k": 0.0},
+            "reaction": {"K": [[1.0]], "B": [[0, 1, 0.5, 0.0, 0]],
+                         "G": [[0, 0, 1.0, 1.0, 0]], "kappa": 1.0,
+                         "c0": 1.0}},
+        "general": {
+            "m": 1, "P": [[[1.0, 1]]], "C_f": 2.0, "name": "full",
+            "lambda": {"lambda0": 1.0, "lambda1": 0.0, "k": 0.0},
+            "reaction": {"general": {"B": [[0, 1, 0.5, 0.0, 0]],
+                                     "f": [[[-1.0, 1]]]}}},
+    }
+
+    @pytest.mark.parametrize("kind", ["competitive", "general"])
+    def test_dict_round_trip_of_every_key(self, kind):
+        d = self.FULL[kind]
+        assert model_to_dict(model_from_dict(d)) == d
+
+    @pytest.mark.parametrize("kind,path,key", [
+        ("competitive", (), "nmae"),
+        ("competitive", ("lambda",), "lamda1"),
+        ("competitive", ("reaction",), "kapa"),
+        ("general", ("reaction", "general"), "f0"),
+    ], ids=["model", "lambda", "reaction", "general"])
+    def test_unknown_key_raises(self, kind, path, key):
+        # "lamda1" loaded as lambda1 = 0, and the run went on
+        d = json.loads(json.dumps(self.FULL[kind]))
+        node = d
+        for name in path:
+            node = node[name]
+        node[key] = 1.0
+        with pytest.raises(ModelDefinitionError, match=repr(key)):
+            model_from_dict(d)
+
     def test_decay_power_only_for_a_competitive_reaction(self, skt_lv,
                                                         decay_model):
         r = skt_lv.reaction
