@@ -95,6 +95,8 @@ class _Resolved:
             if unknown:
                 raise ManifestError(f"unknown key {', '.join(map(repr, unknown))} "
                                     f"in manifest section \"{name}\"")
+        if self.section("outputs").get("format", "csv") not in ("csv", "bin"):
+            raise ManifestError("outputs.format must be csv or bin")
 
     def section(self, name):
         v = self.data.get(name)
@@ -240,8 +242,6 @@ def _write_trajectory(res, traj, name="trajectory.csv"):
 
 def _write_snapshots(res, traj):
     fmt = res.section("outputs").get("format", "csv")
-    if fmt not in ("csv", "bin"):
-        raise ManifestError("outputs.format must be csv or bin")
     files = {}
     for t, fld in sorted(traj.snapshots.items()):
         fname = f"snapshot_t{t!r}.{fmt}"  # repr is unique per time

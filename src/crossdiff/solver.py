@@ -611,9 +611,9 @@ def run(spec, field0, config, diagnostics=None):
     any step, whatever the scheme.  Records are taken at t=0, every
     record_every accepted steps, and at the final time; snapshots are
     stored exactly at the requested times.  The trajectory's stats is
-    the RunStats that run() and its factor policy filled.  Each record is diagnostics.norms of the state
-    with the s0, p_list and radii of diagnostics, a DiagnosticsConfig
-    (its defaults when None).
+    the RunStats that run() and its factor policy filled.  Each record
+    is diagnostics.norms of the state with the s0, p_list and radii of
+    diagnostics, a DiagnosticsConfig (its defaults when None).
     """
     _require_finite(field0)
     dc = diag_mod.DiagnosticsConfig() if diagnostics is None else diagnostics

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import crossdiff
 from crossdiff import (Field, GeneralReaction, LambdaSpec, MatrixPolynomial,
                        ModelSpec, PolynomialMap, ReactionSpec, SolverConfig,
                        build_grid, classic_skt)
@@ -13,6 +18,33 @@ settings.register_profile(
     "suite", max_examples=25, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("suite")
+
+# the crossdiff package this session imports, and the directory holding
+# it: the checkout's src/ or the site-packages of an installed copy
+PACKAGE_FILE = Path(crossdiff.__file__).resolve()
+PACKAGE_DIR = PACKAGE_FILE.parents[1]
+
+
+def pytest_report_header():
+    return f"crossdiff: {PACKAGE_FILE}"
+
+
+def pytest_terminal_summary(terminalreporter):
+    # -q drops the header, so a quiet log names the package here
+    if terminalreporter.verbosity < 0:
+        terminalreporter.write_line(f"crossdiff: {PACKAGE_FILE}")
+
+
+def run_python(code, *args, timeout=120, **kwargs):
+    """Run code in a fresh interpreter that imports the crossdiff this
+    session imports, with PACKAGE_DIR first on PYTHONPATH; returns the
+    CompletedProcess, its output as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE_DIR)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          text=True, capture_output=True, timeout=timeout,
+                          **kwargs)
 
 
 @pytest.fixture(scope="session")

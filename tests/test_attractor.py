@@ -319,6 +319,29 @@ class TestEnsembleAbsorbingBall:
         assert 2 in rep.entry_times and rep.entry_times[2][2.0] is not None
         assert rep.entry_times[2][2.0] > 0
 
+    def test_a_second_ensemble_repeats_the_first_bit_for_bit(
+            self, skt_lv, monkeypatch):
+        # two IMEX ensembles of two members in one process: each member
+        # run of the second has the state, steps and counts of the first,
+        # so no result depends on what the process factored before
+        members = []
+        monkeypatch.setattr("crossdiff.attractor.run",
+                            lambda *a: members.append(run(*a)) or members[-1])
+        es = EnsembleSpec(
+            model=skt_lv, grid=build_grid(1.0, 1.0, 16, 16, "neumann"),
+            config=SolverConfig(scheme="imex", dt0=1e-3, dt_max=1e-2,
+                                t_end=0.05),
+            family="positive_fourier", count=2, amp_range=(0.1, 100.0),
+            seed=1)
+        for _ in range(2):
+            assert ensemble_absorbing_ball(es).all_reached
+        assert len(members) == 4
+        for first, again in zip(members[:2], members[2:]):
+            assert first.final.values.tobytes() == again.final.values.tobytes()
+            assert first.dt_history.tobytes() == again.dt_history.tobytes()
+            assert dataclasses.asdict(first.stats) == dataclasses.asdict(
+                again.stats)
+
     def test_threads_do_not_change_the_report(self, decay_model, grid8n):
         es = self._decay_spec(decay_model, grid8n, count=2)
         a = ensemble_absorbing_ball(es, threads=1)

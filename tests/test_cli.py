@@ -1,10 +1,7 @@
 import copy
 import dataclasses
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +12,8 @@ from crossdiff import (LambdaSpec, ModelSpec, PolynomialMap, load_snapshot,
                        model_to_dict)
 import crossdiff.cli as cli_mod
 from crossdiff.cli import main
+
+from conftest import run_python
 
 
 runner = CliRunner()
@@ -360,6 +359,35 @@ class TestDiagnoseCommand:
         assert summary["passed"] is False
         assert summary["gating"]["ystar"] is False
 
+    def test_radii_write_the_bmo_columns_and_profiles(self, write_manifest,
+                                                      tmp_path):
+        # on 16x16, BMO at 3h runs the shift loop (29 offsets) and at 8h
+        # the bound-ordered search (197 offsets); t_end covers both radii
+        # squared, so morrey.json is written too
+        data = {
+            "seed": 1,
+            "model": {"classic_skt": {"a1": 1.0, "a2": 1.0, "a11": 1.0,
+                                      "a12": 0.5, "a21": 0.5, "a22": 1.0}},
+            "grid": {"Nx": 16, "Ny": 16, "bc": "neumann"},
+            "solver": {"scheme": "imex", "dt0": 0.005, "dt_min": 0.005,
+                       "dt_max": 0.005, "t_end": 0.25},
+            "initial": {"family": "positive_fourier", "amplitude": 1.0},
+            "diagnostics": {"radii": [0.1875, 0.5], "mu0": 1.0,
+                            "M1_targets": [1.0]},
+        }
+        out = tmp_path / "d4"
+        r = invoke("diagnose", "--manifest", write_manifest(data), "--out", out)
+        assert r.exit_code == 0, r.output
+        assert {"bmo.json", "diagnose_summary.json", "energy.json",
+                "interpolation.json", "manifest.json", "morrey.json",
+                "trajectory.csv"} <= {p.name for p in out.iterdir()}
+        assert load_json(out / "diagnose_summary.json")["passed"] is True
+        _, header, rows = read_rows(out / "trajectory.csv")
+        cols = [k for k, name in enumerate(header) if name.startswith("bmo@")]
+        assert [header[k] for k in cols] == ["bmo@0.1875", "bmo@0.5"]
+        assert all(np.isfinite(float(row.split(",")[k]))
+                   for row in rows for k in cols)
+
     def test_repeated_radius_counts_once(self, write_manifest, tmp_path):
         # a repeated radius gives no slope: no morrey.json, and the run
         # exits as it does with that radius once
@@ -596,6 +624,25 @@ class TestInputErrors:
         assert "snapshot_times must lie in [0, t_end]" in r.output
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("command,dotted,value", [
+        ("simulate", "outputs.format", "xyz"),
+        ("sweep", "outputs.format", "xyz"),
+        # every sub-run's format is the number swept in
+        ("sweep", "sweep.path", "outputs.format"),
+    ])
+    def test_unknown_output_format_is_input_error(
+            self, write_manifest, tmp_path, command, dotted, value):
+        # ran the whole simulation and wrote manifest.json and
+        # trajectory.csv before the snapshots refused the format
+        data = dict(heat_sim_manifest(),
+                    sweep={"path": "initial.amplitude", "values": [1.0]})
+        out = tmp_path / "x"
+        r = invoke(command, "--manifest", write_manifest(_set(data, dotted, value)),
+                   "--out", out)
+        assert r.exit_code == 2, r.output
+        assert "input error: outputs.format must be csv or bin" in r.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("dotted", ["diagnostics.radii",
                                         "diagnostics.p_list"])
     def test_nan_diagnostics_entry_is_input_error(self, write_manifest,
@@ -806,8 +853,9 @@ class TestEntryPoint:
         in its own process and lists every subcommand.
 
         The test runs the wrapper an installer writes for the declared
-        `module:attr` against this checkout's `src`, so it needs no install
-        and never runs some other `crossdiff` found on PATH.
+        `module:attr` against the package this session imports, so it
+        needs no install and never runs some other `crossdiff` found on
+        PATH.
         """
         tomllib = pytest.importorskip("tomllib")
         with open(REPO / "pyproject.toml", "rb") as fh:
@@ -817,12 +865,7 @@ class TestEntryPoint:
                    f"from {module} import {attr}\n"
                    "sys.argv[0] = 'crossdiff'\n"
                    f"sys.exit({attr}())\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-        cp = subprocess.run([sys.executable, "-c", wrapper, "--help"],
-                            capture_output=True, text=True, env=env,
-                            timeout=120)
+        cp = run_python(wrapper, "--help")
         assert cp.returncode == 0, cp.stderr
         # a command name at the start of a listing row, not anywhere in the
         # text: the `sweep` row's help mentions `simulate`

@@ -1,14 +1,12 @@
 """The import graph stays lean: scipy submodules that crossdiff uses at
 one call site each load on first use, not on `import crossdiff.cli`,
-and certification loads none of them."""
+and certification loads none of them.  Nor does set-up build what the
+first use builds."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import run_python
+
 DEFERRED = ("scipy.signal", "scipy.stats", "scipy.integrate",
             "scipy.optimize", "scipy.ndimage", "scipy.fft")
 
@@ -23,14 +21,10 @@ DEFERRED = {DEFERRED!r}
 
 def loaded_after(body):
     """The deferred submodules in sys.modules after a fresh interpreter
-    imports crossdiff.cli from this checkout and runs body."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    imports crossdiff.cli and runs body."""
     code = PRELUDE + body + (
         "\nprint(json.dumps([m for m in DEFERRED if m in sys.modules]))\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, text=True,
-                         capture_output=True, timeout=120)
+    out = run_python(code)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -103,6 +97,15 @@ assert (out / "morrey.json").exists()
 """)
     assert "scipy.fft" in got
     assert not {"scipy.ndimage", "scipy.signal"} & set(got)
+
+
+def test_build_grid_builds_no_flux_plan():
+    # the first assembly on a grid builds its plan, not the import or
+    # build_grid
+    assert loaded_after("""
+build_grid(1.0, 1.0, 32, 32, "neumann")
+assert crossdiff.grid._flux_plan.cache_info().currsize == 0
+""") == []
 
 
 def test_classic_skt_loads_no_deferred_module():

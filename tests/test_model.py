@@ -1,11 +1,7 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +16,7 @@ from crossdiff import (InputError, LambdaSpec, MatrixPolynomial,
 import crossdiff.model as model_mod
 from crossdiff.model import _opnorms, _sym_mineigs
 
-from conftest import assert_within_gamma, exact
+from conftest import assert_within_gamma, exact, run_python
 
 
 def diag_model(*diag):
@@ -94,6 +90,10 @@ class TestEvalA:
         spec = classic_skt(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
         for u in ([0.0, 0.0], [3.0, 7.0], [-1.0, 2.0]):
             assert np.allclose(eval_A(spec, u), np.eye(2))
+        # one matrix per point of a (2, 3, 3) state, component-major
+        A = eval_A(spec, np.random.default_rng(0).uniform(-2.0, 2.0, (2, 3, 3)))
+        assert A.shape == (2, 2, 3, 3)
+        assert np.allclose(A.transpose(2, 3, 0, 1), np.eye(2))
 
     def test_origin_is_diagonal(self):
         spec = classic_skt(1.0, 2.0, 1.0, 1.0, 1.0, 1.0)
@@ -339,6 +339,7 @@ class TestLayoutErrors:
                            match=r"component-major, shape \(2, \.\.\.\)"):
             eval_lambda(skt, np.ones((5, 2)))
         assert eval_lambda(skt, np.ones((2, 5))).shape == (5,)
+        assert eval_lambda(skt, np.ones((2, 3, 3))).shape == (3, 3)
 
     def test_constant_envelope_takes_no_norm(self, monkeypatch):
         def no_norm(*args, **kwargs):
@@ -606,7 +607,14 @@ class TestVerifyStructure:
         assert rep.lambda_ratio_max == pytest.approx(1.0, abs=1e-12)
         assert rep.C_star_hat == pytest.approx(1.0, abs=1e-12)
         assert rep.Lambda_hat == 0.0
-        assert rep.lambda_l[0.0] == pytest.approx(1.0, abs=1e-9)
+        # the quotient |x|^2 + l (uhat . x)^2 over unit x: lambda_0 = 1,
+        # and 1 <= lambda_1 <= lambda_2 come near 1, on this sample and
+        # on a tenth as many points over [-2, 2]^2
+        eps = np.finfo(float).eps
+        small = verify_structure(heat2, Region.symmetric(2.0, 2), n=200, seed=1)
+        for lam_l in (rep.lambda_l, small.lambda_l):
+            assert abs(lam_l[0.0] - 1.0) <= 4 * eps
+            assert 1.0 - 8 * eps <= lam_l[1.0] <= lam_l[2.0] <= 1.001
 
     def test_constant_diagonal_by_inspection(self):
         rep = verify_structure(diag_model(1.0, 2.0), Region.symmetric(10.0, 2),
@@ -960,17 +968,16 @@ def check_quotient_rows(A, d, q, uhat, l, v1, v2):
 LS = [0.0, 0.5, 1.0, 2.0, 3.0]
 
 
-class TestQuotientsKeepEinsumBits:
+class TestQuotientsAgainstExactOracle:
     """_quotients, row by row, against its form in exact rational
     arithmetic (check_quotient_rows), and compute_lambda_l as the least
-    row quotient over lambda.  The ids are those of the einsum parity
-    tests this class held before."""
+    row quotient over lambda."""
 
     @given(m=st.sampled_from([1, 2, 3]), n=st.integers(1, 40),
            l=st.sampled_from(LS), origin=st.sampled_from([0.0, 0.2, 0.8]),
            seed=st.integers(0, 2**32 - 1))
-    def test_rows_and_infimum_match_the_einsum_code(self, heat2, m, n, l,
-                                                    origin, seed):
+    def test_rows_and_infimum_match_the_exact_oracle(self, heat2, m, n, l,
+                                                     origin, seed):
         sample = random_sample(np.random.default_rng(seed), m, n, origin)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model_mod, "_SLICE", 7)
@@ -986,8 +993,7 @@ class TestQuotientsKeepEinsumBits:
 
     @pytest.mark.parametrize("name,region", SLICE_CASES)
     @pytest.mark.parametrize("l", LS)
-    def test_certification_draws_match_the_einsum_code(self, skt_lv, name,
-                                                       region, l):
+    def test_draws_match_the_oracle(self, skt_lv, name, region, l):
         spec = skt_lv if name == "skt_lv" else three_component_model()
         draw = model_mod._certification_draw(spec, region, 300, 11)
         (_, *rows), (v1, v2) = certified_rows(draw, l)
@@ -1021,12 +1027,7 @@ rep = verify_structure(spec, region, n=1_000_000, seed=1)
 assert rep.sample_count == 1_000_000
 print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) / 1024)
 """
-    src = str(Path(model_mod.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", code], env=env, text=True,
-                         capture_output=True, timeout=300, cwd=tmp_path)
+    out = run_python(code, timeout=300, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     above_mb = float(out.stdout.split()[-1])
     assert above_mb < 200.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import crossdiff.solver as solver_mod
 from crossdiff import (Field, GeneralReaction, InputError, LambdaSpec,
@@ -869,17 +869,21 @@ class TestGmresCycle:
                 stats.factorizations_missed_target,
                 stats.krylov_iterations) == (1, 1, 0, iterations)
 
-    def test_breakdown_on_the_operators_own_lu(self, skt):
-        # the operator's own LU leaves nothing to add to the Krylov space,
-        # so with atol = 0 the cycle stops after one iteration only by
-        # breakdown (h1 <= eps * h0), here on a 4x4 grid
-        _, M = self.lagged_pair(skt, "neumann", 1.05, n=4)
+    def test_breakdown_on_the_operators_own_lu(self):
+        # the LU of a diagonal M of powers of two applies M^-1 exactly, so
+        # psolve(M v) = v: from v0 = (1, 1, 1, 1) / 2 the first iteration
+        # leaves h1 = 0 exactly.  The start x0 = -1 lies so far from the
+        # solution 2^-54 that r = b - M x0 rounds to M (1, 1, 1, 1), and
+        # the one iterate x0 + psolve(r) = 0 keeps the true residual b;
+        # with atol = 0 only the breakdown (h1 <= eps * h0) stops the cycle
+        D = np.array([0.25, 2.0, 8.0, 0.5])
+        M = sp.diags_array(D, format="csr")
         lu = mmd_lu(M)
-        rhs = np.random.default_rng(2).normal(size=M.shape[0])
-        x0 = lu.solve(rhs, trans="T")
-        assert np.linalg.norm(rhs - M @ x0) > 0
+        rhs = np.ldexp(D, -54)
+        x0 = -np.ones(4)
+        assert np.array_equal(lu.solve(rhs - M @ x0, trans="T"), np.ones(4))
         iterations, rnorm, _ = self.compare(M, lu, rhs, x0, 0.0)
-        assert iterations == 1 and rnorm > 0
+        assert iterations == 1 and rnorm == np.linalg.norm(rhs) > 0
 
     def test_all_zero_start(self, skt):
         M1, M2 = self.lagged_pair(skt, "dirichlet", 1.05)
@@ -975,17 +979,23 @@ class TestRunCounts:
         else:
             assert traj.stats.linear_solves == len(traj.dt_history)
 
-    @given(n=st.integers(2, 200), dt=st.sampled_from([1e-3, 1e-4, 3e-4]))
-    def test_fixed_dt_run_factors_once(self, n, dt):
+    @given(n=st.integers(2, 200), dt=st.sampled_from([1e-3, 1e-4, 3e-4]),
+           decimal=st.booleans())
+    @example(n=150, dt=1e-4, decimal=True)  # last gap 1.0000000000003582e-4
+    def test_fixed_dt_run_factors_once(self, n, dt, decimal):
         # after n - 1 steps t carries rounding, so the last gap t_end - t
         # is dt only up to a few ulps; the step keeps dt, and with it the
-        # held LU of the constant operator, and lands on t_end exactly
+        # held LU of the constant operator, and lands on t_end exactly.
+        # t_end is n * dt, or its decimal as a manifest gives it (0.015,
+        # not 150 * 1e-4 = 0.015000000000000001)
         heat = ModelSpec(P=PolynomialMap.identity(1), lam=LambdaSpec(1.0))
         g = build_grid(1.0, 1.0, 4, 4, "dirichlet")
+        t_end = float(f"{n * dt:.12g}") if decimal else n * dt
         for scheme in ("newton", "imex"):
-            cfg = fixed_dt_config(scheme, dt, n * dt, record_every=1000)
+            cfg = fixed_dt_config(scheme, dt, t_end, record_every=1000)
             traj = run(heat, eigenmode_field(g), cfg)
             assert traj.reached_end and traj.times[-1] == cfg.t_end
+            assert len(traj.dt_history) == n
             assert (traj.stats.factorizations
                     == traj.stats.factorizations_new_dt == 1)
 
@@ -1209,6 +1219,7 @@ class TestRunCounts:
         assert got.reached_end and got.stats.rejected_steps == 0
         assert (len(lagged)
                 == got.stats.linear_solves - got.stats.factorizations > 0)
+        assert got.stats.krylov_iterations > 0
         assert max(lagged) <= 1.0
         monkeypatch.setattr(solver_mod, "spsolve", real)
         monkeypatch.setattr(solver_mod._LaggedFactor, "solve",
