@@ -107,30 +107,6 @@ class AbsorbingBallReport:
     def all_reached(self):
         return not self.excluded
 
-    def to_dict(self):
-        def _clean(d):
-            return {str(k): (None if v is None else
-                             {str(a): b for a, b in v.items()} if isinstance(v, dict)
-                             else v)
-                    for k, v in d.items()}
-
-        return {
-            "count": self.count,
-            "amplitudes": [float(a) for a in self.amplitudes],
-            "T_observe": self.T_observe,
-            "tail_sup_W12": _clean(self.tail_sup_W12),
-            "tail_sup_L2": _clean(self.tail_sup_L2),
-            "tail_sup_lambda_moment": _clean(self.tail_sup_lambda_moment),
-            "M_hat": self.M_hat,
-            "common_ball": self.common_ball,
-            "commonality_ratio": self.commonality_ratio,
-            "excluded": list(self.excluded),
-            "entry_times": _clean(self.entry_times),
-            "T_star": _clean(self.T_star),
-            "y_star": _clean(self.y_star),
-            "dominance": _clean(self.dominance),
-        }
-
 
 def _fourier_bump(grid, rng, modes=4):
     """Smooth random field with sup norm 1 built from no-flux cosine

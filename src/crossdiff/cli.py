@@ -213,8 +213,25 @@ def _meta(res):
     return {"manifest_sha256": res.sha256, "seed": res.seed}
 
 
+def _jsonable(v):
+    """v as plain JSON values: a dataclass field by field, an array or a
+    NumPy scalar as its Python value, a tuple as a list and every dict
+    key as its str, so a float key is its repr.  Every artifact passes
+    here, so a new report field reaches its JSON with no edit."""
+    if dataclasses.is_dataclass(v) and not isinstance(v, type):
+        return {f.name: _jsonable(getattr(v, f.name))
+                for f in dataclasses.fields(v)}
+    if isinstance(v, (np.ndarray, np.generic)):
+        return v.tolist()
+    if isinstance(v, dict):
+        return {str(k): _jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    return v
+
+
 def _write_json(path, payload, res):
-    payload = dict(payload)
+    payload = _jsonable(payload)
     payload["_meta"] = _meta(res)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -322,7 +339,7 @@ def verify(manifest, out, seed):
     report = verify_structure(model, region, n=n, seed=res.seed,
                               delta_k=delta_k, tol_ell=tol_ell, ls=ls)
     _write_json(res.out_dir / "manifest.json", res.data, res)
-    _write_json(res.out_dir / "verify.json", report.to_dict(), res)
+    _write_json(res.out_dir / "verify.json", report, res)
     for name in ("ellipticity", "growth", "f", "sg", "sg_prime"):
         click.echo(f"{name}: {'pass' if getattr(report, name + '_pass') else 'FAIL'}")
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
@@ -395,13 +412,7 @@ def diagnose(manifest, out, seed):
     if dc.radii:
         bmo = diag_mod.bmo_profile(traj.final, dc.radii, mu0=dc.mu0,
                                    recorded=traj.records[-1].bmo)
-        payload = {"radii": list(bmo.radii),
-                   "oscillation": {f"{k:g}": v for k, v in bmo.oscillation.items()},
-                   "products": {f"{k:g}": v for k, v in bmo.products.items()},
-                   "mu0": bmo.mu0,
-                   "small": {f"{k:g}": v for k, v in bmo.small.items()},
-                   "skipped": list(bmo.skipped)}
-        _write_json(res.out_dir / "bmo.json", payload, res)
+        _write_json(res.out_dir / "bmo.json", bmo, res)
         if dc.mu0 is not None:
             gating["bmo"] = bmo.all_small
         usable = [R for R in dc.radii
@@ -410,7 +421,7 @@ def diagnose(manifest, out, seed):
             reports["morrey"] = diag_mod.morrey_profile(traj, usable)
 
     for name, rep in reports.items():
-        _write_json(res.out_dir / f"{name}.json", rep.to_dict(), res)
+        _write_json(res.out_dir / f"{name}.json", rep, res)
     _write_json(res.out_dir / "diagnose_summary.json",
                 {"gating": gating, "passed": all(gating.values())}, res)
     for name, ok in gating.items():
@@ -446,7 +457,7 @@ def attractor_cmd(manifest, out, seed, threads):
     report = attractor_mod.ensemble_absorbing_ball(
         espec, skip_verify=bool(e.get("skip_verify", False)), threads=threads)
     _write_json(res.out_dir / "manifest.json", res.data, res)
-    _write_json(res.out_dir / "absorbing_ball.json", report.to_dict(), res)
+    _write_json(res.out_dir / "absorbing_ball.json", report, res)
     headers = ["member", "amplitude", "reached", "tail_sup_L2",
                "tail_sup_W12", "tail_sup_lambda_moment", "y_star", "dominance"]
     rows = []

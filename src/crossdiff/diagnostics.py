@@ -93,37 +93,15 @@ class InequalityReport:
     passed: bool
     extra: dict = dc_field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "constants": {k: _jsonable(v) for k, v in self.constants.items()},
-            "margins": [float(x) for x in np.asarray(self.margins).ravel()],
-            "pass_fraction": self.pass_fraction,
-            "feasible": self.feasible,
-            "passed": self.passed,
-            "extra": {k: _jsonable(v) for k, v in self.extra.items()},
-        }
-
-
-def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
-
 
 @dataclass(frozen=True)
 class DiagnosticsConfig:
     """Per-record diagnostic knobs; defaults follow the smallest
     exponents the estimates admit (s0 = 1, q = 2).  s0, q and eps must
     be finite, q and eps positive, mu0 finite when given, every radius
-    and Lp exponent finite and positive, and every M1 target finite;
-    anything else raises InputError."""
+    and Lp exponent finite and positive, no two different radii nor two
+    different exponents (2, the L2 column's, among them) alike under :g,
+    and every M1 target finite; anything else raises InputError."""
 
     s0: float = 1.0
     q: float = 2.0
@@ -144,14 +122,19 @@ class DiagnosticsConfig:
             if not all(0 < x < math.inf for x in getattr(self, name) or ()):
                 raise InputError(f"every entry of {name} must be finite "
                                  "and positive")
+        # each radius and exponent names its trajectory.csv column by its
+        # :g form, and the dedicated L2 column is p = 2's
+        for name, column, values in (
+                ("radii", "bmo@", self.radii),
+                ("p_list", "L", (2.0, *(self.p_list or ())))):
+            seen = {}
+            for x in values:
+                other = seen.setdefault(f"{x:g}", x)
+                if other != x:
+                    raise InputError(f"{name} values {other!r} and {x!r} "
+                                     f"share the column {column}{x:g}")
         if not all(math.isfinite(M1) for M1 in self.M1_targets):
             raise InputError("every entry of M1_targets must be finite")
-
-    def to_dict(self):
-        return {"s0": self.s0, "q": self.q,
-                "p_list": None if self.p_list is None else list(self.p_list),
-                "radii": list(self.radii), "mu0": self.mu0,
-                "eps": self.eps, "M1_targets": list(self.M1_targets)}
 
     @classmethod
     def from_dict(cls, d):
@@ -173,6 +156,16 @@ def _radius(R, what):
     if not 0 < R < math.inf:
         raise InputError(f"every entry of {what} must be finite and "
                          f"positive, got {R!r}")
+    return R
+
+
+def _window_radius(grid, R, what):
+    """R as _radius returns it; InputError also when R is below two cells
+    of grid.  Every radius of norms and bmo_profile passes here."""
+    R = _radius(R, what)
+    hmax = max(grid.hx, grid.hy)
+    if R < 2.0 * hmax * (1 - 1e-12):
+        raise InputError(f"radius {R:g} is below two cells ({2 * hmax:g})")
     return R
 
 
@@ -495,7 +488,7 @@ def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None, *, grad=None,
     bmo = {}
     morrey = {}
     for R in (R_list or ()):
-        R = _radius(R, "R_list")
+        R = _window_radius(g, R, "R_list")
         if R > min(g.Lx, g.Ly):
             continue
         win = _window(g, R)
@@ -546,13 +539,10 @@ def bmo_profile(u, radii, Lambda_hat=1.0, mu0=None, recorded=None):
         raise InputError(f"Lambda_hat must be finite, got {Lambda_hat!r}")
     if mu0 is not None and not math.isfinite(mu0):
         raise InputError(f"mu0 must be finite when given, got {mu0!r}")
-    hmax = max(g.hx, g.hy)
     osc, products, small = {}, {}, {}
     skipped = []
     for R in radii:
-        R = _radius(R, "radii")
-        if R < 2.0 * hmax * (1 - 1e-12):
-            raise InputError(f"radius {R:g} is below two cells ({2 * hmax:g})")
+        R = _window_radius(g, R, "radii")
         if R > min(g.Lx, g.Ly):
             skipped.append((R, "radius exceeds domain"))
             continue

@@ -581,35 +581,11 @@ class StructuralReport:
     sample_count: int
     region: Region
     seed: int
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self):
-        return (self.ellipticity_pass and self.growth_pass and self.f_pass
-                and self.sg_pass and self.sg_prime_pass)
-
-    def to_dict(self):
-        return {
-            "lambda_ratio_min": self.lambda_ratio_min,
-            "lambda_ratio_max": self.lambda_ratio_max,
-            "C_star_hat": self.C_star_hat,
-            "Lambda_hat": self.Lambda_hat,
-            "Lambda1_hat": self.Lambda1_hat,
-            "eps0_hat": self.eps0_hat,
-            "C_f_hat": self.C_f_hat,
-            "C_P_hat": self.C_P_hat,
-            "lambda_l": {repr(float(l)): v for l, v in self.lambda_l.items()},
-            "ellipticity_pass": self.ellipticity_pass,
-            "growth_pass": self.growth_pass,
-            "f_pass": self.f_pass,
-            "sg_pass": self.sg_pass,
-            "sg_prime_pass": self.sg_prime_pass,
-            "passed": self.passed,
-            "delta_k": self.delta_k,
-            "tol_ell": self.tol_ell,
-            "sample_count": self.sample_count,
-            "region": self.region.to_dict(),
-            "seed": self.seed,
-        }
+    def __post_init__(self):
+        self.passed = (self.ellipticity_pass and self.growth_pass
+                       and self.f_pass and self.sg_pass and self.sg_prime_pass)
 
 
 def _opnorms(A):
@@ -1026,20 +1002,23 @@ def model_from_dict(d):
         if r is not None and not isinstance(r, dict):
             raise ModelDefinitionError("reaction must be an object")
         reaction = None
-        if r and "general" in r:
-            g = r["general"]
-            if len(r) > 1 or not isinstance(g, dict):
-                raise ModelDefinitionError("a general reaction takes no other key")
-            _known_keys(g, _GENERAL_KEYS, "general reaction")
-            B = None if g.get("B") is None else MatrixPolynomial.from_dict(m, (m, 2 * m), g["B"])
-            f0 = None if g.get("f") is None else PolynomialMap.from_dict(m, g["f"])
-            reaction = GeneralReaction(m=m, B=B, f0=f0)
-        elif r:
-            _known_keys(r, _REACTION_KEYS, "reaction")
+        if r:
+            general = "general" in r
+            if general:
+                if len(r) > 1 or not isinstance(r["general"], dict):
+                    raise ModelDefinitionError("a general reaction takes no other key")
+                r = r["general"]
+                _known_keys(r, _GENERAL_KEYS, "general reaction")
+            else:
+                _known_keys(r, _REACTION_KEYS, "reaction")
             B = None if r.get("B") is None else MatrixPolynomial.from_dict(m, (m, 2 * m), r["B"])
-            G = None if r.get("G") is None else MatrixPolynomial.from_dict(m, (m, m), r["G"])
-            reaction = ReactionSpec(K=np.asarray(r["K"], dtype=float), B=B, G=G,
-                                    kappa=float(r["kappa"]), c0=float(r["c0"]))
+            if general:
+                f0 = None if r.get("f") is None else PolynomialMap.from_dict(m, r["f"])
+                reaction = GeneralReaction(m=m, B=B, f0=f0)
+            else:
+                G = None if r.get("G") is None else MatrixPolynomial.from_dict(m, (m, m), r["G"])
+                reaction = ReactionSpec(K=np.asarray(r["K"], dtype=float), B=B, G=G,
+                                        kappa=float(r["kappa"]), c0=float(r["c0"]))
         C_f = d.get("C_f")
         C_f = None if C_f is None else float(C_f)
     except ModelDefinitionError:

@@ -12,6 +12,7 @@ from crossdiff import (AbsorbingBallReport, EnsembleSpec, Field,
                        decay_bound_check, ensemble_absorbing_ball,
                        initial_field, run, ystar_dominance)
 from crossdiff.attractor import ystar_and_decay
+from crossdiff.cli import _jsonable
 
 
 @pytest.fixture
@@ -203,8 +204,8 @@ class TestYstarAndDecay:
 
     @staticmethod
     def same(a, b):
-        return (json.dumps(a.to_dict(), sort_keys=True)
-                == json.dumps(b.to_dict(), sort_keys=True))
+        return (json.dumps(_jsonable(a), sort_keys=True)
+                == json.dumps(_jsonable(b), sort_keys=True))
 
     def test_reports_are_the_two_checks(self, logistic):
         # the ystar report and the decay fit at p = (kappa + 2) / 2 on
@@ -284,7 +285,7 @@ class TestEnsembleAbsorbingBall:
         assert not rep.all_reached
         assert set(rep.tail_sup_W12) == {0}
         assert rep.M_hat == rep.tail_sup_W12[0]
-        json.dumps(rep.to_dict())
+        json.dumps(_jsonable(rep))
 
     def test_structural_gate_blocks_misdeclared_model(self, grid8n):
         weak = ModelSpec(

@@ -404,6 +404,18 @@ class TestDiagnoseCommand:
         assert [o[:2] for o in outcomes] == [(1, False), (1, False), (1, True)]
         assert outcomes[0][2] == outcomes[1][2] == outcomes[2][2]
 
+    def test_bmo_and_morrey_key_a_radius_alike(self, write_manifest, tmp_path):
+        # bmo.json keyed 0.1875001 by its :g form, "0.1875"
+        data = self._manifest(t_end=0.04)
+        data["diagnostics"] = dict(data["diagnostics"], radii=[0.125, 0.1875001])
+        out = tmp_path / "k"
+        r = invoke("diagnose", "--manifest", write_manifest(data), "--out", out)
+        assert r.exit_code in (0, 1), r.output
+        bmo = load_json(out / "bmo.json")
+        morrey = load_json(out / "morrey.json")
+        keys = {"0.125", "0.1875001"}
+        assert set(bmo["oscillation"]) == set(morrey["extra"]["quotients"]) == keys
+
 
 class TestAttractorCommand:
     def test_damped_ensemble_passes(self, write_manifest, tmp_path, decay_model):
@@ -642,6 +654,18 @@ class TestInputErrors:
         assert r.exit_code == 2, r.output
         assert "input error: outputs.format must be csv or bin" in r.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    def test_radius_below_two_cells_is_input_error(self, write_manifest,
+                                                   tmp_path, command):
+        # simulate wrote a bmo@0.05 column and exited 0; diagnose ran the
+        # whole simulation before bmo_profile refused the radius
+        data = dict(heat_sim_manifest(), diagnostics={"radii": [0.05, 0.25]})
+        out = tmp_path / "x"
+        r = invoke(command, "--manifest", write_manifest(data), "--out", out)
+        assert r.exit_code == 2, r.output
+        assert "radius 0.05 is below two cells (0.125)" in r.output
+        assert not (out / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("dotted", ["diagnostics.radii",
                                         "diagnostics.p_list"])

@@ -51,9 +51,21 @@ class TestDiagnosticsConfig:
         with pytest.raises(InputError, match=next(iter(kw))):
             diag_mod.DiagnosticsConfig.from_dict(kw)
 
+    @pytest.mark.parametrize("kw,both", [
+        # each pair wrote its trajectory.csv column twice, and p near 2 a
+        # second L2 column beside the dedicated one
+        (dict(radii=(0.25, 0.2500001)), "0.25 and 0.2500001"),
+        (dict(p_list=(3.0, 3.0000001)), "3.0 and 3.0000001"),
+        (dict(p_list=(2.0000001,)), "2.0 and 2.0000001"),
+    ], ids=["radii", "p_list", "p_near_2"])
+    def test_values_sharing_a_column_raise(self, kw, both):
+        with pytest.raises(InputError, match=both):
+            diag_mod.DiagnosticsConfig(**kw)
+
     def test_defaults_and_edge_numbers_are_accepted(self):
         diag_mod.DiagnosticsConfig()
         diag_mod.DiagnosticsConfig(s0=-1.0, q=1e-3, eps=1e3, mu0=0.0)
+        diag_mod.DiagnosticsConfig(radii=(0.25, 0.25), p_list=(2.0, 3.0, 3.0))
 
 
 class TestNorms:
@@ -209,10 +221,13 @@ class TestBmoProfile:
         for r in ratios:
             assert 0.38 <= r <= 0.47
 
-    def test_radius_below_two_cells_rejected(self, grid16n):
+    def test_radius_below_two_cells_rejected(self, heat1, grid16n):
         u = Field.constant(grid16n, [1.0])
         with pytest.raises(InputError):
             bmo_profile(u, radii=(1.0 / 16,))
+        # norms recorded it, so a run went on until diagnose refused it
+        with pytest.raises(InputError, match="below two cells"):
+            norms(u, heat1, R_list=(0.25, 1.0 / 16))
         with pytest.raises(InputError):
             bmo_profile(u, radii=())
 

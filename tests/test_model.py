@@ -14,6 +14,7 @@ from crossdiff import (InputError, LambdaSpec, MatrixPolynomial,
                        model_from_dict, model_to_dict, reaction_zero_order,
                        save_model, verify_structure, with_sigma)
 import crossdiff.model as model_mod
+from crossdiff.cli import _jsonable
 from crossdiff.model import _opnorms, _sym_mineigs
 
 from conftest import assert_within_gamma, exact, run_python
@@ -702,7 +703,7 @@ class TestVerifyStructure:
     def test_determinism(self, skt):
         a = verify_structure(skt, Region.positive(50.0, 2), n=500, seed=3)
         b = verify_structure(skt, Region.positive(50.0, 2), n=500, seed=3)
-        assert a.to_dict() == b.to_dict()
+        assert _jsonable(a) == _jsonable(b)
 
     def test_sample_drawn_and_evaluated_once(self, skt, monkeypatch):
         # three slices, the last of 3 rows: A is evaluated slice by slice
@@ -815,7 +816,7 @@ class TestCertificationSlices:
         alone = [compute_lambda_l(spec, l, n, seed, region, 0.9)
                  for l in (0.0, 1.0, 2.0)]
         draw = model_mod._certification_draw(spec, region, n, seed)
-        return (float_bits(rep.to_dict()), float_bits(alone),
+        return (float_bits(_jsonable(rep)), float_bits(alone),
                 region.sample(n, seed), draw)
 
     @pytest.mark.parametrize("name,region", SLICE_CASES)

@@ -21,6 +21,7 @@ from crossdiff import (DiagnosticsConfig, Field, InputError, LambdaSpec,
                        build_grid, cell_gradient, energy_inequality_check,
                        eval_A, eval_lambda, initial_field, norms, run,
                        stable_dt)
+from crossdiff.cli import _jsonable
 from crossdiff.diagnostics import _energy_y
 from crossdiff.model import _opnorms
 
@@ -73,13 +74,11 @@ def check_energy_y(spec, u):
 
 
 class TestEnergyContraction:
-    """y of positive states against exact arithmetic (check_energy_y).
-    The ids are those of the einsum parity test this class held
-    before."""
+    """y of positive states against exact arithmetic (check_energy_y)."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("shape", [(32, 32), (17, 23)])
-    def test_equals_einsum_bit_for_bit(self, m, shape):
+    def test_y_matches_exact_arithmetic(self, m, shape):
         g = build_grid(1.0, 1.5, *shape, "neumann")
         rng = np.random.default_rng(m * 100 + shape[0])
         check_energy_y(cross_model(m), Field(g, 0.1 + rng.random((m,) + shape)))
@@ -213,9 +212,9 @@ class TestDiagnoseReadsTheRecord:
         config = SolverConfig(scheme="imex", dt0=2e-3, t_end=0.04,
                               store_states=True)
         recorded = run(skt_lv, f0, config)
-        got = energy_inequality_check(recorded, skt_lv).to_dict()
-        want = energy_inequality_check(
-            from_scratch(recorded, skt_lv), skt_lv).to_dict()
+        got = _jsonable(energy_inequality_check(recorded, skt_lv))
+        want = _jsonable(energy_inequality_check(
+            from_scratch(recorded, skt_lv), skt_lv))
         assert got == want
         ys = [_energy_y(s, skt_lv, cell_gradient(s)) for s in recorded.states]
         assert got["extra"]["y"] == ys
