@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import InequalityReport, _bump_to_cover, decay_bound_check
-from .errors import InputError, whole_number
+from .errors import InputError, number, number_list, whole_number
 from .grid import Field, Grid2D
 from .model import ModelSpec, Region, verify_structure
 from .solver import SolverConfig, run
@@ -39,6 +39,8 @@ class EnsembleSpec:
 
     Amplitudes are spread geometrically over amp_range across count
     members; member i is seeded deterministically from (seed, i).
+    amp_range and M1_targets are lists of numbers, tol and T_observe
+    numbers (errors.number_list, errors.number).
     """
 
     model: ModelSpec
@@ -60,12 +62,16 @@ class EnsembleSpec:
         object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
         if self.count < 1:
             raise InputError("ensemble needs at least one member")
-        lo, hi = (float(a) for a in self.amp_range)
-        if not (0 < lo <= hi < math.inf):
-            raise InputError("amplitude range must be positive, finite and ordered")
-        object.__setattr__(self, "amp_range", (lo, hi))
-        if self.T_observe is not None and not (0 <= self.T_observe < self.config.t_end):
-            raise InputError("T_observe must lie in [0, t_end)")
+        amp = number_list(self.amp_range, "amp_range")
+        if len(amp) != 2 or not 0 < amp[0] <= amp[1] < math.inf:
+            raise InputError(f"amp_range must be two positive, finite, ordered numbers, got {amp}")
+        object.__setattr__(self, "amp_range", amp)
+        if self.T_observe is not None:
+            object.__setattr__(self, "T_observe", number(self.T_observe, "T_observe"))
+            if not 0 <= self.T_observe < self.config.t_end:
+                raise InputError("T_observe must lie in [0, t_end)")
+        object.__setattr__(self, "tol", number(self.tol, "tol"))
+        object.__setattr__(self, "M1_targets", number_list(self.M1_targets, "M1_targets"))
         if not 0 < self.tol < math.inf:
             raise InputError("tol must be finite and positive")
         if not all(math.isfinite(M1) for M1 in self.M1_targets):
@@ -133,7 +139,7 @@ def initial_field(family, grid, m, amplitude, seed):
     """
     if family not in _FAMILIES:
         raise InputError(f"family must be one of {_FAMILIES}")
-    amplitude = float(amplitude)
+    amplitude = number(amplitude, "amplitude")
     if not 0 < amplitude < math.inf:
         raise InputError("amplitude must be finite and positive")
     rng = np.random.default_rng([whole_number(seed, "seed"), 0xA5])
@@ -246,8 +252,10 @@ def ensemble_absorbing_ball(espec, skip_verify=False, threads=1,
     is set.  Members that fail to reach t_end are excluded from the
     statistics and flagged in the report.  Entry times and T_star refer
     to the squared-L2 series.  threads, a whole number of at least 1,
-    is the number of members run at once.
+    is the number of members run at once; skip_verify must be a bool.
     """
+    if not isinstance(skip_verify, bool):
+        raise InputError(f"skip_verify must be true or false, got {skip_verify!r}")
     threads = whole_number(threads, "threads")
     if threads < 1:
         raise InputError("threads must be >= 1")

@@ -27,7 +27,7 @@ import numpy as np
 from . import attractor as attractor_mod
 from . import diagnostics as diag_mod
 from .errors import (InputError, ManifestError, ModelDefinitionError,
-                     NumericalStateError, whole_number)
+                     NumericalStateError, number_list, whole_number)
 from .grid import Field, build_grid, load_snapshot, save_snapshot
 from .model import Region, classic_skt, model_from_dict, verify_structure
 from .solver import SolverConfig, run
@@ -83,8 +83,7 @@ class _Resolved:
         self.out_dir = out_dir
         canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
         self.sha256 = hashlib.sha256(canon.encode()).hexdigest()
-        with _manifest_values("seed"):
-            self.seed = whole_number(data.get("seed", 0), "seed")
+        self.seed = whole_number(data.get("seed", 0), "seed")
         unknown = sorted(set(data) - _TOP_KEYS)
         if unknown:
             raise ManifestError(f"unknown top-level manifest key "
@@ -167,8 +166,7 @@ def _resolve_grid(res):
     if not g:
         raise ManifestError("manifest needs a \"grid\" section")
     with _manifest_values("grid"):
-        return build_grid(g.get("Lx", 1.0), g.get("Ly", 1.0),
-                          g["Nx"], g["Ny"], g.get("bc", "neumann"))
+        return build_grid(**{"Lx": 1.0, "Ly": 1.0, **g})
 
 
 def _resolve_solver(res, **overrides):
@@ -177,7 +175,7 @@ def _resolve_solver(res, **overrides):
         raise ManifestError("manifest needs a \"solver\" section")
     snaps = res.section("outputs").get("snapshot_times", ())
     with _manifest_values("solver"):
-        s.setdefault("snapshot_times", tuple(snaps))
+        s.setdefault("snapshot_times", snaps)
         s.update(overrides)
         return SolverConfig(**s)
 
@@ -186,6 +184,10 @@ def _resolve_initial(res, model, grid):
     ini = res.section("initial")
     if not ini:
         raise ManifestError("manifest needs an \"initial\" section")
+    sources = {"family", "constant", "file"} & set(ini)
+    if len(sources) != 1 or "amplitude" in ini and sources != {"family"}:
+        raise ManifestError("initial section needs one of family, constant or file, "
+                            f"and an amplitude only beside family; got {sorted(ini)}")
     if "file" in ini:
         with _manifest_values("initial"):
             p = Path(ini["file"])
@@ -196,17 +198,12 @@ def _resolve_initial(res, model, grid):
             raise ManifestError("initial snapshot does not match grid/model")
         return Field(grid, f.values)
     if "constant" in ini:
-        with _manifest_values("initial"):
-            c = np.asarray(ini["constant"], dtype=float)
-        if c.size != model.m:
+        c = number_list(ini["constant"], "initial.constant")
+        if len(c) != model.m:
             raise ManifestError("initial constant has wrong component count")
         return Field.constant(grid, c)
-    family = ini.get("family")
-    if family is None:
-        raise ManifestError("initial section needs family, constant, or file")
-    with _manifest_values("initial"):
-        amp = float(ini.get("amplitude", 1.0))
-    return attractor_mod.initial_field(family, grid, model.m, amp, res.seed)
+    return attractor_mod.initial_field(ini["family"], grid, model.m,
+                                       ini.get("amplitude", 1.0), res.seed)
 
 
 def _meta(res):
@@ -327,17 +324,12 @@ def verify(manifest, out, seed):
     res = _load_manifest(manifest, out, seed)
     model = _resolve_model(res)
     v = res.section("verify")
-    region = v.get("region")
+    region = v.pop("region", None)
     if region is None:
         raise ManifestError("verify section needs a \"region\"")
     with _manifest_values("verify"):
         region = Region.from_dict(region)
-        n = whole_number(v.get("n", 10000), "verify.n")
-        delta_k = float(v.get("delta_k", 0.99))
-        tol_ell = float(v.get("tol_ell", 1e-9))
-        ls = tuple(float(l) for l in v.get("ls", (0.0, 1.0, 2.0)))
-    report = verify_structure(model, region, n=n, seed=res.seed,
-                              delta_k=delta_k, tol_ell=tol_ell, ls=ls)
+    report = verify_structure(model, region, seed=res.seed, **v)
     _write_json(res.out_dir / "manifest.json", res.data, res)
     _write_json(res.out_dir / "verify.json", report, res)
     for name in ("ellipticity", "growth", "f", "sg", "sg_prime"):
@@ -353,7 +345,7 @@ def _simulate_once(res, **overrides):
     config = _resolve_solver(res, **overrides)
     f0 = _resolve_initial(res, model, grid)
     with _manifest_values("diagnostics"):
-        dc = diag_mod.DiagnosticsConfig.from_dict(res.section("diagnostics"))
+        dc = diag_mod.DiagnosticsConfig(**res.section("diagnostics"))
     return model, dc, run(model, f0, config, diagnostics=dc)
 
 
@@ -442,20 +434,15 @@ def attractor_cmd(manifest, out, seed, threads):
     e = res.section("ensemble")
     if not e:
         raise ManifestError("manifest needs an \"ensemble\" section")
-    region = e.get("region")
+    region = e.pop("region", None)
+    skip_verify = e.pop("skip_verify", False)
     with _manifest_values("ensemble"):
         espec = attractor_mod.EnsembleSpec(
-            model=model, grid=grid, config=config,
-            family=e.get("family", "positive_fourier"),
-            count=whole_number(e.get("count", 10), "ensemble.count"),
-            amp_range=tuple(e.get("amp_range", (0.1, 100.0))),
-            seed=res.seed,
-            T_observe=e.get("T_observe"),
-            M1_targets=tuple(float(M1) for M1 in e.get("M1_targets", ())),
-            tol=float(e.get("tol", 0.05)),
-            verify_region=None if region is None else Region.from_dict(region))
+            model=model, grid=grid, config=config, seed=res.seed,
+            verify_region=None if region is None else Region.from_dict(region),
+            **e)
     report = attractor_mod.ensemble_absorbing_ball(
-        espec, skip_verify=bool(e.get("skip_verify", False)), threads=threads)
+        espec, skip_verify=skip_verify, threads=threads)
     _write_json(res.out_dir / "manifest.json", res.data, res)
     _write_json(res.out_dir / "absorbing_ball.json", report, res)
     headers = ["member", "amplitude", "reached", "tail_sup_L2",
@@ -488,16 +475,13 @@ def sweep(manifest, out, seed, fmt, threads):
     sw = res.section("sweep")
     if not sw or "path" not in sw or "values" not in sw:
         raise ManifestError("sweep section needs \"path\" and \"values\"")
-    if not isinstance(sw["path"], str) or not isinstance(sw["values"], list):
-        raise ManifestError("sweep path must be a string and values a list")
+    if not isinstance(sw["path"], str):
+        raise ManifestError("sweep path must be a string")
     dotted = sw["path"].split(".")
     values = sw["values"]
-    if not values:
+    numbers = number_list(values, "sweep.values")
+    if not numbers:
         raise ManifestError("sweep needs at least one value")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in values):
-        raise ManifestError("sweep values must be a list of numbers")
-    numbers = [float(v) for v in values]
 
     def make_run(i, value):
         data = copy.deepcopy(res.data)

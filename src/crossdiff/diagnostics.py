@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, number, number_list
 from .grid import cell_gradient
 from .model import _positive_finite, eval_A, eval_lambda, reaction_zero_order
 
@@ -97,7 +97,9 @@ class InequalityReport:
 @dataclass(frozen=True)
 class DiagnosticsConfig:
     """Per-record diagnostic knobs; defaults follow the smallest
-    exponents the estimates admit (s0 = 1, q = 2).  s0, q and eps must
+    exponents the estimates admit (s0 = 1, q = 2).  s0, q, eps and mu0
+    must be numbers, and radii, M1_targets and p_list lists of numbers
+    (errors.number_list); mu0 and p_list may be None.  s0, q and eps must
     be finite, q and eps positive, mu0 finite when given, every radius
     and Lp exponent finite and positive, no two different radii nor two
     different exponents (2, the L2 column's, among them) alike under :g,
@@ -112,6 +114,11 @@ class DiagnosticsConfig:
     M1_targets: tuple = ()
 
     def __post_init__(self):
+        for name in ("s0", "q", "eps", "mu0", "p_list", "radii", "M1_targets"):
+            value = getattr(self, name)
+            if value is not None or name not in ("mu0", "p_list"):
+                to = number if name in ("s0", "q", "eps", "mu0") else number_list
+                object.__setattr__(self, name, to(value, name))
         if not math.isfinite(self.s0):
             raise InputError("s0 must be finite")
         if not (0 < self.q < math.inf and 0 < self.eps < math.inf):
@@ -135,17 +142,6 @@ class DiagnosticsConfig:
                                      f"share the column {column}{x:g}")
         if not all(math.isfinite(M1) for M1 in self.M1_targets):
             raise InputError("every entry of M1_targets must be finite")
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            s0=float(d.get("s0", 1.0)), q=float(d.get("q", 2.0)),
-            p_list=(None if d.get("p_list") is None
-                    else tuple(float(p) for p in d["p_list"])),
-            radii=tuple(float(R) for R in d.get("radii", ())),
-            mu0=None if d.get("mu0") is None else float(d["mu0"]),
-            eps=float(d.get("eps", 0.1)),
-            M1_targets=tuple(float(M1) for M1 in d.get("M1_targets", ())))
 
 
 def _radius(R, what):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputError, NumericalStateError, whole_number
+from .errors import InputError, NumericalStateError, number, whole_number
 from .model import _opnorms, eval_A, eval_P
 
 __all__ = [
@@ -49,8 +49,9 @@ _BCS = ("neumann", "dirichlet")
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Uniform cell-centered grid on [0, Lx] x [0, Ly].  The cell counts
-    must be whole numbers (2.0 counts, 2.5 and True do not)."""
+    """Uniform cell-centered grid on [0, Lx] x [0, Ly].  The side lengths
+    must be numbers and the cell counts whole numbers (2.0 counts, 2.5,
+    True and "8" do not)."""
 
     Lx: float
     Ly: float
@@ -59,6 +60,8 @@ class Grid2D:
     bc: str = "neumann"
 
     def __post_init__(self):
+        object.__setattr__(self, "Lx", number(self.Lx, "Lx"))
+        object.__setattr__(self, "Ly", number(self.Ly, "Ly"))
         if not (0 < self.Lx < np.inf and 0 < self.Ly < np.inf):
             raise InputError("domain side lengths must be finite and positive")
         object.__setattr__(self, "Nx", whole_number(self.Nx, "cell count Nx"))
@@ -103,7 +106,7 @@ class Grid2D:
 
 def build_grid(Lx, Ly, Nx, Ny, bc="neumann"):
     """Construct a Grid2D; bc is 'neumann' (no-flux) or 'dirichlet'."""
-    return Grid2D(float(Lx), float(Ly), Nx, Ny, str(bc))
+    return Grid2D(Lx, Ly, Nx, Ny, bc)
 
 
 @dataclass

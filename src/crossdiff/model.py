@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ModelDefinitionError, whole_number
+from .errors import (InputError, ManifestError, ModelDefinitionError, number,
+                     number_list, whole_number)
 
 logger = logging.getLogger(__name__)
 
@@ -504,8 +505,8 @@ class Region:
     hi: tuple
 
     def __post_init__(self):
-        lo = tuple(float(x) for x in self.lo)
-        hi = tuple(float(x) for x in self.hi)
+        lo = number_list(self.lo, "region lo")
+        hi = number_list(self.hi, "region hi")
         if len(lo) != len(hi) or not lo:
             raise InputError("region bounds must have equal, positive length")
         if not all(math.isfinite(x) for x in lo + hi):
@@ -533,7 +534,7 @@ class Region:
         for bit) with uniform random points (odd indices).  For a fixed
         seed the first n rows of a larger draw equal a draw of size n, so
         enlarging a sample only appends."""
-        n = whole_number(n, "sample count")
+        n = whole_number(n, "sample count n")
         seed = whole_number(seed, "seed")
         if n < 1:
             raise InputError("sample count must be >= 1")
@@ -555,7 +556,9 @@ class Region:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(tuple(d["lo"]), tuple(d["hi"]))
+        if not isinstance(d, dict) or set(d) - {"lo", "hi"}:
+            raise ManifestError(f"a region is an object with lo and hi only, got {d!r}")
+        return cls(d["lo"], d["hi"])
 
 
 @dataclass
@@ -630,9 +633,9 @@ def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
     """
     if not isinstance(region, Region):
         region = Region(*region)
-    ls = [_power(l) for l in ls]
+    ls = [_power(l) for l in number_list(ls, "ls")]
     delta_k = _positive_finite(delta_k, "delta_k")
-    tol_ell = float(tol_ell)
+    tol_ell = number(tol_ell, "tol_ell")
     if not (math.isfinite(tol_ell) and tol_ell >= 0):
         raise InputError(f"tol_ell must be finite and nonnegative, got {tol_ell!r}")
     sample = _certification_draw(spec, region, n, seed)
@@ -674,15 +677,16 @@ def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
 def _power(l):
     """The test-function power l as a float; InputError unless it is
     finite and nonnegative."""
-    l = float(l)
+    l = number(l, "l")
     if not (math.isfinite(l) and l >= 0):
         raise InputError(f"l must be finite and nonnegative, got {l!r}")
     return l
 
 
 def _positive_finite(value, what):
-    """value as a float; InputError unless it is finite and positive."""
-    value = float(value)
+    """value as a float; InputError unless it is a finite, positive
+    number."""
+    value = number(value, what)
     if not (math.isfinite(value) and value > 0):
         raise InputError(f"{what} must be finite and positive, got {value!r}")
     return value

@@ -98,7 +98,7 @@ from scipy.linalg.lapack import dlartg
 
 from . import diagnostics as diag_mod
 from .errors import (InputError, NewtonConvergenceError, NumericalStateError,
-                     whole_number)
+                     number, number_list, whole_number)
 from .grid import (Field, _flux_data, _product_plan, _require_finite,
                    cell_gradient, component_laplacian, face_coefficients,
                    laplacian_of_P, stable_dt)
@@ -112,12 +112,13 @@ _SCHEMES = ("explicit", "imex", "newton")
 @dataclass(frozen=True)
 class SolverConfig:
     """Scheme and step-control parameters for run().  A malformed
-    number raises InputError: dt0, dt_max, t_end or a tolerance that
-    is not finite, a linear_tol that is not positive, a negative Newton
+    number raises InputError: a value that errors.number refuses (a
+    bool, a string), dt0, dt_max, t_end or a tolerance that is not
+    finite, a linear_tol that is not positive, a negative Newton
     tolerance, a blowup_threshold that is not positive (inf turns
     blowup detection off), a max_steps, record_every or max_newton
     that is not a whole number of at least 1, or a snapshot time
-    outside [0, t_end].
+    outside [0, t_end]; so does a store_states that is not a bool.
 
     Each step size comes from the controller's dt (dt0, halved on a
     rejected step, grown 1.2x on an accepted one) by the one rule of
@@ -143,6 +144,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise InputError(f"scheme must be one of {_SCHEMES}")
+        for name in ("dt0", "t_end", "dt_min", "dt_max", "cfl_safety",
+                     "newton_abs_tol", "newton_rel_tol", "linear_tol",
+                     "blowup_threshold"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, number(getattr(self, name), name))
+        if not isinstance(self.store_states, bool):
+            raise InputError(f"store_states must be true or false, got {self.store_states!r}")
         if not (0 < self.dt0 < np.inf and 0 < self.t_end < np.inf):
             raise InputError("dt0 and t_end must be finite and positive")
         if not 0 < self.linear_tol < np.inf:
@@ -169,7 +177,7 @@ class SolverConfig:
             raise InputError("need 0 < dt_min <= dt0 <= dt_max")
         if not (0 < self.cfl_safety <= 1):
             raise InputError("cfl_safety must lie in (0, 1]")
-        times = {float(t) for t in self.snapshot_times}
+        times = set(number_list(self.snapshot_times, "snapshot_times"))
         if not all(0.0 <= t <= self.t_end for t in times):
             raise InputError("snapshot_times must lie in [0, t_end]")
         object.__setattr__(self, "snapshot_times", tuple(sorted(times)))

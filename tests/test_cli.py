@@ -802,6 +802,104 @@ class TestInputErrors:
         assert "classic_skt" in r.output and "input error" in r.output
         assert not (out / "summary.json").exists()
 
+    # every section the CLI reads, with its command: a value that is not a
+    # JSON number, or a list of them, where one belongs
+    NUMBER_RULE = [
+        # each of these loaded and exited 0
+        ("verify", "verify.ls", "12", "ls"),              # l = 1 and 2
+        ("verify", "verify.delta_k", True, "delta_k"),     # 1.0
+        ("verify", "verify.tol_ell", "1e-9", "tol_ell"),
+        ("verify", "verify.n", "200", "n"),
+        ("verify", "verify.region.hi", "2", "hi"),
+        ("verify", "verify.region.lo", [True], "lo"),
+        ("verify", "seed", "3", "seed"),
+        ("simulate", "solver.t_end", True, "t_end"),      # ran to t = 1
+        ("simulate", "grid.Lx", True, "Lx"),
+        ("simulate", "grid.Ly", "1.0", "Ly"),
+        ("simulate", "grid.Nx", "16", "Nx"),
+        ("simulate", "initial.amplitude", True, "amplitude"),
+        ("simulate", "initial.amplitude", "0.5", "amplitude"),
+        ("simulate", "initial", {"constant": "1"}, "constant"),
+        ("simulate", "initial", {"constant": [True]}, "constant"),
+        ("simulate", "outputs.snapshot_times", "0", "snapshot_times"),
+        ("simulate", "outputs.snapshot_times", [False], "snapshot_times"),
+        ("simulate", "diagnostics.s0", True, "s0"),
+        ("simulate", "diagnostics.q", "2", "q"),
+        ("simulate", "diagnostics.eps", "0.5", "eps"),
+        ("simulate", "diagnostics.mu0", True, "mu0"),
+        ("simulate", "diagnostics.p_list", "3", "p_list"),
+        ("simulate", "diagnostics.M1_targets", "1", "M1_targets"),
+        ("attractor", "ensemble.amp_range", "19", "amp_range"),  # 1 to 9
+        ("attractor", "ensemble.tol", True, "tol"),
+        ("attractor", "ensemble.M1_targets", "1", "M1_targets"),
+        ("attractor", "ensemble.count", "1", "count"),
+        # exited 2 with a message that named no key
+        ("simulate", "solver.dt0", "0.001", "dt0"),
+        ("simulate", "diagnostics.radii", "0.25", "radii"),
+        ("attractor", "ensemble.T_observe", "0.01", "T_observe"),
+    ]
+
+    @pytest.mark.parametrize("command,dotted,value,key", NUMBER_RULE,
+                             ids=[f"{d}={v!r}" for _, d, v, _ in NUMBER_RULE])
+    def test_non_number_is_input_error(
+            self, write_manifest, tmp_path, command, dotted, value, key):
+        data = dict(heat_sim_manifest(), diagnostics={},
+                    verify=copy.deepcopy(self.VERIFY["verify"]),
+                    ensemble={"count": 1, "amp_range": [0.1, 1.0]})
+        out = tmp_path / "x"
+        r = invoke(command, "--manifest", write_manifest(_set(data, dotted, value)),
+                   "--out", out)
+        assert r.exit_code == 2, r.output
+        assert "input error" in r.output
+        assert re.search(rf"\b{key}\b", r.output), r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dotted", ["ensemble.skip_verify",
+                                        "solver.store_states"])
+    def test_boolean_keys_take_json_booleans(self, write_manifest, tmp_path,
+                                             dotted):
+        # "false" is a true string: the ensemble skipped the certification
+        # that this model fails (exit 2 with false, 0 with "false"), and
+        # the run stored every state
+        data = dict(heat_sim_manifest(),
+                    model={"m": 1, "P": [[[1.0, 1], [-1.0, 3]]],
+                           "lambda": {"lambda0": 1.0}},
+                    ensemble={"count": 1, "amp_range": [0.1, 0.1]})
+        command = "attractor" if dotted.startswith("ensemble") else "simulate"
+        out = tmp_path / "x"
+        r = invoke(command, "--manifest", write_manifest(_set(data, dotted, "false")),
+                   "--out", out)
+        assert r.exit_code == 2, r.output
+        key = dotted.split(".")[1]
+        assert f"input error: {key} must be true or false, got 'false'" in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dotted,value,message", [
+        # ran the constant state, and dropped the amplitude
+        ("initial", {"family": "positive_fourier", "constant": [1.0]},
+         "got ['constant', 'family']"),
+        ("initial", {"constant": [1.0], "amplitude": 50.0},
+         "an amplitude only beside family; got ['amplitude', 'constant']"),
+        # the key beside lo and hi was ignored
+        ("verify.region", {"lo": [-2.0], "hi": [2.0], "mid": [0.0]},
+         "lo and hi only, got {'lo': [-2.0], 'hi': [2.0], 'mid': [0.0]}"),
+        ("ensemble.region", {"lo": [0.0], "hi": [2.0], "HI": [3.0]},
+         "lo and hi only, got {'lo': [0.0], 'hi': [2.0], 'HI': [3.0]}"),
+    ], ids=["family_and_constant", "amplitude_and_constant",
+            "verify_region_key", "ensemble_region_key"])
+    def test_initial_source_and_region_keys(
+            self, write_manifest, tmp_path, dotted, value, message):
+        data = dict(heat_sim_manifest(), verify=copy.deepcopy(self.VERIFY["verify"]),
+                    ensemble={"count": 1, "amp_range": [0.1, 1.0]})
+        command = {"initial": "simulate", "verify": "verify",
+                   "ensemble": "attractor"}[dotted.split(".")[0]]
+        out = tmp_path / "x"
+        r = invoke(command, "--manifest", write_manifest(_set(data, dotted, value)),
+                   "--out", out)
+        assert r.exit_code == 2, r.output
+        assert "input error" in r.output and message in r.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize("command", ["attractor", "sweep"])
     def test_threads_below_one_is_usage_error(self, write_manifest, tmp_path,

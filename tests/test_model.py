@@ -687,7 +687,12 @@ class TestVerifyStructure:
         ({"delta_k": 0.0}, "delta_k"),
         ({"tol_ell": math.nan}, "tol_ell"),
         ({"tol_ell": math.inf}, "tol_ell"),
-        ({"tol_ell": -1e-9}, "tol_ell")])
+        ({"tol_ell": -1e-9}, "tol_ell"),
+        # float("abc") raised a bare ValueError; True read as 1.0 and the
+        # string "12" as the powers 1 and 2
+        ({"delta_k": "abc"}, "delta_k"),
+        ({"tol_ell": True}, "tol_ell"),
+        ({"ls": "12"}, "ls")])
     def test_bad_parameters_rejected_before_the_draw(self, skt, kwargs, match,
                                                      monkeypatch):
         # ls=(nan,) reported lambda_l {nan: ...}; tol_ell = NaN failed

@@ -94,15 +94,14 @@ def exact_envelope(lam, u):
                 Fraction(c * k * r2 ** ((k - 1) / 2)))
 
 
-class TestPointMajorParity:
+class TestSignedStateOracles:
     """The envelope and y of signed states against exact arithmetic, and
-    stable_dt as its formula.  The ids are those of the point-major
-    parity tests this class held before."""
+    stable_dt as its formula."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("lam", [LambdaSpec(1.5), LambdaSpec(1.0, 0.7, 1.0),
                                      LambdaSpec(0.5, 2.0, 2.5)])
-    def test_envelope_keeps_the_point_major_bits(self, m, lam):
+    def test_envelope_matches_exact_arithmetic(self, m, lam):
         # |u| carries m/2 + 1 roundings; the power k scales them and adds
         # an ulp-accurate pow (2), and the product and sum add 2 more
         n = math.ceil((lam.k + 1) * (m / 2 + 1)) + 4
@@ -115,13 +114,13 @@ class TestPointMajorParity:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("shape", [(32, 32), (17, 23)])
-    def test_energy_y_keeps_the_point_major_bits(self, m, shape):
+    def test_energy_y_matches_exact_arithmetic(self, m, shape):
         g = build_grid(1.0, 1.5, *shape, "neumann")
         rng = np.random.default_rng(m * 100 + shape[0] + 1)
         check_energy_y(cross_model(m), Field(g, rng.uniform(-1.0, 1.0, (m,) + shape)))
 
     @pytest.mark.parametrize("m", [2, 3])
-    def test_stable_dt_keeps_the_point_major_bits(self, m):
+    def test_stable_dt_is_its_formula(self, m):
         # m = 3 takes LAPACK's SVD, m = 2 the closed form
         spec = cross_model(m)
         g = build_grid(1.0, 1.5, 17, 23, "neumann")
