@@ -7,8 +7,8 @@ the differential inequalities that govern energy decay and absorbing
 balls along the computed trajectories.
 """
 
-from .errors import (InputError, ManifestError, ModelDefinitionError,
-                     NewtonConvergenceError, NumericalStateError)
+from .errors import (InputError, ManifestError, NewtonConvergenceError,
+                     NumericalStateError)
 from .model import (GeneralReaction, LambdaSpec, MatrixPolynomial, ModelSpec,
                     PolynomialMap, ReactionSpec, Region, StructuralReport,
                     classic_skt, compute_lambda_l, eval_A, eval_lambda,
@@ -31,8 +31,8 @@ from .attractor import (AbsorbingBallReport, EnsembleSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "InputError", "ManifestError", "ModelDefinitionError",
-    "NewtonConvergenceError", "NumericalStateError",
+    "InputError", "ManifestError", "NewtonConvergenceError",
+    "NumericalStateError",
     "PolynomialMap", "MatrixPolynomial", "LambdaSpec", "ReactionSpec",
     "GeneralReaction", "ModelSpec", "Region", "StructuralReport",
     "eval_P", "eval_A", "eval_lambda", "eval_reaction",

@@ -9,14 +9,14 @@ reported with margins; nothing is assumed about the constants.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import InequalityReport, _bump_to_cover, decay_bound_check
-from .errors import InputError, number, number_list, whole_number
+from .errors import (InputError, finite, nonnegative, number, number_list,
+                     positive, whole_number)
 from .grid import Field, Grid2D
 from .model import ModelSpec, Region, verify_structure
 from .solver import SolverConfig, run
@@ -62,20 +62,17 @@ class EnsembleSpec:
         object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
         if self.count < 1:
             raise InputError("ensemble needs at least one member")
-        amp = number_list(self.amp_range, "amp_range")
-        if len(amp) != 2 or not 0 < amp[0] <= amp[1] < math.inf:
+        amp = number_list(self.amp_range, "amp_range", positive)
+        if len(amp) != 2 or amp[0] > amp[1]:
             raise InputError(f"amp_range must be two positive, finite, ordered numbers, got {amp}")
         object.__setattr__(self, "amp_range", amp)
         if self.T_observe is not None:
             object.__setattr__(self, "T_observe", number(self.T_observe, "T_observe"))
             if not 0 <= self.T_observe < self.config.t_end:
                 raise InputError("T_observe must lie in [0, t_end)")
-        object.__setattr__(self, "tol", number(self.tol, "tol"))
-        object.__setattr__(self, "M1_targets", number_list(self.M1_targets, "M1_targets"))
-        if not 0 < self.tol < math.inf:
-            raise InputError("tol must be finite and positive")
-        if not all(math.isfinite(M1) for M1 in self.M1_targets):
-            raise InputError("every entry of M1_targets must be finite")
+        object.__setattr__(self, "tol", positive(self.tol, "tol"))
+        object.__setattr__(self, "M1_targets",
+                           number_list(self.M1_targets, "M1_targets", finite))
 
     def amplitudes(self):
         lo, hi = self.amp_range
@@ -139,9 +136,7 @@ def initial_field(family, grid, m, amplitude, seed):
     """
     if family not in _FAMILIES:
         raise InputError(f"family must be one of {_FAMILIES}")
-    amplitude = number(amplitude, "amplitude")
-    if not 0 < amplitude < math.inf:
-        raise InputError("amplitude must be finite and positive")
+    amplitude = positive(amplitude, "amplitude")
     rng = np.random.default_rng([whole_number(seed, "seed"), 0xA5])
     if family == "constant":
         return Field.constant(grid, np.full(m, amplitude))
@@ -167,9 +162,7 @@ def ystar_dominance(traj, spec, tol=0.05):
     Requires a competitive reaction, whose decay_power is p.  Raises
     InputError when no C1 can be certified to cover the data.
     """
-    tol = float(tol)
-    if not 0 <= tol < math.inf:
-        raise InputError(f"tol must be finite and nonnegative, got {tol!r}")
+    tol = nonnegative(tol, "tol")
     p = getattr(spec.reaction, "decay_power", None)
     if p is None:
         raise InputError("needs a competitive reaction (one with a decay_power)")

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import attractor as attractor_mod
 from . import diagnostics as diag_mod
-from .errors import (InputError, ManifestError, ModelDefinitionError,
-                     NumericalStateError, number_list, whole_number)
+from .errors import (InputError, ManifestError, NumericalStateError,
+                     number_list, whole_number)
 from .grid import Field, build_grid, load_snapshot, save_snapshot
 from .model import Region, classic_skt, model_from_dict, verify_structure
 from .solver import SolverConfig, run
@@ -51,7 +51,7 @@ def _manifest_values(where):
     not of its input.  The package's own input errors pass through."""
     try:
         yield
-    except (InputError, ModelDefinitionError):
+    except InputError:
         raise
     except KeyError as e:
         raise ManifestError(f"{where} is missing {e}") from e
@@ -173,9 +173,12 @@ def _resolve_solver(res, **overrides):
     s = res.section("solver")
     if not s:
         raise ManifestError("manifest needs a \"solver\" section")
-    snaps = res.section("outputs").get("snapshot_times", ())
+    outputs = res.section("outputs")
+    if "snapshot_times" in s and "snapshot_times" in outputs:
+        raise ManifestError("outputs.snapshot_times and solver.snapshot_times "
+                            "are both given; give one")
     with _manifest_values("solver"):
-        s.setdefault("snapshot_times", snaps)
+        s.setdefault("snapshot_times", outputs.get("snapshot_times", ()))
         s.update(overrides)
         return SolverConfig(**s)
 
@@ -269,7 +272,7 @@ def _write_snapshots(res, traj):
 
 # The package's own input errors and failed file access; a bare
 # ValueError or KeyError from the numerics is a fault, not an input error.
-_INPUT_ERRORS = (ModelDefinitionError, InputError, OSError)
+_INPUT_ERRORS = (InputError, OSError)
 
 
 def _guard(fn):

@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, number, number_list
+from .errors import InputError, finite, number, number_list, positive
 from .grid import cell_gradient
-from .model import _positive_finite, eval_A, eval_lambda, reaction_zero_order
+from .model import eval_A, eval_lambda, reaction_zero_order
 
 __all__ = [
     "NormRecord",
@@ -114,21 +114,15 @@ class DiagnosticsConfig:
     M1_targets: tuple = ()
 
     def __post_init__(self):
-        for name in ("s0", "q", "eps", "mu0", "p_list", "radii", "M1_targets"):
-            value = getattr(self, name)
-            if value is not None or name not in ("mu0", "p_list"):
-                to = number if name in ("s0", "q", "eps", "mu0") else number_list
-                object.__setattr__(self, name, to(value, name))
-        if not math.isfinite(self.s0):
-            raise InputError("s0 must be finite")
-        if not (0 < self.q < math.inf and 0 < self.eps < math.inf):
-            raise InputError("q and eps must be finite and positive")
-        if self.mu0 is not None and not math.isfinite(self.mu0):
-            raise InputError("mu0 must be finite when given")
-        for name in ("radii", "p_list"):
-            if not all(0 < x < math.inf for x in getattr(self, name) or ()):
-                raise InputError(f"every entry of {name} must be finite "
-                                 "and positive")
+        for name, rule in (("s0", finite), ("q", positive), ("eps", positive),
+                           ("mu0", finite)):
+            if getattr(self, name) is not None or name != "mu0":
+                object.__setattr__(self, name, rule(getattr(self, name), name))
+        for name, rule in (("p_list", positive), ("radii", positive),
+                           ("M1_targets", finite)):
+            if getattr(self, name) is not None or name != "p_list":
+                object.__setattr__(self, name,
+                                   number_list(getattr(self, name), name, rule))
         # each radius and exponent names its trajectory.csv column by its
         # :g form, and the dedicated L2 column is p = 2's
         for name, column, values in (
@@ -140,25 +134,13 @@ class DiagnosticsConfig:
                 if other != x:
                     raise InputError(f"{name} values {other!r} and {x!r} "
                                      f"share the column {column}{x:g}")
-        if not all(math.isfinite(M1) for M1 in self.M1_targets):
-            raise InputError("every entry of M1_targets must be finite")
-
-
-def _radius(R, what):
-    """R as a float; InputError unless it is finite and positive.  Every
-    radius of norms, bmo_profile and morrey_profile passes here before
-    it reaches _window."""
-    R = float(R)
-    if not 0 < R < math.inf:
-        raise InputError(f"every entry of {what} must be finite and "
-                         f"positive, got {R!r}")
-    return R
 
 
 def _window_radius(grid, R, what):
-    """R as _radius returns it; InputError also when R is below two cells
-    of grid.  Every radius of norms and bmo_profile passes here."""
-    R = _radius(R, what)
+    """R as errors.positive returns it; InputError also when R is below
+    two cells of grid.  Every radius of norms and bmo_profile passes
+    here."""
+    R = positive(R, f"every entry of {what}")
     hmax = max(grid.hx, grid.hy)
     if R < 2.0 * hmax * (1 - 1e-12):
         raise InputError(f"radius {R:g} is below two cells ({2 * hmax:g})")
@@ -468,9 +450,7 @@ def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None, *, grad=None,
         p_list = (2.0 * k,) if k > 0 else ()
     Lp = {}
     for p in p_list:
-        p = float(p)
-        if not 0 < p < math.inf:
-            raise InputError("Lp exponents must be finite and positive")
+        p = positive(p, "every entry of p_list")
         if p == 2.0:
             continue        # the dedicated L2 entry already carries it
         Lp[p] = float((area * (r ** p).sum()) ** (1.0 / p))
@@ -480,7 +460,7 @@ def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None, *, grad=None,
     W12 = L2 + float(math.sqrt(area * du2.sum()))
     energy_y = _energy_y(u, spec, grad, A)
     lam = eval_lambda(spec, vals)
-    lambda_moment = float(area * (lam ** float(s0)).sum())
+    lambda_moment = float(area * (lam ** finite(s0, "s0")).sum())
     bmo = {}
     morrey = {}
     for R in (R_list or ()):
@@ -490,7 +470,7 @@ def norms(u, spec, t=0.0, s0=1.0, p_list=None, R_list=None, *, grad=None,
         win = _window(g, R)
         bmo[R] = _bmo_sup(vals, win)
         morrey[R] = float(_window_sums(du2, win).max() * area)
-    return NormRecord(t=float(t), mass=mass, L1=L1, L2=L2, Lp=Lp, W12=W12,
+    return NormRecord(t=finite(t, "t"), mass=mass, L1=L1, L2=L2, Lp=Lp, W12=W12,
                       energy_y=energy_y, lambda_moment=lambda_moment,
                       bmo=bmo, morrey=morrey)
 
@@ -531,10 +511,9 @@ def bmo_profile(u, radii, Lambda_hat=1.0, mu0=None, recorded=None):
     g = u.grid
     if not radii:
         raise InputError("need at least one radius")
-    if not math.isfinite(Lambda_hat):
-        raise InputError(f"Lambda_hat must be finite, got {Lambda_hat!r}")
-    if mu0 is not None and not math.isfinite(mu0):
-        raise InputError(f"mu0 must be finite when given, got {mu0!r}")
+    Lambda_hat = finite(Lambda_hat, "Lambda_hat")
+    if mu0 is not None:
+        mu0 = finite(mu0, "mu0")
     osc, products, small = {}, {}, {}
     skipped = []
     for R in radii:
@@ -544,7 +523,7 @@ def bmo_profile(u, radii, Lambda_hat=1.0, mu0=None, recorded=None):
             continue
         osc[R] = (recorded[R] if R in recorded
                   else _bmo_sup(u.values, _window(g, R)))
-        products[R] = float(Lambda_hat) ** 2 * osc[R] ** 2
+        products[R] = Lambda_hat ** 2 * osc[R] ** 2
         if mu0 is not None:
             small[R] = bool(products[R] <= mu0)
     return BmoReport(radii=tuple(float(R) for R in radii), oscillation=osc,
@@ -658,7 +637,7 @@ def decay_bound_check(t, y, p, M1_targets=(), constants=None):
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    p = float(p)
+    p = number(p, "p")
     if t.shape != y.shape or t.ndim != 1:
         raise InputError("t and y must be 1-d arrays of equal length")
     if len(t) < 3:
@@ -667,19 +646,15 @@ def decay_bound_check(t, y, p, M1_targets=(), constants=None):
         raise InputError("series must be positive")
     if not 1 < p < math.inf:
         raise InputError(f"p must be finite and exceed 1, got {p!r}")
-    M1_targets = [float(M1) for M1 in M1_targets]
-    if not all(map(math.isfinite, M1_targets)):
-        raise InputError("every entry of M1_targets must be finite")
+    M1_targets = number_list(M1_targets, "M1_targets", finite)
     if np.any(np.diff(t) <= 0):
         raise InputError("times must be strictly increasing")
     if constants is not None:
-        try:
-            c2, c3 = (float(x) for x in constants)
-        except (TypeError, ValueError):
-            c2 = c3 = math.nan
-        if not (math.isfinite(c2) and math.isfinite(c3)):
+        constants = number_list(constants, "constants", finite)
+        if len(constants) != 2:
             raise InputError("constants must be two finite numbers (c2, c3), "
                              f"got {constants!r}")
+        c2, c3 = constants
 
     dt2 = t[2:] - t[:-2]
     d = (y[2:] - y[:-2]) / dt2
@@ -739,8 +714,8 @@ def interpolation_check(fields, q=2.0, eps=0.1):
     fields = list(fields)
     if not fields:
         raise InputError("need at least one field")
-    q = _positive_finite(q, "q")
-    eps = _positive_finite(eps, "eps")
+    q = positive(q, "q")
+    eps = positive(eps, "eps")
     I1 = np.empty(len(fields))
     I2 = np.empty(len(fields))
     L1 = np.empty(len(fields))
@@ -786,7 +761,7 @@ def morrey_profile(traj, radii):
         raise InputError("trajectory was run without store_states")
     if len(traj.states) < 3:
         raise InputError("need at least 3 stored states")
-    radii = [_radius(R, "radii") for R in radii]
+    radii = number_list(radii, "radii", positive)
     if len(set(radii)) < 2:
         raise InputError("need at least 2 distinct radii for a slope")
     from scipy.integrate import cumulative_trapezoid

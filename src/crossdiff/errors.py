@@ -1,19 +1,17 @@
 """Shared exception types, which the CLI maps onto exit codes, and the
-number rule for values read from input: a number is a real number, a
-list of numbers a list, tuple or 1-D array of them, and a count or seed
-a whole number."""
+number rule for every value a caller hands the library: a number is a
+real number, a list of numbers a list, tuple or 1-D array of them, and a
+count or seed a whole number; finite, positive and nonnegative add a
+range to number."""
 
+import math
 import numbers
 
 import numpy as np
 
 
-class ModelDefinitionError(ValueError):
-    """Invalid model data: dimension mismatch or malformed terms."""
-
-
 class InputError(ValueError):
-    """Invalid operation input (degenerate region, bad sizes, short series)."""
+    """Invalid input: a malformed model, manifest or argument."""
 
 
 class ManifestError(InputError):
@@ -30,21 +28,53 @@ class NewtonConvergenceError(NumericalStateError):
 
 def number(value, what):
     """value as a float when it is a real number (an int, a float or a
-    NumPy scalar); a bool, a string, None or anything else raises
-    InputError.  float() would read True as 1.0 and "0.5" as 0.5."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    NumPy scalar); a bool, a string, None, anything else and an int too
+    large for a float raise InputError.  float() would read True as 1.0
+    and "0.5" as 0.5.  float and int are tested ahead of numbers.Real,
+    whose ABC check is several times slower, since stable_dt and norms
+    call this on every step."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise InputError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # the message leaves out the value's digits
+        raise InputError(f"{what} is too large for a float") from None
 
 
-def number_list(values, what):
-    """values as a tuple of floats, each a number(): from a list, a tuple
-    or a 1-D array.  A string is not a list: tuple("12") would read the
-    numbers 1 and 2."""
+def finite(value, what):
+    """number(value) when it is finite; InputError otherwise."""
+    value = number(value, what)
+    if not math.isfinite(value):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def positive(value, what):
+    """number(value) when it is finite and above 0; InputError
+    otherwise."""
+    value = number(value, what)
+    if not 0 < value < math.inf:
+        raise InputError(f"{what} must be finite and positive, got {value!r}")
+    return value
+
+
+def nonnegative(value, what):
+    """number(value) when it is finite and at least 0; InputError
+    otherwise."""
+    value = number(value, what)
+    if not 0 <= value < math.inf:
+        raise InputError(f"{what} must be finite and nonnegative, got {value!r}")
+    return value
+
+
+def number_list(values, what, entry=number):
+    """values as a tuple of floats, each entry(v, ...) (number, finite,
+    positive or nonnegative): from a list, a tuple or a 1-D array.  A
+    string is not a list: tuple("12") would read the numbers 1 and 2."""
     if not (isinstance(values, (list, tuple))
             or isinstance(values, np.ndarray) and values.ndim == 1):
         raise InputError(f"{what} must be a list of numbers, got {values!r}")
-    return tuple(number(v, f"every entry of {what}") for v in values)
+    return tuple(entry(v, f"every entry of {what}") for v in values)
 
 
 def whole_number(value, what):
@@ -53,6 +83,6 @@ def whole_number(value, what):
     Converting with int() would truncate 2.9 to 2 and run a different
     computation."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer()):
+            or not number(value, what).is_integer()):
         raise InputError(f"{what} must be a whole number, got {value!r}")
     return int(value)

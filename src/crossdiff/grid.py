@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputError, NumericalStateError, number, whole_number
+from .errors import InputError, NumericalStateError, positive, whole_number
 from .model import _opnorms, eval_A, eval_P
 
 __all__ = [
@@ -60,10 +60,8 @@ class Grid2D:
     bc: str = "neumann"
 
     def __post_init__(self):
-        object.__setattr__(self, "Lx", number(self.Lx, "Lx"))
-        object.__setattr__(self, "Ly", number(self.Ly, "Ly"))
-        if not (0 < self.Lx < np.inf and 0 < self.Ly < np.inf):
-            raise InputError("domain side lengths must be finite and positive")
+        object.__setattr__(self, "Lx", positive(self.Lx, "Lx"))
+        object.__setattr__(self, "Ly", positive(self.Ly, "Ly"))
         object.__setattr__(self, "Nx", whole_number(self.Nx, "cell count Nx"))
         object.__setattr__(self, "Ny", whole_number(self.Ny, "cell count Ny"))
         if self.Nx < 2 or self.Ny < 2:
@@ -429,7 +427,7 @@ def stable_dt(spec, field, cfl=0.9, *, A=None):
     if s <= 0:
         raise InputError("state has vanishing diffusion; no stable step exists")
     h = min(g.hx, g.hy)
-    return float(cfl) * h * h / (8.0 * s)
+    return positive(cfl, "cfl") * h * h / (8.0 * s)
 
 
 def save_snapshot(path, field, fmt="csv"):

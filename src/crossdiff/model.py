@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InputError, ManifestError, ModelDefinitionError, number,
-                     number_list, whole_number)
+from .errors import (InputError, ManifestError, finite, nonnegative, number,
+                     number_list, positive, whole_number)
 
 logger = logging.getLogger(__name__)
 
@@ -71,7 +71,7 @@ def _as_components(u, m):
     """Coerce u to a float array whose axis 0 has length m."""
     u = np.asarray(u, dtype=float)
     if u.ndim == 0 or u.shape[0] != m:
-        raise ModelDefinitionError(
+        raise InputError(
             f"state must be component-major, shape ({m}, ...); got {u.shape} "
             "(pass a point-major (n, m) batch as its transpose)")
     return u
@@ -89,12 +89,12 @@ class PolynomialMap:
     """
 
     def __init__(self, m, terms, max_degree=None):
-        self.m = int(m)
+        self.m = whole_number(m, "component count m")
         if self.m < 1:
-            raise ModelDefinitionError("component count must be >= 1")
+            raise InputError("component count must be >= 1")
         terms = [list(comp) for comp in terms]
         if len(terms) != self.m:
-            raise ModelDefinitionError(
+            raise InputError(
                 f"expected {self.m} component term lists, got {len(terms)}")
         # MatrixPolynomial checks every coefficient and exponent vector
         self._P = MatrixPolynomial(self.m, (self.m, 1), [
@@ -103,10 +103,10 @@ class PolynomialMap:
                        for comp in terms]
         for i, comp in enumerate(self._terms):
             if any(c != 0.0 and not any(ex) for c, ex in comp):
-                raise ModelDefinitionError(
+                raise InputError(
                     f"component {i} has a constant term; the map must vanish at 0")
             if max_degree is not None and any(sum(ex) > max_degree for _, ex in comp):
-                raise ModelDefinitionError(
+                raise InputError(
                     f"component {i} exceeds declared max degree {max_degree}")
         self.max_degree = max((sum(ex) for comp in self._terms for _, ex in comp),
                               default=0)
@@ -125,7 +125,7 @@ class PolynomialMap:
         """Return the map whose term coefficients are multiplied by
         s**(degree + power_offset); with power_offset=-1 this is
         u -> P(s*u)/s, whose Jacobian is A(s*u)."""
-        s = float(s)
+        s = number(s, "s")
         return PolynomialMap(self.m, [
             [(c * s ** (sum(ex) + power_offset), ex) for c, ex in comp]
             for comp in self._terms])
@@ -166,30 +166,25 @@ class MatrixPolynomial:
     """
 
     def __init__(self, m, shape, terms):
-        self.m = int(m)
-        self.shape = (int(shape[0]), int(shape[1]))
+        self.m = whole_number(m, "component count m")
+        self.shape = (whole_number(shape[0], "matrix shape"),
+                      whole_number(shape[1], "matrix shape"))
         self._terms = []
         for i, j, c, s, ex in terms:
             where = f"entry ({i}, {j})"
-            if any(isinstance(k, bool) or not float(k).is_integer() for k in (i, j)):
-                raise ModelDefinitionError(f"{where}: matrix indices must be integers")
-            i, j, c, s, ex = int(i), int(j), float(c), float(s), tuple(ex)
+            i, j = (whole_number(k, f"{where}: matrix index") for k in (i, j))
             if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1]):
-                raise ModelDefinitionError(f"{where}: matrix index out of range")
-            if not math.isfinite(c):
-                raise ModelDefinitionError(f"{where}: coefficient {c} is not finite")
-            if not (math.isfinite(s) and s >= 0):
-                raise ModelDefinitionError(
-                    f"{where}: radial power {s} must be finite and nonnegative")
+                raise InputError(f"{where}: matrix index out of range")
+            c = finite(c, f"{where}: coefficient")
+            s = nonnegative(s, f"{where}: radial power")
+            ex = tuple(whole_number(e, f"{where}: exponent") for e in ex)
             if len(ex) != self.m:
-                raise ModelDefinitionError(
+                raise InputError(
                     f"{where}: exponent vector must have length {self.m}")
-            if not all(not isinstance(e, bool) and float(e).is_integer()
-                       and float(e) >= 0 for e in ex):
-                raise ModelDefinitionError(
-                    f"{where}: exponents {ex} must be nonnegative integers")
+            if any(e < 0 for e in ex):
+                raise InputError(f"{where}: exponents {ex} must be nonnegative integers")
             if c != 0.0:
-                self._terms.append((i, j, c, s, tuple(int(e) for e in ex)))
+                self._terms.append((i, j, c, s, ex))
 
     def __call__(self, u):
         u = _as_components(u, self.m)
@@ -212,7 +207,7 @@ class MatrixPolynomial:
     def scaled(self, s, prefactor=1.0):
         """Return u -> prefactor * M(s*u): coefficients pick up
         prefactor * s**(radial + degree)."""
-        s = float(s)
+        s = number(s, "s")
         terms = [(i, j, c * prefactor * s ** (rad + sum(ex)), rad, ex)
                  for i, j, c, rad, ex in self._terms]
         return MatrixPolynomial(self.m, self.shape, terms)
@@ -251,10 +246,9 @@ class LambdaSpec:
     k: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.lambda0 < math.inf):
-            raise ModelDefinitionError("lambda0 must be positive and finite")
-        if not (0 <= self.lambda1 < math.inf and 0 <= self.k < math.inf):
-            raise ModelDefinitionError("lambda1 and k must be nonnegative and finite")
+        object.__setattr__(self, "lambda0", positive(self.lambda0, "lambda0"))
+        object.__setattr__(self, "lambda1", nonnegative(self.lambda1, "lambda1"))
+        object.__setattr__(self, "k", nonnegative(self.k, "k"))
 
     @property
     def lambda_S(self):
@@ -284,7 +278,7 @@ class LambdaSpec:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(float(d["lambda0"]), float(d.get("lambda1", 0.0)), float(d.get("k", 0.0)))
+        return cls(d["lambda0"], d.get("lambda1", 0.0), d.get("k", 0.0))
 
 
 def _flatten_gradient(g, m):
@@ -292,7 +286,7 @@ def _flatten_gradient(g, m):
     du2/dx, ...)."""
     g = np.asarray(g, dtype=float)
     if g.shape[:2] != (m, 2):
-        raise ModelDefinitionError(
+        raise InputError(
             f"gradient must have shape ({m}, 2, ...); got {g.shape}")
     return g.reshape((2 * m,) + g.shape[2:])
 
@@ -327,16 +321,14 @@ class ReactionSpec(_Reaction):
     c0: float
 
     def __post_init__(self):
-        K = np.asarray(self.K, dtype=float)
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ModelDefinitionError("K must be a square matrix")
-        if not np.all(np.isfinite(K)):
-            raise ModelDefinitionError("K must have finite entries")
+        K = self.K.tolist() if isinstance(self.K, np.ndarray) else self.K
+        if not (isinstance(K, (list, tuple)) and K and all(
+                isinstance(row, (list, tuple)) and len(row) == len(K) for row in K)):
+            raise InputError("K must be a square matrix")
+        K = np.array([number_list(row, "K", finite) for row in K])
         object.__setattr__(self, "K", K)
-        if not (0 < self.kappa < math.inf):
-            raise ModelDefinitionError("kappa must be positive and finite")
-        if not (0 < self.c0 < math.inf):
-            raise ModelDefinitionError("c0 must be positive and finite")
+        object.__setattr__(self, "kappa", positive(self.kappa, "kappa"))
+        object.__setattr__(self, "c0", positive(self.c0, "c0"))
 
     @property
     def m(self):
@@ -389,21 +381,21 @@ class ModelSpec:
         r = self.reaction
         if r is not None:
             if not isinstance(r, _Reaction):
-                raise ModelDefinitionError("unsupported reaction object")
+                raise InputError("unsupported reaction object")
             if r.m != m:
-                raise ModelDefinitionError("reaction dimension does not match P")
+                raise InputError("reaction dimension does not match P")
             if r.B is not None and (r.B.m != m or r.B.shape != (m, 2 * m)):
-                raise ModelDefinitionError(f"B must map to a {m}x{2 * m} matrix")
+                raise InputError(f"B must map to a {m}x{2 * m} matrix")
         if isinstance(r, ReactionSpec):
             if r.G is not None and (r.G.m != m or r.G.shape != (m, m)):
-                raise ModelDefinitionError(f"G must map to a {m}x{m} matrix")
+                raise InputError(f"G must map to a {m}x{m} matrix")
             if self.lam.k > 0 and r.kappa > self.lam.k + 1e-12:
-                raise ModelDefinitionError("kappa must not exceed the lambda exponent k")
+                raise InputError("kappa must not exceed the lambda exponent k")
         elif isinstance(r, GeneralReaction):
             if r.f0 is not None and r.f0.m != m:
-                raise ModelDefinitionError("zero-order map dimension does not match P")
-        if self.C_f is not None and not (0 < self.C_f < math.inf):
-            raise ModelDefinitionError("declared C_f must be positive and finite")
+                raise InputError("zero-order map dimension does not match P")
+        if self.C_f is not None:
+            object.__setattr__(self, "C_f", positive(self.C_f, "C_f"))
 
     @property
     def m(self):
@@ -505,12 +497,10 @@ class Region:
     hi: tuple
 
     def __post_init__(self):
-        lo = number_list(self.lo, "region lo")
-        hi = number_list(self.hi, "region hi")
+        lo = number_list(self.lo, "region lo", finite)
+        hi = number_list(self.hi, "region hi", finite)
         if len(lo) != len(hi) or not lo:
             raise InputError("region bounds must have equal, positive length")
-        if not all(math.isfinite(x) for x in lo + hi):
-            raise InputError(f"region bounds must be finite, got {lo} and {hi}")
         if any(not (h > l) for l, h in zip(lo, hi)):
             raise InputError("degenerate region: need hi > lo in every coordinate")
         object.__setattr__(self, "lo", lo)
@@ -518,11 +508,12 @@ class Region:
 
     @classmethod
     def symmetric(cls, U, m):
-        return cls((-float(U),) * m, (float(U),) * m)
+        U = number(U, "U")
+        return cls((-U,) * m, (U,) * m)
 
     @classmethod
     def positive(cls, U, m):
-        return cls((0.0,) * m, (float(U),) * m)
+        return cls((0.0,) * m, (number(U, "U"),) * m)
 
     @property
     def m(self):
@@ -633,11 +624,9 @@ def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
     """
     if not isinstance(region, Region):
         region = Region(*region)
-    ls = [_power(l) for l in number_list(ls, "ls")]
-    delta_k = _positive_finite(delta_k, "delta_k")
-    tol_ell = number(tol_ell, "tol_ell")
-    if not (math.isfinite(tol_ell) and tol_ell >= 0):
-        raise InputError(f"tol_ell must be finite and nonnegative, got {tol_ell!r}")
+    ls = [nonnegative(l, "l") for l in number_list(ls, "ls")]
+    delta_k = positive(delta_k, "delta_k")
+    tol_ell = nonnegative(tol_ell, "tol_ell")
     sample = _certification_draw(spec, region, n, seed)
     lam_l = {l: compute_lambda_l(spec, l, delta=delta_k, _sample=sample)
              for l in ls}
@@ -645,7 +634,7 @@ def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
     del sample  # the directions are no longer needed
     eps0 = 1.0 / spec.lam.k if spec.lam.k > 1.0 else 1.0
     (ratio_mins, ratio_maxs, C_stars, Lambdas, Lambda1s, C_Ps, C_fs,
-     positive) = zip(*(_slice_checks(spec, U[:, s], lam[s], A[..., s], eps0)
+     mineig_positive) = zip(*(_slice_checks(spec, U[:, s], lam[s], A[..., s], eps0)
                        for s in _slices(len(lam))))
     ratio_min = float(np.min(ratio_mins))
     ratio_max = float(np.max(ratio_maxs))
@@ -655,7 +644,7 @@ def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
     C_P_hat = float(_max_or_zero(C_Ps))
     C_f_hat = float(_max_or_zero(C_fs))
 
-    ellipticity_pass = bool(all(positive) and ratio_min >= 1.0 - tol_ell)
+    ellipticity_pass = bool(all(mineig_positive) and ratio_min >= 1.0 - tol_ell)
     growth_pass = bool(np.isfinite(C_P_hat))
     f_pass = bool(np.isfinite(C_f_hat) and
                   (spec.C_f is None or C_f_hat <= spec.C_f * (1.0 + 1e-12)))
@@ -672,24 +661,6 @@ def verify_structure(spec, region, n=10000, seed=0, delta_k=0.99, tol_ell=1e-9,
         f_pass=f_pass, sg_pass=sg_pass, sg_prime_pass=sg_prime_pass,
         delta_k=delta_k, tol_ell=tol_ell,
         sample_count=len(lam), region=region, seed=int(seed))
-
-
-def _power(l):
-    """The test-function power l as a float; InputError unless it is
-    finite and nonnegative."""
-    l = number(l, "l")
-    if not (math.isfinite(l) and l >= 0):
-        raise InputError(f"l must be finite and nonnegative, got {l!r}")
-    return l
-
-
-def _positive_finite(value, what):
-    """value as a float; InputError unless it is a finite, positive
-    number."""
-    value = number(value, what)
-    if not (math.isfinite(value) and value > 0):
-        raise InputError(f"{what} must be finite and positive, got {value!r}")
-    return value
 
 
 # Samples per slice of the certification draw's per-sample work: the draw
@@ -817,8 +788,8 @@ def compute_lambda_l(spec, l, n=100000, seed=0, region=None, delta=0.99,
     delta/C_*, which is logged at INFO and not enforced, so C_* is
     computed only when that log is on.
     """
-    l = _power(l)
-    delta = _positive_finite(delta, "delta")
+    l = nonnegative(l, "l")
+    delta = positive(delta, "delta")
     if _sample is None:
         if region is None:
             region = Region.symmetric(10.0, spec.m)
@@ -895,30 +866,30 @@ def classic_skt(a1, a2, a11, a12, a21, a22, b=None, lv=None):
     the positive orthant.  b, when given, is a MatrixPolynomial of shape
     (2, 4) multiplying the flattened gradient.
     """
-    a1, a2 = float(a1), float(a2)
-    if min(a1, a2) <= 0:
-        raise ModelDefinitionError("linear diffusion rates must be positive")
+    a1, a2 = positive(a1, "a1"), positive(a2, "a2")
+    a11, a12, a21, a22 = (finite(a, name) for a, name in (
+        (a11, "a11"), (a12, "a12"), (a21, "a21"), (a22, "a22")))
     comp0 = [(a1, (1, 0))]
     if a11:
-        comp0.append((float(a11), (2, 0)))
+        comp0.append((a11, (2, 0)))
     if a12:
-        comp0.append((float(a12), (1, 1)))
+        comp0.append((a12, (1, 1)))
     comp1 = [(a2, (0, 1))]
     if a21:
-        comp1.append((float(a21), (1, 1)))
+        comp1.append((a21, (1, 1)))
     if a22:
-        comp1.append((float(a22), (0, 2)))
+        comp1.append((a22, (0, 2)))
     P = PolynomialMap(2, [comp0, comp1])
-    lam1 = _skt_lambda1(float(a11), float(a12), float(a21), float(a22))
+    lam1 = _skt_lambda1(a11, a12, a21, a22)
     if lam1 > 0:
         lam = LambdaSpec(min(a1, a2), lam1, 1.0)
     else:
         lam = LambdaSpec(min(a1, a2), 0.0, 0.0)
     reaction = None
     if lv is not None:
-        r1, r2, s11, s12, s21, s22 = (float(x) for x in lv)
+        r1, r2, s11, s12, s21, s22 = number_list(lv, "lv", finite)
         if min(s11, s12, s21, s22) <= 0:
-            raise ModelDefinitionError(
+            raise InputError(
                 "competitive rates must all be positive for the coercivity declaration")
         K = np.diag([r1, r2])
         G = MatrixPolynomial(2, (2, 2), [
@@ -936,7 +907,7 @@ def with_sigma(spec, sigma):
     (so its Jacobian is A(sigma*u)) and the reaction evaluated at
     (sigma*u, sigma*Du).  Data-level only; no claim is made about the
     transformed model's estimates."""
-    sigma = float(sigma)
+    sigma = number(sigma, "sigma")
     if not (0.0 <= sigma <= 1.0):
         raise InputError("sigma must lie in [0, 1]")
     P = spec.P.scaled(sigma, power_offset=-1)
@@ -985,53 +956,55 @@ _GENERAL_KEYS = {"B", "f"}
 def _known_keys(d, known, where):
     unknown = sorted(set(d) - known)
     if unknown:
-        raise ModelDefinitionError(
+        raise InputError(
             f"unknown key {', '.join(map(repr, unknown))} in {where}")
+
+
+def _term_list(key, read, *args):
+    """read(*args), the term list under key; its InputError names key."""
+    try:
+        return read(*args)
+    except InputError as e:
+        raise InputError(f"{key}: {e}") from e
 
 
 def model_from_dict(d):
     """The ModelSpec of a dict as model_to_dict writes it; a missing,
-    malformed or unknown key raises ModelDefinitionError."""
+    malformed or unknown key raises InputError."""
     try:
         _known_keys(d, _MODEL_KEYS, "model")
-        m = d["m"]
-        if isinstance(m, bool) or not float(m).is_integer():
-            raise ModelDefinitionError(
-                f"component count {m!r} must be a whole number")
-        m = int(m)
-        P = PolynomialMap.from_dict(m, d["P"])
+        m = whole_number(d["m"], "component count m")
+        P = _term_list("P", PolynomialMap.from_dict, m, d["P"])
         _known_keys(d["lambda"], _LAMBDA_KEYS, "lambda")
         lam = LambdaSpec.from_dict(d["lambda"])
         r = d.get("reaction")
         if r is not None and not isinstance(r, dict):
-            raise ModelDefinitionError("reaction must be an object")
+            raise InputError("reaction must be an object")
         reaction = None
         if r:
             general = "general" in r
             if general:
                 if len(r) > 1 or not isinstance(r["general"], dict):
-                    raise ModelDefinitionError("a general reaction takes no other key")
+                    raise InputError("a general reaction takes no other key")
                 r = r["general"]
                 _known_keys(r, _GENERAL_KEYS, "general reaction")
             else:
                 _known_keys(r, _REACTION_KEYS, "reaction")
-            B = None if r.get("B") is None else MatrixPolynomial.from_dict(m, (m, 2 * m), r["B"])
+            B = None if r.get("B") is None else _term_list(
+                "B", MatrixPolynomial.from_dict, m, (m, 2 * m), r["B"])
             if general:
-                f0 = None if r.get("f") is None else PolynomialMap.from_dict(m, r["f"])
+                f0 = None if r.get("f") is None else _term_list(
+                    "f", PolynomialMap.from_dict, m, r["f"])
                 reaction = GeneralReaction(m=m, B=B, f0=f0)
             else:
-                G = None if r.get("G") is None else MatrixPolynomial.from_dict(m, (m, m), r["G"])
-                reaction = ReactionSpec(K=np.asarray(r["K"], dtype=float), B=B, G=G,
-                                        kappa=float(r["kappa"]), c0=float(r["c0"]))
-        C_f = d.get("C_f")
-        C_f = None if C_f is None else float(C_f)
-    except ModelDefinitionError:
-        raise
-    # a ValueError here is a number that does not parse, such as "two"
-    except (KeyError, TypeError, IndexError, ValueError) as e:
-        raise ModelDefinitionError(f"malformed model definition: {e}") from e
-    return ModelSpec(P=P, lam=lam, reaction=reaction, C_f=C_f,
-                     name=d.get("name", ""))
+                G = None if r.get("G") is None else _term_list(
+                    "G", MatrixPolynomial.from_dict, m, (m, m), r["G"])
+                reaction = ReactionSpec(K=r["K"], B=B, G=G, kappa=r["kappa"],
+                                        c0=r["c0"])
+        return ModelSpec(P=P, lam=lam, reaction=reaction, C_f=d.get("C_f"),
+                         name=d.get("name", ""))
+    except (KeyError, TypeError, IndexError) as e:
+        raise InputError(f"malformed model definition: {e}") from e
 
 
 def save_model(path, spec):

@@ -98,7 +98,7 @@ from scipy.linalg.lapack import dlartg
 
 from . import diagnostics as diag_mod
 from .errors import (InputError, NewtonConvergenceError, NumericalStateError,
-                     number, number_list, whole_number)
+                     nonnegative, number, number_list, positive, whole_number)
 from .grid import (Field, _flux_data, _product_plan, _require_finite,
                    cell_gradient, component_laplacian, face_coefficients,
                    laplacian_of_P, stable_dt)
@@ -144,21 +144,16 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise InputError(f"scheme must be one of {_SCHEMES}")
-        for name in ("dt0", "t_end", "dt_min", "dt_max", "cfl_safety",
-                     "newton_abs_tol", "newton_rel_tol", "linear_tol",
-                     "blowup_threshold"):
+        for name, rule in (("dt0", positive), ("t_end", positive),
+                           ("dt_min", number), ("dt_max", number),
+                           ("cfl_safety", number), ("linear_tol", positive),
+                           ("newton_abs_tol", nonnegative),
+                           ("newton_rel_tol", nonnegative),
+                           ("blowup_threshold", number)):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, number(getattr(self, name), name))
+                object.__setattr__(self, name, rule(getattr(self, name), name))
         if not isinstance(self.store_states, bool):
             raise InputError(f"store_states must be true or false, got {self.store_states!r}")
-        if not (0 < self.dt0 < np.inf and 0 < self.t_end < np.inf):
-            raise InputError("dt0 and t_end must be finite and positive")
-        if not 0 < self.linear_tol < np.inf:
-            raise InputError("linear_tol must be finite and positive")
-        if not (0 <= self.newton_abs_tol < np.inf
-                and 0 <= self.newton_rel_tol < np.inf):
-            raise InputError("newton_abs_tol and newton_rel_tol must be "
-                             "finite and >= 0")
         if not self.blowup_threshold > 0:
             raise InputError("blowup_threshold must be positive")
         for name in ("max_steps", "record_every", "max_newton"):
@@ -596,8 +591,7 @@ def step(spec, field, dt, scheme="imex", config=None):
     caller's concern); imex and newton treat diffusion implicitly and
     the reaction explicitly.
     """
-    if not 0 < dt < np.inf:
-        raise InputError("dt must be finite and positive")
+    dt = positive(dt, "dt")
     if scheme not in _STEPPERS:
         raise InputError(f"scheme must be one of {_SCHEMES}")
     if config is None:

@@ -251,6 +251,32 @@ class TestSimulateCommand:
         assert summary["dt_limits"] == {"dt_max": summary["steps"] - 3,
                                         "landing": 3}
 
+    @pytest.mark.parametrize("where", ["outputs", "solver"])
+    def test_snapshot_times_from_either_key(self, write_manifest, tmp_path,
+                                            where):
+        data = heat_sim_manifest()
+        data[where]["snapshot_times"] = [0.01]
+        if where == "solver":
+            del data["outputs"]["snapshot_times"]
+        out = tmp_path / "s10"
+        r = invoke("simulate", "--manifest", write_manifest(data), "--out", out)
+        assert r.exit_code == 0, r.output
+        assert load_json(out / "snapshots.json")["files"] == {
+            "0.01": "snapshot_t0.01.csv", "final": "final.csv"}
+
+    def test_snapshot_times_under_both_keys_is_input_error(
+            self, write_manifest, tmp_path):
+        # outputs.snapshot_times was dropped without a word, and only
+        # solver.snapshot_times got its snapshot
+        data = heat_sim_manifest()
+        data["solver"]["snapshot_times"] = [0.01]
+        out = tmp_path / "s11"
+        r = invoke("simulate", "--manifest", write_manifest(data), "--out", out)
+        assert r.exit_code == 2, r.output
+        assert ("input error: outputs.snapshot_times and "
+                "solver.snapshot_times are both given") in r.output
+        assert not out.exists()
+
     def test_summary_reports_solver_counts(self, write_manifest, tmp_path):
         data = heat_sim_manifest()
         data["model"] = {"classic_skt": {"a1": 1.0, "a2": 1.0, "a11": 1.0,
@@ -532,8 +558,9 @@ class TestSweepCommand:
 
 
 def _set(data, dotted, value):
+    # a key of digits indexes a list
     node = data
-    keys = dotted.split(".")
+    keys = [int(k) if k.isdigit() else k for k in dotted.split(".")]
     for k in keys[:-1]:
         node = node[k]
     node[keys[-1]] = value
@@ -837,13 +864,36 @@ class TestInputErrors:
         ("simulate", "solver.dt0", "0.001", "dt0"),
         ("simulate", "diagnostics.radii", "0.25", "radii"),
         ("attractor", "ensemble.T_observe", "0.01", "T_observe"),
+        # the model sections: each loaded and exited 0, apart from m,
+        # which exited 2 with a message that named no key
+        ("simulate", "model.classic_skt.a2", "1", "a2"),
+        ("simulate", "model.classic_skt.a11", True, "a11"),
+        ("simulate", "model.classic_skt.lv.5", "1", "lv"),
+        ("simulate", "model.P.0.0.0", "1.0", "P"),
+        ("simulate", "model.lambda.lambda1", True, "lambda1"),
+        ("simulate", "model.reaction.kappa", "1", "kappa"),
+        ("simulate", "model.reaction.c0", True, "c0"),
+        ("simulate", "model.reaction.K.0.0", "1", "K"),
+        ("simulate", "model.C_f", "3", "C_f"),
+        ("simulate", "model.m", "2", "m"),
     ]
+
+    # the models of NUMBER_RULE's model cases: a competitive model with a
+    # declared C_f, and a classic_skt with a Lotka-Volterra reaction
+    MODEL = {"m": 1, "P": [[[1.0, 1]]], "C_f": 3.0,
+             "lambda": {"lambda0": 1.0, "lambda1": 0.0, "k": 0.0},
+             "reaction": {"K": [[1.0]], "kappa": 1.0, "c0": 1.0}}
+    SKT = {"classic_skt": {"a1": 1.0, "a2": 1.0, "a11": 1.0, "a12": 0.5,
+                           "a21": 0.5, "a22": 1.0, "lv": [1.0] * 6}}
 
     @pytest.mark.parametrize("command,dotted,value,key", NUMBER_RULE,
                              ids=[f"{d}={v!r}" for _, d, v, _ in NUMBER_RULE])
     def test_non_number_is_input_error(
             self, write_manifest, tmp_path, command, dotted, value, key):
+        model = (self.SKT if dotted.startswith("model.classic_skt")
+                 else self.MODEL if dotted.startswith("model.") else HEAT_MODEL)
         data = dict(heat_sim_manifest(), diagnostics={},
+                    model=copy.deepcopy(model),
                     verify=copy.deepcopy(self.VERIFY["verify"]),
                     ensemble={"count": 1, "amp_range": [0.1, 1.0]})
         out = tmp_path / "x"
@@ -852,6 +902,21 @@ class TestInputErrors:
         assert r.exit_code == 2, r.output
         assert "input error" in r.output
         assert re.search(rf"\b{key}\b", r.output), r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dotted,key", [("seed", "seed"),
+                                            ("verify.region.hi.0", "hi")])
+    def test_number_too_large_for_a_float_is_input_error(
+            self, write_manifest, tmp_path, dotted, key):
+        # float() raised OverflowError: exit 4 with a traceback
+        huge = 10 ** 400
+        data = _set(json.loads(json.dumps(self.VERIFY)), dotted, huge)
+        out = tmp_path / "x"
+        r = invoke("verify", "--manifest", write_manifest(data), "--out", out)
+        assert r.exit_code == 2, r.output
+        assert "is too large for a float" in r.output
+        assert re.search(rf"\b{key}\b", r.output), r.output
+        assert str(huge)[:20] not in r.output
         assert not out.exists()
 
     @pytest.mark.parametrize("dotted", ["ensemble.skip_verify",
@@ -936,7 +1001,7 @@ class TestInputErrors:
         assert "Infinity" in path.read_text()
         r = invoke("simulate", "--manifest", path, "--out", tmp_path / "x")
         assert r.exit_code == 2, r.output
-        assert "input error" in r.output and "not finite" in r.output
+        assert "input error" in r.output and "must be finite" in r.output
 
     @pytest.mark.parametrize("command, option", [
         ("verify", ["--format", "bin"]),

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from crossdiff import (InputError, LambdaSpec, MatrixPolynomial,
-                       ModelDefinitionError, ModelSpec, PolynomialMap,
-                       ReactionSpec, Region, classic_skt, compute_lambda_l,
-                       eval_A, eval_lambda, eval_P, eval_reaction, load_model,
+from crossdiff import (InputError, LambdaSpec, MatrixPolynomial, ModelSpec,
+                       PolynomialMap, ReactionSpec, Region, classic_skt,
+                       compute_lambda_l, eval_A, eval_lambda, eval_P,
+                       eval_reaction, load_model,
                        model_from_dict, model_to_dict, reaction_zero_order,
                        save_model, verify_structure, with_sigma)
 import crossdiff.model as model_mod
@@ -82,7 +82,7 @@ class TestEvalP:
             assert np.allclose(batch[:, i, j], eval_P(skt, U[i, j]))
 
     def test_dimension_mismatch(self, skt):
-        with pytest.raises(ModelDefinitionError):
+        with pytest.raises(InputError, match="component-major"):
             eval_P(skt, [1.0, 2.0, 3.0])
 
 
@@ -214,10 +214,10 @@ SPATIAL_SHAPES = [(9,), (5, 7), (3, 4, 5)]
 EVAL_ROUNDINGS = 48
 
 
-class TestComponentMajorParity:
+class TestShapedStateOracles:
     """The component-major evaluators on (m, *shape) states, point by
-    point against exact rational arithmetic within gamma_48.  The ids
-    are those of the point-major parity tests this class held before."""
+    point against exact rational arithmetic within gamma_48, and on the
+    transposed view of a point-major batch."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("shape", SPATIAL_SHAPES)
@@ -307,7 +307,7 @@ class TestLayoutErrors:
     ])
     def test_point_major_batch_rejected(self, skt_lv, evaluate):
         U = np.ones((3, 2))  # a stale (n, m) batch with n != m
-        with pytest.raises(ModelDefinitionError,
+        with pytest.raises(InputError,
                            match=r"component-major, shape \(2, \.\.\.\)"):
             evaluate(skt_lv, U)
         assert evaluate(skt_lv, U.T).shape[-1] == 3
@@ -317,9 +317,9 @@ class TestLayoutErrors:
                                                                request):
         spec = request.getfixturevalue(spec_name)
         U = np.ones((5, spec.m + 1))
-        with pytest.raises(ModelDefinitionError, match="component-major"):
+        with pytest.raises(InputError, match="component-major"):
             eval_reaction(spec, U, np.zeros((spec.m, 2, spec.m + 1)))
-        with pytest.raises(ModelDefinitionError, match="component-major"):
+        with pytest.raises(InputError, match="component-major"):
             reaction_zero_order(spec, U)
 
     def test_point_major_gradient_rejected(self):
@@ -330,13 +330,13 @@ class TestLayoutErrors:
                                   G=None, kappa=1.0, c0=1.0))
         u = np.ones((2, 4))
         assert eval_reaction(spec, u, np.zeros((2, 2, 4))).shape == (2, 4)
-        with pytest.raises(ModelDefinitionError,
+        with pytest.raises(InputError,
                            match=r"gradient must have shape \(2, 2, \.\.\.\)"):
             eval_reaction(spec, u, np.zeros((4, 2, 2)))
 
     def test_lambda_checks_the_component_count(self, skt):
         # eval_lambda takes component-major states (m, ...) as eval_A does
-        with pytest.raises(ModelDefinitionError,
+        with pytest.raises(InputError,
                            match=r"component-major, shape \(2, \.\.\.\)"):
             eval_lambda(skt, np.ones((5, 2)))
         assert eval_lambda(skt, np.ones((2, 5))).shape == (5,)
@@ -382,11 +382,11 @@ class TestEvalLambda:
         assert np.array_equal(got, np.full(3, want))
 
     def test_invalid_parameters(self):
-        with pytest.raises(ModelDefinitionError):
+        with pytest.raises(InputError, match="lambda0 must be"):
             LambdaSpec(0.0)
-        with pytest.raises(ModelDefinitionError):
+        with pytest.raises(InputError, match="lambda1 must be"):
             LambdaSpec(1.0, -1.0)
-        with pytest.raises(ModelDefinitionError):
+        with pytest.raises(InputError, match="k must be"):
             LambdaSpec(1.0, 1.0, -2.0)
 
 
@@ -429,43 +429,43 @@ class TestEvalReaction:
 
 class TestConstructionErrors:
     def test_constant_term_rejected(self):
-        with pytest.raises(ModelDefinitionError):
+        with pytest.raises(InputError, match="constant term"):
             PolynomialMap(1, [[(1.0, (0,))]])
 
     def test_negative_exponent_rejected(self):
-        with pytest.raises(ModelDefinitionError):
+        with pytest.raises(InputError, match="nonnegative integers"):
             PolynomialMap(1, [[(1.0, (-1,))]])
 
     def test_exponent_length_rejected(self):
-        with pytest.raises(ModelDefinitionError):
+        with pytest.raises(InputError, match="must have length 2"):
             PolynomialMap(2, [[(1.0, (1,))], []])
 
     def test_max_degree_enforced(self):
-        with pytest.raises(ModelDefinitionError):
+        with pytest.raises(InputError, match="max degree"):
             PolynomialMap(1, [[(1.0, (3,))]], max_degree=2)
 
     @pytest.mark.parametrize("coef", [math.inf, -math.inf, math.nan])
     def test_nonfinite_coefficient_rejected(self, coef):
-        with pytest.raises(ModelDefinitionError, match="not finite"):
+        with pytest.raises(InputError, match="coefficient must be finite"):
             PolynomialMap(1, [[(coef, (3,)), (1.0, (1,))]])
-        with pytest.raises(ModelDefinitionError, match="not finite"):
+        with pytest.raises(InputError, match="coefficient must be finite"):
             MatrixPolynomial(2, (2, 2), [(0, 1, coef, 0.0, (1, 0))])
 
     @pytest.mark.parametrize("power", [math.inf, math.nan])
     def test_nonfinite_radial_power_rejected(self, power):
-        with pytest.raises(ModelDefinitionError, match="radial power"):
+        with pytest.raises(InputError, match="radial power"):
             MatrixPolynomial.radial_identity(2, power=power)
 
     @pytest.mark.parametrize("ex", [(2.7,), (math.inf,), (math.nan,), (True,)])
     def test_non_integer_exponent_rejected(self, ex):
-        with pytest.raises(ModelDefinitionError, match="integers"):
+        with pytest.raises(InputError, match="exponent must be a whole number"):
             PolynomialMap(1, [[(2.0, ex)]])
-        with pytest.raises(ModelDefinitionError, match="integers"):
+        with pytest.raises(InputError, match="exponent must be a whole number"):
             MatrixPolynomial(1, (1, 1), [(0, 0, 1.0, 0.0, ex)])
 
     @pytest.mark.parametrize("i, j", [(0.5, 1), (0, 1.7), (True, 0), (0, False)])
     def test_non_integer_matrix_index_rejected(self, i, j):
-        with pytest.raises(ModelDefinitionError, match="indices"):
+        with pytest.raises(InputError, match="matrix index must be a whole number"):
             MatrixPolynomial(2, (2, 2), [(i, j, 1.0, 0, (1, 0))])
 
     def test_whole_number_float_index_accepted(self):
@@ -474,7 +474,7 @@ class TestConstructionErrors:
 
     @pytest.mark.parametrize("m", [2.5, True, math.inf])
     def test_non_whole_component_count_rejected(self, m):
-        with pytest.raises(ModelDefinitionError, match="whole number"):
+        with pytest.raises(InputError, match="whole number"):
             model_from_dict({"m": m, "P": [[[1.0, 1, 0]], [[1.0, 0, 1]]],
                              "lambda": {"lambda0": 1.0}})
 
@@ -490,21 +490,21 @@ class TestConstructionErrors:
 
     @pytest.mark.parametrize("entry", [math.inf, math.nan])
     def test_nonfinite_k_entry_rejected(self, entry):
-        with pytest.raises(ModelDefinitionError, match="finite"):
+        with pytest.raises(InputError, match="finite"):
             ReactionSpec(K=[[1.0, entry], [0.0, 1.0]], B=None, G=None,
                          kappa=1.0, c0=1.0)
 
     @pytest.mark.parametrize("lambda1, k", [(math.inf, 1.0), (math.nan, 1.0),
                                             (1.0, math.inf), (1.0, math.nan)])
     def test_nonfinite_envelope_rejected(self, lambda1, k):
-        with pytest.raises(ModelDefinitionError, match="finite"):
+        with pytest.raises(InputError, match="finite"):
             LambdaSpec(1.0, lambda1, k)
 
     @pytest.mark.parametrize("kappa, c0, C_f", [(math.inf, 1.0, None),
                                                 (1.0, math.inf, None),
                                                 (1.0, 1.0, math.inf)])
     def test_infinite_reaction_constant_rejected(self, kappa, c0, C_f):
-        with pytest.raises(ModelDefinitionError, match="finite"):
+        with pytest.raises(InputError, match="finite"):
             ModelSpec(P=PolynomialMap.identity(1), lam=LambdaSpec(1.0), C_f=C_f,
                       reaction=ReactionSpec(K=np.eye(1), B=None, G=None,
                                             kappa=kappa, c0=c0))
@@ -517,33 +517,33 @@ class TestConstructionErrors:
     def test_nonfinite_reaction_term_rejected(self, section, rows):
         reaction = ({"general": {section: rows}} if section == "f" else
                     {"K": [[1.0]], section: rows, "kappa": 1.0, "c0": 1.0})
-        with pytest.raises(ModelDefinitionError, match="not finite"):
+        with pytest.raises(InputError, match=f"{section}: .*must be finite"):
             model_from_dict({"m": 1, "P": [[[1.0, 1]]],
                              "lambda": {"lambda0": 1.0}, "reaction": reaction})
 
     def test_nonsquare_k_rejected(self):
-        with pytest.raises(ModelDefinitionError):
+        with pytest.raises(InputError, match="square matrix"):
             ReactionSpec(K=np.ones((2, 3)), B=None, G=None, kappa=1.0, c0=1.0)
 
     def test_kappa_exceeding_k_rejected(self):
-        with pytest.raises(ModelDefinitionError):
+        with pytest.raises(InputError, match="kappa must not exceed"):
             ModelSpec(P=PolynomialMap.identity(1), lam=LambdaSpec(1.0, 1.0, 1.0),
                       reaction=ReactionSpec(K=np.eye(1), B=None,
                                             G=MatrixPolynomial.radial_identity(1),
                                             kappa=2.0, c0=1.0))
 
     def test_reaction_dimension_mismatch(self):
-        with pytest.raises(ModelDefinitionError):
+        with pytest.raises(InputError, match="reaction dimension"):
             ModelSpec(P=PolynomialMap.identity(2), lam=LambdaSpec(1.0),
                       reaction=ReactionSpec(K=np.eye(1), B=None, G=None,
                                             kappa=1.0, c0=1.0))
 
     def test_nonpositive_diffusion_rate_rejected(self):
-        with pytest.raises(ModelDefinitionError):
+        with pytest.raises(InputError, match="a1 must be"):
             classic_skt(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_nonpositive_competition_rejected(self):
-        with pytest.raises(ModelDefinitionError):
+        with pytest.raises(InputError, match="competitive rates"):
             classic_skt(1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
                         lv=(1.0, 1.0, 1.0, 0.0, 1.0, 1.0))
 
@@ -671,7 +671,7 @@ class TestVerifyStructure:
     @pytest.mark.parametrize("m", [1, 3])
     def test_both_entry_points_check_the_region_dimension(self, skt, m):
         # compute_lambda_l used to fail in the envelope's layout check
-        # with a ModelDefinitionError
+        # with an error about the state's layout
         region = Region.positive(1.0, m)
         with pytest.raises(InputError, match="region dimension"):
             verify_structure(skt, region, n=100, seed=0)
@@ -1376,7 +1376,7 @@ class TestSerialization:
         path.write_text(json.dumps({"m": 1, "P": [[[1.0, 1]]],
                                     "lambda": {"lambda0": 1.0},
                                     "reaction": reaction}))
-        with pytest.raises(ModelDefinitionError, match="reaction|kappa|c0"):
+        with pytest.raises(InputError, match="reaction|kappa|c0"):
             load_model(path)
 
     @pytest.mark.parametrize("key,value", [
@@ -1391,8 +1391,7 @@ class TestSerialization:
         # a string where a number belongs let a bare ValueError out
         d = {"m": 1, "P": [[[1.0, 1]]], "lambda": {"lambda0": 1.0}}
         d[key] = value
-        with pytest.raises(ModelDefinitionError,
-                           match="malformed model definition"):
+        with pytest.raises(InputError, match="must be a (whole )?number"):
             model_from_dict(d)
 
     # every object of a model dict that model_from_dict reads, with all
@@ -1429,7 +1428,7 @@ class TestSerialization:
         for name in path:
             node = node[name]
         node[key] = 1.0
-        with pytest.raises(ModelDefinitionError, match=repr(key)):
+        with pytest.raises(InputError, match=repr(key)):
             model_from_dict(d)
 
     def test_decay_power_only_for_a_competitive_reaction(self, skt_lv,
@@ -1454,5 +1453,5 @@ class TestSerialization:
         assert P.scaled(2.0).to_dict()[0][1] == [0.0, 2, 0]
 
     def test_malformed_rejected(self):
-        with pytest.raises(ModelDefinitionError):
+        with pytest.raises(InputError, match="component term lists"):
             model_from_dict({"m": 2, "P": [[[1.0, 1]]], "lambda": {"lambda0": 1.0}})

@@ -152,7 +152,8 @@ class TestStep:
 
         monkeypatch.setattr(solver_mod, "_reaction_term", no_work)
         cfg = SolverConfig(scheme=scheme, dt0=1e-3, t_end=1.0) if given else None
-        with pytest.raises(InputError, match=r"^dt must be finite and positive$"):
+        with pytest.raises(InputError,
+                           match=rf"^dt must be finite and positive, got {dt!r}$"):
             step(heat1, Field.constant(grid16n, [1.0]), dt, scheme, config=cfg)
 
 
